@@ -1,49 +1,41 @@
-"""Bounding lists, the append-only composition log, and update machinery.
+"""Bounding lists and the update machinery that shrinks them.
 
 The bounding state tracks, per vertex, a superset of the colors any coupled
-trajectory may carry. Every local update appends one composition entry
-holding the coupling tag, the full parameter snapshot it was applied with,
-and the sub-seed address, which together let the update be decoded later
-against any realized configuration.
+trajectory may carry. Every update draws from a seed addressed by (block,
+update index), so re-running a block's schedule reproduces its lists
+exactly. A state may also carry one proper coloring: each update then
+decodes the carried coloring with the parameters and draw its bounding
+update has just computed, and checks that the decoded color lies in the
+list just predicted for the vertex.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from . import couplings as cp
-from .colorsets import ColorSet, bit, full_mask, iter_colors, mask_from, members, size
+from .colorsets import ColorSet, bit, full_mask, iter_colors, members, size
 from .errors import EngineError
 from .graphs import Graph
 from .seedstream import SeedStream
-
-KIND_COMPRESS = "compress"
-KIND_SEEDING = "seeding"
-KIND_DISJOINT = "disjoint"
 
 PHASE_SEEDING = "phase1"
 PHASE_CONVERT = "phase2"
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionEntry:
-    vertex: int
-    kind: str
-    params: object
-    update_index: int
-
-
 class BoundingState:
-    """Per-vertex bounding lists plus the composition log for one block."""
+    """Per-vertex bounding lists for one block, optionally carrying a coloring.
 
-    __slots__ = ("q", "n", "lists", "composition", "_counter")
+    ``updates`` counts the updates applied; the update index also advances
+    for the schedule's own vertex picks, so the two differ.
+    """
 
-    def __init__(self, q: int, n: int):
+    __slots__ = ("q", "n", "lists", "coloring", "updates", "_counter")
+
+    def __init__(self, q: int, n: int, coloring=None):
         self.q = q
         self.n = n
         self.lists: list[ColorSet] = [full_mask(q)] * n
-        self.composition: list[CompositionEntry] = []
+        self.coloring: list[int] | None = None if coloring is None else list(coloring)
+        self.updates = 0
         self._counter = 0
 
     def take_index(self) -> int:
@@ -57,24 +49,22 @@ class BoundingState:
     def coalesced_coloring(self) -> tuple[int, ...]:
         return tuple(m.bit_length() - 1 for m in self.lists)
 
-    def dump_jsonl(self, stream: "SeedStream | None" = None, block: int = 0) -> str:
-        """Debug dump: one JSON object per composition entry.
+    def blocked(self, g: Graph, v: int) -> ColorSet:
+        """Colors the carried coloring puts on the neighbors of v."""
+        w = self.coloring
+        m = 0
+        for u in g.adjacency[v]:
+            m |= 1 << w[u]
+        return m
 
-        With a stream and block index, each row also carries the bounding
-        list the entry produced, recomputed from its address.
-        """
-        rows = []
-        for e in self.composition:
-            row = {
-                "vertex": e.vertex,
-                "coupling": e.kind,
-                "update_index": e.update_index,
-            }
-            if stream is not None:
-                row["list"] = members(predicted_set(e, self.q, stream, block))
-            rows.append(json.dumps(row))
-        rows.append(json.dumps({"lists": [members(m) for m in self.lists]}))
-        return "\n".join(rows) + "\n"
+    def carry(self, v: int, color: int) -> None:
+        """Set v's carried color; it must lie in v's new bounding list."""
+        if not (self.lists[v] >> color) & 1:
+            raise EngineError(
+                f"carried color {color} at vertex {v} escaped its bounding list "
+                f"{members(self.lists[v])}"
+            )
+        self.coloring[v] = color
 
 
 # ---------------------------------------------------------------------------
@@ -87,34 +77,6 @@ def neighborhood_slack(state: BoundingState, g: Graph, v: int) -> ColorSet:
     for u in g.adjacency[v]:
         m |= state.lists[u]
     return m
-
-
-def singleton_colors(state: BoundingState, g: Graph, v: int) -> ColorSet:
-    m = 0
-    for u in g.adjacency[v]:
-        lu = state.lists[u]
-        if size(lu) == 1:
-            m |= lu
-    return m
-
-
-def disjoint_pairs(state: BoundingState, g: Graph, v: int) -> tuple[tuple[int, int], ...]:
-    """Neighbor 2-lists that intersect no other neighbor list, as color pairs."""
-    nbrs = g.adjacency[v]
-    lists = [state.lists[u] for u in nbrs]
-    out = []
-    for i, m in enumerate(lists):
-        if size(m) != 2:
-            continue
-        if any(j != i and (m & other) for j, other in enumerate(lists)):
-            continue
-        low = m & -m
-        out.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
-    return tuple(sorted(out))
-
-
-def disjoint_colors(state: BoundingState, g: Graph, v: int) -> ColorSet:
-    return mask_from(c for p in disjoint_pairs(state, g, v) for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +121,12 @@ def greedy_reference_set(
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
     kept = [state.lists[u] for u in g.adjacency[v] if u in preserved]
-    sp_mask = 0
-    for m in kept:
-        sp_mask |= m
+    sp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
     a = 0
     if mode == PHASE_SEEDING:
         a = _fill_atomic(a, delta, kept)
         a = _fill_singles(a, delta, sp_mask)
     elif mode == PHASE_CONVERT:
-        dp_pairs = []
-        for i, m in enumerate(kept):
-            if size(m) == 2 and not any(j != i and (m & o) for j, o in enumerate(kept)):
-                dp_pairs.append(m)
         dp_mask = 0
         for m in dp_pairs:
             dp_mask |= m
@@ -194,6 +150,7 @@ def greedy_reference_set(
 
 def apply_compress(
     state: BoundingState,
+    g: Graph,
     v: int,
     a_mask: ColorSet,
     stream: SeedStream,
@@ -201,9 +158,11 @@ def apply_compress(
 ) -> None:
     idx = state.take_index()
     key = stream.subkey(block, idx)
-    predicted, _ = cp.compress_predict(a_mask, state.q, key)
-    state.lists[v] = predicted
-    state.composition.append(CompositionEntry(v, KIND_COMPRESS, a_mask, idx))
+    state.lists[v], _ = cp.compress_predict(a_mask, state.q, key)
+    state.updates += 1
+    if state.coloring is not None:
+        draw = cp.compress_draw(a_mask, state.q, key)
+        state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(g, v)))
 
 
 def apply_seeding(
@@ -223,11 +182,10 @@ def apply_seeding(
     law = cp.seeding_size_law(len(s_sorted), g.max_degree, state.q)
     idx = state.take_index()
     key = stream.subkey(block, idx)
-    predicted, _ = cp.seeding_predict(s_sorted, s_mask, law, state.q, key)
-    state.lists[v] = predicted
-    state.composition.append(
-        CompositionEntry(v, KIND_SEEDING, (s_sorted, s_mask, law), idx)
-    )
+    state.lists[v], draw = cp.seeding_predict(s_sorted, s_mask, law, state.q, key)
+    state.updates += 1
+    if state.coloring is not None:
+        state.carry(v, cp.seeding_decode(s_mask, law, state.q, draw, state.blocked(g, v)))
 
 
 def apply_disjoint(
@@ -238,14 +196,16 @@ def apply_disjoint(
     block: int,
 ) -> None:
     """Disjoint update at v; raises CouplingRegimeError when infeasible."""
+    lists = state.lists
     params = cp.disjoint_params_from_lists(
-        state.q, g.max_degree, (state.lists[u] for u in g.adjacency[v])
+        state.q, g.max_degree, [lists[u] for u in g.adjacency[v]]
     )
     idx = state.take_index()
     key = stream.subkey(block, idx)
-    predicted, _ = cp.disjoint_predict(params, key)
-    state.lists[v] = predicted
-    state.composition.append(CompositionEntry(v, KIND_DISJOINT, params, idx))
+    lists[v], draw = cp.disjoint_predict(params, key)
+    state.updates += 1
+    if state.coloring is not None:
+        state.carry(v, cp.disjoint_decode(params, draw, state.blocked(g, v)))
 
 
 def cleanup(
@@ -263,47 +223,4 @@ def cleanup(
         return
     a_mask = greedy_reference_set(state, g, v, preserved, mode)
     for w in targets:
-        apply_compress(state, w, a_mask, stream, block)
-
-
-def decode_entry(
-    entry: CompositionEntry,
-    q: int,
-    stream: SeedStream,
-    block: int,
-    blocked: ColorSet,
-) -> int:
-    """Re-derive the entry's draw from its address and decode against blocked."""
-    key = stream.subkey(block, entry.update_index)
-    if entry.kind == KIND_COMPRESS:
-        draw = cp.compress_draw(entry.params, q, key)
-        return cp.compress_decode(entry.params, q, draw, blocked)
-    if entry.kind == KIND_SEEDING:
-        s_sorted, s_mask, law = entry.params
-        if blocked & ~s_mask:
-            # sound replay keeps every trajectory inside the recorded lists,
-            # so neighbor colors can never leave the slack snapshot
-            raise EngineError("replayed blocked set escaped the slack snapshot")
-        _, draw = cp.seeding_predict(s_sorted, s_mask, law, q, key)
-        return cp.seeding_decode(s_mask, law, q, draw, blocked)
-    if entry.kind == KIND_DISJOINT:
-        params = entry.params
-        _, draw = cp.disjoint_predict(params, key)
-        return cp.disjoint_decode(params, draw, blocked)
-    raise ValueError(f"unknown composition entry kind {entry.kind!r}")
-
-
-def predicted_set(entry: CompositionEntry, q: int, stream: SeedStream, block: int) -> ColorSet:
-    """Recompute the bounding set an entry produced when it was applied."""
-    key = stream.subkey(block, entry.update_index)
-    if entry.kind == KIND_COMPRESS:
-        predicted, _ = cp.compress_predict(entry.params, q, key)
-        return predicted
-    if entry.kind == KIND_SEEDING:
-        s_sorted, s_mask, law = entry.params
-        predicted, _ = cp.seeding_predict(s_sorted, s_mask, law, q, key)
-        return predicted
-    if entry.kind == KIND_DISJOINT:
-        predicted, _ = cp.disjoint_predict(entry.params, key)
-        return predicted
-    raise ValueError(f"unknown composition entry kind {entry.kind!r}")
+        apply_compress(state, g, w, a_mask, stream, block)

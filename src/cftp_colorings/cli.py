@@ -133,20 +133,16 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t1_override
                t2_override, force, out_path, fmt):
     """Draw uniform proper colorings and emit them with run statistics."""
     g = load_graph(graph_file, gen_spec)
-    if q < g.max_degree + 2:
-        raise click.UsageError(f"need q >= max_degree + 2 = {g.max_degree + 2}")
-    threshold = engine.regime_threshold(g.max_degree)
-    if q < threshold and not force:
-        raise click.UsageError(
-            f"q = {q} is below the regime threshold {threshold:.2f} "
-            f"for max degree {g.max_degree}; pass --force to run anyway"
-        )
     if seed is None:
         seed = secrets.randbits(63)
     cfg = engine.SamplerConfig(
         q=q, master_seed=seed, max_blocks=max_blocks,
         t1_override=t1_override, t2_override=t2_override, force=force,
     )
+    try:
+        engine.check_config(g, cfg)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     meta = run_meta(seed, command="sample", q=q, n=n_samples, graph_n=g.n,
                     graph_m=g.m, max_degree=g.max_degree, max_blocks=max_blocks,
                     t1=t1_override, t2=t2_override, force=force,

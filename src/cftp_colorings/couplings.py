@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .colorsets import (
     ColorSet,
@@ -391,8 +392,10 @@ _SLOT_COLOR = 1
 _SLOT_LEFTOVER = 2
 
 
-@dataclass(frozen=True)
-class DisjointParams:
+# Both records are built on every disjoint update, in construction and in
+# replay alike; a NamedTuple is as immutable as a frozen dataclass and
+# several times cheaper to build.
+class DisjointParams(NamedTuple):
     q: int
     delta: int
     s_mask: ColorSet
@@ -415,8 +418,7 @@ class DisjointParams:
         return self.leftover
 
 
-@dataclass(frozen=True, slots=True)
-class DisjointDraw:
+class DisjointDraw(NamedTuple):
     slot_kind: int
     pair: tuple[int, int] | None
     color: int
@@ -475,26 +477,35 @@ def disjoint_params(
     )
 
 
-def disjoint_params_from_lists(q: int, delta: int, neighbor_lists) -> DisjointParams:
+def disjoint_pair_scan(lists) -> tuple[ColorSet, list[ColorSet]]:
+    """Union of the lists, and the 2-lists that meet no other list.
+
+    One pass: ``shared`` collects every color seen in two or more lists, so
+    a 2-list is a disjoint pair iff it misses ``shared``. Pairs come back in
+    input order.
+    """
+    seen = 0
+    shared = 0
+    for m in lists:
+        shared |= seen & m
+        seen |= m
+    return seen, [m for m in lists if size(m) == 2 and not (m & shared)]
+
+
+def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> DisjointParams:
     """Slot layout for the given neighbor bounding lists.
 
     A 2-color list qualifies as a disjoint pair when it intersects no other
     neighbor list of any size; its colors then block exactly one of the two
     in every realizable configuration.
     """
-    lists = list(neighbor_lists)
-    s_mask = 0
+    s_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
     q_mask = 0
-    for m in lists:
-        s_mask |= m
+    for m in neighbor_lists:
         if size(m) == 1:
             q_mask |= m
     pairs = []
-    for i, m in enumerate(lists):
-        if size(m) != 2:
-            continue
-        if any(j != i and (m & other) for j, other in enumerate(lists)):
-            continue
+    for m in pair_lists:
         a = m & -m
         pairs.append((a.bit_length() - 1, (m ^ a).bit_length() - 1))
     return disjoint_params(q, delta, s_mask, q_mask, tuple(pairs))

@@ -4,8 +4,11 @@ A sample is produced by building independent randomness blocks indexed
 t = 1, 2, ... Each block runs a two-phase update schedule over bounding
 lists initialized to the full palette; if the lists all collapse to
 singletons the block's coalescence value is defined, and the final sample
-is that value pushed forward through the recorded update compositions of
-all more recent blocks, oldest first.
+is that value pushed forward through all more recent blocks, oldest first.
+A block's updates are a pure function of (master seed, block index,
+partition), so nothing is stored to push a coloring through it: the block's
+schedule is run again with the coloring carried alongside its bounding
+lists.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import bounding as bd
-from .colorsets import bit, size
+from .colorsets import size
 from .errors import CouplingRegimeError, EngineError, NoCoalescenceError
 from .graphs import Graph
 from .seedstream import SeedStream, randint_below, unit_uniform
@@ -64,10 +67,8 @@ class SamplerConfig:
 @dataclass
 class Block:
     index: int
-    entries: list
     phi: tuple[int, ...] | None
     n_updates: int
-    final_lists: tuple = ()
     phase_sizes: dict = field(default_factory=dict)
 
 
@@ -169,25 +170,46 @@ def default_t2(n: int, q: int, delta: int) -> int:
         return 0
     if q <= 2.5 * delta:
         raise ValueError(
-            "drift length formula needs q > 2.5 * max_degree; pass t2_override"
+            f"the drift length formula needs q > 2.5 * max_degree = {2.5 * delta:g}, "
+            f"got q = {q}; pass t2_override (--t2) to set the drift length"
         )
     return math.ceil(2.0 * (q - delta) * n * math.log(n) / (q - 2.5 * delta))
 
 
+def check_config(g: Graph, config: SamplerConfig) -> None:
+    """Raise ValueError unless config can run on g.
+
+    Needs q >= max_degree + 2, q at or above the regime threshold unless
+    forced, and, without t2_override, a q the drift length formula accepts.
+    """
+    delta = g.max_degree
+    if config.q < delta + 2:
+        raise ValueError(f"need q >= max_degree + 2 = {delta + 2}, got {config.q}")
+    if config.q < regime_threshold(delta) and not config.force:
+        raise ValueError(
+            f"q = {config.q} is below the regime threshold "
+            f"{regime_threshold(delta):.2f} for max degree {delta}; "
+            f"pass force=True (--force) to run anyway"
+        )
+    if config.t2_override is None:
+        default_t2(g.n, config.q, delta)
+
+
 def update_budget(n: int, seed_set_size: int, delta: int, t1: int, t2: int) -> int:
-    """Upper bound on composition length for one block."""
+    """Upper bound on the number of updates in one block."""
     per = delta + 1
     return seed_set_size * per + t1 * per + (n - seed_set_size) * per + t2
 
 
-def construct_block(
+def run_schedule(
     g: Graph,
     seed_set: SeedVertexSet,
     config: SamplerConfig,
     block_index: int,
     stream: SeedStream,
-) -> Block:
-    """One randomness block: seeding phase, converting phase, drift, check.
+    state: bd.BoundingState,
+) -> dict:
+    """Run one block's update schedule on state; returns its phase sizes.
 
     The update schedule always runs to completion. A seeding or disjoint
     update whose parameter regime is infeasible falls back to a compress
@@ -199,7 +221,6 @@ def construct_block(
     prefix measurably biases the output.
     """
     q, n, delta = config.q, g.n, g.max_degree
-    state = bd.BoundingState(q, n)
     s_list = sorted(seed_set.members)
     others = [v for v in range(n) if v not in seed_set.members]
     t1 = config.t1_override if config.t1_override is not None else default_t1(len(s_list))
@@ -211,7 +232,7 @@ def construct_block(
             bd.apply_seeding(state, g, v, stream, block_index)
         except CouplingRegimeError:
             a_mask = bd.greedy_reference_set(state, g, v, preserved, bd.PHASE_SEEDING)
-            bd.apply_compress(state, v, a_mask, stream, block_index)
+            bd.apply_compress(state, g, v, a_mask, stream, block_index)
             phase_sizes["seeding_fallbacks"] += 1
 
     def disjoint_or_fallback(v: int) -> None:
@@ -220,7 +241,7 @@ def construct_block(
         except CouplingRegimeError:
             nbrs = set(g.adjacency[v])
             a_mask = bd.greedy_reference_set(state, g, v, nbrs, bd.PHASE_CONVERT)
-            bd.apply_compress(state, v, a_mask, stream, block_index)
+            bd.apply_compress(state, g, v, a_mask, stream, block_index)
             phase_sizes["disjoint_fallbacks"] += 1
 
     # Phase I: seed the balanced set with small lists, then drift them down.
@@ -249,38 +270,50 @@ def construct_block(
         idx = state.take_index()
         v = randint_below(stream.subkey(block_index, idx), 0, n)
         disjoint_or_fallback(v)
+    return phase_sizes
 
+
+def construct_block(
+    g: Graph,
+    seed_set: SeedVertexSet,
+    config: SamplerConfig,
+    block_index: int,
+    stream: SeedStream,
+) -> Block:
+    """One randomness block: seeding phase, converting phase, drift, check."""
+    state = bd.BoundingState(config.q, g.n)
+    phase_sizes = run_schedule(g, seed_set, config, block_index, stream, state)
     phi = None
     if state.all_singletons():
         phi = state.coalesced_coloring()
         if not is_proper(g, phi):
             raise EngineError("coalesced configuration is not a proper coloring")
-    return Block(
-        index=block_index,
-        entries=state.composition,
-        phi=phi,
-        n_updates=len(state.composition),
-        final_lists=tuple(state.lists),
-        phase_sizes=phase_sizes,
-    )
+    return Block(index=block_index, phi=phi, n_updates=state.updates, phase_sizes=phase_sizes)
 
 
 def is_proper(g: Graph, coloring) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
-def replay(block: Block, omega, g: Graph, config: SamplerConfig, stream: SeedStream):
-    """Push a proper coloring through every recorded update of a block."""
+def replay(
+    g: Graph,
+    seed_set: SeedVertexSet,
+    config: SamplerConfig,
+    block_index: int,
+    stream: SeedStream,
+    omega,
+) -> tuple[int, ...]:
+    """Push a proper coloring through every update of a block.
+
+    Runs the block's schedule again with omega carried alongside the
+    bounding lists. Raises EngineError if a carried color leaves the list
+    its update predicted, which sound couplings never allow.
+    """
     if not is_proper(g, omega):
         raise ValueError("replay requires a proper input coloring")
-    w = list(omega)
-    q = config.q
-    for entry in block.entries:
-        blocked = 0
-        for u in g.adjacency[entry.vertex]:
-            blocked |= bit(w[u])
-        w[entry.vertex] = bd.decode_entry(entry, q, stream, block.index, blocked)
-    return tuple(w)
+    state = bd.BoundingState(config.q, g.n, coloring=omega)
+    run_schedule(g, seed_set, config, block_index, stream, state)
+    return tuple(state.coloring)
 
 
 def sample(g: Graph, config: SamplerConfig) -> SampleResult:
@@ -291,35 +324,24 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     (with run statistics attached) if max_blocks is exhausted.
     """
     t0 = time.perf_counter()
-    delta = g.max_degree
-    if config.q < delta + 2:
-        raise ValueError(f"need q >= max_degree + 2 = {delta + 2}, got {config.q}")
-    if config.q < regime_threshold(delta) and not config.force:
-        raise ValueError(
-            f"q = {config.q} is below the regime threshold "
-            f"{regime_threshold(delta):.2f}; pass force=True to run anyway"
-        )
+    check_config(g, config)
     stream = SeedStream(config.master_seed)
     seed_set = lll_partition(g, stream)
-    blocks: list[Block] = []
-    coalesced_at = None
     updates = 0
     degraded = 0
+    fallbacks = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
     for t in range(1, config.max_blocks + 1):
         block = construct_block(g, seed_set, config, t, stream)
-        blocks.append(block)
         updates += block.n_updates
-        if (
-            block.phase_sizes.get("seeding_fallbacks", 0)
-            or block.phase_sizes.get("disjoint_fallbacks", 0)
-        ):
+        if block.phase_sizes["seeding_fallbacks"] or block.phase_sizes["disjoint_fallbacks"]:
             degraded += 1
+        for k in fallbacks:
+            fallbacks[k] += block.phase_sizes[k]
         if block.phi is not None:
-            coalesced_at = t
             break
-    if coalesced_at is None:
+    else:
         stats = {
-            "blocks_used": len(blocks),
+            "blocks_used": config.max_blocks,
             "updates": updates,
             "degraded_blocks": degraded,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
@@ -327,26 +349,19 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         raise NoCoalescenceError(
             f"no coalescence within {config.max_blocks} blocks", stats=stats
         )
-    omega = blocks[coalesced_at - 1].phi
-    for s in range(coalesced_at - 1, 0, -1):
-        omega = replay(blocks[s - 1], omega, g, config, stream)
+    omega = block.phi
+    for s in range(t - 1, 0, -1):
+        omega = replay(g, seed_set, config, s, stream, omega)
     if not is_proper(g, omega):
         raise EngineError("sampler produced an improper coloring")
     return SampleResult(
         coloring=omega,
         q=config.q,
         master_seed=config.master_seed,
-        blocks_used=coalesced_at,
+        blocks_used=t,
         updates=updates,
         degraded_blocks=degraded,
-        phase_stats={
-            "seeding_fallbacks": sum(
-                b.phase_sizes.get("seeding_fallbacks", 0) for b in blocks
-            ),
-            "disjoint_fallbacks": sum(
-                b.phase_sizes.get("disjoint_fallbacks", 0) for b in blocks
-            ),
-        },
+        phase_stats=fallbacks,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         seed_set_size=len(seed_set),
     )

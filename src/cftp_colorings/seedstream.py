@@ -12,10 +12,6 @@ coupling is implemented), so predict and decode regenerate identical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .colorsets import ColorSet, iter_colors, nth_color, size
-
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TO_DOUBLE = 1.0 / (1 << 53)
@@ -27,14 +23,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class SubSeedAddress:
-    """Location of one update's randomness: lexicographically ordered."""
-
-    block: int
-    update: int
 
 
 class SeedStream:
@@ -49,9 +37,6 @@ class SeedStream:
     def subkey(self, block: int, update: int) -> int:
         h = mix64((self._root + (block + 1) * _GOLDEN) & _M64)
         return mix64((h + (update + 1) * _GOLDEN) & _M64)
-
-    def key_at(self, addr: SubSeedAddress) -> int:
-        return self.subkey(addr.block, addr.update)
 
 
 def raw64(key: int, draw: int) -> int:
@@ -72,34 +57,6 @@ def randint_below(key: int, draw: int, n: int) -> int:
     if n <= 0:
         raise ValueError("randint_below needs n >= 1")
     return (raw64(key, draw) * n) >> 64
-
-
-def uniform_in_set(key: int, draw: int, colors: ColorSet) -> int:
-    """Uniform member of a nonempty color set."""
-    m = size(colors)
-    if m == 0:
-        raise ValueError("uniform_in_set called on an empty set")
-    if m == 1:
-        return colors.bit_length() - 1
-    return nth_color(colors, randint_below(key, draw, m))
-
-
-def categorical(key: int, draw: int, weights) -> int:
-    """Index i with probability weights[i]; weights must sum to 1."""
-    total = 0.0
-    for w in weights:
-        if w < 0:
-            raise ValueError("categorical weights must be nonnegative")
-        total += w
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"categorical weights sum to {total}, not 1")
-    u = unit_uniform(key, draw)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
 
 
 def shuffled(key: int, first_draw: int, items: list) -> list:
@@ -125,11 +82,3 @@ def shuffled_prefix(key: int, first_draw: int, items: list, k: int) -> list:
         j = i + randint_below(key, first_draw + i, m - i)
         out[i], out[j] = out[j], out[i]
     return out[:k]
-
-
-def random_permutation(key: int, first_draw: int, colors: ColorSet) -> list[int]:
-    """Uniform permutation of a nonempty color set."""
-    items = list(iter_colors(colors))
-    if not items:
-        raise ValueError("random_permutation called on an empty set")
-    return shuffled(key, first_draw, items)

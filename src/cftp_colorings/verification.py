@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy import stats as sps
 
@@ -286,13 +286,9 @@ def sample_many(g: Graph, base_config: engine.SamplerConfig, n: int):
     """Independent samples with per-index derived master seeds."""
     out = []
     for i in range(n):
-        cfg = engine.SamplerConfig(
-            q=base_config.q,
+        cfg = replace(
+            base_config,
             master_seed=mix64(base_config.master_seed + (i + 1) * 0x9E3779B97F4A7C15),
-            max_blocks=base_config.max_blocks,
-            t1_override=base_config.t1_override,
-            t2_override=base_config.t2_override,
-            force=base_config.force,
         )
         out.append(engine.sample(g, cfg))
     return out

@@ -1,10 +1,11 @@
-import json
-
 import numpy as np
+import pytest
 
 from cftp_colorings import bounding as bd
+from cftp_colorings import couplings as cp
 from cftp_colorings import engine
 from cftp_colorings.colorsets import full_mask, mask_from, members, size
+from cftp_colorings.errors import EngineError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_complete_bipartite
 from cftp_colorings.seedstream import SeedStream
 
@@ -45,32 +46,44 @@ def test_slack_union():
     assert members(bd.neighborhood_slack(state, g, 0)) == [1, 2, 3]
 
 
+def neighbor_lists(state, g, v):
+    return [state.lists[u] for u in g.adjacency[v]]
+
+
 def test_singleton_colors():
+    # the disjoint update's singleton set: colors of 1-color neighbor lists
     g = star(2)
-    state = make_state(g, 6, {1: [4], 2: [5, 1]})
-    assert members(bd.singleton_colors(state, g, 0)) == [4]
-    state = make_state(g, 6, {1: [4], 2: [4]})
-    assert members(bd.singleton_colors(state, g, 0)) == [4]
-    state = make_state(g, 6, {1: [2, 3], 2: [5, 1]})
-    assert bd.singleton_colors(state, g, 0) == 0
+    state = make_state(g, 10, {1: [4], 2: [5, 1]})
+    assert members(cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask) == [4]
+    state = make_state(g, 10, {1: [4], 2: [4]})
+    assert members(cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask) == [4]
+    state = make_state(g, 10, {1: [2, 3], 2: [5, 1]})
+    assert cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask == 0
 
 
-def test_disjoint_colors_fully_disjoint_pairs():
+def test_disjoint_pair_scan_two_separate_pairs():
     g = star(2)
     state = make_state(g, 8, {1: [1, 2], 2: [3, 4]})
-    assert members(bd.disjoint_colors(state, g, 0)) == [1, 2, 3, 4]
+    union, pairs = cp.disjoint_pair_scan(neighbor_lists(state, g, 0))
+    assert members(union) == [1, 2, 3, 4]
+    assert pairs == [mask_from([1, 2]), mask_from([3, 4])]
 
 
-def test_disjoint_colors_overlap_disqualifies():
-    g = star(2)
-    state = make_state(g, 8, {1: [1, 2], 2: [2, 3]})
-    assert bd.disjoint_colors(state, g, 0) == 0
+def test_disjoint_pair_scan_overlap_disqualifies():
+    g = star(3)
+    # overlapping 2-lists, identical 2-lists, and a 2-list meeting a 3-list
+    state = make_state(g, 10, {1: [1, 2], 2: [2, 3], 3: [5, 6]})
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([5, 6])]
+    state = make_state(g, 10, {1: [1, 2], 2: [1, 2], 3: [5, 6]})
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([5, 6])]
+    state = make_state(g, 10, {1: [6, 7, 8], 2: [5, 6], 3: [1, 2]})
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([1, 2])]
 
 
-def test_disjoint_colors_single_neighbor():
+def test_disjoint_pair_scan_single_neighbor():
     g = star(1)
     state = make_state(g, 8, {1: [1, 2]})
-    assert members(bd.disjoint_colors(state, g, 0)) == [1, 2]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([1, 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +147,7 @@ def test_greedy_stays_inside_large_slack():
 
 
 # ---------------------------------------------------------------------------
-# updates, cleanup, composition
+# updates and cleanup
 # ---------------------------------------------------------------------------
 
 
@@ -144,12 +157,11 @@ def test_apply_compress_postcondition():
     state = make_state(g, q)
     stream = SeedStream(5)
     a = mask_from([0, 1, 2])
-    bd.apply_compress(state, 1, a, stream, block=1)
+    bd.apply_compress(state, g, 1, a, stream, block=1)
     assert size(state.lists[1]) == 4
     assert a & state.lists[1] == a
-    assert len(state.composition) == 1
-    entry = state.composition[0]
-    assert entry.kind == bd.KIND_COMPRESS and entry.vertex == 1
+    assert state.updates == 1
+    assert [state.lists[v] for v in (0, 2, 3)] == [full_mask(q)] * 3
 
 
 def test_apply_seeding_postcondition():
@@ -173,7 +185,8 @@ def test_cleanup_noop_when_neighbors_preserved():
     state = make_state(g, 9)
     stream = SeedStream(8)
     bd.cleanup(state, g, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING, stream=stream, block=1)
-    assert state.composition == []
+    assert state.updates == 0
+    assert state.lists == [full_mask(9)] * g.n
 
 
 def test_cleanup_single_target_trace():
@@ -181,8 +194,8 @@ def test_cleanup_single_target_trace():
     state = make_state(g, 9)
     stream = SeedStream(9)
     bd.cleanup(state, g, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING, stream=stream, block=1)
-    assert len(state.composition) == 1
-    assert state.composition[0].vertex == 3
+    assert state.updates == 1
+    assert [v for v in range(g.n) if state.lists[v] != full_mask(9)] == [3]
     assert size(state.lists[3]) == 4
 
 
@@ -190,35 +203,28 @@ def test_cleanup_reference_set_shared():
     g = star(3)
     state = make_state(g, 9)
     stream = SeedStream(10)
+    a = bd.greedy_reference_set(state, g, 0, set(), bd.PHASE_SEEDING)
     bd.cleanup(state, g, 0, preserved=set(), mode=bd.PHASE_SEEDING, stream=stream, block=1)
-    assert len(state.composition) == 3
-    a_masks = {entry.params for entry in state.composition}
-    assert len(a_masks) == 1
-    a = a_masks.pop()
+    assert state.updates == 3
     for w in (1, 2, 3):
+        # one shared reference set plus one extra color each
         assert a & state.lists[w] == a
-
-
-def test_dump_jsonl_parses():
-    g = star(2)
-    state = make_state(g, 6)
-    stream = SeedStream(11)
-    bd.cleanup(state, g, 0, preserved=set(), mode=bd.PHASE_SEEDING, stream=stream, block=1)
-    lines = state.dump_jsonl().strip().splitlines()
-    rows = [json.loads(ln) for ln in lines]
-    assert rows[0]["coupling"] == "compress"
-    assert "lists" in rows[-1]
+        assert size(state.lists[w] & ~a) == 1
 
 
 # ---------------------------------------------------------------------------
-# containment co-simulation and replay determinism
+# containment through the re-run, and replay determinism
 # ---------------------------------------------------------------------------
 
 
 def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
-    """Drive random proper colorings through a block's composition while
-    recomputing each entry's predicted set; the trajectory color must always
-    land inside it."""
+    """Replay one block from many random proper colorings.
+
+    The re-run checks every decoded color against the list just predicted
+    for its vertex and raises EngineError if a trajectory escapes, so
+    containment holds whenever this returns. A coalesced block must map
+    every start to its coalescence value.
+    """
     from cftp_colorings.oracle import enumerate_colorings
 
     cfg = engine.SamplerConfig(q=q, master_seed=master_seed, force=True, t2_override=30)
@@ -228,30 +234,20 @@ def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(rng_seed)
     starts = [universe[i] for i in rng.integers(0, len(universe), n_trajectories)]
-    trajectories = [list(s) for s in starts]
-    lists_now = [full_mask(q)] * g.n
-    for entry in block.entries:
-        predicted = bd.predicted_set(entry, q, stream, block.index)
-        lists_now = list(lists_now)
-        lists_now[entry.vertex] = predicted
-        for w in trajectories:
-            blocked = 0
-            for u in g.adjacency[entry.vertex]:
-                blocked |= 1 << w[u]
-            c = bd.decode_entry(entry, q, stream, block.index, blocked)
-            assert (predicted >> c) & 1, "trajectory escaped the bounding set"
-            w[entry.vertex] = c
-    return block, lists_now
+    outs = [engine.replay(g, part, cfg, block.index, stream, s) for s in starts]
+    assert all(engine.is_proper(g, out) for out in outs)
+    if block.phi is not None:
+        assert set(outs) == {block.phi}
+    return block, outs
 
 
 def test_containment_co_simulation_k4():
-    g = gen_complete(4)
-    co_simulate(g, 13, master_seed=21)
+    block, _ = co_simulate(gen_complete(4), 13, master_seed=21)
+    assert block.phi is not None
 
 
 def test_containment_co_simulation_bipartite():
-    g = gen_complete_bipartite(3)
-    co_simulate(g, 16, master_seed=22)
+    co_simulate(gen_complete_bipartite(3), 16, master_seed=22)
 
 
 def test_replay_reconstructs_final_lists():
@@ -260,27 +256,28 @@ def test_replay_reconstructs_final_lists():
     cfg = engine.SamplerConfig(q=q, master_seed=33)
     stream = SeedStream(33)
     part = engine.lll_partition(g, stream)
-    # rebuild lists from the recorded composition alone
     block = engine.construct_block(g, part, cfg, 1, stream)
-    rebuilt = [full_mask(q)] * g.n
-    for entry in block.entries:
-        rebuilt[entry.vertex] = bd.predicted_set(entry, q, stream, block.index)
-    assert tuple(rebuilt) == block.final_lists
+    plain = bd.BoundingState(q, g.n)
+    assert engine.run_schedule(g, part, cfg, 1, stream, plain) == block.phase_sizes
+    assert plain.updates == block.n_updates
+    # carrying a coloring leaves the bounding chain exactly as built
+    carried = bd.BoundingState(q, g.n, coloring=(0, 1, 2, 3))
+    engine.run_schedule(g, part, cfg, 1, stream, carried)
+    assert carried.lists == plain.lists
+    assert carried.updates == plain.updates
+    assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
     if block.phi is not None:
-        assert all(size(m) == 1 for m in rebuilt)
-        assert tuple(m.bit_length() - 1 for m in rebuilt) == block.phi
+        assert plain.coalesced_coloring() == block.phi == tuple(carried.coloring)
 
 
-def test_decode_entry_rejects_escaped_blocked_set():
-    from cftp_colorings.errors import EngineError
+class RecordingState(bd.BoundingState):
+    """Bounding state that records the list size at every carried update."""
 
-    g = star(2)
-    state = make_state(g, 8, {1: [1, 2], 2: [2, 3]})
-    stream = SeedStream(55)
-    bd.apply_seeding(state, g, 0, stream, block=1)
-    entry = state.composition[-1]
-    with np.testing.assert_raises(EngineError):
-        bd.decode_entry(entry, 8, stream, 1, mask_from([6]))
+    __slots__ = ("sizes",)
+
+    def carry(self, v, color):
+        super().carry(v, color)
+        self.sizes.append(size(self.lists[v]))
 
 
 def test_lists_never_empty_through_block():
@@ -289,9 +286,29 @@ def test_lists_never_empty_through_block():
     cfg = engine.SamplerConfig(q=q, master_seed=44)
     stream = SeedStream(44)
     part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
-    rebuilt = [full_mask(q)] * g.n
-    for entry in block.entries:
-        predicted = bd.predicted_set(entry, q, stream, block.index)
-        assert predicted != 0
-        rebuilt[entry.vertex] = predicted
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        # distinct colors on all six vertices: a proper start
+        state = RecordingState(q, g.n, coloring=[int(c) for c in rng.permutation(q)[: g.n]])
+        state.sizes = []
+        engine.run_schedule(g, part, cfg, 1, stream, state)
+        # every update's list held the color decoded into it
+        assert len(state.sizes) == state.updates > 0
+        assert min(state.sizes) >= 1
+
+
+def test_replay_rejects_color_escaping_its_list(monkeypatch):
+    # negative control for the inline containment check: a disjoint decode
+    # that returns a color outside the predicted set must stop the re-run
+    def escaping_decode(params, draw, blocked):
+        inside = {draw.reserve, draw.color, *(draw.pair or ())}
+        return min(c for c in range(params.q) if c not in inside)
+
+    g = gen_complete(4)
+    cfg = engine.SamplerConfig(q=13, master_seed=45)
+    stream = SeedStream(45)
+    part = engine.lll_partition(g, stream)
+    assert engine.replay(g, part, cfg, 1, stream, (0, 1, 2, 3))
+    monkeypatch.setattr(cp, "disjoint_decode", escaping_decode)
+    with pytest.raises(EngineError, match="escaped its bounding list"):
+        engine.replay(g, part, cfg, 1, stream, (0, 1, 2, 3))

@@ -46,6 +46,14 @@ def test_sample_subthreshold_demands_force():
     assert "force" in r.stderr
 
 
+def test_sample_drift_formula_out_of_range_names_t2():
+    # q = 20 = 2.5 * 8: the drift length formula has no value there
+    r = run_cli("sample", "--gen", "regular:40,8", "--q", "20", "--force", "--seed", "1")
+    assert r.returncode == 64
+    assert "--t2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_sample_graph_file_and_csv(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

@@ -178,6 +178,21 @@ def test_seeding_containment(blocked, j):
     assert not contains(c_mask, out)
 
 
+def test_draw_size_point_masses():
+    # draw 0 picks the target size; a point mass always wins
+    for j in range(100):
+        key = STREAM.subkey(6, j)
+        assert cp._draw_size(cp.SizeLaw((2,), (1.0,)), key) == 2
+        assert cp._draw_size(cp.SizeLaw((2, 3), (0.0, 1.0)), key) == 3
+
+
+def test_size_law_rejects_invalid_weights():
+    with pytest.raises(ValueError):
+        cp.SizeLaw((2, 3), (0.5, 0.4))
+    with pytest.raises(ValueError):
+        cp.SizeLaw((2, 3), (-0.1, 1.1))
+
+
 # ---------------------------------------------------------------------------
 # disjoint
 # ---------------------------------------------------------------------------

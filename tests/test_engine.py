@@ -127,17 +127,6 @@ def test_block_update_budget():
     assert block.n_updates <= engine.update_budget(g.n, len(part), 6, t1, t2)
 
 
-def test_block_composition_entries_ordered():
-    g = gen_complete(4)
-    cfg = engine.SamplerConfig(q=13, master_seed=13)
-    stream = SeedStream(13)
-    part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
-    indices = [e.update_index for e in block.entries]
-    assert indices == sorted(indices)
-    assert len(set(indices)) == len(indices)
-
-
 # ---------------------------------------------------------------------------
 # replay and sampling
 # ---------------------------------------------------------------------------
@@ -152,19 +141,22 @@ def coalescing_block(g, cfg, stream, part, start=1, tries=50):
 
 
 def test_replay_empty_composition_is_identity():
-    g = gen_complete(4)
+    # an empty graph has an empty schedule
+    g = build_graph(0, [])
     cfg = engine.SamplerConfig(q=13, master_seed=14)
-    block = engine.Block(index=1, entries=[], phi=None, n_updates=0)
-    omega = (0, 1, 2, 3)
-    assert engine.replay(block, omega, g, cfg, SeedStream(14)) == omega
+    stream = SeedStream(14)
+    part = engine.lll_partition(g, stream)
+    assert engine.construct_block(g, part, cfg, 1, stream).n_updates == 0
+    assert engine.replay(g, part, cfg, 1, stream, ()) == ()
 
 
 def test_replay_rejects_improper_input():
     g = gen_complete(4)
     cfg = engine.SamplerConfig(q=13, master_seed=15)
-    block = engine.Block(index=1, entries=[], phi=None, n_updates=0)
+    stream = SeedStream(15)
+    part = engine.lll_partition(g, stream)
     with pytest.raises(ValueError):
-        engine.replay(block, (0, 0, 1, 2), g, cfg, SeedStream(15))
+        engine.replay(g, part, cfg, 1, stream, (0, 0, 1, 2))
 
 
 def test_coalescence_soundness_replay_from_many_starts():
@@ -177,7 +169,7 @@ def test_coalescence_soundness_replay_from_many_starts():
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(0)
     for i in rng.integers(0, len(universe), 50):
-        assert engine.replay(block, universe[i], g, cfg, stream) == block.phi
+        assert engine.replay(g, part, cfg, block.index, stream, universe[i]) == block.phi
 
 
 def test_replay_preserves_properness():
@@ -190,7 +182,7 @@ def test_replay_preserves_properness():
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(1)
     for i in rng.integers(0, len(universe), 30):
-        out = engine.replay(block, universe[i], g, cfg, stream)
+        out = engine.replay(g, part, cfg, block.index, stream, universe[i])
         assert engine.is_proper(g, out)
 
 
@@ -207,9 +199,8 @@ def test_stationarity_one_block_push():
         cfg = engine.SamplerConfig(q=q, master_seed=1000 + t, force=True)
         stream = SeedStream(cfg.master_seed)
         part = engine.lll_partition(g, stream)
-        block = engine.construct_block(g, part, cfg, 1, stream)
         start = universe[rng.integers(0, len(universe))]
-        out = engine.replay(block, start, g, cfg, stream)
+        out = engine.replay(g, part, cfg, 1, stream, start)
         counts[index[out]] += 1
     expected = trials / len(universe)
     chi2 = sum((counts[i] - expected) ** 2 / expected for i in range(len(universe)))

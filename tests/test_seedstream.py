@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from cftp_colorings import seedstream as ss
-from cftp_colorings.colorsets import mask_from
+from cftp_colorings.colorsets import mask_from, nth_color, size
 
 STREAM = ss.SeedStream(123456789)
 
@@ -47,27 +47,32 @@ def test_unit_uniform_ks_and_mean():
     assert abs(draws.mean() - 0.5) < 0.002
 
 
+def uniform_member(key, draw, colors):
+    # the draw every coupling uses for a uniform member of a color set
+    return nth_color(colors, ss.randint_below(key, draw, size(colors)))
+
+
 def test_uniform_in_set_singleton():
-    assert ss.uniform_in_set(STREAM.subkey(1, 1), 0, mask_from([7])) == 7
+    assert uniform_member(STREAM.subkey(1, 1), 0, mask_from([7])) == 7
 
 
 def test_uniform_in_set_empty_rejected():
     with pytest.raises(ValueError):
-        ss.uniform_in_set(STREAM.subkey(1, 1), 0, 0)
+        uniform_member(STREAM.subkey(1, 1), 0, 0)
 
 
 def test_uniform_in_set_frequencies():
     mask = mask_from([1, 2, 3])
     n = 300_000
     key = STREAM.subkey(2, 0)
-    counts = Counter(ss.uniform_in_set(key, j, mask) for j in range(n))
+    counts = Counter(uniform_member(key, j, mask) for j in range(n))
     sigma = math.sqrt((1 / 3) * (2 / 3) / n)
     for c in (1, 2, 3):
         assert abs(counts[c] / n - 1 / 3) <= 3 * sigma
 
 
 def test_permutation_singleton():
-    assert ss.random_permutation(STREAM.subkey(3, 0), 0, mask_from([4])) == [4]
+    assert ss.shuffled(STREAM.subkey(3, 0), 0, [4]) == [4]
 
 
 def test_permutation_two_elements_balanced():
@@ -75,7 +80,7 @@ def test_permutation_two_elements_balanced():
     hits = 0
     for j in range(n):
         key = STREAM.subkey(4, j)
-        hits += ss.random_permutation(key, 0, mask_from([1, 2])) == [1, 2]
+        hits += ss.shuffled(key, 0, [1, 2]) == [1, 2]
     sigma = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * sigma
 
@@ -85,34 +90,12 @@ def test_permutation_three_elements_chi_square():
     counts = Counter()
     for j in range(n):
         key = STREAM.subkey(5, j)
-        counts[tuple(ss.random_permutation(key, 0, mask_from([1, 2, 3])))] += 1
+        counts[tuple(ss.shuffled(key, 0, [1, 2, 3]))] += 1
     orders = list(permutations([1, 2, 3]))
     assert set(counts) <= set(orders)
     expected = n / 6
     chi2 = sum((counts[o] - expected) ** 2 / expected for o in orders)
     assert sps.chi2.sf(chi2, 5) > 0.001
-
-
-def test_categorical_point_masses():
-    key = STREAM.subkey(6, 0)
-    assert all(ss.categorical(key, j, [1.0]) == 0 for j in range(100))
-    assert all(ss.categorical(key, j, [0.0, 1.0]) == 1 for j in range(100))
-
-
-def test_categorical_invalid_weights():
-    key = STREAM.subkey(6, 1)
-    with pytest.raises(ValueError):
-        ss.categorical(key, 0, [0.5, 0.4])
-    with pytest.raises(ValueError):
-        ss.categorical(key, 0, [-0.1, 1.1])
-
-
-def test_categorical_frequencies():
-    n = 100_000
-    key = STREAM.subkey(7, 0)
-    ones = sum(ss.categorical(key, j, [0.36, 0.64]) for j in range(n))
-    sigma = math.sqrt(0.36 * 0.64 / n)
-    assert abs(ones / n - 0.64) <= 3 * sigma
 
 
 def test_shuffled_prefix_matches_full_shuffle():
@@ -134,12 +117,5 @@ def test_replay_invariance(master, block, update):
 @given(st.sets(st.integers(0, 40), min_size=1, max_size=12), st.integers(0, 1000))
 def test_permutation_is_permutation(colors, j):
     key = STREAM.subkey(9, j)
-    out = ss.random_permutation(key, 0, mask_from(colors))
+    out = ss.shuffled(key, 0, sorted(colors))
     assert sorted(out) == sorted(colors)
-
-
-def test_subseed_address_ordering():
-    a = ss.SubSeedAddress(1, 5)
-    b = ss.SubSeedAddress(2, 0)
-    c = ss.SubSeedAddress(1, 6)
-    assert a < c < b
