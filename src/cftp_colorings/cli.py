@@ -16,11 +16,13 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from unittest import mock
+from dataclasses import replace
 
 import click
 
+from . import couplings as cp
 from . import engine, oracle, verification
+from .colorsets import bit, iter_colors, mask_from
 from .errors import (
     CouplingRegimeError,
     EngineError,
@@ -183,6 +185,18 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t1_override
         emit(buf.getvalue(), out_path)
 
 
+def _unshuffled_compress_draw(a_mask, q, key):
+    """compress_draw with the shuffle of A left in ascending order."""
+    return replace(cp.compress_draw(a_mask, q, key), pi=tuple(iter_colors(a_mask)))
+
+
+def _unshuffled_seeding_predict(s_sorted, s_mask, law, q, key):
+    """seeding_predict with the slack prefix taken in ascending order."""
+    _, draw = cp.seeding_predict(s_sorted, s_mask, law, q, key)
+    prefix = s_sorted[:draw.k - 1]
+    return mask_from(prefix) | bit(draw.c0), replace(draw, prefix=prefix)
+
+
 @cli.command("verify")
 @click.option("--full", is_flag=True, help="run the full-size sample budgets")
 @click.option("--lp", "lp_only", is_flag=True, help="run only the LP grid check")
@@ -200,12 +214,8 @@ def cmd_verify(full, lp_only, delta_range, inject_fault):
     if lp_only:
         results += verification.lp_grid_suite(lo, hi)
     elif inject_fault == "biased-permutation":
-        identity = lambda key, first_draw, items: list(items)
-        prefix = lambda key, first_draw, items, k: list(items)[:k]
-        with mock.patch("cftp_colorings.couplings.shuffled", identity), \
-             mock.patch("cftp_colorings.couplings.shuffled_prefix", prefix):
-            results += verification.compress_suite()
-            results += verification.seeding_suite()
+        results += verification.compress_suite(draw=_unshuffled_compress_draw)
+        results += verification.seeding_suite(predict=_unshuffled_seeding_predict)
     else:
         results += verification.default_verify(full=full)
         results += verification.lp_grid_suite(lo, min(hi, 8 if not full else hi))
@@ -226,8 +236,6 @@ def cmd_verify(full, lp_only, delta_range, inject_fault):
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def cmd_lpaudit(delta_range, out_path):
     """Emit the two-point size law over the parameter grid as CSV."""
-    from . import couplings as cp
-
     try:
         lo, hi = (int(x) for x in delta_range.split(":"))
     except ValueError:
@@ -257,17 +265,21 @@ def cmd_lpaudit(delta_range, out_path):
     emit(buf.getvalue(), out_path)
 
 
-def _bench_one(args):
-    n, d, q, seed, max_blocks = args
-    g = gen_random_regular(n, d, seed)
+def _bench_config(n, d, q, seed, max_blocks) -> engine.SamplerConfig:
     # sub-threshold sweeps are legitimate experiments: force the run and
     # substitute a finite drift length where the schedule formula blows up
     t2 = None
     if q <= 2.5 * d:
         t2 = math.ceil(4.0 * (q - d) * n * max(math.log(n), 1.0))
-    cfg = engine.SamplerConfig(
+    return engine.SamplerConfig(
         q=q, master_seed=seed, max_blocks=max_blocks, force=True, t2_override=t2
     )
+
+
+def _bench_one(args):
+    n, d, q, seed, max_blocks = args
+    g = gen_random_regular(n, d, seed)
+    cfg = _bench_config(n, d, q, seed, max_blocks)
     stream = engine.SeedStream(cfg.master_seed)
     part = engine.lll_partition(g, stream)
     t0 = time.perf_counter()
@@ -303,6 +315,12 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
         q = math.ceil(engine.regime_threshold(delta)) + 1
     if seed is None:
         seed = secrets.randbits(31)
+    for n in sizes:
+        try:
+            g = gen_random_regular(n, delta, seed)
+            engine.check_config(g, _bench_config(n, delta, q, seed, max_blocks))
+        except ValueError as exc:
+            raise click.UsageError(f"--delta {delta}, n = {n}, --q {q}: {exc}") from None
     jobs = [
         (n, delta, q, seed + 1000 * i + j, max_blocks)
         for i, n in enumerate(sizes)

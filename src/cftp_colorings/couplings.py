@@ -236,6 +236,11 @@ def compress_predict(a_mask: ColorSet, q: int, key: int) -> tuple[ColorSet, int]
     return a_mask | bit(x_prime), x_prime
 
 
+def compress_accept(q, delta: int, n_blocked: int):
+    """Chance of emitting an unblocked x' given |C| blocked; exact for a Fraction q."""
+    return (q - delta) / (q - n_blocked)
+
+
 def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: ColorSet) -> int:
     """Color for the realized blocked set; uniform on [q] \\ blocked."""
     delta = len(draw.pi)
@@ -243,7 +248,7 @@ def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: Color
     if n_blocked > delta:
         raise EngineError(f"blocked set of size {n_blocked} exceeds |A| = {delta}")
     if not contains(blocked, draw.x_prime):
-        if draw.u_prime <= (q - delta) / (q - n_blocked):
+        if draw.u_prime <= compress_accept(q, delta, n_blocked):
             return draw.x_prime
     for y in draw.pi:
         if not contains(blocked, y):
@@ -335,14 +340,14 @@ def seeding_predict(
 
 def seeding_acceptance(s_size: int, law: SizeLaw, q: int, n_blocked: int) -> float:
     """Acceptance probability for emitting a slack color given |C| blocked."""
-    p_c = 0.0
+    p_c = 0
     for k, p in zip(law.sizes, law.probs):
         if p > 0.0:
             p_c += p * comb(n_blocked, k - 1) / comb(s_size, k - 1)
     q_c = (q - s_size) / (q - n_blocked)
     if p_c >= 1.0:
-        return 1.0
-    return (1.0 - q_c) / (1.0 - p_c)
+        return 1
+    return (1 - q_c) / (1 - p_c)
 
 
 def seeding_decode(
@@ -409,10 +414,6 @@ class DisjointParams(NamedTuple):
     leftover: float
 
     @property
-    def d_mask(self) -> ColorSet:
-        return mask_from(self.d_colors)
-
-    @property
     def success_bound(self) -> float:
         """Exact probability that the predicted set is a singleton."""
         return self.leftover
@@ -450,16 +451,16 @@ def disjoint_params(
     q_size = size(q_mask)
     d_mask = mask_from(c for p in pairs for c in p)
     e_mask = s_mask & ~q_mask & ~d_mask
-    p_pair = 1.0 / (q - q_size - b) if b else 0.0
-    s_d = max(0.0, 1.0 / (q - delta) - p_pair)
-    s_e = 1.0 / (q - delta)
+    p_pair = 1 / (q - q_size - b) if b else 0
+    s_d = max(0, 1 / (q - delta) - p_pair)
+    s_e = 1 / (q - delta)
     e_colors = tuple(iter_colors(e_mask))
     d_colors = tuple(iter_colors(d_mask))
     mass = b * p_pair + len(d_colors) * s_d + len(e_colors) * s_e
-    leftover = 1.0 - mass
+    leftover = 1 - mass
     if leftover < -1e-9:
         raise CouplingRegimeError(
-            f"disjoint coupling infeasible: slot mass {mass:.6f} exceeds 1 "
+            f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
             f"(|S|={size(s_mask)}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
         )
     return DisjointParams(
@@ -473,7 +474,7 @@ def disjoint_params(
         p_pair=p_pair,
         s_d=s_d,
         s_e=s_e,
-        leftover=max(0.0, leftover),
+        leftover=max(0, leftover),
     )
 
 
@@ -512,11 +513,14 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
 
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
-    u = unit_uniform(key, 0)
-    v = unit_uniform(key, 1)
     t_mask = complement(params.s_mask, params.q)
     reserve = nth_color(t_mask, randint_below(key, 2, size(t_mask)))
-    acc = 0.0
+    return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+
+
+def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet, DisjointDraw]:
+    """Predicted set and draw of the slot u falls in: pairs, D, E colors, leftover."""
+    acc = 0
     if params.p_pair > 0.0:
         for pair in params.pairs:
             acc += params.p_pair
@@ -538,6 +542,12 @@ def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, Disjoi
     return bit(reserve), draw
 
 
+def disjoint_needed(params: DisjointParams, draw: DisjointDraw, n_blocked: int):
+    """Mass a color slot emits its color with, so that with a D color's pair
+    mass every available color ends with 1/(q - |C|); exact for a Fraction q."""
+    return 1 / (params.q - n_blocked) - (params.p_pair if draw.in_d else 0)
+
+
 def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSet) -> int:
     n_blocked = size(blocked)
     if n_blocked > params.delta:
@@ -556,8 +566,7 @@ def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSe
     if draw.slot_kind == _SLOT_COLOR:
         c = draw.color
         if not contains(blocked, c):
-            target = 1.0 / (params.q - n_blocked)
-            needed = target - (params.p_pair if draw.in_d else 0.0)
+            needed = disjoint_needed(params, draw, n_blocked)
             if needed > 0.0 and draw.v * draw.slot_prob < needed:
                 return c
         return draw.reserve

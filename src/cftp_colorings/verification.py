@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from scipy import stats as sps
 
@@ -47,45 +48,62 @@ def _subsets_up_to(colors: list[int], k: int):
         yield from itertools.combinations(colors, r)
 
 
+def _decode_marginals(tag, q, predict, decode, blocked_sets, n_draws, master_seed,
+                      per=" decodes"):
+    """Decode n_draws predicted draws against every blocked set.
+
+    predict(key) gives (predicted set, draw) and decode(draw, blocked) a
+    color. Returns the containment check, the worst chi-square marginal
+    check (per follows the draw count in its name), and the (predicted set,
+    draw) pairs for suite-specific checks.
+    """
+    counts = [dict() for _ in blocked_sets]
+    stream = SeedStream(master_seed)
+    containment_ok = True
+    predictions = []
+    for i in range(n_draws):
+        predicted, draw = predict(stream.subkey(1, i))
+        predictions.append((predicted, draw))
+        for j, blocked in enumerate(blocked_sets):
+            c = decode(draw, blocked)
+            if not contains(predicted, c) or contains(blocked, c):
+                containment_ok = False
+            d = counts[j]
+            d[c] = d.get(c, 0) + 1
+    worst_p, worst = 1.0, None
+    for j, blocked in enumerate(blocked_sets):
+        _, p = chi_square_vs_uniform(counts[j], members(complement(blocked, q)))
+        if p < worst_p:
+            worst_p, worst = p, members(blocked)
+    marginals = CheckResult(
+        f"{tag} marginals ({len(blocked_sets)} blocked sets x {n_draws}{per})",
+        worst_p > P_THRESHOLD,
+        f"worst p = {worst_p:.2e} at blocked = {worst}",
+    )
+    return CheckResult(f"{tag} containment", containment_ok), marginals, predictions
+
+
 def compress_suite(
     q: int = 6,
     delta: int = 3,
     a_colors: tuple[int, ...] = (1, 2, 3),
     n_draws: int = 20_000,
     master_seed: int = 2024,
+    draw=cp.compress_draw,
 ) -> list[CheckResult]:
-    """Exhaustive marginal and containment check for the compress coupling."""
+    """Exhaustive marginal and containment check for compress; draw(a_mask, q, key)."""
     a_mask = mask_from(a_colors)
+
+    def predict(key):
+        d = draw(a_mask, q, key)
+        return a_mask | bit(d.x_prime), d
+
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
-    counts = [dict() for _ in blocked_sets]
-    stream = SeedStream(master_seed)
-    containment_ok = True
-    for i in range(n_draws):
-        key = stream.subkey(1, i)
-        draw = cp.compress_draw(a_mask, q, key)
-        predicted = a_mask | bit(draw.x_prime)
-        for j, blocked in enumerate(blocked_sets):
-            c = cp.compress_decode(a_mask, q, draw, blocked)
-            if not contains(predicted, c) or contains(blocked, c):
-                containment_ok = False
-            d = counts[j]
-            d[c] = d.get(c, 0) + 1
-    out = [CheckResult("compress containment", containment_ok)]
-    worst_p = 1.0
-    worst = None
-    for j, blocked in enumerate(blocked_sets):
-        support = members(complement(blocked, q))
-        _, p = chi_square_vs_uniform(counts[j], support)
-        if p < worst_p:
-            worst_p, worst = p, members(blocked)
-    out.append(
-        CheckResult(
-            f"compress marginals ({len(blocked_sets)} blocked sets x {n_draws} decodes)",
-            worst_p > P_THRESHOLD,
-            f"worst p = {worst_p:.2e} at blocked = {worst}",
-        )
+    containment, marginals, _ = _decode_marginals(
+        "compress", q, predict, partial(cp.compress_decode, a_mask, q),
+        blocked_sets, n_draws, master_seed,
     )
-    return out
+    return [containment, marginals]
 
 
 def seeding_suite(
@@ -96,47 +114,30 @@ def seeding_suite(
     n_draws: int = 20_000,
     master_seed: int = 77,
     label: str = "",
+    predict=cp.seeding_predict,
 ) -> list[CheckResult]:
-    """Marginals over every blocked subset of the slack set, plus containment."""
+    """Marginals over every blocked subset of the slack set, plus containment.
+
+    predict has the signature of couplings.seeding_predict.
+    """
     s_sorted = tuple(sorted(s_colors))
     s_mask = mask_from(s_sorted)
     if law is None:
         law = cp.SizeLaw((2, 3), (0.4, 0.6))
     tag = f"seeding[{label}]" if label else "seeding"
     ok, violations = cp.verify_full_lp(cp.LPInstance(len(s_sorted), delta, q), law)
-    out = [CheckResult(f"{tag} law feasible", ok, f"violations: {violations[:2]}")]
     c_sets = [mask_from(s) for s in _subsets_up_to(list(s_sorted), delta)]
-    counts = [dict() for _ in c_sets]
-    stream = SeedStream(master_seed)
-    containment_ok = True
-    size_ok = True
-    for i in range(n_draws):
-        key = stream.subkey(1, i)
-        predicted, draw = cp.seeding_predict(s_sorted, s_mask, law, q, key)
-        if size(predicted) != draw.k:
-            size_ok = False
-        for j, c_mask in enumerate(c_sets):
-            c = cp.seeding_decode(s_mask, law, q, draw, c_mask)
-            if not contains(predicted, c) or contains(c_mask, c):
-                containment_ok = False
-            d = counts[j]
-            d[c] = d.get(c, 0) + 1
-    out.append(CheckResult(f"{tag} containment", containment_ok))
-    out.append(CheckResult(f"{tag} predicted size equals drawn size", size_ok))
-    worst_p, worst = 1.0, None
-    for j, c_mask in enumerate(c_sets):
-        support = members(complement(c_mask, q))
-        _, p = chi_square_vs_uniform(counts[j], support)
-        if p < worst_p:
-            worst_p, worst = p, members(c_mask)
-    out.append(
-        CheckResult(
-            f"{tag} marginals ({len(c_sets)} blocked sets x {n_draws} decodes)",
-            worst_p > P_THRESHOLD,
-            f"worst p = {worst_p:.2e} at blocked = {worst}",
-        )
+    containment, marginals, predictions = _decode_marginals(
+        tag, q, partial(predict, s_sorted, s_mask, law, q),
+        partial(cp.seeding_decode, s_mask, law, q), c_sets, n_draws, master_seed,
     )
-    return out
+    size_ok = all(size(predicted) == draw.k for predicted, draw in predictions)
+    return [
+        CheckResult(f"{tag} law feasible", ok, f"violations: {violations[:2]}"),
+        containment,
+        CheckResult(f"{tag} predicted size equals drawn size", size_ok),
+        marginals,
+    ]
 
 
 DISJOINT_FIXTURES = {
@@ -163,52 +164,24 @@ def disjoint_suite(
     q, delta, raw_lists = DISJOINT_FIXTURES[fixture]
     neighbor_lists = [mask_from(s) for s in raw_lists]
     params = cp.disjoint_params_from_lists(q, delta, neighbor_lists)
-    blocked_sets = realizable_blocked_sets(neighbor_lists)
-    counts = [dict() for _ in blocked_sets]
-    stream = SeedStream(master_seed)
-    containment_ok = True
-    sizes_ok = True
-    singleton = 0
-    for i in range(n_draws):
-        key = stream.subkey(1, i)
-        predicted, draw = cp.disjoint_predict(params, key)
-        if size(predicted) not in (1, 2):
-            sizes_ok = False
-        if size(predicted) == 1:
-            singleton += 1
-        for j, blocked in enumerate(blocked_sets):
-            c = cp.disjoint_decode(params, draw, blocked)
-            if not contains(predicted, c) or contains(blocked, c):
-                containment_ok = False
-            d = counts[j]
-            d[c] = d.get(c, 0) + 1
-    out = [
-        CheckResult(f"disjoint[{fixture}] containment", containment_ok),
-        CheckResult(f"disjoint[{fixture}] predicted sizes in {{1,2}}", sizes_ok),
-    ]
-    frac = singleton / n_draws
+    tag = f"disjoint[{fixture}]"
+    containment, marginals, predictions = _decode_marginals(
+        tag, q, partial(cp.disjoint_predict, params), partial(cp.disjoint_decode, params),
+        realizable_blocked_sets(neighbor_lists), n_draws, master_seed, per="",
+    )
+    sizes = [size(predicted) for predicted, _ in predictions]
+    frac = sizes.count(1) / n_draws
     sigma = math.sqrt(max(params.success_bound * (1 - params.success_bound), 1e-12) / n_draws)
-    out.append(
+    return [
+        containment,
+        CheckResult(f"{tag} predicted sizes in {{1,2}}", all(k in (1, 2) for k in sizes)),
         CheckResult(
-            f"disjoint[{fixture}] singleton rate >= bound - 3 sigma",
+            f"{tag} singleton rate >= bound - 3 sigma",
             frac >= params.success_bound - 3 * sigma,
             f"rate = {frac:.4f}, bound = {params.success_bound:.4f}",
-        )
-    )
-    worst_p, worst = 1.0, None
-    for j, blocked in enumerate(blocked_sets):
-        support = members(complement(blocked, q))
-        _, p = chi_square_vs_uniform(counts[j], support)
-        if p < worst_p:
-            worst_p, worst = p, members(blocked)
-    out.append(
-        CheckResult(
-            f"disjoint[{fixture}] marginals ({len(blocked_sets)} blocked sets x {n_draws})",
-            worst_p > P_THRESHOLD,
-            f"worst p = {worst_p:.2e} at blocked = {worst}",
-        )
-    )
-    return out
+        ),
+        marginals,
+    ]
 
 
 def size_law_suite(

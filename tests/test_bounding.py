@@ -217,6 +217,17 @@ def test_cleanup_reference_set_shared():
 # ---------------------------------------------------------------------------
 
 
+def random_proper_start(g, q, rng):
+    """Color the vertices in order, each with a random color its colored
+    neighbors do not use."""
+    coloring = []
+    for v in range(g.n):
+        used = {coloring[w] for w in g.adjacency[v] if w < v}
+        free = [c for c in range(q) if c not in used]
+        coloring.append(free[rng.integers(len(free))])
+    return tuple(coloring)
+
+
 def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
     """Replay one block from many random proper colorings.
 
@@ -225,15 +236,12 @@ def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
     containment holds whenever this returns. A coalesced block must map
     every start to its coalescence value.
     """
-    from cftp_colorings.oracle import enumerate_colorings
-
     cfg = engine.SamplerConfig(q=q, master_seed=master_seed, force=True, t2_override=30)
     stream = SeedStream(master_seed)
     part = engine.lll_partition(g, stream)
     block = engine.construct_block(g, part, cfg, 1, stream)
-    universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(rng_seed)
-    starts = [universe[i] for i in rng.integers(0, len(universe), n_trajectories)]
+    starts = [random_proper_start(g, q, rng) for _ in range(n_trajectories)]
     outs = [engine.replay(g, part, cfg, block.index, stream, s) for s in starts]
     assert all(engine.is_proper(g, out) for out in outs)
     if block.phi is not None:

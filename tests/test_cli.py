@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -161,3 +163,18 @@ def test_bench_csv_columns():
     assert len(lines) == 3
     frac = float(lines[1].split(",")[4])
     assert 0 <= frac <= 1
+
+
+@pytest.mark.parametrize(
+    "args,needle",
+    [
+        (("--delta", "4", "--n-list", "10", "--q", "5"), "q >= max_degree + 2"),
+        (("--delta", "8", "--n-list", "5"), "d < n"),
+        (("--delta", "3", "--n-list", "11"), "must be even"),
+    ],
+)
+def test_bench_bad_inputs_exit_64(args, needle):
+    r = run_cli("bench", *args, "--runs", "1", "--seed", "1")
+    assert r.returncode == 64
+    assert needle in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,10 +1,15 @@
 """Exact-arithmetic marginal oracles for the three couplings.
 
 Monte Carlo chi-square checks (elsewhere in the suite) validate the code
-paths end to end; these tests instead integrate each coupling's decode rule
-over its draw space in exact rational arithmetic and compare the resulting
-marginal to Uniform([q] \\ blocked) exactly. They verify the balance
-equations themselves, independent of any random number generator.
+paths end to end; these tests instead add up the shipped decode functions
+(``cp.compress_decode``, ``cp.seeding_decode``, ``cp.disjoint_decode``) over
+every structural draw in exact rational arithmetic and compare the resulting
+marginal to Uniform([q] \\ blocked) with ``==``. Passing q as a Fraction
+makes every acceptance threshold exact. A continuous acceptance variate
+enters twice, just below and just above the shipped threshold, weighted by
+the threshold and its complement, so the decode's own comparison decides
+which side each lands on. Every decoded color must also lie in the predicted
+set and outside the blocked set.
 """
 
 import itertools
@@ -15,31 +20,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftp_colorings import couplings as cp
-from cftp_colorings.colorsets import contains, mask_from, members, size
+from cftp_colorings.colorsets import bit, complement, contains, mask_from, members, size
 from cftp_colorings.errors import CouplingRegimeError
 
+# far below any gap between two thresholds of the small fixtures here
+EPS = Fraction(1, 10**30)
+
+
+def _split(alpha, decode_at):
+    """Law of decode_at(u) for u ~ Uniform(0, 1) and acceptance threshold alpha."""
+    alpha = min(max(alpha, 0), 1)
+    below, above = max(alpha - EPS, 0), min(alpha + EPS, 1)
+    return ((decode_at(below), alpha), (decode_at(above), 1 - alpha))
+
+
+def _tally(mass, weight, predicted, blocked, outcomes):
+    for c, p in outcomes:
+        assert contains(predicted, c) and not contains(blocked, c), (c, members(predicted))
+        mass[c] = mass.get(c, 0) + weight * p
+
+
+def non_uniform_colors(mass, q, blocked):
+    """Colors whose exact mass differs from Uniform([q] \\ blocked)."""
+    avail = members(complement(blocked, q))
+    bad = [c for c, m in mass.items() if not isinstance(m, Fraction)]
+    assert not bad, f"inexact masses at {bad}"
+    return [
+        c for c in range(q)
+        if mass.get(c, 0) != (Fraction(1, len(avail)) if c in avail else 0)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# compress: integrate over (permutation of A) x (x') x (u' threshold)
+# compress: (permutation of A) x (x') x (u' threshold)
 # ---------------------------------------------------------------------------
 
 
-def compress_exact_marginal(a_colors, q, blocked):
-    delta = len(a_colors)
-    outside = [c for c in range(q) if c not in a_colors]
-    thresh = Fraction(q - delta, q - len(blocked))
-    mass = {c: Fraction(0) for c in range(q)}
-    perms = list(itertools.permutations(a_colors))
-    p_perm = Fraction(1, len(perms))
-    p_x = Fraction(1, len(outside))
+def compress_marginal(a_colors, q, blocked):
+    qf = Fraction(q)
+    a_mask = mask_from(a_colors)
+    outside = members(complement(a_mask, q))
+    perms = list(itertools.permutations(sorted(a_colors)))
+    weight = Fraction(1, len(outside) * len(perms))
+    alpha = cp.compress_accept(qf, len(a_colors), size(blocked))
+    mass = {}
     for x_prime in outside:
-        accept = thresh if x_prime not in blocked else Fraction(0)
         for pi in perms:
-            w = p_perm * p_x
-            if accept:
-                mass[x_prime] += w * accept
-            first = next((y for y in pi if y not in blocked), None)
-            if first is not None:
-                mass[first] += w * (1 - accept)
+            outcomes = _split(alpha, lambda u: cp.compress_decode(
+                a_mask, qf, cp.CompressDraw(pi, x_prime, u), blocked))
+            _tally(mass, weight, a_mask | bit(x_prime), blocked, outcomes)
     return mass
 
 
@@ -47,60 +76,41 @@ def compress_exact_marginal(a_colors, q, blocked):
 def test_compress_exact_uniform_marginal(q, a_colors):
     for r in range(len(a_colors) + 1):
         for blocked in itertools.combinations(range(q), r):
-            mass = compress_exact_marginal(a_colors, q, set(blocked))
-            avail = [c for c in range(q) if c not in blocked]
-            for c in avail:
-                assert mass[c] == Fraction(1, len(avail)), (blocked, c)
-            for c in blocked:
-                assert mass[c] == 0
+            mask = mask_from(blocked)
+            assert not non_uniform_colors(compress_marginal(a_colors, q, mask), q, mask), blocked
 
 
 # ---------------------------------------------------------------------------
-# seeding: integrate over (K) x (ordered prefix of S) x (c0) x (u' threshold)
+# seeding: (K) x (ordered prefix of S) x (c0) x (u' threshold)
 # ---------------------------------------------------------------------------
 
 
-def seeding_exact_marginal(s_colors, law, q, c_set):
-    s = len(s_colors)
-    t_colors = [c for c in range(q) if c not in s_colors]
-    n = len(c_set)
-    p_c = Fraction(0)
+def seeding_marginal(s_colors, law, q, c_mask):
+    qf = Fraction(q)
+    s_mask = mask_from(s_colors)
+    t_colors = members(complement(s_mask, q))
+    alpha = cp.seeding_acceptance(len(s_colors), law, qf, size(c_mask))
+    mass = {}
     for k, p in zip(law.sizes, law.probs):
-        pf = Fraction(p).limit_denominator(10**9)
-        num = 1
-        den = 1
-        for i in range(k - 1):
-            num *= n - i
-            den *= s - i
-        p_c += pf * Fraction(num, den) if num > 0 else Fraction(0)
-    q_c = Fraction(q - s, q - n)
-    alpha = (1 - q_c) / (1 - p_c) if p_c < 1 else Fraction(1)
-    mass = {c: Fraction(0) for c in range(q)}
-    p_t = Fraction(1, len(t_colors))
-    for k, p in zip(law.sizes, law.probs):
-        pf = Fraction(p).limit_denominator(10**9)
-        if pf == 0:
-            continue
-        for prefix in itertools.permutations(s_colors, k - 1):
-            w = pf * Fraction(1, len(list(itertools.permutations(s_colors, k - 1))))
-            first = next((y for y in prefix if y not in c_set), None)
-            slack_mass = alpha if first is not None else Fraction(0)
-            if first is not None:
-                mass[first] += w * slack_mass
+        prefixes = list(itertools.permutations(sorted(s_colors), k - 1))
+        weight = p / (len(prefixes) * len(t_colors))
+        for prefix in prefixes:
             for c0 in t_colors:
-                mass[c0] += w * (1 - slack_mass) * p_t
+                outcomes = _split(alpha, lambda u: cp.seeding_decode(
+                    s_mask, law, qf, cp.SeedingDraw(k, prefix, c0, u), c_mask))
+                _tally(mass, weight, mask_from(prefix) | bit(c0), c_mask, outcomes)
     return mass
 
 
 @pytest.mark.parametrize(
     "s_colors,q,law",
     [
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2,), (1.0,))),
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (0.5, 0.5))),
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (0.4, 0.6))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2,), (Fraction(1),))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (Fraction(1, 2), Fraction(1, 2)))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (Fraction(2, 5), Fraction(3, 5)))),
         # slack below q - delta admits a law mixing sizes 1 and 2: the
         # closed-form optimum at (|S|, delta, q) = (4, 3, 9) is (1/3, 2/3)
-        ((1, 2, 3, 4), 9, cp.SizeLaw((1, 2), (1 / 3, 2 / 3))),
+        ((1, 2, 3, 4), 9, cp.SizeLaw((1, 2), (Fraction(1, 3), Fraction(2, 3)))),
     ],
 )
 def test_seeding_exact_uniform_marginal(s_colors, q, law):
@@ -109,12 +119,9 @@ def test_seeding_exact_uniform_marginal(s_colors, q, law):
     assert ok
     for r in range(delta + 1):
         for c_set in itertools.combinations(s_colors, r):
-            mass = seeding_exact_marginal(s_colors, law, q, set(c_set))
-            avail = [c for c in range(q) if c not in c_set]
-            for c in avail:
-                assert mass[c] == Fraction(1, len(avail)), (law, c_set, c)
-            for c in c_set:
-                assert mass[c] == 0
+            c_mask = mask_from(c_set)
+            mass = seeding_marginal(s_colors, law, q, c_mask)
+            assert not non_uniform_colors(mass, q, c_mask), (law, c_set)
 
 
 def test_size_one_mixture_is_the_lp_optimum_at_small_slack():
@@ -125,57 +132,49 @@ def test_size_one_mixture_is_the_lp_optimum_at_small_slack():
 
 
 def test_seeding_alpha_matches_exact_fraction():
+    # P_C = 1/2 * 2/5 + 1/2 * 1/10 = 1/4, Q_C = 3/6, alpha = (1 - Q_C) / (1 - P_C)
+    exact = cp.SizeLaw((2, 3), (Fraction(1, 2), Fraction(1, 2)))
+    assert cp.seeding_acceptance(5, exact, Fraction(8), 2) == Fraction(2, 3)
     law = cp.SizeLaw((2, 3), (0.5, 0.5))
-    # P_C = 0.5 * 2/5 + 0.5 * 1/10, Q_C = 3/6
-    p_c = Fraction(1, 2) * Fraction(2, 5) + Fraction(1, 2) * Fraction(1, 10)
-    alpha = (1 - Fraction(1, 2)) / (1 - p_c)
-    assert cp.seeding_acceptance(5, law, 8, 2) == pytest.approx(float(alpha), abs=1e-12)
+    assert cp.seeding_acceptance(5, law, 8, 2) == pytest.approx(2 / 3, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# disjoint: integrate over the slot layout x (acceptance) x (reserve)
+# disjoint: (slot layout) x (acceptance variate) x (reserve color)
 # ---------------------------------------------------------------------------
 
 
-def disjoint_exact_marginal(q, delta, neighbor_lists, blocked):
-    """Exact decode distribution of the slot construction for one realizable
-    blocked set, rebuilt from first principles in rational arithmetic."""
-    lists = [set(members(m)) for m in neighbor_lists]
-    s_all = sorted(set().union(*lists)) if lists else []
-    q_colors = sorted(set().union(*[l for l in lists if len(l) == 1])) if lists else []
-    pairs = []
-    for i, l in enumerate(lists):
-        if len(l) == 2 and all(not (l & o) for j, o in enumerate(lists) if j != i):
-            pairs.append(tuple(sorted(l)))
-    pairs = sorted(set(pairs))
-    d_colors = sorted(c for p in pairs for c in p)
-    e_colors = sorted(set(s_all) - set(q_colors) - set(d_colors))
-    t_colors = [c for c in range(q) if c not in s_all]
-    b = len(pairs)
-    p_pair = Fraction(1, q - len(q_colors) - b) if b else Fraction(0)
-    s_d = Fraction(1, q - delta) - p_pair
-    s_e = Fraction(1, q - delta)
-    n = len(blocked)
-    target = Fraction(1, q - n)
-    mass = {c: Fraction(0) for c in range(q)}
-    reserve_mass = Fraction(1) - b * p_pair - len(d_colors) * s_d - len(e_colors) * s_e
-    assert reserve_mass >= 0
-    for a, bb in pairs:
-        free = bb if a in blocked else a
-        mass[free] += p_pair
-    for c, s_slot in [(c, s_d) for c in d_colors] + [(c, s_e) for c in e_colors]:
-        if s_slot == 0:
-            continue
-        if c not in blocked:
-            needed = target - (p_pair if c in d_colors else Fraction(0))
-            needed = max(needed, Fraction(0))
-            mass[c] += needed
-            reserve_mass += s_slot - needed
-        else:
-            reserve_mass += s_slot
-    for c in t_colors:
-        mass[c] += reserve_mass * Fraction(1, len(t_colors))
+def disjoint_marginal(q, delta, neighbor_lists, blocked):
+    """Walk the shipped slot layout exactly, one slot per step of u."""
+    params = cp.disjoint_params_from_lists(Fraction(q), delta, neighbor_lists)
+    t_colors = members(complement(params.s_mask, q))
+    n_blocked = size(blocked)
+    mass = {}
+    for reserve in t_colors:
+        u = Fraction(0)
+        while u < 1:
+            predicted, draw = cp.disjoint_slot(params, u, 0, reserve)
+            # the slot spans exactly [u, u + slot_prob)
+            assert cp.disjoint_slot(params, u + draw.slot_prob - EPS, 0, reserve)[1] == draw
+            alpha = cp.disjoint_needed(params, draw, n_blocked) / draw.slot_prob
+            outcomes = _split(alpha, lambda v: cp.disjoint_decode(
+                params, draw._replace(v=v), blocked))
+            _tally(mass, draw.slot_prob / len(t_colors), predicted, blocked, outcomes)
+            u += draw.slot_prob
     return mass
+
+
+def disjoint_failures(q, delta, raw_lists, max_blocked_sets=None):
+    """(blocked set, non-uniform colors) for each realizable blocked set that fails."""
+    neighbor_lists = [mask_from(s) for s in raw_lists]
+    combos = itertools.product(*[sorted(s) for s in raw_lists])
+    out = []
+    for combo in itertools.islice(combos, max_blocked_sets):
+        blocked = mask_from(combo)
+        bad = non_uniform_colors(disjoint_marginal(q, delta, neighbor_lists, blocked), q, blocked)
+        if bad:
+            out.append((combo, bad))
+    return out
 
 
 FIXTURE_LISTS = [
@@ -192,36 +191,39 @@ FIXTURE_LISTS = [
 
 @pytest.mark.parametrize("q,delta,raw_lists", FIXTURE_LISTS)
 def test_disjoint_exact_uniform_marginal(q, delta, raw_lists):
-    neighbor_lists = [mask_from(s) for s in raw_lists]
-    for combo in itertools.product(*[sorted(s) for s in raw_lists]):
-        blocked = set(combo)
-        mass = disjoint_exact_marginal(q, delta, neighbor_lists, blocked)
-        avail = [c for c in range(q) if c not in blocked]
-        for c in avail:
-            assert mass[c] == Fraction(1, len(avail)), (raw_lists, blocked, c)
-        for c in blocked:
-            assert mass[c] == 0
-        assert sum(mass.values()) == 1
+    assert disjoint_failures(q, delta, raw_lists) == []
+
+
+def test_exact_oracle_catches_a_perturbed_pair_correction(monkeypatch):
+    """Negative control: scale the pair term of the shipped threshold by 0.99."""
+    shipped = cp.disjoint_needed
+
+    def perturbed(params, draw, n_blocked):
+        return shipped(params, draw, n_blocked) + (params.p_pair / 100 if draw.in_d else 0)
+
+    monkeypatch.setattr(cp, "disjoint_needed", perturbed)
+    failing = [f for f in FIXTURE_LISTS if disjoint_failures(*f)]
+    assert failing
 
 
 @pytest.mark.parametrize("q,delta,raw_lists", FIXTURE_LISTS)
 def test_disjoint_implementation_matches_exact_oracle(q, delta, raw_lists):
-    """The implementation's slot probabilities agree with the oracle's."""
+    """The exact slot layout has the closed-form masses and singleton chance."""
     neighbor_lists = [mask_from(s) for s in raw_lists]
-    params = cp.disjoint_params_from_lists(q, delta, neighbor_lists)
+    params = cp.disjoint_params_from_lists(Fraction(q), delta, neighbor_lists)
     b = len(params.pairs)
     q_size = size(params.q_mask)
     if b:
-        assert params.p_pair == pytest.approx(1 / (q - q_size - b), abs=1e-15)
-    assert params.s_e == pytest.approx(1 / (q - delta), abs=1e-15)
+        assert params.p_pair == Fraction(1, q - q_size - b)
+    assert params.s_e == Fraction(1, q - delta)
     expected_leftover = 1 - (
         b * params.p_pair + 2 * b * params.s_d + len(params.e_colors) * params.s_e
     )
-    assert params.leftover == pytest.approx(expected_leftover, abs=1e-12)
+    assert params.leftover == expected_leftover
     # the singleton probability equals the quoted bound exactly
     s_size, d_size = size(params.s_mask), 2 * b
-    bound = 1 - (s_size - q_size) / (q - delta) + (d_size / 2) / (q - q_size - d_size / 2)
-    assert params.success_bound == pytest.approx(bound, abs=1e-12)
+    bound = 1 - Fraction(s_size - q_size, q - delta) + Fraction(b, q - q_size - b)
+    assert params.success_bound == bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,9 +244,4 @@ def test_disjoint_exact_marginal_on_random_configurations(data):
         cp.disjoint_params_from_lists(q, delta, neighbor_lists)
     except CouplingRegimeError:
         return  # infeasible layouts are rejected, nothing to check
-    for combo in itertools.islice(itertools.product(*[sorted(s) for s in raw_lists]), 8):
-        blocked = set(combo)
-        mass = disjoint_exact_marginal(q, delta, neighbor_lists, blocked)
-        avail = [c for c in range(q) if c not in blocked]
-        for c in avail:
-            assert mass[c] == Fraction(1, len(avail))
+    assert disjoint_failures(q, delta, raw_lists, max_blocked_sets=8) == []
