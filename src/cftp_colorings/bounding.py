@@ -2,8 +2,8 @@
 
 The bounding state tracks, per vertex, a superset of the colors any coupled
 trajectory may carry. Every update draws from a seed addressed by (block,
-update index), so re-running a block's schedule reproduces its lists
-exactly. A state may also carry one proper coloring: each update then
+update index), which only the state hands out, so re-running a block's
+schedule reproduces its lists exactly. A state may also carry one proper coloring: each update then
 decodes the carried coloring with the parameters and draw its bounding
 update has just computed, and checks that the decoded color lies in the
 list just predicted for the vertex.
@@ -22,26 +22,36 @@ PHASE_CONVERT = "phase2"
 
 
 class BoundingState:
-    """Per-vertex bounding lists for one block, optionally carrying a coloring.
+    """Bounding lists for one block of one graph, optionally carrying a coloring.
 
-    ``updates`` counts the updates applied; the update index also advances
-    for the schedule's own vertex picks, so the two differ.
+    A block is a pure function of (master seed, block index): ``next_key``
+    hands out the key at (block, update index) and advances the index.
+    ``updates`` counts the updates applied; the index also advances for the
+    schedule's own vertex picks, so the two differ. The schedule counts its
+    seeding and disjoint fallbacks here.
     """
 
-    __slots__ = ("q", "n", "lists", "coloring", "updates", "_counter")
+    __slots__ = (
+        "g", "q", "stream", "block", "lists", "coloring", "updates",
+        "seeding_fallbacks", "disjoint_fallbacks", "_index",
+    )
 
-    def __init__(self, q: int, n: int, coloring=None):
+    def __init__(self, g: Graph, q: int, stream: SeedStream, block: int, coloring=None):
+        self.g = g
         self.q = q
-        self.n = n
-        self.lists: list[ColorSet] = [full_mask(q)] * n
+        self.stream = stream
+        self.block = block
+        self.lists: list[ColorSet] = [full_mask(q)] * g.n
         self.coloring: list[int] | None = None if coloring is None else list(coloring)
         self.updates = 0
-        self._counter = 0
+        self.seeding_fallbacks = 0
+        self.disjoint_fallbacks = 0
+        self._index = 0
 
-    def take_index(self) -> int:
-        idx = self._counter
-        self._counter += 1
-        return idx
+    def next_key(self) -> int:
+        idx = self._index
+        self._index = idx + 1
+        return self.stream.subkey(self.block, idx)
 
     def all_singletons(self) -> bool:
         return all(size(m) == 1 for m in self.lists)
@@ -49,11 +59,11 @@ class BoundingState:
     def coalesced_coloring(self) -> tuple[int, ...]:
         return tuple(m.bit_length() - 1 for m in self.lists)
 
-    def blocked(self, g: Graph, v: int) -> ColorSet:
+    def blocked(self, v: int) -> ColorSet:
         """Colors the carried coloring puts on the neighbors of v."""
         w = self.coloring
         m = 0
-        for u in g.adjacency[v]:
+        for u in self.g.adjacency[v]:
             m |= 1 << w[u]
         return m
 
@@ -72,9 +82,9 @@ class BoundingState:
 # ---------------------------------------------------------------------------
 
 
-def neighborhood_slack(state: BoundingState, g: Graph, v: int) -> ColorSet:
+def neighborhood_slack(state: BoundingState, v: int) -> ColorSet:
     m = 0
-    for u in g.adjacency[v]:
+    for u in state.g.adjacency[v]:
         m |= state.lists[u]
     return m
 
@@ -101,13 +111,7 @@ def _fill_singles(a: ColorSet, cap: int, pool: ColorSet) -> ColorSet:
     return a
 
 
-def greedy_reference_set(
-    state: BoundingState,
-    g: Graph,
-    v: int,
-    preserved,
-    mode: str,
-) -> ColorSet:
+def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> ColorSet:
     """Reference set of exactly max-degree colors for compress updates.
 
     Priority comes from the preserved neighbors' lists: the seeding phase
@@ -116,6 +120,7 @@ def greedy_reference_set(
     every compressed neighbor's list. Whole lists are taken atomically when
     they fit, then single colors ascending, then arbitrary colors ascending.
     """
+    g = state.g
     delta = g.max_degree
     q = state.q
     if q < delta:
@@ -148,79 +153,50 @@ def greedy_reference_set(
 # ---------------------------------------------------------------------------
 
 
-def apply_compress(
-    state: BoundingState,
-    g: Graph,
-    v: int,
-    a_mask: ColorSet,
-    stream: SeedStream,
-    block: int,
-) -> None:
-    idx = state.take_index()
-    key = stream.subkey(block, idx)
+def apply_compress(state: BoundingState, v: int, a_mask: ColorSet) -> None:
+    key = state.next_key()
     state.lists[v], _ = cp.compress_predict(a_mask, state.q, key)
     state.updates += 1
     if state.coloring is not None:
         draw = cp.compress_draw(a_mask, state.q, key)
-        state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(g, v)))
+        state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
 
 
-def apply_seeding(
-    state: BoundingState,
-    g: Graph,
-    v: int,
-    stream: SeedStream,
-    block: int,
-) -> None:
+def apply_seeding(state: BoundingState, v: int) -> None:
     """Seeding update at v using the current neighborhood slack.
 
     Raises CouplingRegimeError when no feasible two-point size law exists
     for the current slack; callers decide whether to fall back.
     """
-    s_mask = neighborhood_slack(state, g, v)
+    s_mask = neighborhood_slack(state, v)
     s_sorted = tuple(iter_colors(s_mask))
-    law = cp.seeding_size_law(len(s_sorted), g.max_degree, state.q)
-    idx = state.take_index()
-    key = stream.subkey(block, idx)
+    law = cp.seeding_size_law(len(s_sorted), state.g.max_degree, state.q)
+    key = state.next_key()
     state.lists[v], draw = cp.seeding_predict(s_sorted, s_mask, law, state.q, key)
     state.updates += 1
     if state.coloring is not None:
-        state.carry(v, cp.seeding_decode(s_mask, law, state.q, draw, state.blocked(g, v)))
+        state.carry(v, cp.seeding_decode(s_mask, law, state.q, draw, state.blocked(v)))
 
 
-def apply_disjoint(
-    state: BoundingState,
-    g: Graph,
-    v: int,
-    stream: SeedStream,
-    block: int,
-) -> None:
+def apply_disjoint(state: BoundingState, v: int) -> None:
     """Disjoint update at v; raises CouplingRegimeError when infeasible."""
     lists = state.lists
+    g = state.g
     params = cp.disjoint_params_from_lists(
         state.q, g.max_degree, [lists[u] for u in g.adjacency[v]]
     )
-    idx = state.take_index()
-    key = stream.subkey(block, idx)
+    key = state.next_key()
     lists[v], draw = cp.disjoint_predict(params, key)
     state.updates += 1
     if state.coloring is not None:
-        state.carry(v, cp.disjoint_decode(params, draw, state.blocked(g, v)))
+        state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
 
 
-def cleanup(
-    state: BoundingState,
-    g: Graph,
-    v: int,
-    preserved,
-    mode: str,
-    stream: SeedStream,
-    block: int,
-) -> None:
+def cleanup(state: BoundingState, v: int, preserved, mode: str) -> None:
     """Compress every non-preserved neighbor of v against one reference set."""
-    targets = [w for w in g.adjacency[v] if w not in preserved]
+    targets = [w for w in state.g.adjacency[v] if w not in preserved]
     if not targets:
         return
-    a_mask = greedy_reference_set(state, g, v, preserved, mode)
+    a_mask = greedy_reference_set(state, v, preserved, mode)
     for w in targets:
-        apply_compress(state, g, w, a_mask, stream, block)
+        apply_compress(state, w, a_mask)

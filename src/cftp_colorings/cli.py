@@ -103,6 +103,16 @@ def run_meta(seed: int, **config) -> dict:
     return {"git_describe": git_describe(), "master_seed": seed, "config": config}
 
 
+def csv_text(meta: dict, header, rows) -> str:
+    """CSV text: a ``# {meta}`` comment line, the header, then the rows, all ending in LF."""
+    buf = io.StringIO()
+    buf.write(f"# {json.dumps(meta)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emit(text: str, out_path) -> None:
     if out_path is None:
         click.echo(text, nl=False)
@@ -126,20 +136,18 @@ def cli():
 @click.option("--n", "n_samples", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="master seed (default: OS entropy)")
 @click.option("--max-blocks", type=int, default=64, show_default=True)
-@click.option("--t1", "t1_override", type=int, default=None)
 @click.option("--t2", "t2_override", type=int, default=None)
 @click.option("--force", is_flag=True, help="run below the regime threshold")
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t1_override,
-               t2_override, force, out_path, fmt):
+def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t2_override,
+               force, out_path, fmt):
     """Draw uniform proper colorings and emit them with run statistics."""
     g = load_graph(graph_file, gen_spec)
     if seed is None:
         seed = secrets.randbits(63)
     cfg = engine.SamplerConfig(
-        q=q, master_seed=seed, max_blocks=max_blocks,
-        t1_override=t1_override, t2_override=t2_override, force=force,
+        q=q, master_seed=seed, max_blocks=max_blocks, t2_override=t2_override, force=force,
     )
     try:
         engine.check_config(g, cfg)
@@ -147,7 +155,7 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t1_override
         raise click.UsageError(str(exc)) from None
     meta = run_meta(seed, command="sample", q=q, n=n_samples, graph_n=g.n,
                     graph_m=g.m, max_degree=g.max_degree, max_blocks=max_blocks,
-                    t1=t1_override, t2=t2_override, force=force,
+                    t2=t2_override, force=force,
                     gen=gen_spec, format=fmt)
     try:
         results = verification.sample_many(g, cfg, n_samples)
@@ -173,16 +181,12 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t1_override
         }
         emit(json.dumps(payload, indent=2) + "\n", out_path)
     else:
-        buf = io.StringIO()
-        buf.write(f"# {json.dumps(meta)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["sample", "blocks_used", "updates", "wall_ms", "coloring"])
-        for i, r in enumerate(results):
-            writer.writerow(
-                [i, r.blocks_used, r.updates, round(r.wall_ms, 3),
-                 " ".join(map(str, r.coloring))]
-            )
-        emit(buf.getvalue(), out_path)
+        rows = (
+            [i, r.blocks_used, r.updates, round(r.wall_ms, 3), " ".join(map(str, r.coloring))]
+            for i, r in enumerate(results)
+        )
+        header = ["sample", "blocks_used", "updates", "wall_ms", "coloring"]
+        emit(csv_text(meta, header, rows), out_path)
 
 
 def _unshuffled_compress_draw(a_mask, q, key):
@@ -240,10 +244,7 @@ def cmd_lpaudit(delta_range, out_path):
         lo, hi = (int(x) for x in delta_range.split(":"))
     except ValueError:
         raise click.UsageError(f"bad --delta range {delta_range!r}") from None
-    buf = io.StringIO()
-    buf.write(f"# {json.dumps(run_meta(0, command='lpaudit', delta_range=[lo, hi]))}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["delta", "s_size", "q", "r2", "r3", "expected_size", "full_lp_feasible"])
+    rows = []
     for delta in range(lo, hi + 1):
         for s_size in range(delta + 1, 2 * delta + 1):
             for q in range(math.ceil(7 * delta / 3), 3 * delta + 1):
@@ -255,14 +256,16 @@ def cmd_lpaudit(delta_range, out_path):
                 except CouplingRegimeError:
                     law = None
                     feasible = False
-                writer.writerow([
+                rows.append([
                     delta, s_size, q,
                     round(law.r(2), 9) if law else "",
                     round(law.r(3), 9) if law else "",
                     round(law.expected_size, 9) if law else "",
                     int(feasible),
                 ])
-    emit(buf.getvalue(), out_path)
+    meta = run_meta(0, command="lpaudit", delta_range=[lo, hi])
+    header = ["delta", "s_size", "q", "r2", "r3", "expected_size", "full_lp_feasible"]
+    emit(csv_text(meta, header, rows), out_path)
 
 
 def _bench_config(n, d, q, seed, max_blocks) -> engine.SamplerConfig:
@@ -280,19 +283,19 @@ def _bench_one(args):
     n, d, q, seed, max_blocks = args
     g = gen_random_regular(n, d, seed)
     cfg = _bench_config(n, d, q, seed, max_blocks)
-    stream = engine.SeedStream(cfg.master_seed)
-    part = engine.lll_partition(g, stream)
     t0 = time.perf_counter()
     try:
         res = engine.sample(g, cfg)
         blocks, updates, coalesced = res.blocks_used, res.updates, 1
+        resamples = res.partition_resamples
     except NoCoalescenceError as exc:
         blocks, updates, coalesced = max_blocks, exc.stats["updates"], 0
+        resamples = exc.stats["partition_resamples"]
     wall = (time.perf_counter() - t0) * 1e3
     return {
         "n": n, "delta": d, "q": q, "seed": seed, "blocks": blocks,
         "updates": updates, "coalesced": coalesced,
-        "wall_ms": wall, "resamples": part.resamples,
+        "wall_ms": wall, "resamples": resamples,
     }
 
 
@@ -333,17 +336,15 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
         rows = [_bench_one(j) for j in jobs]
     meta = run_meta(seed, command="bench", delta=delta, q=q, runs=runs,
                     n_list=sizes, max_blocks=max_blocks)
-    buf = io.StringIO()
-    buf.write(f"# {json.dumps(meta)}\n")
-    writer = csv.writer(buf)
-    writer.writerow([
+    header = [
         "n", "delta", "q", "runs", "coalesce_fraction", "mean_blocks",
         "mean_updates", "mean_wall_ms", "max_resamples",
-    ])
+    ]
+    table = []
     for n in sizes:
         sub = [r for r in rows if r["n"] == n]
         blocks = [r["blocks"] for r in sub]
-        writer.writerow([
+        table.append([
             n, delta, q, len(sub),
             round(sum(r["coalesced"] for r in sub) / sum(blocks), 4),
             round(sum(blocks) / len(sub), 3),
@@ -351,7 +352,7 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
             round(sum(r["wall_ms"] for r in sub) / len(sub), 1),
             max(r["resamples"] for r in sub),
         ])
-    emit(buf.getvalue(), out_path)
+    emit(csv_text(meta, header, table), out_path)
 
 
 @cli.command("partition")
@@ -418,13 +419,8 @@ def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     if fmt == "json":
         emit(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n", out_path)
     else:
-        buf = io.StringIO()
-        buf.write(f"# {json.dumps(meta)}\n")
-        cols = list(rows[0].keys()) if rows else []
-        writer = csv.DictWriter(buf, fieldnames=cols)
-        writer.writeheader()
-        writer.writerows(rows)
-        emit(buf.getvalue(), out_path)
+        header = list(rows[0]) if rows else []
+        emit(csv_text(meta, header, (list(r.values()) for r in rows)), out_path)
     sys.exit(EXIT_FAIL if failed else EXIT_OK)
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bounding as bd
-from .colorsets import size
 from .errors import CouplingRegimeError, EngineError, NoCoalescenceError
 from .graphs import Graph
 from .seedstream import SeedStream, randint_below, unit_uniform
@@ -59,7 +58,6 @@ class SamplerConfig:
     q: int
     master_seed: int
     max_blocks: int = 64
-    t1_override: int | None = None
     t2_override: int | None = None
     force: bool = False
 
@@ -69,7 +67,8 @@ class Block:
     index: int
     phi: tuple[int, ...] | None
     n_updates: int
-    phase_sizes: dict = field(default_factory=dict)
+    seeding_fallbacks: int
+    disjoint_fallbacks: int
 
 
 @dataclass
@@ -82,20 +81,27 @@ class SampleResult:
     degraded_blocks: int
     phase_stats: dict
     wall_ms: float
-    seed_set_size: int
+    partition_resamples: int
+
+
+def balanced(g: Graph, v: int, inside: int, eta: float) -> bool:
+    """Both balance bounds at v, given how many neighbors of v are in the set.
+
+    At most half the max degree inside, and at most (1/2 + eta) of it
+    outside; the second bound binds only when eta < 1/2.
+    """
+    delta = g.max_degree
+    if 2 * inside > delta:
+        return False
+    return 0.5 + eta >= 1.0 or g.degree(v) - inside <= (0.5 + eta) * delta
 
 
 def audit_partition(g: Graph, members, eta: float) -> bool:
     """Exact check of both neighborhood balance bounds."""
-    delta = g.max_degree
-    second_binding = (0.5 + eta) < 1.0
-    for v in range(g.n):
-        inside = sum(1 for u in g.adjacency[v] if u in members)
-        if 2 * inside > delta:
-            return False
-        if second_binding and g.degree(v) - inside > (0.5 + eta) * delta:
-            return False
-    return True
+    return all(
+        balanced(g, v, sum(1 for u in g.adjacency[v] if u in members), eta)
+        for v in range(g.n)
+    )
 
 
 def lll_partition(
@@ -117,16 +123,6 @@ def lll_partition(
         p0 = p0_override
     key0 = stream.subkey(PARTITION_BLOCK, 0)
     in_s = [unit_uniform(key0, v) < p0 for v in range(n)]
-    second_binding = (0.5 + eta) < 1.0
-
-    def violated(v: int) -> bool:
-        inside = sum(1 for u in g.adjacency[v] if in_s[u])
-        if 2 * inside > delta:
-            return True
-        if second_binding and g.degree(v) - inside > (0.5 + eta) * delta:
-            return True
-        return False
-
     budget = max(16, math.ceil(10 * n / max(delta, 1)))
     resamples = 0
     queue = deque(range(n))
@@ -134,7 +130,7 @@ def lll_partition(
     while queue:
         v = queue.popleft()
         queued[v] = False
-        if not violated(v):
+        if balanced(g, v, sum(1 for u in g.adjacency[v] if in_s[u]), eta):
             continue
         resamples += 1
         if resamples > budget:
@@ -201,76 +197,67 @@ def update_budget(n: int, seed_set_size: int, delta: int, t1: int, t2: int) -> i
     return seed_set_size * per + t1 * per + (n - seed_set_size) * per + t2
 
 
-def run_schedule(
-    g: Graph,
-    seed_set: SeedVertexSet,
-    config: SamplerConfig,
-    block_index: int,
-    stream: SeedStream,
-    state: bd.BoundingState,
-) -> dict:
-    """Run one block's update schedule on state; returns its phase sizes.
+def _seeding_or_fallback(state: bd.BoundingState, v: int, preserved) -> None:
+    try:
+        bd.apply_seeding(state, v)
+    except CouplingRegimeError:
+        a_mask = bd.greedy_reference_set(state, v, preserved, bd.PHASE_SEEDING)
+        bd.apply_compress(state, v, a_mask)
+        state.seeding_fallbacks += 1
+
+
+def _disjoint_or_fallback(state: bd.BoundingState, v: int) -> None:
+    try:
+        bd.apply_disjoint(state, v)
+    except CouplingRegimeError:
+        nbrs = set(state.g.adjacency[v])
+        a_mask = bd.greedy_reference_set(state, v, nbrs, bd.PHASE_CONVERT)
+        bd.apply_compress(state, v, a_mask)
+        state.disjoint_fallbacks += 1
+
+
+def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:
+    """Run one block's update schedule on state.
 
     The update schedule always runs to completion. A seeding or disjoint
     update whose parameter regime is infeasible falls back to a compress
-    update at the same vertex instead. Swapping the coupling is safe because
-    the choice depends only on the bounding lists, never on any trajectory,
-    so every composed step still applies an exact single-site kernel;
-    cutting the schedule short would not be, since stopping is correlated
-    with the very draws being replayed, and replaying such a conditioned
-    prefix measurably biases the output.
+    update at the same vertex instead, and state counts the fallback.
+    Swapping the coupling is safe because the choice depends only on the
+    bounding lists, never on any trajectory, so every composed step still
+    applies an exact single-site kernel; cutting the schedule short would
+    not be, since stopping is correlated with the very draws being
+    replayed, and replaying such a conditioned prefix measurably biases the
+    output.
     """
-    q, n, delta = config.q, g.n, g.max_degree
+    g = state.g
+    n = g.n
     s_list = sorted(seed_set.members)
     others = [v for v in range(n) if v not in seed_set.members]
-    t1 = config.t1_override if config.t1_override is not None else default_t1(len(s_list))
-    t2 = config.t2_override if config.t2_override is not None else default_t2(n, q, delta)
-    phase_sizes: dict = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
-
-    def seeding_or_fallback(v: int, preserved) -> None:
-        try:
-            bd.apply_seeding(state, g, v, stream, block_index)
-        except CouplingRegimeError:
-            a_mask = bd.greedy_reference_set(state, g, v, preserved, bd.PHASE_SEEDING)
-            bd.apply_compress(state, g, v, a_mask, stream, block_index)
-            phase_sizes["seeding_fallbacks"] += 1
-
-    def disjoint_or_fallback(v: int) -> None:
-        try:
-            bd.apply_disjoint(state, g, v, stream, block_index)
-        except CouplingRegimeError:
-            nbrs = set(g.adjacency[v])
-            a_mask = bd.greedy_reference_set(state, g, v, nbrs, bd.PHASE_CONVERT)
-            bd.apply_compress(state, g, v, a_mask, stream, block_index)
-            phase_sizes["disjoint_fallbacks"] += 1
+    t1 = default_t1(len(s_list))
+    t2 = config.t2_override
+    if t2 is None:
+        t2 = default_t2(n, config.q, g.max_degree)
 
     # Phase I: seed the balanced set with small lists, then drift them down.
+    # Each vertex is preserved once seeded, so after the loop preserved is S.
     preserved: set[int] = set()
     for v in s_list:
-        bd.cleanup(state, g, v, preserved, bd.PHASE_SEEDING, stream, block_index)
-        seeding_or_fallback(v, preserved)
+        bd.cleanup(state, v, preserved, bd.PHASE_SEEDING)
+        _seeding_or_fallback(state, v, preserved)
         preserved.add(v)
-    phase_sizes["after_phase1_init"] = {v: size(state.lists[v]) for v in s_list}
-    s_set = set(s_list)
     for _ in range(t1):
-        idx = state.take_index()
-        v = s_list[randint_below(stream.subkey(block_index, idx), 0, len(s_list))]
-        bd.cleanup(state, g, v, s_set, bd.PHASE_SEEDING, stream, block_index)
-        seeding_or_fallback(v, s_set)
+        v = s_list[randint_below(state.next_key(), 0, len(s_list))]
+        bd.cleanup(state, v, preserved, bd.PHASE_SEEDING)
+        _seeding_or_fallback(state, v, preserved)
 
     # Phase II: convert the rest to lists of size at most two, then drift
     # everything to singletons.
-    preserved = set(s_list)
     for v in others:
-        bd.cleanup(state, g, v, preserved, bd.PHASE_CONVERT, stream, block_index)
-        disjoint_or_fallback(v)
+        bd.cleanup(state, v, preserved, bd.PHASE_CONVERT)
+        _disjoint_or_fallback(state, v)
         preserved.add(v)
-    phase_sizes["after_phase2_convert"] = {v: size(state.lists[v]) for v in others}
     for _ in range(t2):
-        idx = state.take_index()
-        v = randint_below(stream.subkey(block_index, idx), 0, n)
-        disjoint_or_fallback(v)
-    return phase_sizes
+        _disjoint_or_fallback(state, randint_below(state.next_key(), 0, n))
 
 
 def construct_block(
@@ -281,14 +268,20 @@ def construct_block(
     stream: SeedStream,
 ) -> Block:
     """One randomness block: seeding phase, converting phase, drift, check."""
-    state = bd.BoundingState(config.q, g.n)
-    phase_sizes = run_schedule(g, seed_set, config, block_index, stream, state)
+    state = bd.BoundingState(g, config.q, stream, block_index)
+    run_schedule(state, seed_set, config)
     phi = None
     if state.all_singletons():
         phi = state.coalesced_coloring()
         if not is_proper(g, phi):
             raise EngineError("coalesced configuration is not a proper coloring")
-    return Block(index=block_index, phi=phi, n_updates=state.updates, phase_sizes=phase_sizes)
+    return Block(
+        index=block_index,
+        phi=phi,
+        n_updates=state.updates,
+        seeding_fallbacks=state.seeding_fallbacks,
+        disjoint_fallbacks=state.disjoint_fallbacks,
+    )
 
 
 def is_proper(g: Graph, coloring) -> bool:
@@ -311,8 +304,8 @@ def replay(
     """
     if not is_proper(g, omega):
         raise ValueError("replay requires a proper input coloring")
-    state = bd.BoundingState(config.q, g.n, coloring=omega)
-    run_schedule(g, seed_set, config, block_index, stream, state)
+    state = bd.BoundingState(g, config.q, stream, block_index, coloring=omega)
+    run_schedule(state, seed_set, config)
     return tuple(state.coloring)
 
 
@@ -327,16 +320,13 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     check_config(g, config)
     stream = SeedStream(config.master_seed)
     seed_set = lll_partition(g, stream)
-    updates = 0
-    degraded = 0
-    fallbacks = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
+    updates = degraded = seeding_fallbacks = disjoint_fallbacks = 0
     for t in range(1, config.max_blocks + 1):
         block = construct_block(g, seed_set, config, t, stream)
         updates += block.n_updates
-        if block.phase_sizes["seeding_fallbacks"] or block.phase_sizes["disjoint_fallbacks"]:
-            degraded += 1
-        for k in fallbacks:
-            fallbacks[k] += block.phase_sizes[k]
+        degraded += bool(block.seeding_fallbacks or block.disjoint_fallbacks)
+        seeding_fallbacks += block.seeding_fallbacks
+        disjoint_fallbacks += block.disjoint_fallbacks
         if block.phi is not None:
             break
     else:
@@ -345,6 +335,7 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
             "updates": updates,
             "degraded_blocks": degraded,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
+            "partition_resamples": seed_set.resamples,
         }
         raise NoCoalescenceError(
             f"no coalescence within {config.max_blocks} blocks", stats=stats
@@ -361,7 +352,10 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         blocks_used=t,
         updates=updates,
         degraded_blocks=degraded,
-        phase_stats=fallbacks,
+        phase_stats={
+            "seeding_fallbacks": seeding_fallbacks,
+            "disjoint_fallbacks": disjoint_fallbacks,
+        },
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        seed_set_size=len(seed_set),
+        partition_resamples=seed_set.resamples,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailedError, GraphParseError
-from .seedstream import SeedStream, randint_below
+from .seedstream import SeedStream, shuffled
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,8 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 100) -> Gr
         stubs = [v for v in range(n) for _ in range(d)]
         round_no = 0
         while stubs:
-            key = stream.subkey(attempt, round_no)
+            stubs = shuffled(stream.subkey(attempt, round_no), 0, stubs)
             round_no += 1
-            for i in range(len(stubs) - 1):
-                j = i + randint_below(key, i, len(stubs) - i)
-                stubs[i], stubs[j] = stubs[j], stubs[i]
             leftover: dict[int, int] = {}
             it = iter(stubs)
             for u, v in zip(it, it):

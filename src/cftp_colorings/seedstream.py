@@ -60,21 +60,16 @@ def randint_below(key: int, draw: int, n: int) -> int:
 
 
 def shuffled(key: int, first_draw: int, items: list) -> list:
-    """Fisher-Yates permutation of items, consuming len(items)-1 draws.
-
-    Element i of the result is fixed after step i, so a prefix of the
-    permutation can be regenerated without the remaining draws.
-    """
-    out = list(items)
-    m = len(out)
-    for i in range(m - 1):
-        j = i + randint_below(key, first_draw + i, m - i)
-        out[i], out[j] = out[j], out[i]
-    return out
+    """Fisher-Yates permutation of items, consuming len(items)-1 draws."""
+    return shuffled_prefix(key, first_draw, items, len(items))
 
 
 def shuffled_prefix(key: int, first_draw: int, items: list, k: int) -> list:
-    """First k elements of shuffled(key, first_draw, items)."""
+    """First k elements of shuffled(key, first_draw, items).
+
+    Element i of the permutation is fixed after step i, so a prefix needs
+    only its own draws.
+    """
     out = list(items)
     m = len(out)
     k = min(k, m)

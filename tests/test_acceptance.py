@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine, oracle
 from cftp_colorings import verification as vf
@@ -75,8 +76,8 @@ def test_criterion_02_coalescence_rate():
             for t in range(1, n_blocks + 1):
                 block = engine.construct_block(g, part, cfg, t, stream)
                 hits += block.phi is not None
-                assert block.phase_sizes["seeding_fallbacks"] == 0
-                assert block.phase_sizes["disjoint_fallbacks"] == 0
+                assert block.seeding_fallbacks == 0
+                assert block.disjoint_fallbacks == 0
             fractions[(delta, n, q)] = hits / n_blocks
     ok = all(f >= 0.40 for f in fractions.values())
     detail = ", ".join(
@@ -129,7 +130,21 @@ def test_criterion_04_marginal_correctness_all_couplings():
     assert ok, detail
 
 
-def test_criterion_05_phase_invariants():
+def test_criterion_05_phase_invariants(monkeypatch):
+    # Record the list size after every seeding and disjoint update. A vertex
+    # is preserved right after its own update in its phase, so its phase-end
+    # list is the one that update produced.
+    sizes = {"seeding": [], "disjoint": []}
+
+    def recording(update, seen):
+        def wrapper(state, v):
+            update(state, v)
+            seen.append((v, size(state.lists[v])))
+
+        return wrapper
+
+    monkeypatch.setattr(bd, "apply_seeding", recording(bd.apply_seeding, sizes["seeding"]))
+    monkeypatch.setattr(bd, "apply_disjoint", recording(bd.apply_disjoint, sizes["disjoint"]))
     runs = 0
     violations = []
     fixtures = [
@@ -141,15 +156,22 @@ def test_criterion_05_phase_invariants():
             stream = SeedStream(500 + seed)
             part = engine.lll_partition(g, stream)
             cfg = engine.SamplerConfig(q=q, master_seed=stream.master_seed)
+            for seen in sizes.values():
+                seen.clear()
             block = engine.construct_block(g, part, cfg, 1, stream)
             runs += 1
-            for v, s in block.phase_sizes["after_phase1_init"].items():
+            for v, s in sizes["seeding"]:
                 if s not in (2, 3):
-                    violations.append(("phase1", g.max_degree, seed, v, s))
-            for v, s in block.phase_sizes["after_phase2_convert"].items():
+                    violations.append(("seeding", g.max_degree, seed, v, s))
+            for v, s in sizes["disjoint"]:
                 if s not in (1, 2):
-                    violations.append(("phase2", g.max_degree, seed, v, s))
-            if block.phase_sizes["seeding_fallbacks"] or block.phase_sizes["disjoint_fallbacks"]:
+                    violations.append(("disjoint", g.max_degree, seed, v, s))
+            if {v for v, _ in sizes["seeding"]} != part.members:
+                violations.append(("unseeded", g.max_degree, seed))
+            # the drift updates any vertex; the conversion every vertex outside S
+            if not set(range(g.n)) - part.members <= {v for v, _ in sizes["disjoint"]}:
+                violations.append(("unconverted", g.max_degree, seed))
+            if block.seeding_fallbacks or block.disjoint_fallbacks:
                 violations.append(("fallback", g.max_degree, seed))
     ok = not violations
     report(5, ok, f"{runs} seeded runs, violations: {violations[:5] or 'none'}")

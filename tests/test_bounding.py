@@ -15,8 +15,8 @@ def star(center_degree):
     return build_graph(center_degree + 1, [(0, i + 1) for i in range(center_degree)])
 
 
-def make_state(g, q, lists=None):
-    state = bd.BoundingState(q, g.n)
+def make_state(g, q, lists=None, seed=0):
+    state = bd.BoundingState(g, q, SeedStream(seed), block=1)
     if lists:
         for v, colors in lists.items():
             state.lists[v] = mask_from(colors)
@@ -31,19 +31,19 @@ def make_state(g, q, lists=None):
 def test_slack_full_lists():
     g = star(3)
     state = make_state(g, 5)
-    assert bd.neighborhood_slack(state, g, 0) == full_mask(5)
+    assert bd.neighborhood_slack(state, 0) == full_mask(5)
 
 
 def test_slack_no_neighbors():
     g = build_graph(2, [])
     state = make_state(g, 5)
-    assert bd.neighborhood_slack(state, g, 0) == 0
+    assert bd.neighborhood_slack(state, 0) == 0
 
 
 def test_slack_union():
     g = star(2)
     state = make_state(g, 6, {1: [1, 2], 2: [2, 3]})
-    assert members(bd.neighborhood_slack(state, g, 0)) == [1, 2, 3]
+    assert members(bd.neighborhood_slack(state, 0)) == [1, 2, 3]
 
 
 def neighbor_lists(state, g, v):
@@ -94,14 +94,14 @@ def test_disjoint_pair_scan_single_neighbor():
 def test_greedy_empty_slack_lowest_colors():
     g = star(3)
     state = make_state(g, 9)
-    a = bd.greedy_reference_set(state, g, 0, preserved=set(), mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(state, 0, preserved=set(), mode=bd.PHASE_SEEDING)
     assert members(a) == [0, 1, 2]
 
 
 def test_greedy_phase1_trace():
     g = star(3)
     state = make_state(g, 9, {1: [5, 7]})
-    a = bd.greedy_reference_set(state, g, 0, preserved={1}, mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(state, 0, preserved={1}, mode=bd.PHASE_SEEDING)
     assert members(a) == [0, 5, 7]
 
 
@@ -109,7 +109,7 @@ def test_greedy_phase2_trace():
     # two identical entangled lists {1,2} and one disjoint pair {8,9}
     g = star(3)
     state = make_state(g, 10, {1: [1, 2], 2: [1, 2], 3: [8, 9]})
-    a = bd.greedy_reference_set(state, g, 0, preserved={1, 2, 3}, mode=bd.PHASE_CONVERT)
+    a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_CONVERT)
     assert members(a) == [1, 2, 8]
 
 
@@ -117,7 +117,7 @@ def test_greedy_phase1_prefers_whole_lists():
     # capacity 2: the 3-color list cannot fit atomically, the pair can
     g = star(2)
     state = make_state(g, 12, {1: [3, 4, 5], 2: [8, 9]})
-    a = bd.greedy_reference_set(state, g, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
     assert members(a) == [8, 9]
 
 
@@ -125,14 +125,14 @@ def test_greedy_exact_size_delta():
     g = gen_complete(5)
     state = make_state(g, 11, {1: [1], 2: [2, 3], 3: [4, 5], 4: [6]})
     for mode in (bd.PHASE_SEEDING, bd.PHASE_CONVERT):
-        a = bd.greedy_reference_set(state, g, 0, preserved={1, 2, 3, 4}, mode=mode)
+        a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3, 4}, mode=mode)
         assert size(a) == g.max_degree
 
 
 def test_greedy_covers_small_slack_entirely():
     g = gen_complete(5)  # delta 4
     state = make_state(g, 11, {1: [7], 2: [2, 3]})
-    a = bd.greedy_reference_set(state, g, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
     assert members(mask_from([7, 2, 3]) & a) == [2, 3, 7]
     assert size(a) == 4
 
@@ -140,7 +140,7 @@ def test_greedy_covers_small_slack_entirely():
 def test_greedy_stays_inside_large_slack():
     g = gen_complete(4)  # delta 3
     state = make_state(g, 12, {1: [1, 2, 3], 2: [4, 5, 6], 3: [7, 8]})
-    a = bd.greedy_reference_set(state, g, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING)
     slack = mask_from(range(1, 9))
     assert size(a) == 3
     assert a & ~slack == 0
@@ -154,10 +154,9 @@ def test_greedy_stays_inside_large_slack():
 def test_apply_compress_postcondition():
     g = star(3)
     q = 9
-    state = make_state(g, q)
-    stream = SeedStream(5)
+    state = make_state(g, q, seed=5)
     a = mask_from([0, 1, 2])
-    bd.apply_compress(state, g, 1, a, stream, block=1)
+    bd.apply_compress(state, 1, a)
     assert size(state.lists[1]) == 4
     assert a & state.lists[1] == a
     assert state.updates == 1
@@ -166,34 +165,30 @@ def test_apply_compress_postcondition():
 
 def test_apply_seeding_postcondition():
     g = star(3)
-    state = make_state(g, 12, {1: [1, 2], 2: [2, 3], 3: [4]})
-    stream = SeedStream(6)
-    bd.apply_seeding(state, g, 0, stream, block=1)
+    state = make_state(g, 12, {1: [1, 2], 2: [2, 3], 3: [4]}, seed=6)
+    bd.apply_seeding(state, 0)
     assert size(state.lists[0]) in (2, 3)
 
 
 def test_apply_disjoint_postcondition():
     g = star(4)
-    state = make_state(g, 10, {1: [1, 2], 2: [3, 4], 3: [5], 4: [6]})
-    stream = SeedStream(7)
-    bd.apply_disjoint(state, g, 0, stream, block=1)
+    state = make_state(g, 10, {1: [1, 2], 2: [3, 4], 3: [5], 4: [6]}, seed=7)
+    bd.apply_disjoint(state, 0)
     assert size(state.lists[0]) in (1, 2)
 
 
 def test_cleanup_noop_when_neighbors_preserved():
     g = star(3)
-    state = make_state(g, 9)
-    stream = SeedStream(8)
-    bd.cleanup(state, g, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING, stream=stream, block=1)
+    state = make_state(g, 9, seed=8)
+    bd.cleanup(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING)
     assert state.updates == 0
     assert state.lists == [full_mask(9)] * g.n
 
 
 def test_cleanup_single_target_trace():
     g = gen_complete(4)
-    state = make_state(g, 9)
-    stream = SeedStream(9)
-    bd.cleanup(state, g, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING, stream=stream, block=1)
+    state = make_state(g, 9, seed=9)
+    bd.cleanup(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
     assert state.updates == 1
     assert [v for v in range(g.n) if state.lists[v] != full_mask(9)] == [3]
     assert size(state.lists[3]) == 4
@@ -201,10 +196,9 @@ def test_cleanup_single_target_trace():
 
 def test_cleanup_reference_set_shared():
     g = star(3)
-    state = make_state(g, 9)
-    stream = SeedStream(10)
-    a = bd.greedy_reference_set(state, g, 0, set(), bd.PHASE_SEEDING)
-    bd.cleanup(state, g, 0, preserved=set(), mode=bd.PHASE_SEEDING, stream=stream, block=1)
+    state = make_state(g, 9, seed=10)
+    a = bd.greedy_reference_set(state, 0, set(), bd.PHASE_SEEDING)
+    bd.cleanup(state, 0, preserved=set(), mode=bd.PHASE_SEEDING)
     assert state.updates == 3
     for w in (1, 2, 3):
         # one shared reference set plus one extra color each
@@ -265,12 +259,14 @@ def test_replay_reconstructs_final_lists():
     stream = SeedStream(33)
     part = engine.lll_partition(g, stream)
     block = engine.construct_block(g, part, cfg, 1, stream)
-    plain = bd.BoundingState(q, g.n)
-    assert engine.run_schedule(g, part, cfg, 1, stream, plain) == block.phase_sizes
+    plain = bd.BoundingState(g, q, stream, 1)
+    engine.run_schedule(plain, part, cfg)
     assert plain.updates == block.n_updates
+    assert plain.seeding_fallbacks == block.seeding_fallbacks
+    assert plain.disjoint_fallbacks == block.disjoint_fallbacks
     # carrying a coloring leaves the bounding chain exactly as built
-    carried = bd.BoundingState(q, g.n, coloring=(0, 1, 2, 3))
-    engine.run_schedule(g, part, cfg, 1, stream, carried)
+    carried = bd.BoundingState(g, q, stream, 1, coloring=(0, 1, 2, 3))
+    engine.run_schedule(carried, part, cfg)
     assert carried.lists == plain.lists
     assert carried.updates == plain.updates
     assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
@@ -297,9 +293,10 @@ def test_lists_never_empty_through_block():
     rng = np.random.default_rng(3)
     for _ in range(5):
         # distinct colors on all six vertices: a proper start
-        state = RecordingState(q, g.n, coloring=[int(c) for c in rng.permutation(q)[: g.n]])
+        start = [int(c) for c in rng.permutation(q)[: g.n]]
+        state = RecordingState(g, q, stream, 1, coloring=start)
         state.sizes = []
-        engine.run_schedule(g, part, cfg, 1, stream, state)
+        engine.run_schedule(state, part, cfg)
         # every update's list held the color decoded into it
         assert len(state.sizes) == state.updates > 0
         assert min(state.sizes) >= 1

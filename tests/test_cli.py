@@ -150,6 +150,9 @@ def test_bench_subthreshold_reports_low_fraction():
     lines = [ln for ln in r.stdout.splitlines() if ln and not ln.startswith("#")]
     frac = float(lines[1].split(",")[4])
     assert frac <= 0.5
+    # no run coalesces, so the resample count comes from NoCoalescenceError.stats
+    row = lines[1].split(",")
+    assert row[:7] + row[8:] == ["12", "4", "8", "1", "0.0", "2.0", "1028.0", "0"]
 
 
 def test_bench_csv_columns():
@@ -163,6 +166,12 @@ def test_bench_csv_columns():
     assert len(lines) == 3
     frac = float(lines[1].split(",")[4])
     assert 0 <= frac <= 1
+    # every column but mean_wall_ms is a function of the seed
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [r[:7] + r[8:] for r in rows] == [
+        ["30", "6", "25", "2", "1.0", "1.0", "508.0", "0"],
+        ["60", "6", "25", "2", "1.0", "1.0", "1174.0", "0"],
+    ]
 
 
 @pytest.mark.parametrize(
@@ -178,3 +187,23 @@ def test_bench_bad_inputs_exit_64(args, needle):
     assert r.returncode == 64
     assert needle in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sample", "--gen", "k4", "--q", "13", "--n", "3", "--seed", "3", "--format", "csv"),
+        ("bench", "--delta", "6", "--n-list", "30", "--runs", "1", "--seed", "11"),
+        ("lowerbound", "--delta-range", "4:6"),
+        ("lpaudit", "--delta", "3:4"),
+    ],
+)
+def test_csv_lines_end_in_lf_only(args):
+    # read bytes: text mode would turn CRLF into LF before the check
+    r = subprocess.run(
+        [sys.executable, "-m", "cftp_colorings.cli", *args], capture_output=True, timeout=600
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith(b"# {")
+    assert r.stdout.count(b"\n") > 2
+    assert b"\r" not in r.stdout
