@@ -99,6 +99,23 @@ def load_graph(graph_file, gen_spec) -> Graph:
     return parse_gen_spec(gen_spec)
 
 
+def degree_range(minimum: int = 0):
+    """Click callback parsing a LO:HI degree range into (lo, hi), minimum <= lo <= hi."""
+
+    def parse(ctx, param, value) -> tuple[int, int]:
+        try:
+            lo, hi = (int(x) for x in value.split(":"))
+        except ValueError:
+            raise click.BadParameter(f"expected LO:HI, got {value!r}") from None
+        if lo > hi:
+            raise click.BadParameter(f"LO = {lo} is above HI = {hi}")
+        if lo < minimum:
+            raise click.BadParameter(f"the minimum degree is {minimum}, got LO = {lo}")
+        return lo, hi
+
+    return parse
+
+
 def run_meta(seed: int, **config) -> dict:
     return {"git_describe": git_describe(), "master_seed": seed, "config": config}
 
@@ -133,7 +150,7 @@ def cli():
 @click.option("--graph", "graph_file", type=click.File("r"), default=None)
 @click.option("--gen", "gen_spec", default=None, help="generator spec, e.g. regular:200,8")
 @click.option("--q", type=int, required=True)
-@click.option("--n", "n_samples", type=int, default=1, show_default=True)
+@click.option("--n", "n_samples", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="master seed (default: OS entropy)")
 @click.option("--max-blocks", type=int, default=64, show_default=True)
 @click.option("--t2", "t2_override", type=int, default=None)
@@ -204,16 +221,14 @@ def _unshuffled_seeding_predict(s_sorted, s_mask, law, q, key):
 @cli.command("verify")
 @click.option("--full", is_flag=True, help="run the full-size sample budgets")
 @click.option("--lp", "lp_only", is_flag=True, help="run only the LP grid check")
+# the relaxed size-law program needs a degree of at least 3
 @click.option("--delta", "delta_range", default="3:16", show_default=True,
-              help="LP grid degree range LO:HI")
+              callback=degree_range(3), help="LP grid degree range LO:HI")
 @click.option("--inject-fault", type=click.Choice(["biased-permutation"]), default=None,
               help="deliberately corrupt the permutation draws (self-test)")
 def cmd_verify(full, lp_only, delta_range, inject_fault):
     """Run the marginal, containment, size-law, LP, and uniformity suites."""
-    try:
-        lo, hi = (int(x) for x in delta_range.split(":"))
-    except ValueError:
-        raise click.UsageError(f"bad --delta range {delta_range!r}, expected LO:HI") from None
+    lo, hi = delta_range
     results = []
     if lp_only:
         results += verification.lp_grid_suite(lo, hi)
@@ -236,33 +251,26 @@ def cmd_verify(full, lp_only, delta_range, inject_fault):
 
 @cli.command("lpaudit")
 @click.option("--delta", "delta_range", default="3:16", show_default=True,
-              help="degree range LO:HI")
+              callback=degree_range(), help="degree range LO:HI")
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def cmd_lpaudit(delta_range, out_path):
     """Emit the two-point size law over the parameter grid as CSV."""
-    try:
-        lo, hi = (int(x) for x in delta_range.split(":"))
-    except ValueError:
-        raise click.UsageError(f"bad --delta range {delta_range!r}") from None
+    lo, hi = delta_range
     rows = []
-    for delta in range(lo, hi + 1):
-        for s_size in range(delta + 1, 2 * delta + 1):
-            for q in range(math.ceil(7 * delta / 3), 3 * delta + 1):
-                if s_size >= q:
-                    continue
-                try:
-                    law = cp.seeding_size_law(s_size, delta, q)
-                    feasible = True
-                except CouplingRegimeError:
-                    law = None
-                    feasible = False
-                rows.append([
-                    delta, s_size, q,
-                    round(law.r(2), 9) if law else "",
-                    round(law.r(3), 9) if law else "",
-                    round(law.expected_size, 9) if law else "",
-                    int(feasible),
-                ])
+    for delta, s_size, q in verification.lp_grid(lo, hi):
+        try:
+            law = cp.seeding_size_law(s_size, delta, q)
+            feasible = True
+        except CouplingRegimeError:
+            law = None
+            feasible = False
+        rows.append([
+            delta, s_size, q,
+            round(law.r(2), 9) if law else "",
+            round(law.r(3), 9) if law else "",
+            round(law.expected_size, 9) if law else "",
+            int(feasible),
+        ])
     meta = run_meta(0, command="lpaudit", delta_range=[lo, hi])
     header = ["delta", "s_size", "q", "r2", "r3", "expected_size", "full_lp_feasible"]
     emit(csv_text(meta, header, rows), out_path)
@@ -383,7 +391,8 @@ def cmd_partition(graph_file, gen_spec, seed):
 
 
 @cli.command("lowerbound")
-@click.option("--delta-range", default="4:20", show_default=True, help="even degrees LO:HI")
+@click.option("--delta-range", default="4:20", show_default=True, callback=degree_range(),
+              help="even degrees LO:HI")
 @click.option("--audit", is_flag=True, help="Monte Carlo audit of the seeding coupling")
 @click.option("--trials", type=int, default=20000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -391,10 +400,7 @@ def cmd_partition(graph_file, gen_spec, seed):
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     """Tabulate the two-to-one obstruction floor over the sub-threshold range."""
-    try:
-        lo, hi = (int(x) for x in delta_range.split(":"))
-    except ValueError:
-        raise click.UsageError(f"bad --delta-range {delta_range!r}") from None
+    lo, hi = delta_range
     rows = []
     failed = False
     for delta in range(lo + lo % 2, hi + 1, 2):
@@ -405,9 +411,7 @@ def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
                    "bound": round(bound, 6)}
             if audit:
                 inst = oracle.build_worst_case(delta, q)
-                res = oracle.audit_coupling_at_worst_case(
-                    inst, "seeding", trials=trials, master_seed=seed
-                )
+                res = oracle.audit_seeding_at_worst_case(inst, trials=trials, master_seed=seed)
                 row["measured"] = round(res.mean, 6) if res.compatible else ""
                 row["ci_lo"] = round(res.ci_lo, 6) if res.compatible else ""
                 row["ci_hi"] = round(res.ci_hi, 6) if res.compatible else ""

@@ -12,8 +12,6 @@ from typing import Iterable, Iterator
 
 ColorSet = int
 
-EMPTY: ColorSet = 0
-
 
 def full_mask(q: int) -> ColorSet:
     return (1 << q) - 1

@@ -64,7 +64,6 @@ class SamplerConfig:
 
 @dataclass
 class Block:
-    index: int
     phi: tuple[int, ...] | None
     n_updates: int
     seeding_fallbacks: int
@@ -176,9 +175,12 @@ def check_config(g: Graph, config: SamplerConfig) -> None:
     """Raise ValueError unless config can run on g.
 
     Needs q >= max_degree + 2, q at or above the regime threshold unless
-    forced, and, without t2_override, a q the drift length formula accepts.
+    forced, max_blocks >= 1, a nonnegative t2_override, and, without
+    t2_override, a q the drift length formula accepts.
     """
     delta = g.max_degree
+    if config.max_blocks < 1:
+        raise ValueError(f"need max_blocks (--max-blocks) >= 1, got {config.max_blocks}")
     if config.q < delta + 2:
         raise ValueError(f"need q >= max_degree + 2 = {delta + 2}, got {config.q}")
     if config.q < regime_threshold(delta) and not config.force:
@@ -189,12 +191,8 @@ def check_config(g: Graph, config: SamplerConfig) -> None:
         )
     if config.t2_override is None:
         default_t2(g.n, config.q, delta)
-
-
-def update_budget(n: int, seed_set_size: int, delta: int, t1: int, t2: int) -> int:
-    """Upper bound on the number of updates in one block."""
-    per = delta + 1
-    return seed_set_size * per + t1 * per + (n - seed_set_size) * per + t2
+    elif config.t2_override < 0:
+        raise ValueError(f"need t2_override (--t2) >= 0, got {config.t2_override}")
 
 
 def _seeding_or_fallback(state: bd.BoundingState, v: int, preserved) -> None:
@@ -276,7 +274,6 @@ def construct_block(
         if not is_proper(g, phi):
             raise EngineError("coalesced configuration is not a proper coloring")
     return Block(
-        index=block_index,
         phi=phi,
         n_updates=state.updates,
         seeding_fallbacks=state.seeding_fallbacks,

@@ -105,13 +105,6 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
-def write_edge_list(g: Graph) -> str:
-    """Emit the same format parse_edge_list reads."""
-    rows = [f"{g.n} {g.m}"]
-    rows.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(rows) + "\n"
-
-
 def gen_complete(n: int) -> Graph:
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -187,13 +180,3 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 100) -> Gr
         f"pairing model failed for (n={n}, d={d}) after {max_restarts} restarts"
     )
 
-
-def audit_degrees(g: Graph) -> bool:
-    """Exact consistency check of adjacency symmetry and cached max degree."""
-    for v in range(g.n):
-        for u in g.adjacency[v]:
-            if v not in g.adjacency[u]:
-                return False
-    if g.n and max(len(a) for a in g.adjacency) != g.max_degree:
-        return False
-    return 2 * g.m == sum(len(a) for a in g.adjacency)

@@ -106,11 +106,6 @@ def null_tv_moments(n_samples: int, n_cells: int) -> tuple[float, float]:
     return mean, sd
 
 
-def expected_null_tv(n_samples: int, n_cells: int) -> float:
-    """Plug-in TV a perfectly uniform sampler is expected to show."""
-    return null_tv_moments(n_samples, n_cells)[0]
-
-
 # ---------------------------------------------------------------------------
 # Worst-case two-to-one obstruction
 # ---------------------------------------------------------------------------
@@ -207,7 +202,6 @@ def _triangle_matching(lists) -> bool:
 
 @dataclass(frozen=True)
 class CouplingAudit:
-    coupling: str
     trials: int
     mean: float
     ci_lo: float
@@ -216,68 +210,41 @@ class CouplingAudit:
     note: str = ""
 
 
-def audit_coupling_at_worst_case(
+def audit_seeding_at_worst_case(
     inst: LowerBoundInstance,
-    coupling: str,
     trials: int = 100_000,
     master_seed: int = 0,
 ) -> CouplingAudit:
-    """Monte Carlo estimate of the predicted-set size at a worst-case vertex.
+    """Monte Carlo estimate of the seeding coupling's predicted-set size at a
+    worst-case vertex.
 
-    Couplings whose parameter regime rejects the instance are reported as
-    incompatible rather than failing.
+    A slack set whose size law is infeasible is reported as incompatible
+    rather than failing.
     """
     g = inst.graph
-    v = 0
-    nbr_lists = [inst.lists[u] for u in g.adjacency[v]]
     q, delta = inst.q, inst.delta
+    s_mask = 0
+    for u in g.adjacency[0]:
+        s_mask |= inst.lists[u]
+    s_sorted = tuple(members(s_mask))
+    try:
+        inst_lp = cp.LPInstance(len(s_sorted), delta, q)
+        law = cp.solve_relaxed_lp(inst_lp)
+        ok, violations = cp.verify_full_lp(inst_lp, law)
+        if not ok:
+            raise CouplingRegimeError(f"full feasibility check failed: {violations[:2]}")
+    except (CouplingRegimeError, ValueError) as exc:
+        return CouplingAudit(0, math.nan, math.nan, math.nan, False, str(exc))
+
     stream = SeedStream(master_seed)
-
-    if coupling == "compress":
-        a_mask = mask_from(range(delta))
-
-        def predicted_size(key: int) -> int:
-            predicted, _ = cp.compress_predict(a_mask, q, key)
-            return size(predicted)
-
-    elif coupling == "seeding":
-        s_mask = 0
-        for m_ in nbr_lists:
-            s_mask |= m_
-        s_sorted = tuple(members(s_mask))
-        try:
-            inst_lp = cp.LPInstance(len(s_sorted), delta, q)
-            law = cp.solve_relaxed_lp(inst_lp)
-            ok, violations = cp.verify_full_lp(inst_lp, law)
-            if not ok:
-                raise CouplingRegimeError(f"full feasibility check failed: {violations[:2]}")
-        except (CouplingRegimeError, ValueError) as exc:
-            return CouplingAudit(coupling, 0, math.nan, math.nan, math.nan, False, str(exc))
-
-        def predicted_size(key: int) -> int:
-            predicted, _ = cp.seeding_predict(s_sorted, s_mask, law, q, key)
-            return size(predicted)
-
-    elif coupling == "disjoint":
-        try:
-            params = cp.disjoint_params_from_lists(q, delta, nbr_lists)
-        except CouplingRegimeError as exc:
-            return CouplingAudit(coupling, 0, math.nan, math.nan, math.nan, False, str(exc))
-
-        def predicted_size(key: int) -> int:
-            predicted, _ = cp.disjoint_predict(params, key)
-            return size(predicted)
-
-    else:
-        raise ValueError(f"unknown coupling {coupling!r}")
-
     total = 0
     total_sq = 0
     for i in range(trials):
-        s = predicted_size(stream.subkey(1, i))
+        predicted, _ = cp.seeding_predict(s_sorted, s_mask, law, q, stream.subkey(1, i))
+        s = size(predicted)
         total += s
         total_sq += s * s
     mean = total / trials
     var = max(0.0, total_sq / trials - mean * mean)
     half = 1.96 * math.sqrt(var / trials)
-    return CouplingAudit(coupling, trials, mean, mean - half, mean + half, True)
+    return CouplingAudit(trials, mean, mean - half, mean + half, True)

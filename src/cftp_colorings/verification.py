@@ -6,6 +6,10 @@ set, decode outputs contained in predicted sets, size laws matching their
 closed forms, LP feasibility across the parameter grid, and end-to-end
 uniformity against exact enumeration. The CLI's verify command and the
 acceptance tests both run these with different sample budgets.
+
+Every chi-square p-value comes from oracle.gof_from_counts. lp_grid is the
+one definition of the LP parameter grid; the lpaudit command tabulates the
+same points, and a grid with no points fails its check.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-
-from scipy import stats as sps
 
 from . import couplings as cp
 from . import engine, oracle
@@ -33,16 +35,6 @@ class CheckResult:
     detail: str = ""
 
 
-def chi_square_vs_uniform(counts: dict[int, int], support: list[int]) -> tuple[float, float]:
-    n = sum(counts.values())
-    if set(counts) - set(support):
-        return math.inf, 0.0
-    m = len(support)
-    expected = n / m
-    chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in support)
-    return chi2, float(sps.chi2.sf(chi2, m - 1))
-
-
 def _subsets_up_to(colors: list[int], k: int):
     for r in range(k + 1):
         yield from itertools.combinations(colors, r)
@@ -55,7 +47,8 @@ def _decode_marginals(tag, q, predict, decode, blocked_sets, n_draws, master_see
     predict(key) gives (predicted set, draw) and decode(draw, blocked) a
     color. Returns the containment check, the worst chi-square marginal
     check (per follows the draw count in its name), and the (predicted set,
-    draw) pairs for suite-specific checks.
+    draw) pairs for suite-specific checks. A decoded color outside the
+    available colors gives that blocked set p = 0.
     """
     counts = [dict() for _ in blocked_sets]
     stream = SeedStream(master_seed)
@@ -72,7 +65,11 @@ def _decode_marginals(tag, q, predict, decode, blocked_sets, n_draws, master_see
             d[c] = d.get(c, 0) + 1
     worst_p, worst = 1.0, None
     for j, blocked in enumerate(blocked_sets):
-        _, p = chi_square_vs_uniform(counts[j], members(complement(blocked, q)))
+        support = members(complement(blocked, q))
+        if set(counts[j]) - set(support):
+            p = 0.0
+        else:
+            p = oracle.gof_from_counts([counts[j].get(c, 0) for c in support]).pvalue
         if p < worst_p:
             worst_p, worst = p, members(blocked)
     marginals = CheckResult(
@@ -218,33 +215,39 @@ def size_law_suite(
     ]
 
 
-def lp_grid_suite(
-    delta_lo: int = 3,
-    delta_hi: int = 16,
-    tol: float = 1e-9,
-) -> list[CheckResult]:
-    """Closed-form law feasibility and optimality across the parameter grid."""
-    grid_points = 0
-    infeasible = []
-    suboptimal = []
+def lp_grid(delta_lo: int, delta_hi: int):
+    """The (delta, s_size, q) points of the size-law LP grid.
+
+    delta_lo..delta_hi, delta < |S| <= 2 delta and 7 delta / 3 <= q <= 3 delta,
+    with |S| < q.
+    """
     for delta in range(delta_lo, delta_hi + 1):
         for s_size in range(delta + 1, 2 * delta + 1):
-            for q in range(math.ceil(7 * delta / 3), 3 * delta + 1):
-                if s_size >= q:
-                    continue
-                grid_points += 1
-                inst = cp.LPInstance(s_size, delta, q)
-                law = cp.solve_relaxed_lp(inst)
-                ok, violations = cp.verify_full_lp(inst, law, tol=tol)
-                if not ok:
-                    infeasible.append((delta, s_size, q, violations[:1]))
-                best = cp.relaxed_lp_vertex_optimum(inst)
-                if law.expected_size > best + 1e-12:
-                    suboptimal.append((delta, s_size, q, law.expected_size, best))
+            for q in range(max(math.ceil(7 * delta / 3), s_size + 1), 3 * delta + 1):
+                yield delta, s_size, q
+
+
+def lp_grid_suite(delta_lo: int = 3, delta_hi: int = 16) -> list[CheckResult]:
+    """Closed-form law feasibility and optimality across the parameter grid.
+
+    An empty grid fails: it checks nothing.
+    """
+    points = list(lp_grid(delta_lo, delta_hi))
+    infeasible = []
+    suboptimal = []
+    for delta, s_size, q in points:
+        inst = cp.LPInstance(s_size, delta, q)
+        law = cp.solve_relaxed_lp(inst)
+        ok, violations = cp.verify_full_lp(inst, law)
+        if not ok:
+            infeasible.append((delta, s_size, q, violations[:1]))
+        best = cp.relaxed_lp_vertex_optimum(inst)
+        if law.expected_size > best + 1e-12:
+            suboptimal.append((delta, s_size, q, law.expected_size, best))
     return [
         CheckResult(
-            f"closed-form law satisfies all rows on {grid_points} grid points",
-            not infeasible,
+            f"closed-form law satisfies all rows on {len(points)} grid points",
+            bool(points) and not infeasible,
             f"violations: {infeasible[:3]}",
         ),
         CheckResult(

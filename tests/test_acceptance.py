@@ -201,7 +201,7 @@ def test_criterion_06_lll_partition_bounds():
 
 
 def test_criterion_07_lp_characterization():
-    results = vf.lp_grid_suite(3, 16, tol=1e-9)
+    results = vf.lp_grid_suite(3, 16)
     ok = all(r.passed for r in results)
     detail = "; ".join(f"{r.name}" + ("" if r.passed else f" [{r.detail}]") for r in results)
     report(7, ok, detail)
@@ -219,7 +219,7 @@ def test_criterion_08_lower_bound_obstruction():
             if not val > 2:
                 bad.append((delta, q, val))
     inst = oracle.build_worst_case(4, 8)
-    audit = oracle.audit_coupling_at_worst_case(inst, "seeding", trials=100_000, master_seed=808)
+    audit = oracle.audit_seeding_at_worst_case(inst, trials=100_000, master_seed=808)
     ci_ok = audit.compatible and audit.ci_lo > 2.0
     ok = not bad and ci_ok
     detail = (

@@ -236,7 +236,7 @@ def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
     block = engine.construct_block(g, part, cfg, 1, stream)
     rng = np.random.default_rng(rng_seed)
     starts = [random_proper_start(g, q, rng) for _ in range(n_trajectories)]
-    outs = [engine.replay(g, part, cfg, block.index, stream, s) for s in starts]
+    outs = [engine.replay(g, part, cfg, 1, stream, s) for s in starts]
     assert all(engine.is_proper(g, out) for out in outs)
     if block.phi is not None:
         assert set(outs) == {block.phi}

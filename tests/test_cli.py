@@ -174,16 +174,28 @@ def test_bench_csv_columns():
     ]
 
 
+K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
+
+
 @pytest.mark.parametrize(
     "args,needle",
     [
-        (("--delta", "4", "--n-list", "10", "--q", "5"), "q >= max_degree + 2"),
-        (("--delta", "8", "--n-list", "5"), "d < n"),
-        (("--delta", "3", "--n-list", "11"), "must be even"),
+        (("bench", "--delta", "4", "--n-list", "10", "--q", "5", "--runs", "1", "--seed", "1"),
+         "q >= max_degree + 2"),
+        (("bench", "--delta", "8", "--n-list", "5", "--runs", "1", "--seed", "1"), "d < n"),
+        (("bench", "--delta", "3", "--n-list", "11", "--runs", "1", "--seed", "1"),
+         "must be even"),
+        (("verify", "--lp", "--delta", "5:3"), "'--delta'"),
+        (("verify", "--lp", "--delta", "2:2"), "'--delta': the minimum degree is 3"),
+        (("lpaudit", "--delta", "5:3"), "'--delta'"),
+        (("lowerbound", "--delta-range", "8:4"), "'--delta-range'"),
+        ((*K4, "--t2", "-5"), "--t2"),
+        ((*K4, "--max-blocks", "0"), "--max-blocks"),
+        ((*K4, "--n", "0"), "'--n'"),
     ],
 )
 def test_bench_bad_inputs_exit_64(args, needle):
-    r = run_cli("bench", *args, "--runs", "1", "--seed", "1")
+    r = run_cli(*args)
     assert r.returncode == 64
     assert needle in r.stderr
     assert "Traceback" not in r.stderr

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftp_colorings import couplings as cp
+from cftp_colorings import verification as vf
 from cftp_colorings.errors import CouplingRegimeError
 
 
@@ -131,3 +132,10 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     assert moment <= inst.w + 1e-9
     # optimal among polytope vertices
     assert law.expected_size <= cp.relaxed_lp_vertex_optimum(inst) + 1e-9
+
+
+def test_lp_grid_suite_fails_on_an_empty_grid():
+    # verify without --full caps HI at 8, so --delta 10:16 has no grid point
+    feasible, _ = vf.lp_grid_suite(10, 8)
+    assert "0 grid points" in feasible.name
+    assert not feasible.passed

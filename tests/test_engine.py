@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from cftp_colorings import bounding as bd
 from cftp_colorings import engine
@@ -17,7 +16,7 @@ from cftp_colorings.graphs import (
     gen_random_regular,
     gen_single_vertex,
 )
-from cftp_colorings.oracle import enumerate_colorings
+from cftp_colorings.oracle import enumerate_colorings, goodness_of_fit
 from cftp_colorings.seedstream import SeedStream
 from cftp_colorings.verification import sample_many
 
@@ -145,7 +144,11 @@ def test_block_update_budget():
     t1 = engine.default_t1(len(part))
     t2 = engine.default_t2(g.n, q, 6)
     block = engine.construct_block(g, part, cfg, 1, stream)
-    assert block.n_updates <= engine.update_budget(g.n, len(part), 6, t1, t2)
+    # a seeding, Phase I drift or conversion step makes at most delta + 1
+    # updates (cleanup compresses the neighbors, then the vertex itself);
+    # a Phase II drift step makes one
+    per = 6 + 1
+    assert block.n_updates <= len(part) * per + t1 * per + (g.n - len(part)) * per + t2
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +157,11 @@ def test_block_update_budget():
 
 
 def coalescing_block(g, cfg, stream, part, start=1, tries=50):
+    """(index, block) of the first coalescing block at or after start."""
     for t in range(start, start + tries):
         block = engine.construct_block(g, part, cfg, t, stream)
         if block.phi is not None:
-            return block
+            return t, block
     raise AssertionError("no coalescing block found")
 
 
@@ -186,11 +190,11 @@ def test_coalescence_soundness_replay_from_many_starts():
     cfg = engine.SamplerConfig(q=q, master_seed=16)
     stream = SeedStream(16)
     part = engine.lll_partition(g, stream)
-    block = coalescing_block(g, cfg, stream, part)
+    t, block = coalescing_block(g, cfg, stream, part)
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(0)
     for i in rng.integers(0, len(universe), 50):
-        assert engine.replay(g, part, cfg, block.index, stream, universe[i]) == block.phi
+        assert engine.replay(g, part, cfg, t, stream, universe[i]) == block.phi
 
 
 def test_replay_preserves_properness():
@@ -203,7 +207,7 @@ def test_replay_preserves_properness():
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(1)
     for i in rng.integers(0, len(universe), 30):
-        out = engine.replay(g, part, cfg, block.index, stream, universe[i])
+        out = engine.replay(g, part, cfg, 1, stream, universe[i])
         assert engine.is_proper(g, out)
 
 
@@ -212,20 +216,15 @@ def test_stationarity_one_block_push():
     g = gen_cycle(3)
     q = 6
     universe = enumerate_colorings(g, q)
-    index = {c: i for i, c in enumerate(universe)}
     rng = np.random.default_rng(2)
-    counts = Counter()
-    trials = 6000
-    for t in range(trials):
+    outs = []
+    for t in range(6000):
         cfg = engine.SamplerConfig(q=q, master_seed=1000 + t, force=True)
         stream = SeedStream(cfg.master_seed)
         part = engine.lll_partition(g, stream)
         start = universe[rng.integers(0, len(universe))]
-        out = engine.replay(g, part, cfg, 1, stream, start)
-        counts[index[out]] += 1
-    expected = trials / len(universe)
-    chi2 = sum((counts[i] - expected) ** 2 / expected for i in range(len(universe)))
-    assert sps.chi2.sf(chi2, len(universe) - 1) > 0.001
+        outs.append(engine.replay(g, part, cfg, 1, stream, start))
+    assert goodness_of_fit(outs, universe).pvalue > 0.001
 
 
 def test_sample_single_vertex_uniform():
@@ -265,6 +264,14 @@ def test_mean_blocks_small_in_regime():
     assert all(r.degraded_blocks == 0 for r in results)
 
 
+def test_check_config_rejects_bad_budgets():
+    g = gen_complete(4)
+    with pytest.raises(ValueError, match="max_blocks"):
+        engine.check_config(g, engine.SamplerConfig(q=13, master_seed=1, max_blocks=0))
+    with pytest.raises(ValueError, match="t2_override"):
+        engine.check_config(g, engine.SamplerConfig(q=13, master_seed=1, t2_override=-1))
+
+
 def test_sample_requires_enough_colors():
     g = gen_complete(4)
     with pytest.raises(ValueError, match="max_degree"):
@@ -297,10 +304,7 @@ def test_sample_uniform_on_even_cycle_forced():
     assert len(universe) == (q - 1) ** 4 + (q - 1)
     cfg = engine.SamplerConfig(q=q, master_seed=61, force=True, max_blocks=256)
     results = sample_many(g, cfg, 6300)
-    gof_counts = Counter(r.coloring for r in results)
-    expected = 6300 / len(universe)
-    chi2 = sum((gof_counts[c] - expected) ** 2 / expected for c in universe)
-    assert sps.chi2.sf(chi2, len(universe) - 1) > 0.001
+    assert goodness_of_fit([r.coloring for r in results], universe).pvalue > 0.001
 
 
 def test_sample_uniform_with_isolated_vertices():
@@ -310,10 +314,7 @@ def test_sample_uniform_with_isolated_vertices():
     assert len(universe) == 6 * 3  # edge colorings times the free vertex
     cfg = engine.SamplerConfig(q=q, master_seed=62, force=True, t2_override=30)
     results = sample_many(g, cfg, 9000)
-    counts = Counter(r.coloring for r in results)
-    expected = 9000 / len(universe)
-    chi2 = sum((counts[c] - expected) ** 2 / expected for c in universe)
-    assert sps.chi2.sf(chi2, len(universe) - 1) > 0.001
+    assert goodness_of_fit([r.coloring for r in results], universe).pvalue > 0.001
 
 
 def test_distinct_seeds_give_distinct_runs():
@@ -363,7 +364,4 @@ def test_forced_subthreshold_run_still_exact():
         q=q, master_seed=23, force=True, max_blocks=256, t2_override=40
     )
     results = sample_many(g, cfg, 4000)
-    counts = Counter(r.coloring for r in results)
-    expected = 4000 / len(universe)
-    chi2 = sum((counts[c] - expected) ** 2 / expected for c in universe)
-    assert sps.chi2.sf(chi2, len(universe) - 1) > 0.001
+    assert goodness_of_fit([r.coloring for r in results], universe).pvalue > 0.001

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
 from cftp_colorings.colorsets import members, size
-from cftp_colorings.errors import EnumerationBudgetError
+from cftp_colorings.errors import CouplingRegimeError, EnumerationBudgetError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_cycle
 
 
@@ -175,16 +176,9 @@ def test_build_worst_case_copies():
     assert oracle.audit_worst_case(inst)
 
 
-def test_audit_coupling_compress_is_delta_plus_one():
-    inst = oracle.build_worst_case(4, 8)
-    res = oracle.audit_coupling_at_worst_case(inst, "compress", trials=2000)
-    assert res.compatible
-    assert res.mean == pytest.approx(5.0, abs=1e-12)
-
-
 def test_audit_coupling_seeding_exceeds_two():
     inst = oracle.build_worst_case(4, 8)
-    res = oracle.audit_coupling_at_worst_case(inst, "seeding", trials=20_000)
+    res = oracle.audit_seeding_at_worst_case(inst, trials=20_000)
     assert res.compatible
     assert res.ci_lo > 2.0
     # never measurably below the analytic floor
@@ -193,20 +187,22 @@ def test_audit_coupling_seeding_exceeds_two():
 
 def test_audit_coupling_disjoint_incompatible_below_threshold():
     inst = oracle.build_worst_case(4, 8)
-    res = oracle.audit_coupling_at_worst_case(inst, "disjoint", trials=100)
-    assert not res.compatible
+    nbr_lists = [inst.lists[u] for u in inst.graph.adjacency[0]]
+    with pytest.raises(CouplingRegimeError):
+        cp.disjoint_params_from_lists(inst.q, inst.delta, nbr_lists)
 
 
 def test_expected_null_tv_scale():
     # the plug-in TV of a perfect sampler concentrates near this value
-    assert oracle.expected_null_tv(200_000, 17160) == pytest.approx(0.1167, abs=0.002)
+    assert oracle.null_tv_moments(200_000, 17160)[0] == pytest.approx(0.1167, abs=0.002)
 
 
 def test_expected_null_tv_is_exact_poisson_mean():
     # Poisson(lambda) mean absolute deviation at integer lambda = 10:
     # 2 e^-10 10^11 / 10!
     mad = 2 * math.exp(-10) * 10**11 / math.factorial(10)
-    assert oracle.expected_null_tv(20_000, 2000) == pytest.approx(2000 * mad / 40_000, rel=1e-12)
+    mean = oracle.null_tv_moments(20_000, 2000)[0]
+    assert mean == pytest.approx(2000 * mad / 40_000, rel=1e-12)
     mean, sd = oracle.null_tv_moments(200_000, 17160)
     assert mean == pytest.approx(0.11716, abs=5e-6)
     assert sd == pytest.approx(0.00067, abs=5e-6)
