@@ -1,12 +1,12 @@
 """Bounding lists and the update machinery that shrinks them.
 
 The bounding state tracks, per vertex, a superset of the colors any coupled
-trajectory may carry. Every update draws from a seed addressed by (block,
-update index), which only the state hands out, so re-running a block's
-schedule reproduces its lists exactly. A state may also carry one proper coloring: each update then
-decodes the carried coloring with the parameters and draw its bounding
-update has just computed, and checks that the decoded color lies in the
-list just predicted for the vertex.
+trajectory may carry, as an int mask that updates pass to the couplings.
+Every update draws from a seed addressed by (block, update index), which
+only the state hands out, so re-running a block's schedule reproduces its
+lists exactly. A state may also carry one proper coloring: each update then
+decodes it with the parameters and draw its bounding update has just
+computed, and checks that the decoded color lies in the vertex's new list.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ class BoundingState:
     hands out the key at (block, update index) and advances the index.
     ``updates`` counts the updates applied; the index also advances for the
     schedule's own vertex picks, so the two differ. The schedule counts its
-    seeding and disjoint fallbacks here.
+    seeding and disjoint fallbacks here. A built block has no other record:
+    the sampler reads these counts and ``phi`` from its state.
     """
 
     __slots__ = (
@@ -53,11 +54,12 @@ class BoundingState:
         self._index = idx + 1
         return self.stream.subkey(self.block, idx)
 
-    def all_singletons(self) -> bool:
-        return all(size(m) == 1 for m in self.lists)
-
-    def coalesced_coloring(self) -> tuple[int, ...]:
-        return tuple(m.bit_length() - 1 for m in self.lists)
+    @property
+    def phi(self) -> tuple[int, ...] | None:
+        """The coalesced coloring if every list is a singleton, else None."""
+        if all(size(m) == 1 for m in self.lists):
+            return tuple(m.bit_length() - 1 for m in self.lists)
+        return None
 
     def blocked(self, v: int) -> ColorSet:
         """Colors the carried coloring puts on the neighbors of v."""
@@ -126,12 +128,15 @@ def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> 
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
     kept = [state.lists[u] for u in g.adjacency[v] if u in preserved]
-    sp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
     a = 0
     if mode == PHASE_SEEDING:
+        sp_mask = 0
+        for m in kept:
+            sp_mask |= m
         a = _fill_atomic(a, delta, kept)
         a = _fill_singles(a, delta, sp_mask)
     elif mode == PHASE_CONVERT:
+        sp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
         dp_mask = 0
         for m in dp_pairs:
             dp_mask |= m
@@ -169,10 +174,9 @@ def apply_seeding(state: BoundingState, v: int) -> None:
     for the current slack; callers decide whether to fall back.
     """
     s_mask = neighborhood_slack(state, v)
-    s_sorted = tuple(iter_colors(s_mask))
-    law = cp.seeding_size_law(len(s_sorted), state.g.max_degree, state.q)
+    law = cp.seeding_size_law(size(s_mask), state.g.max_degree, state.q)
     key = state.next_key()
-    state.lists[v], draw = cp.seeding_predict(s_sorted, s_mask, law, state.q, key)
+    state.lists[v], draw = cp.seeding_predict(s_mask, law, state.q, key)
     state.updates += 1
     if state.coloring is not None:
         state.carry(v, cp.seeding_decode(s_mask, law, state.q, draw, state.blocked(v)))

@@ -22,7 +22,7 @@ import click
 
 from . import couplings as cp
 from . import engine, oracle, verification
-from .colorsets import bit, iter_colors, mask_from
+from .colorsets import bit, iter_colors, mask_from, members
 from .errors import (
     CouplingRegimeError,
     EngineError,
@@ -211,10 +211,10 @@ def _unshuffled_compress_draw(a_mask, q, key):
     return replace(cp.compress_draw(a_mask, q, key), pi=tuple(iter_colors(a_mask)))
 
 
-def _unshuffled_seeding_predict(s_sorted, s_mask, law, q, key):
+def _unshuffled_seeding_predict(s_mask, law, q, key):
     """seeding_predict with the slack prefix taken in ascending order."""
-    _, draw = cp.seeding_predict(s_sorted, s_mask, law, q, key)
-    prefix = s_sorted[:draw.k - 1]
+    _, draw = cp.seeding_predict(s_mask, law, q, key)
+    prefix = tuple(members(s_mask)[:draw.k - 1])
     return mask_from(prefix) | bit(draw.c0), replace(draw, prefix=prefix)
 
 
@@ -237,7 +237,7 @@ def cmd_verify(full, lp_only, delta_range, inject_fault):
         results += verification.seeding_suite(predict=_unshuffled_seeding_predict)
     else:
         results += verification.default_verify(full=full)
-        results += verification.lp_grid_suite(lo, min(hi, 8 if not full else hi))
+        results += verification.lp_grid_suite(lo, hi)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -401,9 +401,14 @@ def cmd_partition(graph_file, gen_spec, seed):
 def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     """Tabulate the two-to-one obstruction floor over the sub-threshold range."""
     lo, hi = delta_range
+    # degree 0 has no sub-threshold q, so the table needs an even degree >= 2
+    degrees = range(max(2, lo + lo % 2), hi + 1, 2)
+    if not degrees:
+        msg = f"{lo}:{hi} holds no even degree >= 2"
+        raise click.BadParameter(msg, param_hint="'--delta-range'")
     rows = []
     failed = False
-    for delta in range(lo + lo % 2, hi + 1, 2):
+    for delta in degrees:
         m = delta // 2
         for q in range(3 * m, math.ceil(2.5 * delta - 1)):
             bound = oracle.lower_bound_value(delta, q)
@@ -423,7 +428,7 @@ def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     if fmt == "json":
         emit(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n", out_path)
     else:
-        header = list(rows[0]) if rows else []
+        header = list(rows[0])
         emit(csv_text(meta, header, (list(r.values()) for r in rows)), out_path)
     sys.exit(EXIT_FAIL if failed else EXIT_OK)
 

@@ -16,6 +16,9 @@ Three constructions are provided:
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two.
+
+Every color set a coupling takes or returns is an int mask (colorsets); only
+a drawn permutation or prefix is a sequence, since its order is the draw.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .colorsets import (
     contains,
     iter_colors,
     mask_from,
+    members,
     nth_color,
     size,
 )
@@ -314,13 +318,9 @@ def _draw_size(law: SizeLaw, key: int) -> int:
 
 
 def seeding_predict(
-    s_sorted: tuple[int, ...],
-    s_mask: ColorSet,
-    law: SizeLaw,
-    q: int,
-    key: int,
+    s_mask: ColorSet, law: SizeLaw, q: int, key: int
 ) -> tuple[ColorSet, SeedingDraw]:
-    s_size = len(s_sorted)
+    s_size = size(s_mask)
     t_size = q - s_size
     if t_size <= 0:
         raise CouplingRegimeError("seeding needs a free color outside the slack set")
@@ -333,7 +333,7 @@ def seeding_predict(
         raise EngineError(f"size law asks for {k - 1} slack colors, only {s_size} exist")
     c0 = nth_color(complement(s_mask, q), randint_below(key, 1, t_size))
     u_prime = unit_uniform(key, 2)
-    prefix = tuple(shuffled_prefix(key, 3, list(s_sorted), k - 1))
+    prefix = tuple(shuffled_prefix(key, 3, members(s_mask), k - 1))
     draw = SeedingDraw(k=k, prefix=prefix, c0=c0, u_prime=u_prime)
     return mask_from(prefix) | bit(c0), draw
 
@@ -406,8 +406,8 @@ class DisjointParams(NamedTuple):
     s_mask: ColorSet
     q_mask: ColorSet
     pairs: tuple[tuple[int, int], ...]
-    d_colors: tuple[int, ...]
-    e_colors: tuple[int, ...]
+    d_mask: ColorSet
+    e_mask: ColorSet
     p_pair: float
     s_d: float
     s_e: float
@@ -427,55 +427,6 @@ class DisjointDraw(NamedTuple):
     in_d: bool
     v: float
     reserve: int
-
-
-def disjoint_params(
-    q: int,
-    delta: int,
-    s_mask: ColorSet,
-    q_mask: ColorSet,
-    pairs: tuple[tuple[int, int], ...],
-) -> DisjointParams:
-    """Build the slot layout; raises when the slot masses exceed 1.
-
-    Feasibility always holds when every neighbor list has at most two
-    colors and q >= 2.5 * delta; larger lists are tolerated as long as the
-    mass check passes.
-    """
-    if q <= delta:
-        raise CouplingRegimeError("disjoint needs q > delta")
-    t_size = q - size(s_mask)
-    if t_size <= 0:
-        raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
-    b = len(pairs)
-    q_size = size(q_mask)
-    d_mask = mask_from(c for p in pairs for c in p)
-    e_mask = s_mask & ~q_mask & ~d_mask
-    p_pair = 1 / (q - q_size - b) if b else 0
-    s_d = max(0, 1 / (q - delta) - p_pair)
-    s_e = 1 / (q - delta)
-    e_colors = tuple(iter_colors(e_mask))
-    d_colors = tuple(iter_colors(d_mask))
-    mass = b * p_pair + len(d_colors) * s_d + len(e_colors) * s_e
-    leftover = 1 - mass
-    if leftover < -1e-9:
-        raise CouplingRegimeError(
-            f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
-            f"(|S|={size(s_mask)}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
-        )
-    return DisjointParams(
-        q=q,
-        delta=delta,
-        s_mask=s_mask,
-        q_mask=q_mask,
-        pairs=tuple(sorted(pairs)),
-        d_colors=d_colors,
-        e_colors=e_colors,
-        p_pair=p_pair,
-        s_d=s_d,
-        s_e=s_e,
-        leftover=max(0, leftover),
-    )
 
 
 def disjoint_pair_scan(lists) -> tuple[ColorSet, list[ColorSet]]:
@@ -498,18 +449,52 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
 
     A 2-color list qualifies as a disjoint pair when it intersects no other
     neighbor list of any size; its colors then block exactly one of the two
-    in every realizable configuration.
+    in every realizable configuration. Raises CouplingRegimeError when the
+    slot masses exceed 1, which cannot happen when every neighbor list has
+    at most two colors and q >= 2.5 * delta; larger lists are tolerated as
+    long as the mass check passes.
     """
     s_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
+    if q <= delta:
+        raise CouplingRegimeError("disjoint needs q > delta")
+    if size(s_mask) >= q:
+        raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
     q_mask = 0
     for m in neighbor_lists:
         if size(m) == 1:
             q_mask |= m
+    d_mask = 0
     pairs = []
     for m in pair_lists:
+        d_mask |= m
         a = m & -m
         pairs.append((a.bit_length() - 1, (m ^ a).bit_length() - 1))
-    return disjoint_params(q, delta, s_mask, q_mask, tuple(pairs))
+    e_mask = s_mask & ~q_mask & ~d_mask
+    b = len(pairs)
+    q_size = size(q_mask)
+    p_pair = 1 / (q - q_size - b) if b else 0
+    s_d = max(0, 1 / (q - delta) - p_pair)
+    s_e = 1 / (q - delta)
+    mass = b * p_pair + size(d_mask) * s_d + size(e_mask) * s_e
+    leftover = 1 - mass
+    if leftover < -1e-9:
+        raise CouplingRegimeError(
+            f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
+            f"(|S|={size(s_mask)}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
+        )
+    return DisjointParams(
+        q=q,
+        delta=delta,
+        s_mask=s_mask,
+        q_mask=q_mask,
+        pairs=tuple(sorted(pairs)),
+        d_mask=d_mask,
+        e_mask=e_mask,
+        p_pair=p_pair,
+        s_d=s_d,
+        s_e=s_e,
+        leftover=max(0, leftover),
+    )
 
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
@@ -520,6 +505,7 @@ def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, Disjoi
 
 def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet, DisjointDraw]:
     """Predicted set and draw of the slot u falls in: pairs, D, E colors, leftover."""
+    # a running float sum picks the slot; arithmetic on u can differ at a boundary
     acc = 0
     if params.p_pair > 0.0:
         for pair in params.pairs:
@@ -528,12 +514,12 @@ def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet,
                 draw = DisjointDraw(_SLOT_PAIR, pair, -1, params.p_pair, False, v, reserve)
                 return mask_from(pair), draw
     if params.s_d > 0.0:
-        for c in params.d_colors:
+        for c in iter_colors(params.d_mask):
             acc += params.s_d
             if u < acc:
                 draw = DisjointDraw(_SLOT_COLOR, None, c, params.s_d, True, v, reserve)
                 return bit(c) | bit(reserve), draw
-    for c in params.e_colors:
+    for c in iter_colors(params.e_mask):
         acc += params.s_e
         if u < acc:
             draw = DisjointDraw(_SLOT_COLOR, None, c, params.s_e, False, v, reserve)

@@ -63,14 +63,6 @@ class SamplerConfig:
 
 
 @dataclass
-class Block:
-    phi: tuple[int, ...] | None
-    n_updates: int
-    seeding_fallbacks: int
-    disjoint_fallbacks: int
-
-
-@dataclass
 class SampleResult:
     coloring: tuple[int, ...]
     q: int
@@ -264,21 +256,14 @@ def construct_block(
     config: SamplerConfig,
     block_index: int,
     stream: SeedStream,
-) -> Block:
-    """One randomness block: seeding phase, converting phase, drift, check."""
+) -> bd.BoundingState:
+    """One randomness block (seeding, converting, drift, check); returns its state."""
     state = bd.BoundingState(g, config.q, stream, block_index)
     run_schedule(state, seed_set, config)
-    phi = None
-    if state.all_singletons():
-        phi = state.coalesced_coloring()
-        if not is_proper(g, phi):
-            raise EngineError("coalesced configuration is not a proper coloring")
-    return Block(
-        phi=phi,
-        n_updates=state.updates,
-        seeding_fallbacks=state.seeding_fallbacks,
-        disjoint_fallbacks=state.disjoint_fallbacks,
-    )
+    phi = state.phi
+    if phi is not None and not is_proper(g, phi):
+        raise EngineError("coalesced configuration is not a proper coloring")
+    return state
 
 
 def is_proper(g: Graph, coloring) -> bool:
@@ -320,11 +305,14 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     updates = degraded = seeding_fallbacks = disjoint_fallbacks = 0
     for t in range(1, config.max_blocks + 1):
         block = construct_block(g, seed_set, config, t, stream)
-        updates += block.n_updates
+        updates += block.updates
         degraded += bool(block.seeding_fallbacks or block.disjoint_fallbacks)
         seeding_fallbacks += block.seeding_fallbacks
         disjoint_fallbacks += block.disjoint_fallbacks
-        if block.phi is not None:
+        omega = block.phi
+        # free this block's lists before the next block builds its own
+        del block
+        if omega is not None:
             break
     else:
         stats = {
@@ -337,7 +325,6 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         raise NoCoalescenceError(
             f"no coalescence within {config.max_blocks} blocks", stats=stats
         )
-    omega = block.phi
     for s in range(t - 1, 0, -1):
         omega = replay(g, seed_set, config, s, stream, omega)
     if not is_proper(g, omega):

@@ -76,7 +76,7 @@ def parse_edge_list(text: str) -> Graph:
     body = rows[1:]
     if len(body) != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
+    first_line: dict[tuple[int, int], int] = {}
     for no, ln in body:
         fields = ln.split()
         if len(fields) != 2:
@@ -90,19 +90,12 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise GraphParseError(f"line {no}: self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        edges.append(key)
-    try:
-        g = build_graph(n, edges)
-    except ValueError as exc:
-        # duplicate edges are the only error build_graph can still raise here
-        for no, ln in body:
-            f = ln.split()
-            u, v = int(f[0]), int(f[1])
-            key = (u, v) if u < v else (v, u)
-            if sum(1 for e in edges if e == key) > 1:
-                raise GraphParseError(f"line {no}: duplicate edge {key}") from None
-        raise GraphParseError(str(exc)) from None
-    return g
+        if key in first_line:
+            raise GraphParseError(
+                f"line {no}: duplicate edge {key}, first on line {first_line[key]}"
+            )
+        first_line[key] = no
+    return build_graph(n, first_line.keys())
 
 
 def gen_complete(n: int) -> Graph:
@@ -138,7 +131,7 @@ def _stubs_suitable(edges: set, counts: dict) -> bool:
     return False
 
 
-def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 100) -> Graph:
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """d-regular graph on n vertices via the pairing model.
 
     Stubs are shuffled and paired; pairs that would create a self-loop or a
@@ -155,7 +148,8 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 100) -> Gr
     if d == 0:
         return build_graph(n, [])
     stream = SeedStream(seed)
-    for attempt in range(max_restarts):
+    restarts = 100
+    for attempt in range(restarts):
         edges: set[tuple[int, int]] = set()
         stubs = [v for v in range(n) for _ in range(d)]
         round_no = 0
@@ -177,6 +171,6 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 100) -> Gr
                 break
             stubs = [v for v, c in sorted(leftover.items()) for _ in range(c)]
     raise GenerationFailedError(
-        f"pairing model failed for (n={n}, d={d}) after {max_restarts} restarts"
+        f"pairing model failed for (n={n}, d={d}) after {restarts} restarts"
     )
 

@@ -21,7 +21,7 @@ from functools import partial
 
 from . import couplings as cp
 from . import engine, oracle
-from .colorsets import bit, complement, contains, mask_from, members, size
+from .colorsets import bit, complement, contains, full_mask, mask_from, members, size
 from .graphs import Graph, gen_cycle
 from .seedstream import SeedStream, mix64
 
@@ -81,15 +81,13 @@ def _decode_marginals(tag, q, predict, decode, blocked_sets, n_draws, master_see
 
 
 def compress_suite(
-    q: int = 6,
-    delta: int = 3,
-    a_colors: tuple[int, ...] = (1, 2, 3),
     n_draws: int = 20_000,
     master_seed: int = 2024,
     draw=cp.compress_draw,
 ) -> list[CheckResult]:
     """Exhaustive marginal and containment check for compress; draw(a_mask, q, key)."""
-    a_mask = mask_from(a_colors)
+    q, delta = 6, 3
+    a_mask = mask_from((1, 2, 3))
 
     def predict(key):
         d = draw(a_mask, q, key)
@@ -104,10 +102,7 @@ def compress_suite(
 
 
 def seeding_suite(
-    s_colors: tuple[int, ...] = (1, 2, 3, 4, 5),
-    delta: int = 3,
-    q: int = 8,
-    law: cp.SizeLaw | None = None,
+    law: cp.SizeLaw = cp.SizeLaw((2, 3), (0.4, 0.6)),
     n_draws: int = 20_000,
     master_seed: int = 77,
     label: str = "",
@@ -117,15 +112,13 @@ def seeding_suite(
 
     predict has the signature of couplings.seeding_predict.
     """
-    s_sorted = tuple(sorted(s_colors))
-    s_mask = mask_from(s_sorted)
-    if law is None:
-        law = cp.SizeLaw((2, 3), (0.4, 0.6))
+    delta, q = 3, 8
+    s_mask = mask_from((1, 2, 3, 4, 5))
     tag = f"seeding[{label}]" if label else "seeding"
-    ok, violations = cp.verify_full_lp(cp.LPInstance(len(s_sorted), delta, q), law)
-    c_sets = [mask_from(s) for s in _subsets_up_to(list(s_sorted), delta)]
+    ok, violations = cp.verify_full_lp(cp.LPInstance(size(s_mask), delta, q), law)
+    c_sets = [mask_from(s) for s in _subsets_up_to(members(s_mask), delta)]
     containment, marginals, predictions = _decode_marginals(
-        tag, q, partial(predict, s_sorted, s_mask, law, q),
+        tag, q, partial(predict, s_mask, law, q),
         partial(cp.seeding_decode, s_mask, law, q), c_sets, n_draws, master_seed,
     )
     size_ok = all(size(predicted) == draw.k for predicted, draw in predictions)
@@ -181,22 +174,16 @@ def disjoint_suite(
     ]
 
 
-def size_law_suite(
-    s_size: int = 24,
-    delta: int = 12,
-    q: int = 30,
-    n_draws: int = 20_000,
-    master_seed: int = 31,
-) -> list[CheckResult]:
+def size_law_suite(n_draws: int = 20_000, master_seed: int = 31) -> list[CheckResult]:
     """Empirical size frequencies of the seeding coupling against its law."""
+    s_size, delta, q = 24, 12, 30
     law = cp.seeding_size_law(s_size, delta, q)
-    s_sorted = tuple(range(s_size))
-    s_mask = mask_from(s_sorted)
+    s_mask = full_mask(s_size)
     stream = SeedStream(master_seed)
     n3 = 0
     clean = True
     for i in range(n_draws):
-        predicted, draw = cp.seeding_predict(s_sorted, s_mask, law, q, stream.subkey(1, i))
+        predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
         k = size(predicted)
         if k not in (2, 3):
             clean = False

@@ -92,12 +92,11 @@ def test_criterion_03_seeding_size_law():
     law = cp.seeding_size_law(s_size, delta, q)
     r3 = law.r(3)
     assert r3 == pytest.approx(6 * 23 / 216, abs=1e-12)
-    s_sorted = tuple(range(s_size))
-    s_mask = mask_from(s_sorted)
+    s_mask = mask_from(range(s_size))
     stream = SeedStream(303)
     sizes = Counter()
     for i in range(n_draws):
-        predicted, _ = cp.seeding_predict(s_sorted, s_mask, law, q, stream.subkey(1, i))
+        predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
         sizes[size(predicted)] += 1
     clean = set(sizes) <= {2, 3}
     frac = sizes[3] / n_draws

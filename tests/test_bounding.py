@@ -261,7 +261,7 @@ def test_replay_reconstructs_final_lists():
     block = engine.construct_block(g, part, cfg, 1, stream)
     plain = bd.BoundingState(g, q, stream, 1)
     engine.run_schedule(plain, part, cfg)
-    assert plain.updates == block.n_updates
+    assert plain.updates == block.updates
     assert plain.seeding_fallbacks == block.seeding_fallbacks
     assert plain.disjoint_fallbacks == block.disjoint_fallbacks
     # carrying a coloring leaves the bounding chain exactly as built
@@ -271,7 +271,7 @@ def test_replay_reconstructs_final_lists():
     assert carried.updates == plain.updates
     assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
     if block.phi is not None:
-        assert plain.coalesced_coloring() == block.phi == tuple(carried.coloring)
+        assert plain.phi == block.phi == tuple(carried.coloring)
 
 
 class RecordingState(bd.BoundingState):

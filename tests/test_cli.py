@@ -192,6 +192,7 @@ K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
         ((*K4, "--t2", "-5"), "--t2"),
         ((*K4, "--max-blocks", "0"), "--max-blocks"),
         ((*K4, "--n", "0"), "'--n'"),
+        (("lowerbound", "--delta-range", "3:3"), "'--delta-range'"),
     ],
 )
 def test_bench_bad_inputs_exit_64(args, needle):

@@ -130,11 +130,10 @@ def test_seeding_prefix_swallowed_by_blocked_returns_free_color():
 
 
 def test_seeding_predict_structure():
-    s_sorted = (1, 2, 3, 4, 5)
-    s_mask = mask_from(s_sorted)
+    s_mask = mask_from((1, 2, 3, 4, 5))
     law = cp.seeding_size_law(5, 3, 12)
     for j in range(500):
-        predicted, draw = cp.seeding_predict(s_sorted, s_mask, law, 12, STREAM.subkey(7, j))
+        predicted, draw = cp.seeding_predict(s_mask, law, 12, STREAM.subkey(7, j))
         assert size(predicted) == draw.k
         assert draw.c0 >= 0 and not contains(s_mask, draw.c0)
         assert all(contains(s_mask, c) for c in draw.prefix)
@@ -142,9 +141,8 @@ def test_seeding_predict_structure():
 
 
 def test_seeding_rejects_full_palette_slack():
-    s_sorted = tuple(range(8))
     with pytest.raises(CouplingRegimeError):
-        cp.seeding_predict(s_sorted, mask_from(s_sorted), TRACE_LAW, 8, STREAM.subkey(8, 0))
+        cp.seeding_predict(mask_from(range(8)), TRACE_LAW, 8, STREAM.subkey(8, 0))
 
 
 def test_seeding_decode_rejects_colors_outside_slack():
@@ -155,7 +153,7 @@ def test_seeding_decode_rejects_colors_outside_slack():
 
 
 def test_seeding_empty_slack_emits_free_color():
-    predicted, draw = cp.seeding_predict((), 0, TRACE_LAW, 6, STREAM.subkey(8, 1))
+    predicted, draw = cp.seeding_predict(0, TRACE_LAW, 6, STREAM.subkey(8, 1))
     assert size(predicted) == 1
     assert cp.seeding_decode(0, TRACE_LAW, 6, draw, 0) == draw.c0
 
@@ -166,9 +164,8 @@ def test_seeding_empty_slack_emits_free_color():
     j=st.integers(0, 5000),
 )
 def test_seeding_containment(blocked, j):
-    s_sorted = (1, 2, 3, 4, 5)
-    s_mask = mask_from(s_sorted)
-    predicted, draw = cp.seeding_predict(s_sorted, s_mask, TRACE_LAW, 8, STREAM.subkey(9, j))
+    s_mask = mask_from((1, 2, 3, 4, 5))
+    predicted, draw = cp.seeding_predict(s_mask, TRACE_LAW, 8, STREAM.subkey(9, j))
     c_mask = mask_from(blocked)
     out = cp.seeding_decode(s_mask, TRACE_LAW, 8, draw, c_mask)
     assert contains(predicted, out)
@@ -204,7 +201,7 @@ def test_disjoint_fixture_classification():
     p = fixture_params("paired")
     assert p.pairs == ((1, 2), (3, 4))
     assert members(p.q_mask) == [5, 6]
-    assert p.e_colors == ()
+    assert p.e_mask == 0
     assert p.success_bound == pytest.approx(2 / 3, abs=1e-12)
 
 
@@ -212,7 +209,7 @@ def test_disjoint_entangled_classification():
     p = fixture_params("entangled")
     assert p.pairs == ((4, 5),)
     assert members(p.q_mask) == [6]
-    assert p.e_colors == (1, 2, 3)
+    assert members(p.e_mask) == [1, 2, 3]
     # 1 - (|S| - |Q|) / (q - delta) + (|D|/2) / (q - |Q| - |D|/2)
     assert p.success_bound == pytest.approx(1 - 5 / 6 + 1 / 8, abs=1e-12)
 

@@ -148,7 +148,7 @@ def test_block_update_budget():
     # updates (cleanup compresses the neighbors, then the vertex itself);
     # a Phase II drift step makes one
     per = 6 + 1
-    assert block.n_updates <= len(part) * per + t1 * per + (g.n - len(part)) * per + t2
+    assert block.updates <= len(part) * per + t1 * per + (g.n - len(part)) * per + t2
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_replay_empty_composition_is_identity():
     cfg = engine.SamplerConfig(q=13, master_seed=14)
     stream = SeedStream(14)
     part = engine.lll_partition(g, stream)
-    assert engine.construct_block(g, part, cfg, 1, stream).n_updates == 0
+    assert engine.construct_block(g, part, cfg, 1, stream).updates == 0
     assert engine.replay(g, part, cfg, 1, stream, ()) == ()
 
 

@@ -32,6 +32,12 @@ def test_parse_duplicate_edge_rejected():
         parse_edge_list("3 2\n0 1\n1 0")
 
 
+def test_parse_duplicate_edge_names_the_repeating_line():
+    msg = r"line 3: duplicate edge \(0, 1\), first on line 2"
+    with pytest.raises(GraphParseError, match=msg):
+        parse_edge_list("3 2\n0 1\n1 0")
+
+
 def test_parse_out_of_range_vertex():
     with pytest.raises(GraphParseError, match="line 2"):
         parse_edge_list("2 1\n0 5")

@@ -217,7 +217,7 @@ def test_disjoint_implementation_matches_exact_oracle(q, delta, raw_lists):
         assert params.p_pair == Fraction(1, q - q_size - b)
     assert params.s_e == Fraction(1, q - delta)
     expected_leftover = 1 - (
-        b * params.p_pair + 2 * b * params.s_d + len(params.e_colors) * params.s_e
+        b * params.p_pair + 2 * b * params.s_d + size(params.e_mask) * params.s_e
     )
     assert params.leftover == expected_leftover
     # the singleton probability equals the quoted bound exactly
