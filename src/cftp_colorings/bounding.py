@@ -12,7 +12,7 @@ computed, and checks that the decoded color lies in the vertex's new list.
 from __future__ import annotations
 
 from . import couplings as cp
-from .colorsets import ColorSet, bit, full_mask, iter_colors, members, size
+from .colorsets import ColorSet, full_mask, iter_colors, members
 from .errors import EngineError
 from .graphs import Graph
 from .seedstream import SeedStream
@@ -57,7 +57,7 @@ class BoundingState:
     @property
     def phi(self) -> tuple[int, ...] | None:
         """The coalesced coloring if every list is a singleton, else None."""
-        if all(size(m) == 1 for m in self.lists):
+        if all(m.bit_count() == 1 for m in self.lists):
             return tuple(m.bit_length() - 1 for m in self.lists)
         return None
 
@@ -100,16 +100,16 @@ def _fill_atomic(a: ColorSet, cap: int, lists) -> ColorSet:
     # whole lists first, smallest-sorted-members order
     for m in sorted(lists, key=members):
         merged = a | m
-        if size(merged) <= cap:
+        if merged.bit_count() <= cap:
             a = merged
     return a
 
 
 def _fill_singles(a: ColorSet, cap: int, pool: ColorSet) -> ColorSet:
     for c in iter_colors(pool & ~a):
-        if size(a) >= cap:
+        if a.bit_count() >= cap:
             break
-        a |= bit(c)
+        a |= 1 << c
     return a
 
 
@@ -160,7 +160,7 @@ def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> 
 
 def apply_compress(state: BoundingState, v: int, a_mask: ColorSet) -> None:
     key = state.next_key()
-    state.lists[v], _ = cp.compress_predict(a_mask, state.q, key)
+    state.lists[v] = cp.compress_predict(a_mask, state.q, key)
     state.updates += 1
     if state.coloring is not None:
         draw = cp.compress_draw(a_mask, state.q, key)
@@ -174,7 +174,7 @@ def apply_seeding(state: BoundingState, v: int) -> None:
     for the current slack; callers decide whether to fall back.
     """
     s_mask = neighborhood_slack(state, v)
-    law = cp.seeding_size_law(size(s_mask), state.g.max_degree, state.q)
+    law = cp.seeding_size_law(s_mask.bit_count(), state.g.max_degree, state.q)
     key = state.next_key()
     state.lists[v], draw = cp.seeding_predict(s_mask, law, state.q, key)
     state.updates += 1

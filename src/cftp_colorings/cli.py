@@ -22,7 +22,7 @@ import click
 
 from . import couplings as cp
 from . import engine, oracle, verification
-from .colorsets import bit, iter_colors, mask_from, members
+from .colorsets import iter_colors, mask_from, members
 from .errors import (
     CouplingRegimeError,
     EngineError,
@@ -215,7 +215,7 @@ def _unshuffled_seeding_predict(s_mask, law, q, key):
     """seeding_predict with the slack prefix taken in ascending order."""
     _, draw = cp.seeding_predict(s_mask, law, q, key)
     prefix = tuple(members(s_mask)[:draw.k - 1])
-    return mask_from(prefix) | bit(draw.c0), replace(draw, prefix=prefix)
+    return mask_from(prefix) | 1 << draw.c0, replace(draw, prefix=prefix)
 
 
 @cli.command("verify")
@@ -311,7 +311,7 @@ def _bench_one(args):
 @click.option("--delta", type=int, default=8, show_default=True)
 @click.option("--n-list", default="100,200,400", show_default=True)
 @click.option("--q", type=int, default=None, help="default: ceil(threshold) + 1")
-@click.option("--runs", type=int, default=5, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--max-blocks", type=int, default=64, show_default=True)
@@ -322,6 +322,8 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
         sizes = [int(x) for x in n_list.split(",") if x]
     except ValueError:
         raise click.UsageError(f"bad --n-list {n_list!r}") from None
+    if not sizes:
+        raise click.BadParameter(f"{n_list!r} holds no size", param_hint="'--n-list'")
     if q is None:
         q = math.ceil(engine.regime_threshold(delta)) + 1
     if seed is None:
@@ -394,7 +396,7 @@ def cmd_partition(graph_file, gen_spec, seed):
 @click.option("--delta-range", default="4:20", show_default=True, callback=degree_range(),
               help="even degrees LO:HI")
 @click.option("--audit", is_flag=True, help="Monte Carlo audit of the seeding coupling")
-@click.option("--trials", type=int, default=20000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)

@@ -2,8 +2,11 @@
 
 A color set over the palette {0..q-1} is a plain Python int whose bit c is
 set iff color c is a member. Python's arbitrary-precision ints make the same
-representation work for any q, with union/intersection/difference as single
-bitwise ops and cardinality via int.bit_count().
+representation work for any q. Callers use the int operators directly:
+``1 << c`` is the set {c}, ``m >> c & 1`` tests membership, ``m.bit_count()``
+is the size, ``full_mask(q) & ~m`` the complement, and ``|``, ``&``, ``& ~``
+are union, intersection and difference. This module holds only the helpers
+that hide a loop or name the palette.
 """
 
 from __future__ import annotations
@@ -17,27 +20,11 @@ def full_mask(q: int) -> ColorSet:
     return (1 << q) - 1
 
 
-def bit(color: int) -> ColorSet:
-    return 1 << color
-
-
 def mask_from(colors: Iterable[int]) -> ColorSet:
     m = 0
     for c in colors:
         m |= 1 << c
     return m
-
-
-def size(mask: ColorSet) -> int:
-    return mask.bit_count()
-
-
-def contains(mask: ColorSet, color: int) -> bool:
-    return (mask >> color) & 1 == 1
-
-
-def complement(mask: ColorSet, q: int) -> ColorSet:
-    return mask ^ full_mask(q)
 
 
 def iter_colors(mask: ColorSet) -> Iterator[int]:

@@ -17,8 +17,11 @@ Three constructions are provided:
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two.
 
-Every color set a coupling takes or returns is an int mask (colorsets); only
-a drawn permutation or prefix is a sequence, since its order is the draw.
+Every color set a coupling takes or returns is an int mask (colorsets), the
+disjoint pairs included; only a drawn permutation or prefix is a sequence,
+since its order is the draw. Each coupling draws one color uniformly outside
+a mask (compress's extra color, seeding's free color, disjoint's reserve),
+and outside_color is the one rule for it.
 """
 
 from __future__ import annotations
@@ -27,19 +30,19 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .colorsets import (
-    ColorSet,
-    bit,
-    complement,
-    contains,
-    iter_colors,
-    mask_from,
-    members,
-    nth_color,
-    size,
-)
+from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_color
 from .errors import CouplingRegimeError, EngineError
 from .seedstream import randint_below, shuffled, shuffled_prefix, unit_uniform
+
+# Slack a feasibility row may exceed its bound by, for float rounding.
+_LP_TOL = 1e-9
+
+
+def outside_color(mask: ColorSet, q: int, key: int, draw: int) -> int:
+    """Uniform color of [q] outside mask; callers check that one exists."""
+    t_mask = full_mask(q) & ~mask
+    return nth_color(t_mask, randint_below(key, draw, t_mask.bit_count()))
+
 
 # ---------------------------------------------------------------------------
 # Size laws and the feasibility LP
@@ -130,7 +133,7 @@ def lp_constraint_lhs(inst: LPInstance, law: SizeLaw, j: int) -> float:
     return acc
 
 
-def verify_full_lp(inst: LPInstance, law: SizeLaw, tol: float = 1e-9):
+def verify_full_lp(inst: LPInstance, law: SizeLaw):
     """Check every feasibility row; returns (ok, violations).
 
     Rows j > |S| cannot arise (blocked colors inside the slack set number at
@@ -145,7 +148,7 @@ def verify_full_lp(inst: LPInstance, law: SizeLaw, tol: float = 1e-9):
             violations.append((j, float("inf"), inst.row_bound(j)))
             continue
         bound = inst.row_bound(j)
-        if lhs > bound + tol:
+        if lhs > bound + _LP_TOL:
             violations.append((j, lhs, bound))
     return (not violations, violations)
 
@@ -221,10 +224,9 @@ class CompressDraw:
 
 
 def compress_extra_color(a_mask: ColorSet, q: int, key: int) -> int:
-    outside = q - size(a_mask)
-    if outside <= 0:
+    if a_mask.bit_count() >= q:
         raise CouplingRegimeError("compress needs at least one color outside A")
-    return nth_color(complement(a_mask, q), randint_below(key, 0, outside))
+    return outside_color(a_mask, q, key, 0)
 
 
 def compress_draw(a_mask: ColorSet, q: int, key: int) -> CompressDraw:
@@ -234,10 +236,9 @@ def compress_draw(a_mask: ColorSet, q: int, key: int) -> CompressDraw:
     return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
 
 
-def compress_predict(a_mask: ColorSet, q: int, key: int) -> tuple[ColorSet, int]:
+def compress_predict(a_mask: ColorSet, q: int, key: int) -> ColorSet:
     """Predicted bounding set A + {x'} without materializing the permutation."""
-    x_prime = compress_extra_color(a_mask, q, key)
-    return a_mask | bit(x_prime), x_prime
+    return a_mask | 1 << compress_extra_color(a_mask, q, key)
 
 
 def compress_accept(q, delta: int, n_blocked: int):
@@ -248,14 +249,14 @@ def compress_accept(q, delta: int, n_blocked: int):
 def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: ColorSet) -> int:
     """Color for the realized blocked set; uniform on [q] \\ blocked."""
     delta = len(draw.pi)
-    n_blocked = size(blocked)
+    n_blocked = blocked.bit_count()
     if n_blocked > delta:
         raise EngineError(f"blocked set of size {n_blocked} exceeds |A| = {delta}")
-    if not contains(blocked, draw.x_prime):
+    if not blocked >> draw.x_prime & 1:
         if draw.u_prime <= compress_accept(q, delta, n_blocked):
             return draw.x_prime
     for y in draw.pi:
-        if not contains(blocked, y):
+        if not blocked >> y & 1:
             return y
     raise EngineError("compress decode found no available color; blocked set impossible")
 
@@ -320,22 +321,19 @@ def _draw_size(law: SizeLaw, key: int) -> int:
 def seeding_predict(
     s_mask: ColorSet, law: SizeLaw, q: int, key: int
 ) -> tuple[ColorSet, SeedingDraw]:
-    s_size = size(s_mask)
-    t_size = q - s_size
-    if t_size <= 0:
+    s_size = s_mask.bit_count()
+    if s_size >= q:
         raise CouplingRegimeError("seeding needs a free color outside the slack set")
+    c0 = outside_color(s_mask, q, key, 1)
+    u_prime = unit_uniform(key, 2)
     if s_size == 0:
-        c0 = randint_below(key, 1, q)
-        draw = SeedingDraw(k=1, prefix=(), c0=c0, u_prime=unit_uniform(key, 2))
-        return bit(c0), draw
+        return 1 << c0, SeedingDraw(k=1, prefix=(), c0=c0, u_prime=u_prime)
     k = _draw_size(law, key)
     if k - 1 > s_size:
         raise EngineError(f"size law asks for {k - 1} slack colors, only {s_size} exist")
-    c0 = nth_color(complement(s_mask, q), randint_below(key, 1, t_size))
-    u_prime = unit_uniform(key, 2)
     prefix = tuple(shuffled_prefix(key, 3, members(s_mask), k - 1))
     draw = SeedingDraw(k=k, prefix=prefix, c0=c0, u_prime=u_prime)
-    return mask_from(prefix) | bit(c0), draw
+    return mask_from(prefix) | 1 << c0, draw
 
 
 def seeding_acceptance(s_size: int, law: SizeLaw, q: int, n_blocked: int) -> float:
@@ -360,18 +358,14 @@ def seeding_decode(
     """Color for blocked colors C inside the slack set; uniform on [q] \\ C."""
     if c_mask & ~s_mask:
         raise EngineError("blocked colors outside the slack set reached seeding decode")
-    s_size = size(s_mask)
+    s_size = s_mask.bit_count()
     if s_size == 0:
         return draw.c0
-    first_open = None
     for y in draw.prefix:
-        if not contains(c_mask, y):
-            first_open = y
+        if not c_mask >> y & 1:
+            if draw.u_prime < seeding_acceptance(s_size, law, q, c_mask.bit_count()):
+                return y
             break
-    if first_open is not None:
-        alpha = seeding_acceptance(s_size, law, q, size(c_mask))
-        if draw.u_prime < alpha:
-            return first_open
     return draw.c0
 
 
@@ -405,7 +399,7 @@ class DisjointParams(NamedTuple):
     delta: int
     s_mask: ColorSet
     q_mask: ColorSet
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[ColorSet, ...]  # 2-color masks, ordered by lowest color
     d_mask: ColorSet
     e_mask: ColorSet
     p_pair: float
@@ -421,7 +415,7 @@ class DisjointParams(NamedTuple):
 
 class DisjointDraw(NamedTuple):
     slot_kind: int
-    pair: tuple[int, int] | None
+    pair: ColorSet  # the slot's pair mask, or 0 outside a pair slot
     color: int
     slot_prob: float
     in_d: bool
@@ -441,7 +435,7 @@ def disjoint_pair_scan(lists) -> tuple[ColorSet, list[ColorSet]]:
     for m in lists:
         shared |= seen & m
         seen |= m
-    return seen, [m for m in lists if size(m) == 2 and not (m & shared)]
+    return seen, [m for m in lists if m.bit_count() == 2 and not (m & shared)]
 
 
 def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> DisjointParams:
@@ -457,37 +451,34 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     s_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
     if q <= delta:
         raise CouplingRegimeError("disjoint needs q > delta")
-    if size(s_mask) >= q:
+    if s_mask.bit_count() >= q:
         raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
     q_mask = 0
     for m in neighbor_lists:
-        if size(m) == 1:
+        if m.bit_count() == 1:
             q_mask |= m
     d_mask = 0
-    pairs = []
     for m in pair_lists:
         d_mask |= m
-        a = m & -m
-        pairs.append((a.bit_length() - 1, (m ^ a).bit_length() - 1))
     e_mask = s_mask & ~q_mask & ~d_mask
-    b = len(pairs)
-    q_size = size(q_mask)
+    b = len(pair_lists)
+    q_size = q_mask.bit_count()
     p_pair = 1 / (q - q_size - b) if b else 0
     s_d = max(0, 1 / (q - delta) - p_pair)
     s_e = 1 / (q - delta)
-    mass = b * p_pair + size(d_mask) * s_d + size(e_mask) * s_e
+    mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
     leftover = 1 - mass
     if leftover < -1e-9:
         raise CouplingRegimeError(
             f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
-            f"(|S|={size(s_mask)}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
+            f"(|S|={s_mask.bit_count()}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
         )
     return DisjointParams(
         q=q,
         delta=delta,
         s_mask=s_mask,
         q_mask=q_mask,
-        pairs=tuple(sorted(pairs)),
+        pairs=tuple(sorted(pair_lists, key=lambda m: m & -m)),
         d_mask=d_mask,
         e_mask=e_mask,
         p_pair=p_pair,
@@ -498,8 +489,7 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
 
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
-    t_mask = complement(params.s_mask, params.q)
-    reserve = nth_color(t_mask, randint_below(key, 2, size(t_mask)))
+    reserve = outside_color(params.s_mask, params.q, key, 2)
     return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 
@@ -512,20 +502,20 @@ def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet,
             acc += params.p_pair
             if u < acc:
                 draw = DisjointDraw(_SLOT_PAIR, pair, -1, params.p_pair, False, v, reserve)
-                return mask_from(pair), draw
+                return pair, draw
     if params.s_d > 0.0:
         for c in iter_colors(params.d_mask):
             acc += params.s_d
             if u < acc:
-                draw = DisjointDraw(_SLOT_COLOR, None, c, params.s_d, True, v, reserve)
-                return bit(c) | bit(reserve), draw
+                draw = DisjointDraw(_SLOT_COLOR, 0, c, params.s_d, True, v, reserve)
+                return 1 << c | 1 << reserve, draw
     for c in iter_colors(params.e_mask):
         acc += params.s_e
         if u < acc:
-            draw = DisjointDraw(_SLOT_COLOR, None, c, params.s_e, False, v, reserve)
-            return bit(c) | bit(reserve), draw
-    draw = DisjointDraw(_SLOT_LEFTOVER, None, -1, params.leftover, False, v, reserve)
-    return bit(reserve), draw
+            draw = DisjointDraw(_SLOT_COLOR, 0, c, params.s_e, False, v, reserve)
+            return 1 << c | 1 << reserve, draw
+    draw = DisjointDraw(_SLOT_LEFTOVER, 0, -1, params.leftover, False, v, reserve)
+    return 1 << reserve, draw
 
 
 def disjoint_needed(params: DisjointParams, draw: DisjointDraw, n_blocked: int):
@@ -535,25 +525,23 @@ def disjoint_needed(params: DisjointParams, draw: DisjointDraw, n_blocked: int):
 
 
 def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSet) -> int:
-    n_blocked = size(blocked)
+    n_blocked = blocked.bit_count()
     if n_blocked > params.delta:
         raise EngineError(
             f"blocked set of size {n_blocked} exceeds delta = {params.delta}"
         )
     if draw.slot_kind == _SLOT_PAIR:
-        a, b = draw.pair
-        a_in = contains(blocked, a)
-        b_in = contains(blocked, b)
-        if a_in == b_in:
+        open_colors = draw.pair & ~blocked
+        if open_colors.bit_count() != 1:
             raise EngineError(
-                f"blocked set not realizable: pair ({a}, {b}) has {a_in + b_in} members blocked"
+                f"blocked set not realizable: pair {members(draw.pair)} has "
+                f"{2 - open_colors.bit_count()} members blocked"
             )
-        return b if a_in else a
+        return open_colors.bit_length() - 1
     if draw.slot_kind == _SLOT_COLOR:
         c = draw.color
-        if not contains(blocked, c):
+        if not blocked >> c & 1:
             needed = disjoint_needed(params, draw, n_blocked)
             if needed > 0.0 and draw.v * draw.slot_prob < needed:
                 return c
-        return draw.reserve
     return draw.reserve

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import couplings as cp
-from .colorsets import ColorSet, mask_from, size
+from .colorsets import ColorSet, mask_from
 from .errors import CouplingRegimeError, EnumerationBudgetError
 from .graphs import Graph, build_graph, gen_complete_bipartite
 from .seedstream import SeedStream
@@ -179,7 +179,7 @@ def audit_worst_case(inst: LowerBoundInstance) -> bool:
     g = inst.graph
     for v in range(g.n):
         lists = [inst.lists[u] for u in g.adjacency[v]]
-        if any(size(m_) != 2 for m_ in lists):
+        if any(m_.bit_count() != 2 for m_ in lists):
             return False
         if not _triangle_matching(lists):
             return False
@@ -194,7 +194,7 @@ def _triangle_matching(lists) -> bool:
     first = lists[0]
     rest = lists[1:]
     for i, other in enumerate(rest):
-        if size(first | other) == 3:
+        if (first | other).bit_count() == 3:
             if _triangle_matching(rest[:i] + rest[i + 1 :]):
                 return True
     return False
@@ -225,7 +225,7 @@ def audit_seeding_at_worst_case(
     for u in g.adjacency[0]:
         s_mask |= inst.lists[u]
     try:
-        inst_lp = cp.LPInstance(size(s_mask), delta, q)
+        inst_lp = cp.LPInstance(s_mask.bit_count(), delta, q)
         law = cp.solve_relaxed_lp(inst_lp)
         compatible, _ = cp.verify_full_lp(inst_lp, law)
     except (CouplingRegimeError, ValueError):
@@ -238,7 +238,7 @@ def audit_seeding_at_worst_case(
     total_sq = 0
     for i in range(trials):
         predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
-        s = size(predicted)
+        s = predicted.bit_count()
         total += s
         total_sq += s * s
     mean = total / trials

@@ -21,9 +21,9 @@ from functools import partial
 
 from . import couplings as cp
 from . import engine, oracle
-from .colorsets import bit, complement, contains, full_mask, mask_from, members, size
+from .colorsets import full_mask, mask_from, members
 from .graphs import Graph, gen_cycle
-from .seedstream import SeedStream, mix64
+from .seedstream import SeedStream, raw64
 
 P_THRESHOLD = 1e-3
 
@@ -59,13 +59,13 @@ def _decode_marginals(tag, q, predict, decode, blocked_sets, n_draws, master_see
         predictions.append((predicted, draw))
         for j, blocked in enumerate(blocked_sets):
             c = decode(draw, blocked)
-            if not contains(predicted, c) or contains(blocked, c):
+            if not predicted >> c & 1 or blocked >> c & 1:
                 containment_ok = False
             d = counts[j]
             d[c] = d.get(c, 0) + 1
     worst_p, worst = 1.0, None
     for j, blocked in enumerate(blocked_sets):
-        support = members(complement(blocked, q))
+        support = members(full_mask(q) & ~blocked)
         if set(counts[j]) - set(support):
             p = 0.0
         else:
@@ -91,7 +91,7 @@ def compress_suite(
 
     def predict(key):
         d = draw(a_mask, q, key)
-        return a_mask | bit(d.x_prime), d
+        return a_mask | 1 << d.x_prime, d
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
     containment, marginals, _ = _decode_marginals(
@@ -115,13 +115,13 @@ def seeding_suite(
     delta, q = 3, 8
     s_mask = mask_from((1, 2, 3, 4, 5))
     tag = f"seeding[{label}]" if label else "seeding"
-    ok, violations = cp.verify_full_lp(cp.LPInstance(size(s_mask), delta, q), law)
+    ok, violations = cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
     c_sets = [mask_from(s) for s in _subsets_up_to(members(s_mask), delta)]
     containment, marginals, predictions = _decode_marginals(
         tag, q, partial(predict, s_mask, law, q),
         partial(cp.seeding_decode, s_mask, law, q), c_sets, n_draws, master_seed,
     )
-    size_ok = all(size(predicted) == draw.k for predicted, draw in predictions)
+    size_ok = all(predicted.bit_count() == draw.k for predicted, draw in predictions)
     return [
         CheckResult(f"{tag} law feasible", ok, f"violations: {violations[:2]}"),
         containment,
@@ -159,7 +159,7 @@ def disjoint_suite(
         tag, q, partial(cp.disjoint_predict, params), partial(cp.disjoint_decode, params),
         realizable_blocked_sets(neighbor_lists), n_draws, master_seed, per="",
     )
-    sizes = [size(predicted) for predicted, _ in predictions]
+    sizes = [predicted.bit_count() for predicted, _ in predictions]
     frac = sizes.count(1) / n_draws
     sigma = math.sqrt(max(params.success_bound * (1 - params.success_bound), 1e-12) / n_draws)
     return [
@@ -184,7 +184,7 @@ def size_law_suite(n_draws: int = 20_000, master_seed: int = 31) -> list[CheckRe
     clean = True
     for i in range(n_draws):
         predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
-        k = size(predicted)
+        k = predicted.bit_count()
         if k not in (2, 3):
             clean = False
         if k == 3:
@@ -249,10 +249,7 @@ def sample_many(g: Graph, base_config: engine.SamplerConfig, n: int):
     """Independent samples with per-index derived master seeds."""
     out = []
     for i in range(n):
-        cfg = replace(
-            base_config,
-            master_seed=mix64(base_config.master_seed + (i + 1) * 0x9E3779B97F4A7C15),
-        )
+        cfg = replace(base_config, master_seed=raw64(base_config.master_seed, i))
         out.append(engine.sample(g, cfg))
     return out
 

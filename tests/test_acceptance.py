@@ -16,7 +16,7 @@ from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine, oracle
 from cftp_colorings import verification as vf
-from cftp_colorings.colorsets import mask_from, size
+from cftp_colorings.colorsets import mask_from
 from cftp_colorings.graphs import gen_complete, gen_complete_bipartite, gen_random_regular
 from cftp_colorings.seedstream import SeedStream
 from cftp_colorings.verification import sample_many
@@ -97,7 +97,7 @@ def test_criterion_03_seeding_size_law():
     sizes = Counter()
     for i in range(n_draws):
         predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
-        sizes[size(predicted)] += 1
+        sizes[predicted.bit_count()] += 1
     clean = set(sizes) <= {2, 3}
     frac = sizes[3] / n_draws
     sigma = math.sqrt(r3 * (1 - r3) / n_draws)
@@ -138,7 +138,7 @@ def test_criterion_05_phase_invariants(monkeypatch):
     def recording(update, seen):
         def wrapper(state, v):
             update(state, v)
-            seen.append((v, size(state.lists[v])))
+            seen.append((v, state.lists[v].bit_count()))
 
         return wrapper
 

@@ -193,6 +193,9 @@ K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
         ((*K4, "--max-blocks", "0"), "--max-blocks"),
         ((*K4, "--n", "0"), "'--n'"),
         (("lowerbound", "--delta-range", "3:3"), "'--delta-range'"),
+        (("bench", "--delta", "4", "--n-list", "10", "--runs", "0", "--seed", "1"), "'--runs'"),
+        (("bench", "--delta", "4", "--n-list", "", "--runs", "1", "--seed", "1"), "'--n-list'"),
+        (("lowerbound", "--delta-range", "4:4", "--audit", "--trials", "0"), "'--trials'"),
     ],
 )
 def test_bench_bad_inputs_exit_64(args, needle):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
 from cftp_colorings import verification as vf
-from cftp_colorings.colorsets import bit, contains, mask_from, members, size
+from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
 from cftp_colorings.seedstream import SeedStream
 
@@ -38,15 +38,15 @@ def test_compress_hand_trace_accepts_extra():
 def test_compress_predicted_size_is_delta_plus_one():
     a = mask_from([0, 2, 4])
     for j in range(200):
-        predicted, x_prime = cp.compress_predict(a, 9, STREAM.subkey(1, j))
-        assert size(predicted) == 4
-        assert not contains(a, x_prime)
+        key = STREAM.subkey(1, j)
+        assert cp.compress_predict(a, 9, key).bit_count() == 4
+        assert not a >> cp.compress_extra_color(a, 9, key) & 1
 
 
 def test_compress_q_delta_plus_one_forces_full_palette():
     a = mask_from([0, 1, 2])
     for j in range(50):
-        predicted, _ = cp.compress_predict(a, 4, STREAM.subkey(2, j))
+        predicted = cp.compress_predict(a, 4, STREAM.subkey(2, j))
         assert predicted == mask_from([0, 1, 2, 3])
 
 
@@ -54,9 +54,9 @@ def test_compress_extra_color_uniform():
     a = mask_from([1, 2, 3])
     q, n = 8, 100_000
     counts = Counter(
-        cp.compress_predict(a, q, STREAM.subkey(3, j))[1] for j in range(n)
+        cp.compress_extra_color(a, q, STREAM.subkey(3, j)) for j in range(n)
     )
-    outside = [c for c in range(q) if not contains(a, c)]
+    outside = [c for c in range(q) if not a >> c & 1]
     assert oracle.gof_from_counts([counts[c] for c in outside]).pvalue > 0.001
 
 
@@ -64,10 +64,10 @@ def test_compress_draw_matches_predict():
     a = mask_from([4, 5, 6])
     for j in range(100):
         key = STREAM.subkey(4, j)
-        predicted, x_prime = cp.compress_predict(a, 11, key)
+        predicted = cp.compress_predict(a, 11, key)
         draw = cp.compress_draw(a, 11, key)
-        assert draw.x_prime == x_prime
-        assert predicted == a | bit(x_prime)
+        assert draw.x_prime == cp.compress_extra_color(a, 11, key)
+        assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
 
 
@@ -89,8 +89,8 @@ def test_compress_containment_and_availability(blocked, j):
     draw = cp.compress_draw(a, 9, key)
     blocked_mask = mask_from(blocked)
     out = cp.compress_decode(a, 9, draw, blocked_mask)
-    assert not contains(blocked_mask, out)
-    assert contains(a | bit(draw.x_prime), out)
+    assert not blocked_mask >> out & 1
+    assert (a | 1 << draw.x_prime) >> out & 1
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +134,9 @@ def test_seeding_predict_structure():
     law = cp.seeding_size_law(5, 3, 12)
     for j in range(500):
         predicted, draw = cp.seeding_predict(s_mask, law, 12, STREAM.subkey(7, j))
-        assert size(predicted) == draw.k
-        assert draw.c0 >= 0 and not contains(s_mask, draw.c0)
-        assert all(contains(s_mask, c) for c in draw.prefix)
+        assert predicted.bit_count() == draw.k
+        assert draw.c0 >= 0 and not s_mask >> draw.c0 & 1
+        assert all(s_mask >> c & 1 for c in draw.prefix)
         assert len(draw.prefix) == draw.k - 1
 
 
@@ -154,7 +154,7 @@ def test_seeding_decode_rejects_colors_outside_slack():
 
 def test_seeding_empty_slack_emits_free_color():
     predicted, draw = cp.seeding_predict(0, TRACE_LAW, 6, STREAM.subkey(8, 1))
-    assert size(predicted) == 1
+    assert predicted.bit_count() == 1
     assert cp.seeding_decode(0, TRACE_LAW, 6, draw, 0) == draw.c0
 
 
@@ -168,8 +168,8 @@ def test_seeding_containment(blocked, j):
     predicted, draw = cp.seeding_predict(s_mask, TRACE_LAW, 8, STREAM.subkey(9, j))
     c_mask = mask_from(blocked)
     out = cp.seeding_decode(s_mask, TRACE_LAW, 8, draw, c_mask)
-    assert contains(predicted, out)
-    assert not contains(c_mask, out)
+    assert predicted >> out & 1
+    assert not c_mask >> out & 1
 
 
 def test_draw_size_point_masses():
@@ -199,7 +199,7 @@ def fixture_params(name="paired"):
 
 def test_disjoint_fixture_classification():
     p = fixture_params("paired")
-    assert p.pairs == ((1, 2), (3, 4))
+    assert p.pairs == (mask_from([1, 2]), mask_from([3, 4]))
     assert members(p.q_mask) == [5, 6]
     assert p.e_mask == 0
     assert p.success_bound == pytest.approx(2 / 3, abs=1e-12)
@@ -207,7 +207,7 @@ def test_disjoint_fixture_classification():
 
 def test_disjoint_entangled_classification():
     p = fixture_params("entangled")
-    assert p.pairs == ((4, 5),)
+    assert p.pairs == (mask_from([4, 5]),)
     assert members(p.q_mask) == [6]
     assert members(p.e_mask) == [1, 2, 3]
     # 1 - (|S| - |Q|) / (q - delta) + (|D|/2) / (q - |Q| - |D|/2)
@@ -228,9 +228,9 @@ def test_disjoint_all_singletons_always_coalesces():
     blocked = mask_from([0, 1, 2, 3])
     for j in range(300):
         predicted, draw = cp.disjoint_predict(params, STREAM.subkey(10, j))
-        assert size(predicted) == 1
+        assert predicted.bit_count() == 1
         out = cp.disjoint_decode(params, draw, blocked)
-        assert contains(predicted, out) and not contains(blocked, out)
+        assert predicted >> out & 1 and not blocked >> out & 1
 
 
 def test_disjoint_bound_improves_with_pairing():
@@ -258,9 +258,12 @@ def test_disjoint_decode_unrealizable_pair_blocked_state_raises():
         for j in range(200)
         if cp.disjoint_predict(params, STREAM.subkey(11, j))[1].slot_kind == 0
     )
-    both = mask_from([draw.pair[0], draw.pair[1], 5, 6])
+    both = draw.pair | mask_from([5, 6])
     with pytest.raises(EngineError):
         cp.disjoint_decode(params, draw, both)
+    # neither member blocked is just as unrealizable
+    with pytest.raises(EngineError):
+        cp.disjoint_decode(params, draw, mask_from([5, 6]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -269,10 +272,10 @@ def test_disjoint_containment_on_realizable_sets(j, pick):
     params = fixture_params("paired")
     blocked = mask_from([1 if pick[0] else 2, 3 if pick[1] else 4, 5, 6])
     predicted, draw = cp.disjoint_predict(params, STREAM.subkey(12, j))
-    assert size(predicted) in (1, 2)
+    assert predicted.bit_count() in (1, 2)
     out = cp.disjoint_decode(params, draw, blocked)
-    assert contains(predicted, out)
-    assert not contains(blocked, out)
+    assert predicted >> out & 1
+    assert not blocked >> out & 1
 
 
 # ---------------------------------------------------------------------------

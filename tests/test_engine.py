@@ -6,7 +6,6 @@ import pytest
 
 from cftp_colorings import bounding as bd
 from cftp_colorings import engine
-from cftp_colorings.colorsets import size
 from cftp_colorings.errors import NoCoalescenceError
 from cftp_colorings.graphs import (
     build_graph,
@@ -110,7 +109,7 @@ def record_list_sizes(monkeypatch, name):
 
     def recording(state, v):
         update(state, v)
-        seen.append((v, size(state.lists[v])))
+        seen.append((v, state.lists[v].bit_count()))
 
     monkeypatch.setattr(bd, name, recording)
     return seen

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftp_colorings import couplings as cp
-from cftp_colorings.colorsets import bit, complement, contains, mask_from, members, size
+from cftp_colorings.colorsets import full_mask, mask_from, members
 from cftp_colorings.errors import CouplingRegimeError
 
 # far below any gap between two thresholds of the small fixtures here
@@ -36,13 +36,13 @@ def _split(alpha, decode_at):
 
 def _tally(mass, weight, predicted, blocked, outcomes):
     for c, p in outcomes:
-        assert contains(predicted, c) and not contains(blocked, c), (c, members(predicted))
+        assert predicted >> c & 1 and not blocked >> c & 1, (c, members(predicted))
         mass[c] = mass.get(c, 0) + weight * p
 
 
 def non_uniform_colors(mass, q, blocked):
     """Colors whose exact mass differs from Uniform([q] \\ blocked)."""
-    avail = members(complement(blocked, q))
+    avail = members(full_mask(q) & ~blocked)
     bad = [c for c, m in mass.items() if not isinstance(m, Fraction)]
     assert not bad, f"inexact masses at {bad}"
     return [
@@ -59,16 +59,16 @@ def non_uniform_colors(mass, q, blocked):
 def compress_marginal(a_colors, q, blocked):
     qf = Fraction(q)
     a_mask = mask_from(a_colors)
-    outside = members(complement(a_mask, q))
+    outside = members(full_mask(q) & ~a_mask)
     perms = list(itertools.permutations(sorted(a_colors)))
     weight = Fraction(1, len(outside) * len(perms))
-    alpha = cp.compress_accept(qf, len(a_colors), size(blocked))
+    alpha = cp.compress_accept(qf, len(a_colors), blocked.bit_count())
     mass = {}
     for x_prime in outside:
         for pi in perms:
             outcomes = _split(alpha, lambda u: cp.compress_decode(
                 a_mask, qf, cp.CompressDraw(pi, x_prime, u), blocked))
-            _tally(mass, weight, a_mask | bit(x_prime), blocked, outcomes)
+            _tally(mass, weight, a_mask | 1 << x_prime, blocked, outcomes)
     return mass
 
 
@@ -88,8 +88,8 @@ def test_compress_exact_uniform_marginal(q, a_colors):
 def seeding_marginal(s_colors, law, q, c_mask):
     qf = Fraction(q)
     s_mask = mask_from(s_colors)
-    t_colors = members(complement(s_mask, q))
-    alpha = cp.seeding_acceptance(len(s_colors), law, qf, size(c_mask))
+    t_colors = members(full_mask(q) & ~s_mask)
+    alpha = cp.seeding_acceptance(len(s_colors), law, qf, c_mask.bit_count())
     mass = {}
     for k, p in zip(law.sizes, law.probs):
         prefixes = list(itertools.permutations(sorted(s_colors), k - 1))
@@ -98,7 +98,7 @@ def seeding_marginal(s_colors, law, q, c_mask):
             for c0 in t_colors:
                 outcomes = _split(alpha, lambda u: cp.seeding_decode(
                     s_mask, law, qf, cp.SeedingDraw(k, prefix, c0, u), c_mask))
-                _tally(mass, weight, mask_from(prefix) | bit(c0), c_mask, outcomes)
+                _tally(mass, weight, mask_from(prefix) | 1 << c0, c_mask, outcomes)
     return mass
 
 
@@ -147,8 +147,8 @@ def test_seeding_alpha_matches_exact_fraction():
 def disjoint_marginal(q, delta, neighbor_lists, blocked):
     """Walk the shipped slot layout exactly, one slot per step of u."""
     params = cp.disjoint_params_from_lists(Fraction(q), delta, neighbor_lists)
-    t_colors = members(complement(params.s_mask, q))
-    n_blocked = size(blocked)
+    t_colors = members(full_mask(q) & ~params.s_mask)
+    n_blocked = blocked.bit_count()
     mass = {}
     for reserve in t_colors:
         u = Fraction(0)
@@ -212,16 +212,16 @@ def test_disjoint_implementation_matches_exact_oracle(q, delta, raw_lists):
     neighbor_lists = [mask_from(s) for s in raw_lists]
     params = cp.disjoint_params_from_lists(Fraction(q), delta, neighbor_lists)
     b = len(params.pairs)
-    q_size = size(params.q_mask)
+    q_size = params.q_mask.bit_count()
     if b:
         assert params.p_pair == Fraction(1, q - q_size - b)
     assert params.s_e == Fraction(1, q - delta)
     expected_leftover = 1 - (
-        b * params.p_pair + 2 * b * params.s_d + size(params.e_mask) * params.s_e
+        b * params.p_pair + 2 * b * params.s_d + params.e_mask.bit_count() * params.s_e
     )
     assert params.leftover == expected_leftover
     # the singleton probability equals the quoted bound exactly
-    s_size, d_size = size(params.s_mask), 2 * b
+    s_size, d_size = params.s_mask.bit_count(), 2 * b
     bound = 1 - Fraction(s_size - q_size, q - delta) + Fraction(b, q - q_size - b)
     assert params.success_bound == bound
 

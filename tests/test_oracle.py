@@ -8,7 +8,7 @@ from scipy import stats as sps
 
 from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
-from cftp_colorings.colorsets import members, size
+from cftp_colorings.colorsets import members
 from cftp_colorings.errors import CouplingRegimeError, EnumerationBudgetError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_cycle
 
@@ -158,7 +158,7 @@ def test_build_worst_case_lists():
     per_side = [members(m) for m in inst.lists[:4]]
     assert per_side == [[0, 1], [1, 2], [3, 4], [4, 5]]
     assert inst.m == 2 and inst.r == 2
-    assert all(size(m) == 2 for m in inst.lists)
+    assert all(m.bit_count() == 2 for m in inst.lists)
     assert oracle.audit_worst_case(inst)
 
 

@@ -10,7 +10,8 @@ from scipy import stats as sps
 
 from cftp_colorings import oracle
 from cftp_colorings import seedstream as ss
-from cftp_colorings.colorsets import mask_from, nth_color, size
+from cftp_colorings import couplings as cp
+from cftp_colorings.colorsets import full_mask, mask_from
 
 STREAM = ss.SeedStream(123456789)
 
@@ -49,8 +50,9 @@ def test_unit_uniform_ks_and_mean():
 
 
 def uniform_member(key, draw, colors):
-    # the draw every coupling uses for a uniform member of a color set
-    return nth_color(colors, ss.randint_below(key, draw, size(colors)))
+    # the one rule every coupling uses, picking outside the complement of colors
+    q = colors.bit_length()
+    return cp.outside_color(full_mask(q) & ~colors, q, key, draw)
 
 
 def test_uniform_in_set_singleton():
