@@ -128,29 +128,23 @@ def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> 
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
     kept = [state.lists[u] for u in g.adjacency[v] if u in preserved]
-    a = 0
     if mode == PHASE_SEEDING:
+        # no pairs are held back: the two pair steps below then add nothing
         sp_mask = 0
         for m in kept:
             sp_mask |= m
-        a = _fill_atomic(a, delta, kept)
-        a = _fill_singles(a, delta, sp_mask)
+        dp_mask, dp_pairs = 0, []
     elif mode == PHASE_CONVERT:
-        sp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
-        dp_mask = 0
-        for m in dp_pairs:
-            dp_mask |= m
-        # pair colors live only in their own list, so non-pair lists are
-        # exactly the ones disjoint from dp_mask
-        outside = [m for m in kept if not (m & dp_mask)]
-        a = _fill_atomic(a, delta, outside)
-        a = _fill_singles(a, delta, sp_mask & ~dp_mask)
-        a = _fill_atomic(a, delta, dp_pairs)
-        a = _fill_singles(a, delta, dp_mask)
+        sp_mask, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
     else:
         raise ValueError(f"unknown greedy mode {mode!r}")
-    a = _fill_singles(a, delta, full_mask(q))
-    return a
+    # pair colors live only in their own list, so non-pair lists are
+    # exactly the ones disjoint from dp_mask
+    a = _fill_atomic(0, delta, [m for m in kept if not (m & dp_mask)])
+    a = _fill_singles(a, delta, sp_mask & ~dp_mask)
+    a = _fill_atomic(a, delta, dp_pairs)
+    a = _fill_singles(a, delta, dp_mask)
+    return _fill_singles(a, delta, full_mask(q))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import click
 
@@ -208,14 +207,14 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t2_override
 
 def _unshuffled_compress_draw(a_mask, q, key):
     """compress_draw with the shuffle of A left in ascending order."""
-    return replace(cp.compress_draw(a_mask, q, key), pi=tuple(iter_colors(a_mask)))
+    return cp.compress_draw(a_mask, q, key)._replace(pi=tuple(iter_colors(a_mask)))
 
 
 def _unshuffled_seeding_predict(s_mask, law, q, key):
     """seeding_predict with the slack prefix taken in ascending order."""
     _, draw = cp.seeding_predict(s_mask, law, q, key)
     prefix = tuple(members(s_mask)[:draw.k - 1])
-    return mask_from(prefix) | 1 << draw.c0, replace(draw, prefix=prefix)
+    return mask_from(prefix) | 1 << draw.c0, draw._replace(prefix=prefix)
 
 
 @cli.command("verify")
@@ -313,7 +312,7 @@ def _bench_one(args):
 @click.option("--q", type=int, default=None, help="default: ceil(threshold) + 1")
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--max-blocks", type=int, default=64, show_default=True)
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
@@ -324,6 +323,8 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
         raise click.UsageError(f"bad --n-list {n_list!r}") from None
     if not sizes:
         raise click.BadParameter(f"{n_list!r} holds no size", param_hint="'--n-list'")
+    if len(set(sizes)) < len(sizes):
+        raise click.BadParameter(f"{n_list!r} repeats a size", param_hint="'--n-list'")
     if q is None:
         q = math.ceil(engine.regime_threshold(delta)) + 1
     if seed is None:

@@ -22,6 +22,10 @@ disjoint pairs included; only a drawn permutation or prefix is a sequence,
 since its order is the draw. Each coupling draws one color uniformly outside
 a mask (compress's extra color, seeding's free color, disjoint's reserve),
 and outside_color is the one rule for it.
+
+Every per-update record (CompressDraw, SeedingDraw, DisjointParams,
+DisjointDraw) is a NamedTuple: as immutable as a frozen dataclass and several
+times cheaper to build.
 """
 
 from __future__ import annotations
@@ -111,9 +115,6 @@ class LPInstance:
             )
         return comb(j, k - 1) / den
 
-    def z_top(self, k: int) -> float:
-        return self.z(self.delta, k)
-
     @property
     def w(self) -> float:
         return (self.q - self.s_size) / (self.q - self.delta)
@@ -133,11 +134,11 @@ def lp_constraint_lhs(inst: LPInstance, law: SizeLaw, j: int) -> float:
     return acc
 
 
-def verify_full_lp(inst: LPInstance, law: SizeLaw):
-    """Check every feasibility row; returns (ok, violations).
+def verify_full_lp(inst: LPInstance, law: SizeLaw) -> list[tuple[int, float, float]]:
+    """Violated feasibility rows as (j, lhs, bound) triples; empty iff feasible.
 
     Rows j > |S| cannot arise (blocked colors inside the slack set number at
-    most |S|) and are skipped. Violations are (j, lhs, bound) triples.
+    most |S|) and are skipped.
     """
     violations = []
     top = min(inst.delta, inst.s_size)
@@ -150,7 +151,7 @@ def verify_full_lp(inst: LPInstance, law: SizeLaw):
         bound = inst.row_bound(j)
         if lhs > bound + _LP_TOL:
             violations.append((j, lhs, bound))
-    return (not violations, violations)
+    return violations
 
 
 def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
@@ -166,9 +167,9 @@ def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
         )
     w = inst.w
     for i in range(2, inst.delta + 1):
-        zi = inst.z_top(i)
+        zi = inst.z(inst.delta, i)
         if zi <= w:
-            zprev = inst.z_top(i - 1)
+            zprev = inst.z(inst.delta, i - 1)
             r_lo = (w - zi) / (zprev - zi)
             if r_lo <= 0.0:
                 return SizeLaw((i,), (1.0,))
@@ -186,7 +187,7 @@ def relaxed_lp_vertices(inst: LPInstance):
     that the closed form is optimal.
     """
     w = inst.w
-    zs = {k: inst.z_top(k) for k in range(1, inst.delta + 1)}
+    zs = {k: inst.z(inst.delta, k) for k in range(1, inst.delta + 1)}
     out = []
     for k, zk in zs.items():
         if zk <= w + 1e-15:
@@ -216,8 +217,7 @@ def relaxed_lp_vertex_optimum(inst: LPInstance) -> float:
 # Fisher-Yates shuffle of A (ascending order).
 
 
-@dataclass(frozen=True, slots=True)
-class CompressDraw:
+class CompressDraw(NamedTuple):
     pi: tuple[int, ...]
     x_prime: int
     u_prime: float
@@ -271,8 +271,7 @@ def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: Color
 # K-1 positions are ever materialized).
 
 
-@dataclass(frozen=True, slots=True)
-class SeedingDraw:
+class SeedingDraw(NamedTuple):
     k: int
     prefix: tuple[int, ...]
     c0: int
@@ -299,8 +298,8 @@ def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
         )
     law = SizeLaw.two_point(2, 1.0 - min(r3, 1.0), 3)
     if s_size > 0:
-        ok, violations = verify_full_lp(LPInstance(s_size, delta, q), law)
-        if not ok:
+        violations = verify_full_lp(LPInstance(s_size, delta, q), law)
+        if violations:
             raise CouplingRegimeError(
                 f"seeding size law violates feasibility rows {violations[:3]} "
                 f"for |S|={s_size}, delta={delta}, q={q}"
@@ -386,14 +385,6 @@ def seeding_decode(
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
 # draw 2 picks the reserve color.
 
-_SLOT_PAIR = 0
-_SLOT_COLOR = 1
-_SLOT_LEFTOVER = 2
-
-
-# Both records are built on every disjoint update, in construction and in
-# replay alike; a NamedTuple is as immutable as a frozen dataclass and
-# several times cheaper to build.
 class DisjointParams(NamedTuple):
     q: int
     delta: int
@@ -405,26 +396,22 @@ class DisjointParams(NamedTuple):
     p_pair: float
     s_d: float
     s_e: float
-    leftover: float
-
-    @property
-    def success_bound(self) -> float:
-        """Exact probability that the predicted set is a singleton."""
-        return self.leftover
+    leftover: float  # exact probability that the predicted set is a singleton
 
 
 class DisjointDraw(NamedTuple):
-    slot_kind: int
-    pair: ColorSet  # the slot's pair mask, or 0 outside a pair slot
-    color: int
+    # the slot: pair != 0 for a pair, color >= 0 for a color, neither for the leftover
+    pair: ColorSet  # the slot's pair mask, or 0
+    color: int  # the slot's color, or -1
     slot_prob: float
-    in_d: bool
+    in_d: bool  # a D color's slot; False on pair and leftover slots
     v: float
     reserve: int
 
 
-def disjoint_pair_scan(lists) -> tuple[ColorSet, list[ColorSet]]:
-    """Union of the lists, and the 2-lists that meet no other list.
+def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, list[ColorSet]]:
+    """Union of the lists, union of the pairs, and the pairs: the 2-lists
+    that meet no other list.
 
     One pass: ``shared`` collects every color seen in two or more lists, so
     a 2-list is a disjoint pair iff it misses ``shared``. Pairs come back in
@@ -435,7 +422,11 @@ def disjoint_pair_scan(lists) -> tuple[ColorSet, list[ColorSet]]:
     for m in lists:
         shared |= seen & m
         seen |= m
-    return seen, [m for m in lists if m.bit_count() == 2 and not (m & shared)]
+    pairs = [m for m in lists if m.bit_count() == 2 and not (m & shared)]
+    pair_mask = 0
+    for m in pairs:
+        pair_mask |= m
+    return seen, pair_mask, pairs
 
 
 def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> DisjointParams:
@@ -448,7 +439,7 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     at most two colors and q >= 2.5 * delta; larger lists are tolerated as
     long as the mass check passes.
     """
-    s_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
+    s_mask, d_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
     if q <= delta:
         raise CouplingRegimeError("disjoint needs q > delta")
     if s_mask.bit_count() >= q:
@@ -457,9 +448,6 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     for m in neighbor_lists:
         if m.bit_count() == 1:
             q_mask |= m
-    d_mask = 0
-    for m in pair_lists:
-        d_mask |= m
     e_mask = s_mask & ~q_mask & ~d_mask
     b = len(pair_lists)
     q_size = q_mask.bit_count()
@@ -501,20 +489,20 @@ def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet,
         for pair in params.pairs:
             acc += params.p_pair
             if u < acc:
-                draw = DisjointDraw(_SLOT_PAIR, pair, -1, params.p_pair, False, v, reserve)
+                draw = DisjointDraw(pair, -1, params.p_pair, False, v, reserve)
                 return pair, draw
     if params.s_d > 0.0:
         for c in iter_colors(params.d_mask):
             acc += params.s_d
             if u < acc:
-                draw = DisjointDraw(_SLOT_COLOR, 0, c, params.s_d, True, v, reserve)
+                draw = DisjointDraw(0, c, params.s_d, True, v, reserve)
                 return 1 << c | 1 << reserve, draw
     for c in iter_colors(params.e_mask):
         acc += params.s_e
         if u < acc:
-            draw = DisjointDraw(_SLOT_COLOR, 0, c, params.s_e, False, v, reserve)
+            draw = DisjointDraw(0, c, params.s_e, False, v, reserve)
             return 1 << c | 1 << reserve, draw
-    draw = DisjointDraw(_SLOT_LEFTOVER, 0, -1, params.leftover, False, v, reserve)
+    draw = DisjointDraw(0, -1, params.leftover, False, v, reserve)
     return 1 << reserve, draw
 
 
@@ -530,7 +518,7 @@ def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSe
         raise EngineError(
             f"blocked set of size {n_blocked} exceeds delta = {params.delta}"
         )
-    if draw.slot_kind == _SLOT_PAIR:
+    if draw.pair:
         open_colors = draw.pair & ~blocked
         if open_colors.bit_count() != 1:
             raise EngineError(
@@ -538,10 +526,9 @@ def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSe
                 f"{2 - open_colors.bit_count()} members blocked"
             )
         return open_colors.bit_length() - 1
-    if draw.slot_kind == _SLOT_COLOR:
-        c = draw.color
-        if not blocked >> c & 1:
-            needed = disjoint_needed(params, draw, n_blocked)
-            if needed > 0.0 and draw.v * draw.slot_prob < needed:
-                return c
+    c = draw.color
+    if c >= 0 and not blocked >> c & 1:
+        needed = disjoint_needed(params, draw, n_blocked)
+        if needed > 0.0 and draw.v * draw.slot_prob < needed:
+            return c
     return draw.reserve

@@ -46,9 +46,6 @@ class SeedVertexSet:
     eta: float
     resamples: int
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -302,13 +299,15 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     check_config(g, config)
     stream = SeedStream(config.master_seed)
     seed_set = lll_partition(g, stream)
-    updates = degraded = seeding_fallbacks = disjoint_fallbacks = 0
+    updates = degraded = 0
+    # one record of the fallback counts, for the result or the error alike
+    phase_stats = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
     for t in range(1, config.max_blocks + 1):
         block = construct_block(g, seed_set, config, t, stream)
         updates += block.updates
         degraded += bool(block.seeding_fallbacks or block.disjoint_fallbacks)
-        seeding_fallbacks += block.seeding_fallbacks
-        disjoint_fallbacks += block.disjoint_fallbacks
+        phase_stats["seeding_fallbacks"] += block.seeding_fallbacks
+        phase_stats["disjoint_fallbacks"] += block.disjoint_fallbacks
         omega = block.phi
         # free this block's lists before the next block builds its own
         del block
@@ -319,6 +318,7 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
             "blocks_used": config.max_blocks,
             "updates": updates,
             "degraded_blocks": degraded,
+            "phase_stats": phase_stats,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
             "partition_resamples": seed_set.resamples,
         }
@@ -336,10 +336,7 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         blocks_used=t,
         updates=updates,
         degraded_blocks=degraded,
-        phase_stats={
-            "seeding_fallbacks": seeding_fallbacks,
-            "disjoint_fallbacks": disjoint_fallbacks,
-        },
+        phase_stats=phase_stats,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         partition_resamples=seed_set.resamples,
     )

@@ -227,7 +227,7 @@ def audit_seeding_at_worst_case(
     try:
         inst_lp = cp.LPInstance(s_mask.bit_count(), delta, q)
         law = cp.solve_relaxed_lp(inst_lp)
-        compatible, _ = cp.verify_full_lp(inst_lp, law)
+        compatible = not cp.verify_full_lp(inst_lp, law)
     except (CouplingRegimeError, ValueError):
         compatible = False
     if not compatible:

@@ -115,7 +115,7 @@ def seeding_suite(
     delta, q = 3, 8
     s_mask = mask_from((1, 2, 3, 4, 5))
     tag = f"seeding[{label}]" if label else "seeding"
-    ok, violations = cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
+    violations = cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
     c_sets = [mask_from(s) for s in _subsets_up_to(members(s_mask), delta)]
     containment, marginals, predictions = _decode_marginals(
         tag, q, partial(predict, s_mask, law, q),
@@ -123,7 +123,7 @@ def seeding_suite(
     )
     size_ok = all(predicted.bit_count() == draw.k for predicted, draw in predictions)
     return [
-        CheckResult(f"{tag} law feasible", ok, f"violations: {violations[:2]}"),
+        CheckResult(f"{tag} law feasible", not violations, f"violations: {violations[:2]}"),
         containment,
         CheckResult(f"{tag} predicted size equals drawn size", size_ok),
         marginals,
@@ -161,14 +161,15 @@ def disjoint_suite(
     )
     sizes = [predicted.bit_count() for predicted, _ in predictions]
     frac = sizes.count(1) / n_draws
-    sigma = math.sqrt(max(params.success_bound * (1 - params.success_bound), 1e-12) / n_draws)
+    bound = params.leftover
+    sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / n_draws)
     return [
         containment,
         CheckResult(f"{tag} predicted sizes in {{1,2}}", all(k in (1, 2) for k in sizes)),
         CheckResult(
             f"{tag} singleton rate >= bound - 3 sigma",
-            frac >= params.success_bound - 3 * sigma,
-            f"rate = {frac:.4f}, bound = {params.success_bound:.4f}",
+            frac >= bound - 3 * sigma,
+            f"rate = {frac:.4f}, bound = {bound:.4f}",
         ),
         marginals,
     ]
@@ -225,8 +226,8 @@ def lp_grid_suite(delta_lo: int = 3, delta_hi: int = 16) -> list[CheckResult]:
     for delta, s_size, q in points:
         inst = cp.LPInstance(s_size, delta, q)
         law = cp.solve_relaxed_lp(inst)
-        ok, violations = cp.verify_full_lp(inst, law)
-        if not ok:
+        violations = cp.verify_full_lp(inst, law)
+        if violations:
             infeasible.append((delta, s_size, q, violations[:1]))
         best = cp.relaxed_lp_vertex_optimum(inst)
         if law.expected_size > best + 1e-12:

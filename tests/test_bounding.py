@@ -64,8 +64,9 @@ def test_singleton_colors():
 def test_disjoint_pair_scan_two_separate_pairs():
     g = star(2)
     state = make_state(g, 8, {1: [1, 2], 2: [3, 4]})
-    union, pairs = cp.disjoint_pair_scan(neighbor_lists(state, g, 0))
+    union, pair_mask, pairs = cp.disjoint_pair_scan(neighbor_lists(state, g, 0))
     assert members(union) == [1, 2, 3, 4]
+    assert members(pair_mask) == [1, 2, 3, 4]
     assert pairs == [mask_from([1, 2]), mask_from([3, 4])]
 
 
@@ -73,17 +74,17 @@ def test_disjoint_pair_scan_overlap_disqualifies():
     g = star(3)
     # overlapping 2-lists, identical 2-lists, and a 2-list meeting a 3-list
     state = make_state(g, 10, {1: [1, 2], 2: [2, 3], 3: [5, 6]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([5, 6])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([5, 6])]
     state = make_state(g, 10, {1: [1, 2], 2: [1, 2], 3: [5, 6]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([5, 6])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([5, 6])]
     state = make_state(g, 10, {1: [6, 7, 8], 2: [5, 6], 3: [1, 2]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([1, 2])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([1, 2])]
 
 
 def test_disjoint_pair_scan_single_neighbor():
     g = star(1)
     state = make_state(g, 8, {1: [1, 2]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[1] == [mask_from([1, 2])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([1, 2])]
 
 
 # ---------------------------------------------------------------------------

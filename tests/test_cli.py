@@ -196,6 +196,10 @@ K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
         (("bench", "--delta", "4", "--n-list", "10", "--runs", "0", "--seed", "1"), "'--runs'"),
         (("bench", "--delta", "4", "--n-list", "", "--runs", "1", "--seed", "1"), "'--n-list'"),
         (("lowerbound", "--delta-range", "4:4", "--audit", "--trials", "0"), "'--trials'"),
+        (("bench", "--delta", "4", "--n-list", "10,10", "--runs", "1", "--seed", "1",
+          "--q", "12"), "'--n-list'"),
+        (("bench", "--delta", "4", "--n-list", "10", "--runs", "1", "--seed", "1",
+          "--workers", "0"), "'--workers'"),
     ],
 )
 def test_bench_bad_inputs_exit_64(args, needle):

@@ -202,7 +202,7 @@ def test_disjoint_fixture_classification():
     assert p.pairs == (mask_from([1, 2]), mask_from([3, 4]))
     assert members(p.q_mask) == [5, 6]
     assert p.e_mask == 0
-    assert p.success_bound == pytest.approx(2 / 3, abs=1e-12)
+    assert p.leftover == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_disjoint_entangled_classification():
@@ -211,7 +211,7 @@ def test_disjoint_entangled_classification():
     assert members(p.q_mask) == [6]
     assert members(p.e_mask) == [1, 2, 3]
     # 1 - (|S| - |Q|) / (q - delta) + (|D|/2) / (q - |Q| - |D|/2)
-    assert p.success_bound == pytest.approx(1 - 5 / 6 + 1 / 8, abs=1e-12)
+    assert p.leftover == pytest.approx(1 - 5 / 6 + 1 / 8, abs=1e-12)
 
 
 def test_disjoint_overlapping_pairs_disqualified():
@@ -224,7 +224,7 @@ def test_disjoint_overlapping_pairs_disqualified():
 def test_disjoint_all_singletons_always_coalesces():
     lists = [mask_from([c]) for c in (0, 1, 2, 3)]
     params = cp.disjoint_params_from_lists(10, 4, lists)
-    assert params.success_bound == pytest.approx(1.0, abs=1e-12)
+    assert params.leftover == pytest.approx(1.0, abs=1e-12)
     blocked = mask_from([0, 1, 2, 3])
     for j in range(300):
         predicted, draw = cp.disjoint_predict(params, STREAM.subkey(10, j))
@@ -241,7 +241,7 @@ def test_disjoint_bound_improves_with_pairing():
     without = cp.disjoint_params_from_lists(
         12, 4, [mask_from(s) for s in ({1, 2}, {1, 2}, {5}, {6})]
     )
-    assert with_pairs.success_bound > without.success_bound - 1e-12
+    assert with_pairs.leftover > without.leftover - 1e-12
 
 
 def test_disjoint_infeasible_configuration_raises():
@@ -256,7 +256,7 @@ def test_disjoint_decode_unrealizable_pair_blocked_state_raises():
     _, draw = next(
         (cp.disjoint_predict(params, STREAM.subkey(11, j)))
         for j in range(200)
-        if cp.disjoint_predict(params, STREAM.subkey(11, j))[1].slot_kind == 0
+        if cp.disjoint_predict(params, STREAM.subkey(11, j))[1].pair
     )
     both = draw.pair | mask_from([5, 6])
     with pytest.raises(EngineError):

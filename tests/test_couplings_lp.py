@@ -28,7 +28,7 @@ def test_top_row_equals_relaxed_moment():
     inst = cp.LPInstance(s_size=7, delta=4, q=12)
     law = cp.SizeLaw((2, 3), (0.25, 0.75))
     top = cp.lp_constraint_lhs(inst, law, inst.delta)
-    relaxed = sum(p * inst.z_top(k) for k, p in zip(law.sizes, law.probs))
+    relaxed = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
     assert top == pytest.approx(relaxed, abs=1e-15)
 
 
@@ -41,7 +41,7 @@ def test_solve_relaxed_lp_reference_point():
     assert law.r(3) == pytest.approx(float(r3), abs=1e-12)
     assert law.r(2) == pytest.approx(float(1 - r3), abs=1e-12)
     # the moment constraint is tight
-    moment = sum(p * inst.z_top(k) for k, p in zip(law.sizes, law.probs))
+    moment = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
     assert moment == pytest.approx(inst.w, abs=1e-12)
 
 
@@ -77,8 +77,8 @@ def test_seeding_size_law_out_of_regime_raises():
 def test_verify_full_lp_flags_infeasible_point_mass():
     # point mass on size 1 with |S| > q - delta: every row has lhs = 1 > bound
     inst = cp.LPInstance(s_size=6, delta=3, q=8)
-    ok, violations = cp.verify_full_lp(inst, cp.SizeLaw((1,), (1.0,)))
-    assert not ok
+    violations = cp.verify_full_lp(inst, cp.SizeLaw((1,), (1.0,)))
+    assert violations
     assert [v[0] for v in violations] == [1, 2, 3]
 
 
@@ -90,8 +90,8 @@ def test_verify_full_lp_top_row_point_mass_on_delta():
         law = cp.SizeLaw((delta,), (1.0,))
         lhs = cp.lp_constraint_lhs(inst, law, delta)
         assert lhs == pytest.approx(2 / (delta + 1), abs=1e-12)
-        ok, _ = cp.verify_full_lp(inst, law)
-        assert ok == (lhs <= inst.w + 1e-9)
+        feasible = not cp.verify_full_lp(inst, law)
+        assert feasible == (lhs <= inst.w + 1e-9)
 
 
 def test_relaxed_solution_feasible_on_light_grid():
@@ -102,8 +102,8 @@ def test_relaxed_solution_feasible_on_light_grid():
                     continue
                 inst = cp.LPInstance(s_size, delta, q)
                 law = cp.solve_relaxed_lp(inst)
-                ok, violations = cp.verify_full_lp(inst, law)
-                assert ok, (delta, s_size, q, violations)
+                violations = cp.verify_full_lp(inst, law)
+                assert not violations, (delta, s_size, q, violations)
 
 
 def test_closed_form_matches_vertex_enumeration_spot():
@@ -128,14 +128,14 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     inst = cp.LPInstance(s_size, delta, q)
     law = cp.solve_relaxed_lp(inst)
     # feasible for the relaxed program
-    moment = sum(p * inst.z_top(k) for k, p in zip(law.sizes, law.probs))
+    moment = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
     assert moment <= inst.w + 1e-9
     # optimal among polytope vertices
     assert law.expected_size <= cp.relaxed_lp_vertex_optimum(inst) + 1e-9
 
 
 def test_lp_grid_suite_fails_on_an_empty_grid():
-    # verify without --full caps HI at 8, so --delta 10:16 has no grid point
+    # 10:8 is an inverted range (LO > HI), so the grid has no point
     feasible, _ = vf.lp_grid_suite(10, 8)
     assert "0 grid points" in feasible.name
     assert not feasible.passed

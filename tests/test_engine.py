@@ -292,6 +292,12 @@ def test_sample_no_coalescence_reports_stats():
     with pytest.raises(NoCoalescenceError) as err:
         engine.sample(g, cfg)
     assert err.value.stats["blocks_used"] == 2
+    # the same fallback counts a SampleResult reports
+    phase_stats = err.value.stats["phase_stats"]
+    assert set(phase_stats) == {"seeding_fallbacks", "disjoint_fallbacks"}
+    assert all(isinstance(n, int) and n >= 0 for n in phase_stats.values())
+    # every degraded block fell back at least once
+    assert sum(phase_stats.values()) >= err.value.stats["degraded_blocks"]
 
 
 def test_sample_uniform_on_even_cycle_forced():

@@ -115,8 +115,7 @@ def seeding_marginal(s_colors, law, q, c_mask):
 )
 def test_seeding_exact_uniform_marginal(s_colors, q, law):
     delta = 3
-    ok, _ = cp.verify_full_lp(cp.LPInstance(len(s_colors), delta, q), law)
-    assert ok
+    assert not cp.verify_full_lp(cp.LPInstance(len(s_colors), delta, q), law)
     for r in range(delta + 1):
         for c_set in itertools.combinations(s_colors, r):
             c_mask = mask_from(c_set)
@@ -156,6 +155,14 @@ def disjoint_marginal(q, delta, neighbor_lists, blocked):
             predicted, draw = cp.disjoint_slot(params, u, 0, reserve)
             # the slot spans exactly [u, u + slot_prob)
             assert cp.disjoint_slot(params, u + draw.slot_prob - EPS, 0, reserve)[1] == draw
+            # and is exactly one kind: a pair, a color, or the leftover
+            if draw.pair:
+                assert draw.pair.bit_count() == 2 and draw.color == -1
+                assert predicted == draw.pair
+            elif draw.color >= 0:
+                assert predicted == 1 << draw.color | 1 << reserve
+            else:
+                assert draw.color == -1 and predicted == 1 << reserve
             alpha = cp.disjoint_needed(params, draw, n_blocked) / draw.slot_prob
             outcomes = _split(alpha, lambda v: cp.disjoint_decode(
                 params, draw._replace(v=v), blocked))
@@ -223,7 +230,7 @@ def test_disjoint_implementation_matches_exact_oracle(q, delta, raw_lists):
     # the singleton probability equals the quoted bound exactly
     s_size, d_size = params.s_mask.bit_count(), 2 * b
     bound = 1 - Fraction(s_size - q_size, q - delta) + Fraction(b, q - q_size - b)
-    assert params.success_bound == bound
+    assert params.leftover == bound
 
 
 @settings(max_examples=200, deadline=None)
