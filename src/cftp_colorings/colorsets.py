@@ -15,6 +15,9 @@ from typing import Iterable, Iterator
 
 ColorSet = int
 
+# Width at which nth_color stops halving and clears low members one by one.
+_SELECT_WIDTH = 8
+
 
 def full_mask(q: int) -> ColorSet:
     return (1 << q) - 1
@@ -40,8 +43,27 @@ def members(mask: ColorSet) -> list[int]:
 
 
 def nth_color(mask: ColorSet, n: int) -> int:
-    """n-th member (0-based) in ascending order."""
-    for i, c in enumerate(iter_colors(mask)):
-        if i == n:
-            return c
-    raise IndexError(f"color set has fewer than {n + 1} members")
+    """n-th member (0-based) in ascending order, in O(log q) int operations.
+
+    Halve the mask: keep the low half while n is below its popcount, else
+    drop those members from n and move to the high half. Once the mask is
+    at most _SELECT_WIDTH bits wide, clear its n lowest members and return
+    the lowest one left. The result equals ``members(mask)[n]``.
+    """
+    if n < 0 or n >= mask.bit_count():
+        raise IndexError(f"no member {n} in a color set of {mask.bit_count()}")
+    base = 0
+    width = mask.bit_length()
+    while width > _SELECT_WIDTH:
+        width = (width + 1) >> 1
+        low = mask & ((1 << width) - 1)
+        below = low.bit_count()
+        if n < below:
+            mask = low
+        else:
+            n -= below
+            mask >>= width
+            base += width
+    for _ in range(n):
+        mask &= mask - 1
+    return base + (mask & -mask).bit_length() - 1

@@ -1,4 +1,5 @@
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftp_colorings import colorsets as cs
@@ -32,3 +33,52 @@ def test_members_sorted_and_nth():
     mask = cs.mask_from([9, 2, 5])
     assert cs.members(mask) == [2, 5, 9]
     assert [cs.nth_color(mask, i) for i in range(3)] == [2, 5, 9]
+
+
+def test_nth_color_matches_members_for_every_small_mask():
+    # masks up to 11 bits wide cross the width where the select stops halving
+    for mask in range(1 << 11):
+        expected = cs.members(mask)
+        assert [cs.nth_color(mask, n) for n in range(len(expected))] == expected
+
+
+wide_masks = st.one_of(
+    st.integers(min_value=1, max_value=(1 << 256) - 1),
+    st.frozensets(st.integers(0, 255), min_size=1, max_size=40).map(cs.mask_from),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_masks, st.data())
+def test_nth_color_matches_members_on_wide_masks(mask, data):
+    expected = cs.members(mask)
+    n = data.draw(st.integers(0, len(expected) - 1))
+    assert cs.nth_color(mask, n) == expected[n]
+    assert cs.nth_color(mask, 0) == expected[0]
+    assert cs.nth_color(mask, len(expected) - 1) == expected[-1]
+
+
+@pytest.mark.parametrize("bit", [0, 63, 64, 104, 255])
+def test_nth_color_single_bit(bit):
+    assert cs.nth_color(1 << bit, 0) == bit
+
+
+@pytest.mark.parametrize("q", [13, 31, 105])
+def test_nth_color_full_palette(q):
+    assert [cs.nth_color(cs.full_mask(q), n) for n in range(q)] == list(range(q))
+
+
+@pytest.mark.parametrize(
+    "mask, n",
+    [
+        (cs.mask_from([9, 2, 5]), 3),
+        (cs.mask_from([9, 2, 5]), -1),
+        (0, 0),
+        (cs.full_mask(105), 105),
+        (cs.full_mask(105), -1),
+        (1 << 255, 1),
+    ],
+)
+def test_nth_color_out_of_range_raises(mask, n):
+    with pytest.raises(IndexError):
+        cs.nth_color(mask, n)

@@ -60,6 +60,20 @@ def test_compress_extra_color_uniform():
     assert oracle.gof_from_counts([counts[c] for c in outside]).pvalue > 0.001
 
 
+@pytest.mark.parametrize("q", [105, 200])
+def test_outside_color_uniform_on_wide_palettes(q):
+    # 32 blocked colors spread over every 64-bit word of the palette, so the
+    # select halves several times before it clears low members
+    mask = mask_from(range(1, q, q // 32)[:32])
+    free = [c for c in range(q) if not mask >> c & 1]
+    n = 200 * len(free)
+    counts = Counter(
+        cp.outside_color(mask, q, STREAM.subkey(11, j), 2) for j in range(n)
+    )
+    assert set(counts) <= set(free)
+    assert oracle.gof_from_counts([counts[c] for c in free]).pvalue > 1e-3
+
+
 def test_compress_draw_matches_predict():
     a = mask_from([4, 5, 6])
     for j in range(100):
