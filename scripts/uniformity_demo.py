@@ -20,6 +20,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error(f"--samples must be at least 1, got {args.samples}")
 
     build, q = GRAPHS[args.graph]
     g = build()

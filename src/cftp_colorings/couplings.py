@@ -11,8 +11,9 @@ Three constructions are provided:
   plus one uniform extra color; always available, never shrinks lists
   below |A| + 1.
 * seeding: predicted set is a short random prefix of a permutation of the
-  neighborhood slack plus one free color; its size distribution is chosen
-  by a small linear program so the expected size is minimal.
+  neighborhood slack plus one free color; its size law is two-point
+  (SizeLaw(lo, hi, p_lo)), chosen by a small linear program so the
+  expected size is minimal.
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two.
@@ -55,37 +56,33 @@ def outside_color(mask: ColorSet, q: int, key: int, draw: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SizeLaw:
-    """Sparse distribution over bounding-set sizes."""
+    """Two-point law on bounding-set sizes: P(lo) = p_lo, P(hi) = 1 - p_lo.
 
-    sizes: tuple[int, ...]
-    probs: tuple[float, ...]
+    A point mass on k is SizeLaw(k, k, 1). With a Fraction p_lo, r,
+    expected_size and seeding_acceptance stay exact.
+    """
+
+    lo: int
+    hi: int
+    p_lo: float
 
     def __post_init__(self):
-        if len(self.sizes) != len(self.probs):
-            raise ValueError("sizes and probs must have equal length")
-        if any(p < -1e-12 for p in self.probs):
-            raise ValueError("size law has a negative probability")
-        total = sum(self.probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"size law sums to {total}, not 1")
+        if not self.lo <= self.hi:
+            raise ValueError(f"size law needs lo <= hi, got {self.lo} > {self.hi}")
+        if not 0 <= self.p_lo <= 1:
+            raise ValueError(f"size law needs 0 <= p_lo <= 1, got {self.p_lo}")
+
+    @property
+    def terms(self):
+        """(size, mass) of lo, then of hi."""
+        return (self.lo, self.p_lo), (self.hi, 1 - self.p_lo)
 
     def r(self, k: int) -> float:
-        for s, p in zip(self.sizes, self.probs):
-            if s == k:
-                return p
-        return 0.0
+        return (self.p_lo if k == self.lo else 0) + (1 - self.p_lo if k == self.hi else 0)
 
     @property
     def expected_size(self) -> float:
-        return sum(k * p for k, p in zip(self.sizes, self.probs))
-
-    @staticmethod
-    def two_point(k_lo: int, p_lo: float, k_hi: int) -> "SizeLaw":
-        if p_lo >= 1.0:
-            return SizeLaw((k_lo,), (1.0,))
-        if p_lo <= 0.0:
-            return SizeLaw((k_hi,), (1.0,))
-        return SizeLaw((k_lo, k_hi), (p_lo, 1.0 - p_lo))
+        return self.lo * self.p_lo + self.hi * (1 - self.p_lo)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +125,7 @@ def lp_constraint_lhs(inst: LPInstance, law: SizeLaw, j: int) -> float:
     if not 1 <= j <= inst.delta:
         raise ValueError("row index out of range")
     acc = 0.0
-    for k, p in zip(law.sizes, law.probs):
+    for k, p in law.terms:
         if p > 0.0:
             acc += p * inst.z(j, k)
     return acc
@@ -159,7 +156,7 @@ def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
 
     With z(k) = z_delta(k) decreasing and convex in k, the minimizer of the
     expected size subject to sum r_k z(k) <= w is supported on the two
-    consecutive sizes straddling w.
+    consecutive sizes straddling w (lo's mass is 0 when z(hi) = w).
     """
     if inst.s_size <= inst.delta:
         raise CouplingRegimeError(
@@ -170,10 +167,7 @@ def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
         zi = inst.z(inst.delta, i)
         if zi <= w:
             zprev = inst.z(inst.delta, i - 1)
-            r_lo = (w - zi) / (zprev - zi)
-            if r_lo <= 0.0:
-                return SizeLaw((i,), (1.0,))
-            return SizeLaw((i - 1, i), (r_lo, 1.0 - r_lo))
+            return SizeLaw(i - 1, i, (w - zi) / (zprev - zi))
     raise CouplingRegimeError(
         f"no feasible size <= delta for |S|={inst.s_size}, delta={inst.delta}, q={inst.q}"
     )
@@ -191,7 +185,7 @@ def relaxed_lp_vertices(inst: LPInstance):
     out = []
     for k, zk in zs.items():
         if zk <= w + 1e-15:
-            out.append(SizeLaw((k,), (1.0,)))
+            out.append(SizeLaw(k, k, 1.0))
     ks = sorted(zs)
     for a in ks:
         for b in ks:
@@ -199,8 +193,7 @@ def relaxed_lp_vertices(inst: LPInstance):
                 continue
             r_a = (w - zs[b]) / (zs[a] - zs[b])
             if 0.0 <= r_a <= 1.0:
-                law = SizeLaw((a, b), (r_a, 1.0 - r_a))
-                out.append(law)
+                out.append(SizeLaw(a, b, r_a))
     return out
 
 
@@ -281,7 +274,7 @@ class SeedingDraw(NamedTuple):
 def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
     """Two-point size law on {2, 3} for a slack set of s_size colors.
 
-    The three-point mass is clamped to zero when the slack is small enough
+    The size-3 mass r3 is clamped to zero when the slack is small enough
     that size 2 alone is feasible; outside the feasible regime the full
     row check fails and the caller is expected to fall back to compress.
     """
@@ -296,7 +289,7 @@ def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
             f"seeding size law infeasible: r3 = {r3:.4f} for |S|={s_size}, "
             f"delta={delta}, q={q}"
         )
-    law = SizeLaw.two_point(2, 1.0 - min(r3, 1.0), 3)
+    law = SizeLaw(2, 3, 1.0 - min(r3, 1.0))
     if s_size > 0:
         violations = verify_full_lp(LPInstance(s_size, delta, q), law)
         if violations:
@@ -308,13 +301,7 @@ def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
 
 
 def _draw_size(law: SizeLaw, key: int) -> int:
-    u = unit_uniform(key, 0)
-    acc = 0.0
-    for k, p in zip(law.sizes, law.probs):
-        acc += p
-        if u < acc:
-            return k
-    return law.sizes[-1]
+    return law.lo if unit_uniform(key, 0) < law.p_lo else law.hi
 
 
 def seeding_predict(
@@ -338,7 +325,7 @@ def seeding_predict(
 def seeding_acceptance(s_size: int, law: SizeLaw, q: int, n_blocked: int) -> float:
     """Acceptance probability for emitting a slack color given |C| blocked."""
     p_c = 0
-    for k, p in zip(law.sizes, law.probs):
+    for k, p in law.terms:
         if p > 0.0:
             p_c += p * comb(n_blocked, k - 1) / comb(s_size, k - 1)
     q_c = (q - s_size) / (q - n_blocked)

@@ -102,7 +102,7 @@ def compress_suite(
 
 
 def seeding_suite(
-    law: cp.SizeLaw = cp.SizeLaw((2, 3), (0.4, 0.6)),
+    law: cp.SizeLaw = cp.SizeLaw(2, 3, 0.4),
     n_draws: int = 20_000,
     master_seed: int = 77,
     label: str = "",
@@ -218,7 +218,9 @@ def lp_grid(delta_lo: int, delta_hi: int):
 def lp_grid_suite(delta_lo: int = 3, delta_hi: int = 16) -> list[CheckResult]:
     """Closed-form law feasibility and optimality across the parameter grid.
 
-    An empty grid fails: it checks nothing.
+    The closed-form law is solve_relaxed_lp's relaxed optimum, which mixes
+    sizes 1 and 2 when |S| <= q - delta; the sampler (and cli lpaudit) use
+    seeding_size_law's law on {2, 3}. An empty grid fails: it checks nothing.
     """
     points = list(lp_grid(delta_lo, delta_hi))
     infeasible = []

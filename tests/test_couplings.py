@@ -111,7 +111,7 @@ def test_compress_containment_and_availability(blocked, j):
 # seeding
 # ---------------------------------------------------------------------------
 
-TRACE_LAW = cp.SizeLaw((2, 3), (0.5, 0.5))
+TRACE_LAW = cp.SizeLaw(2, 3, 0.5)
 
 
 def seeding_trace_alpha():
@@ -190,15 +190,20 @@ def test_draw_size_point_masses():
     # draw 0 picks the target size; a point mass always wins
     for j in range(100):
         key = STREAM.subkey(6, j)
-        assert cp._draw_size(cp.SizeLaw((2,), (1.0,)), key) == 2
-        assert cp._draw_size(cp.SizeLaw((2, 3), (0.0, 1.0)), key) == 3
+        assert cp._draw_size(cp.SizeLaw(2, 2, 1.0), key) == 2
+        assert cp._draw_size(cp.SizeLaw(2, 3, 0.0), key) == 3
 
 
 def test_size_law_rejects_invalid_weights():
     with pytest.raises(ValueError):
-        cp.SizeLaw((2, 3), (0.5, 0.4))
+        cp.SizeLaw(2, 3, 1.1)
     with pytest.raises(ValueError):
-        cp.SizeLaw((2, 3), (-0.1, 1.1))
+        cp.SizeLaw(2, 3, -0.1)
+
+
+def test_size_law_rejects_inverted_sizes():
+    with pytest.raises(ValueError):
+        cp.SizeLaw(3, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from cftp_colorings.errors import CouplingRegimeError
 
 def test_lhs_point_mass_on_one_is_one():
     inst = cp.LPInstance(s_size=5, delta=3, q=9)
-    law = cp.SizeLaw((1,), (1.0,))
+    law = cp.SizeLaw(1, 1, 1.0)
     for j in range(1, 4):
         assert cp.lp_constraint_lhs(inst, law, j) == 1.0
 
@@ -20,15 +20,15 @@ def test_lhs_point_mass_on_one_is_one():
 def test_lhs_binomial_evaluation():
     # C(3,2)/C(5,2) = 3/10 for a point mass on size 3 at row j = 3
     inst = cp.LPInstance(s_size=5, delta=3, q=9)
-    law = cp.SizeLaw((3,), (1.0,))
+    law = cp.SizeLaw(3, 3, 1.0)
     assert cp.lp_constraint_lhs(inst, law, 3) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_top_row_equals_relaxed_moment():
     inst = cp.LPInstance(s_size=7, delta=4, q=12)
-    law = cp.SizeLaw((2, 3), (0.25, 0.75))
+    law = cp.SizeLaw(2, 3, 0.25)
     top = cp.lp_constraint_lhs(inst, law, inst.delta)
-    relaxed = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
+    relaxed = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
     assert top == pytest.approx(relaxed, abs=1e-15)
 
 
@@ -41,7 +41,7 @@ def test_solve_relaxed_lp_reference_point():
     assert law.r(3) == pytest.approx(float(r3), abs=1e-12)
     assert law.r(2) == pytest.approx(float(1 - r3), abs=1e-12)
     # the moment constraint is tight
-    moment = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
+    moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
     assert moment == pytest.approx(inst.w, abs=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_solve_relaxed_lp_boundary_point_mass():
     # |S| = q - delta makes size 2 exactly feasible alone
     inst = cp.LPInstance(s_size=9, delta=3, q=12)
     law = cp.solve_relaxed_lp(inst)
-    assert law.sizes == (2,) and law.probs == (1.0,)
+    assert law.r(2) == 1.0
 
 
 def test_seeding_size_law_matches_relaxed_solution():
@@ -77,7 +77,7 @@ def test_seeding_size_law_out_of_regime_raises():
 def test_verify_full_lp_flags_infeasible_point_mass():
     # point mass on size 1 with |S| > q - delta: every row has lhs = 1 > bound
     inst = cp.LPInstance(s_size=6, delta=3, q=8)
-    violations = cp.verify_full_lp(inst, cp.SizeLaw((1,), (1.0,)))
+    violations = cp.verify_full_lp(inst, cp.SizeLaw(1, 1, 1.0))
     assert violations
     assert [v[0] for v in violations] == [1, 2, 3]
 
@@ -87,7 +87,7 @@ def test_verify_full_lp_top_row_point_mass_on_delta():
     # C(d, d-1) / C(d+1, d-1) = 2 / (d+1)
     for delta in (3, 5, 8):
         inst = cp.LPInstance(s_size=delta + 1, delta=delta, q=3 * delta)
-        law = cp.SizeLaw((delta,), (1.0,))
+        law = cp.SizeLaw(delta, delta, 1.0)
         lhs = cp.lp_constraint_lhs(inst, law, delta)
         assert lhs == pytest.approx(2 / (delta + 1), abs=1e-12)
         feasible = not cp.verify_full_lp(inst, law)
@@ -128,7 +128,7 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     inst = cp.LPInstance(s_size, delta, q)
     law = cp.solve_relaxed_lp(inst)
     # feasible for the relaxed program
-    moment = sum(p * inst.z(inst.delta, k) for k, p in zip(law.sizes, law.probs))
+    moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
     assert moment <= inst.w + 1e-9
     # optimal among polytope vertices
     assert law.expected_size <= cp.relaxed_lp_vertex_optimum(inst) + 1e-9
@@ -139,3 +139,17 @@ def test_lp_grid_suite_fails_on_an_empty_grid():
     feasible, _ = vf.lp_grid_suite(10, 8)
     assert "0 grid points" in feasible.name
     assert not feasible.passed
+
+
+def test_seeding_size_law_on_the_lp_grid():
+    # the sampler's law, not the relaxed optimum, over every grid point lpaudit prints
+    points = list(vf.lp_grid(3, 16))
+    assert len(points) == 1081
+    for delta, s_size, q in points:
+        inst = cp.LPInstance(s_size, delta, q)
+        law = cp.seeding_size_law(s_size, delta, q)
+        assert not cp.verify_full_lp(inst, law), (delta, s_size, q)
+        assert 2.0 <= law.expected_size <= 3.0, (delta, s_size, q)
+        if s_size > q - delta:
+            relaxed = cp.solve_relaxed_lp(inst)
+            assert law.r(3) == pytest.approx(relaxed.r(3), abs=1e-12), (delta, s_size, q)

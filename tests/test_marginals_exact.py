@@ -91,7 +91,7 @@ def seeding_marginal(s_colors, law, q, c_mask):
     t_colors = members(full_mask(q) & ~s_mask)
     alpha = cp.seeding_acceptance(len(s_colors), law, qf, c_mask.bit_count())
     mass = {}
-    for k, p in zip(law.sizes, law.probs):
+    for k, p in law.terms:
         prefixes = list(itertools.permutations(sorted(s_colors), k - 1))
         weight = p / (len(prefixes) * len(t_colors))
         for prefix in prefixes:
@@ -105,12 +105,12 @@ def seeding_marginal(s_colors, law, q, c_mask):
 @pytest.mark.parametrize(
     "s_colors,q,law",
     [
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2,), (Fraction(1),))),
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (Fraction(1, 2), Fraction(1, 2)))),
-        ((1, 2, 3, 4, 5), 8, cp.SizeLaw((2, 3), (Fraction(2, 5), Fraction(3, 5)))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 2, Fraction(1))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 3, Fraction(1, 2))),
+        ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 3, Fraction(2, 5))),
         # slack below q - delta admits a law mixing sizes 1 and 2: the
         # closed-form optimum at (|S|, delta, q) = (4, 3, 9) is (1/3, 2/3)
-        ((1, 2, 3, 4), 9, cp.SizeLaw((1, 2), (Fraction(1, 3), Fraction(2, 3)))),
+        ((1, 2, 3, 4), 9, cp.SizeLaw(1, 2, Fraction(1, 3))),
     ],
 )
 def test_seeding_exact_uniform_marginal(s_colors, q, law):
@@ -126,15 +126,15 @@ def test_seeding_exact_uniform_marginal(s_colors, q, law):
 def test_size_one_mixture_is_the_lp_optimum_at_small_slack():
     inst = cp.LPInstance(s_size=4, delta=3, q=9)
     law = cp.solve_relaxed_lp(inst)
-    assert law.sizes == (1, 2)
-    assert law.probs[0] == pytest.approx(1 / 3, abs=1e-12)
+    assert (law.lo, law.hi) == (1, 2)
+    assert law.p_lo == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_seeding_alpha_matches_exact_fraction():
     # P_C = 1/2 * 2/5 + 1/2 * 1/10 = 1/4, Q_C = 3/6, alpha = (1 - Q_C) / (1 - P_C)
-    exact = cp.SizeLaw((2, 3), (Fraction(1, 2), Fraction(1, 2)))
+    exact = cp.SizeLaw(2, 3, Fraction(1, 2))
     assert cp.seeding_acceptance(5, exact, Fraction(8), 2) == Fraction(2, 3)
-    law = cp.SizeLaw((2, 3), (0.5, 0.5))
+    law = cp.SizeLaw(2, 3, 0.5)
     assert cp.seeding_acceptance(5, law, 8, 2) == pytest.approx(2 / 3, abs=1e-12)
 
 
