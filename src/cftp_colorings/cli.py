@@ -259,10 +259,10 @@ def cmd_lpaudit(delta_range, out_path):
     for delta, s_size, q in verification.lp_grid(lo, hi):
         try:
             law = cp.seeding_size_law(s_size, delta, q)
-            feasible = True
         except CouplingRegimeError:
             law = None
-            feasible = False
+        # the sampler's closed form, checked against the full LP
+        feasible = law is not None and not cp.verify_full_lp(cp.LPInstance(s_size, delta, q), law)
         rows.append([
             delta, s_size, q,
             round(law.r(2), 9) if law else "",

@@ -12,8 +12,8 @@ Three constructions are provided:
   below |A| + 1.
 * seeding: predicted set is a short random prefix of a permutation of the
   neighborhood slack plus one free color; its size law is two-point
-  (SizeLaw(lo, hi, p_lo)), chosen by a small linear program so the
-  expected size is minimal.
+  (SizeLaw(lo, hi, p_lo)), the closed-form optimum of a small linear
+  program (seeding_size_law); the program itself only checks it.
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two.
@@ -112,10 +112,6 @@ class LPInstance:
             )
         return comb(j, k - 1) / den
 
-    @property
-    def w(self) -> float:
-        return (self.q - self.s_size) / (self.q - self.delta)
-
     def row_bound(self, j: int) -> float:
         return (self.q - self.s_size) / (self.q - j)
 
@@ -162,7 +158,7 @@ def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
         raise CouplingRegimeError(
             "relaxed program is only meaningful for slack larger than delta"
         )
-    w = inst.w
+    w = inst.row_bound(inst.delta)
     for i in range(2, inst.delta + 1):
         zi = inst.z(inst.delta, i)
         if zi <= w:
@@ -180,7 +176,7 @@ def relaxed_lp_vertices(inst: LPInstance):
     make the single moment constraint tight. Used as an independent check
     that the closed form is optimal.
     """
-    w = inst.w
+    w = inst.row_bound(inst.delta)
     zs = {k: inst.z(inst.delta, k) for k in range(1, inst.delta + 1)}
     out = []
     for k, zk in zs.items():
@@ -272,32 +268,30 @@ class SeedingDraw(NamedTuple):
 
 
 def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
-    """Two-point size law on {2, 3} for a slack set of s_size colors.
+    """The feasibility LP's optimum on {2, 3} for a slack set of s_size colors.
 
-    The size-3 mass r3 is clamped to zero when the slack is small enough
-    that size 2 alone is feasible; outside the feasible regime the full
-    row check fails and the caller is expected to fall back to compress.
+    P(3) = r3 = (|S|+delta-q)(|S|-1) / ((q-delta) delta), or 0 when |S| <= q-delta,
+    makes row delta tight and every row j <= min(delta, |S|) hold. At r3 = 0 row j
+    reads (j-|S|)(q-j-|S|) <= 0. Otherwise, with c = r3 / (|S|-1), it holds iff
+    (|S|-j) phi(j) >= 0, phi(j) = q-|S|-j + c j (q-j): phi is concave with
+    phi(0) = q-|S| > 0 and phi(delta) = 0. So the sampler runs no LP; the checks
+    do. r3 > 1 raises CouplingRegimeError, and the caller falls back to compress.
     """
     if q <= delta:
         raise CouplingRegimeError("seeding needs q > delta")
     if s_size <= q - delta:
         r3 = 0.0
     else:
+        # int by int, rounded once: r3 > 1 iff the rational is, for (q-delta) delta < 2**52
         r3 = (s_size + delta - q) * (s_size - 1) / ((q - delta) * delta)
-    if r3 > 1.0 + 1e-12:
+    if r3 > 1:
         raise CouplingRegimeError(
             f"seeding size law infeasible: r3 = {r3:.4f} for |S|={s_size}, "
             f"delta={delta}, q={q}"
         )
-    law = SizeLaw(2, 3, 1.0 - min(r3, 1.0))
-    if s_size > 0:
-        violations = verify_full_lp(LPInstance(s_size, delta, q), law)
-        if violations:
-            raise CouplingRegimeError(
-                f"seeding size law violates feasibility rows {violations[:3]} "
-                f"for |S|={s_size}, delta={delta}, q={q}"
-            )
-    return law
+    if s_size > 0 and not (delta > 0 and s_size < q):
+        raise ValueError(f"seeding needs 0 < delta, |S| < q: |S|={s_size}, delta={delta}, q={q}")
+    return SizeLaw(2, 3, 1.0 - r3)
 
 
 def _draw_size(law: SizeLaw, key: int) -> int:
@@ -323,7 +317,8 @@ def seeding_predict(
 
 
 def seeding_acceptance(s_size: int, law: SizeLaw, q: int, n_blocked: int) -> float:
-    """Acceptance probability for emitting a slack color given |C| blocked."""
+    """Acceptance probability for emitting a slack color given |C| blocked; p_c
+    and q_c are LP row |C|'s left side and bound, so it is <= 1 exactly on that row."""
     p_c = 0
     for k, p in law.terms:
         if p > 0.0:

@@ -20,7 +20,7 @@ ENUMERATION_BUDGET = 10_000_000
 
 def enumerate_colorings(g: Graph, q: int) -> list[tuple[int, ...]]:
     """All proper colorings by backtracking over vertices in index order."""
-    if g.n > 8 and q**g.n > ENUMERATION_BUDGET:
+    if q**g.n > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"about q^n = {q**g.n:.3g} assignments; refusing beyond {ENUMERATION_BUDGET:.3g}"
         )

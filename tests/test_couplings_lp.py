@@ -42,7 +42,7 @@ def test_solve_relaxed_lp_reference_point():
     assert law.r(2) == pytest.approx(float(1 - r3), abs=1e-12)
     # the moment constraint is tight
     moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
-    assert moment == pytest.approx(inst.w, abs=1e-12)
+    assert moment == pytest.approx(inst.row_bound(inst.delta), abs=1e-12)
 
 
 def test_solve_relaxed_lp_boundary_point_mass():
@@ -74,6 +74,17 @@ def test_seeding_size_law_out_of_regime_raises():
         cp.seeding_size_law(6, 3, 6)
 
 
+@pytest.mark.parametrize(
+    "s_size, delta, q, error",
+    [(3, 0, 8, ValueError), (8, 1, 8, ValueError), (20, 8, 20, CouplingRegimeError)],
+)
+def test_seeding_size_law_rejects_bad_parameters(s_size, delta, q, error):
+    # delta = 0 and |S| = q are malformed; at (20, 8, 20) r3 > 1 is the
+    # fallback trigger, which must stay a CouplingRegimeError
+    with pytest.raises(error):
+        cp.seeding_size_law(s_size, delta, q)
+
+
 def test_verify_full_lp_flags_infeasible_point_mass():
     # point mass on size 1 with |S| > q - delta: every row has lhs = 1 > bound
     inst = cp.LPInstance(s_size=6, delta=3, q=8)
@@ -91,7 +102,7 @@ def test_verify_full_lp_top_row_point_mass_on_delta():
         lhs = cp.lp_constraint_lhs(inst, law, delta)
         assert lhs == pytest.approx(2 / (delta + 1), abs=1e-12)
         feasible = not cp.verify_full_lp(inst, law)
-        assert feasible == (lhs <= inst.w + 1e-9)
+        assert feasible == (lhs <= inst.row_bound(inst.delta) + 1e-9)
 
 
 def test_relaxed_solution_feasible_on_light_grid():
@@ -129,7 +140,7 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     law = cp.solve_relaxed_lp(inst)
     # feasible for the relaxed program
     moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
-    assert moment <= inst.w + 1e-9
+    assert moment <= inst.row_bound(inst.delta) + 1e-9
     # optimal among polytope vertices
     assert law.expected_size <= cp.relaxed_lp_vertex_optimum(inst) + 1e-9
 
@@ -153,3 +164,40 @@ def test_seeding_size_law_on_the_lp_grid():
         if s_size > q - delta:
             relaxed = cp.solve_relaxed_lp(inst)
             assert law.r(3) == pytest.approx(relaxed.r(3), abs=1e-12), (delta, s_size, q)
+
+
+def _row_lhs(s_size, p2, p3, j):
+    """LP row j's left side for P(2) = p2, P(3) = p3, in the rationals."""
+    terms = ((2, p2), (3, p3))
+    return sum(p * Fraction(math.comb(j, k - 1), math.comb(s_size, k - 1)) for k, p in terms if p)
+
+
+def _row_bound(s_size, q, j):
+    return Fraction(q - s_size, q - j)
+
+
+def test_seeding_size_law_is_the_exact_closed_form():
+    # every law seeding_size_law builds for delta <= 16 and delta < q <= 4 delta + 2,
+    # checked against the LP in the rationals; the sampler itself runs no LP
+    laws = controls = 0
+    for delta in range(1, 17):
+        for q in range(delta + 1, 4 * delta + 3):
+            for s_size in range(1, q):
+                r3 = Fraction(max(0, s_size + delta - q) * (s_size - 1), (q - delta) * delta)
+                if r3 > 1:
+                    continue
+                laws += 1
+                law = cp.seeding_size_law(s_size, delta, q)
+                assert (law.lo, law.hi) == (2, 3)
+                assert law.p_lo == 1.0 - float(r3), (delta, s_size, q)
+                for j in range(1, min(delta, s_size) + 1):
+                    lhs = _row_lhs(s_size, 1 - r3, r3, j)
+                    assert lhs <= _row_bound(s_size, q, j), (delta, s_size, q, j)
+                if q - delta < s_size and delta <= s_size:
+                    assert _row_lhs(s_size, 1 - r3, r3, delta) == _row_bound(s_size, q, delta)
+                if q - delta < s_size and delta < s_size:
+                    # negative control: a size-3 mass just below r3 breaks row delta
+                    low = r3 - Fraction(1, 1000)
+                    assert _row_lhs(s_size, 1 - low, low, delta) > _row_bound(s_size, q, delta)
+                    controls += 1
+    assert (laws, controls) == (10829, 2580)

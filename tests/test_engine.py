@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cftp_colorings import bounding as bd
+from cftp_colorings import couplings as cp
 from cftp_colorings import engine
 from cftp_colorings.errors import NoCoalescenceError
 from cftp_colorings.graphs import (
@@ -132,6 +133,30 @@ def test_block_phase_invariants_k3232(monkeypatch):
     assert {s for _, s in seeding} <= {2, 3}
     assert {s for _, s in disjoint} <= {1, 2}
     assert block.seeding_fallbacks == 0
+
+
+def test_block_runs_no_lp(monkeypatch):
+    # seeding_size_law is a closed form; the LP only checks it, off the hot path
+    def no_lp(*args):
+        raise AssertionError("the sampler ran the size-law LP")
+
+    calls = []
+    size_law = cp.seeding_size_law
+
+    def counting(*args):
+        calls.append(args)
+        return size_law(*args)
+
+    g = gen_complete_bipartite(32)
+    cfg = engine.SamplerConfig(q=105, master_seed=11)
+    stream = SeedStream(11)
+    part = engine.lll_partition(g, stream)
+    assert len(part) > 0
+    monkeypatch.setattr(cp, "LPInstance", no_lp)
+    monkeypatch.setattr(cp, "verify_full_lp", no_lp)
+    monkeypatch.setattr(cp, "seeding_size_law", counting)
+    engine.construct_block(g, part, cfg, 1, stream)
+    assert len(calls) > 0
 
 
 def test_block_update_budget():

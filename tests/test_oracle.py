@@ -86,6 +86,12 @@ def test_enumeration_budget_refused_with_estimate():
         oracle.enumerate_colorings(g, 10)
 
 
+def test_enumeration_budget_refused_on_small_graphs():
+    # 10^8 assignments on only 8 vertices is past the budget too
+    with pytest.raises(EnumerationBudgetError):
+        oracle.enumerate_colorings(build_graph(8, []), 10)
+
+
 def test_all_enumerated_are_proper():
     g = gen_cycle(5)
     for c in oracle.enumerate_colorings(g, 3):
