@@ -129,13 +129,23 @@ def csv_text(meta: dict, header, rows) -> str:
     return buf.getvalue()
 
 
+def resolve_out(ctx, param, value):
+    """Click callback: --out, under $CFTP_COLORINGS_OUTDIR when relative; refused
+    before any work if it names a directory or its directory is missing."""
+    if value is None:
+        return None
+    value = os.path.join(os.environ.get("CFTP_COLORINGS_OUTDIR", ""), value)
+    if os.path.isdir(value):
+        raise click.BadParameter(f"{value!r} is a directory")
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise click.BadParameter(f"the directory of {value!r} does not exist")
+    return value
+
+
 def emit(text: str, out_path) -> None:
     if out_path is None:
         click.echo(text, nl=False)
         return
-    out_dir = os.environ.get("CFTP_COLORINGS_OUTDIR")
-    if out_dir and not os.path.isabs(out_path):
-        out_path = os.path.join(out_dir, out_path)
     with open(out_path, "w") as fh:
         fh.write(text)
 
@@ -154,7 +164,7 @@ def cli():
 @click.option("--max-blocks", type=int, default=64, show_default=True)
 @click.option("--t2", "t2_override", type=int, default=None)
 @click.option("--force", is_flag=True, help="run below the regime threshold")
-@click.option("--out", "out_path", type=click.Path(writable=True), default=None)
+@click.option("--out", "out_path", type=click.Path(), callback=resolve_out)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t2_override,
                force, out_path, fmt):
@@ -251,7 +261,7 @@ def cmd_verify(full, lp_only, delta_range, inject_fault):
 @cli.command("lpaudit")
 @click.option("--delta", "delta_range", default="3:16", show_default=True,
               callback=degree_range(), help="degree range LO:HI")
-@click.option("--out", "out_path", type=click.Path(writable=True), default=None)
+@click.option("--out", "out_path", type=click.Path(), callback=resolve_out)
 def cmd_lpaudit(delta_range, out_path):
     """Emit the two-point size law over the parameter grid as CSV."""
     lo, hi = delta_range
@@ -314,7 +324,7 @@ def _bench_one(args):
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--max-blocks", type=int, default=64, show_default=True)
-@click.option("--out", "out_path", type=click.Path(writable=True), default=None)
+@click.option("--out", "out_path", type=click.Path(), callback=resolve_out)
 def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
     """Sweep sizes, recording blocks, updates, coalescence fraction, wall time."""
     try:
@@ -401,7 +411,7 @@ def cmd_partition(graph_file, gen_spec, seed):
 @click.option("--trials", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", "out_path", type=click.Path(writable=True), default=None)
+@click.option("--out", "out_path", type=click.Path(), callback=resolve_out)
 def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     """Tabulate the two-to-one obstruction floor over the sub-threshold range."""
     lo, hi = delta_range

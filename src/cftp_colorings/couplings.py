@@ -13,7 +13,8 @@ Three constructions are provided:
 * seeding: predicted set is a short random prefix of a permutation of the
   neighborhood slack plus one free color; its size law is two-point
   (SizeLaw(lo, hi, p_lo)), the closed-form optimum of a small linear
-  program (seeding_size_law); the program itself only checks it.
+  program (seeding_size_law); the program only checks it, and the decode's
+  acceptance is its row |C|, read through lp_row as the checks read it.
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two.
@@ -39,7 +40,10 @@ from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth
 from .errors import CouplingRegimeError, EngineError
 from .seedstream import randint_below, shuffled, shuffled_prefix, unit_uniform
 
-# Slack a feasibility row may exceed its bound by, for float rounding.
+# Slack a feasibility row may exceed its bound by, for float rounding: the float
+# law SizeLaw(2, 3, 1.0 - r3) exceeds the exact row delta by up to 2.2e-17 where
+# fl(1 - fl(r3)) > 1 - r3 (169 of the 1081 lp_grid(3, 16) points). So the check
+# can be exact only once P(2) is rounded down or drawn exactly.
 _LP_TOL = 1e-9
 
 
@@ -87,12 +91,7 @@ class SizeLaw:
 
 @dataclass(frozen=True, slots=True)
 class LPInstance:
-    """Parameters of the size-law feasibility program.
-
-    Rows are indexed by the number j of blocked colors drawn from the slack
-    set; z_j(k) is the chance that a uniform j-subset of the slack covers a
-    fixed (k-1)-subset.
-    """
+    """Parameters of the size-law feasibility program, whose rows are lp_row's."""
 
     s_size: int
     delta: int
@@ -104,47 +103,47 @@ class LPInstance:
         if not (0 <= self.s_size < self.q):
             raise ValueError("need 0 <= |S| < q")
 
-    def z(self, j: int, k: int) -> float:
-        den = comb(self.s_size, k - 1)
-        if den == 0:
-            raise CouplingRegimeError(
-                f"size {k} unusable with slack of {self.s_size} colors"
-            )
-        return comb(j, k - 1) / den
 
-    def row_bound(self, j: int) -> float:
-        return (self.q - self.s_size) / (self.q - j)
+def lp_row(s_size: int, law: SizeLaw, q, j: int) -> tuple[float, float]:
+    """Feasibility row j for a slack of s_size colors: (lhs, bound), held iff lhs <= bound.
 
-
-def lp_constraint_lhs(inst: LPInstance, law: SizeLaw, j: int) -> float:
-    """Left-hand side of feasibility row j; feasible iff <= row_bound(j)."""
-    if not 1 <= j <= inst.delta:
-        raise ValueError("row index out of range")
-    acc = 0.0
+    lhs = sum_k r_k C(j, k-1) / C(|S|, k-1), the chance that a drawn prefix of
+    k-1 slack colors lies inside a fixed set of j of them, and bound =
+    (q - |S|) / (q - j). The seeding decode's acceptance is row |C|, so lhs is
+    summed in its float order; exact for a Fraction q and law.
+    """
+    lhs = 0
     for k, p in law.terms:
         if p > 0.0:
-            acc += p * inst.z(j, k)
-    return acc
+            den = comb(s_size, k - 1)
+            if den == 0:
+                raise CouplingRegimeError(f"size {k} unusable with slack of {s_size} colors")
+            lhs += p * comb(j, k - 1) / den
+    return lhs, (q - s_size) / (q - j)
 
 
 def verify_full_lp(inst: LPInstance, law: SizeLaw) -> list[tuple[int, float, float]]:
     """Violated feasibility rows as (j, lhs, bound) triples; empty iff feasible.
 
     Rows j > |S| cannot arise (blocked colors inside the slack set number at
-    most |S|) and are skipped.
+    most |S|) and are skipped. A law on a size the slack cannot hold raises
+    lp_row's CouplingRegimeError.
     """
     violations = []
-    top = min(inst.delta, inst.s_size)
-    for j in range(1, top + 1):
-        try:
-            lhs = lp_constraint_lhs(inst, law, j)
-        except CouplingRegimeError:
-            violations.append((j, float("inf"), inst.row_bound(j)))
-            continue
-        bound = inst.row_bound(j)
+    for j in range(1, min(inst.delta, inst.s_size) + 1):
+        lhs, bound = lp_row(inst.s_size, law, inst.q, j)
         if lhs > bound + _LP_TOL:
             violations.append((j, lhs, bound))
     return violations
+
+
+def _top_row(inst: LPInstance) -> tuple[dict[int, float], float]:
+    """Row delta's coefficient z(k) for each size k <= delta, and its bound w."""
+    rows = {
+        k: lp_row(inst.s_size, SizeLaw(k, k, 1), inst.q, inst.delta)
+        for k in range(1, inst.delta + 1)
+    }
+    return {k: z for k, (z, _) in rows.items()}, rows[1][1]
 
 
 def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
@@ -158,12 +157,10 @@ def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
         raise CouplingRegimeError(
             "relaxed program is only meaningful for slack larger than delta"
         )
-    w = inst.row_bound(inst.delta)
+    z, w = _top_row(inst)
     for i in range(2, inst.delta + 1):
-        zi = inst.z(inst.delta, i)
-        if zi <= w:
-            zprev = inst.z(inst.delta, i - 1)
-            return SizeLaw(i - 1, i, (w - zi) / (zprev - zi))
+        if z[i] <= w:
+            return SizeLaw(i - 1, i, (w - z[i]) / (z[i - 1] - z[i]))
     raise CouplingRegimeError(
         f"no feasible size <= delta for |S|={inst.s_size}, delta={inst.delta}, q={inst.q}"
     )
@@ -176,8 +173,7 @@ def relaxed_lp_vertices(inst: LPInstance):
     make the single moment constraint tight. Used as an independent check
     that the closed form is optimal.
     """
-    w = inst.row_bound(inst.delta)
-    zs = {k: inst.z(inst.delta, k) for k in range(1, inst.delta + 1)}
+    zs, w = _top_row(inst)
     out = []
     for k, zk in zs.items():
         if zk <= w + 1e-15:
@@ -191,10 +187,6 @@ def relaxed_lp_vertices(inst: LPInstance):
             if 0.0 <= r_a <= 1.0:
                 out.append(SizeLaw(a, b, r_a))
     return out
-
-
-def relaxed_lp_vertex_optimum(inst: LPInstance) -> float:
-    return min(v.expected_size for v in relaxed_lp_vertices(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +271,8 @@ def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
     """
     if q <= delta:
         raise CouplingRegimeError("seeding needs q > delta")
+    if s_size > 0 and delta <= 0:
+        raise ValueError(f"seeding needs 0 < delta: |S|={s_size}, delta={delta}, q={q}")
     if s_size <= q - delta:
         r3 = 0.0
     else:
@@ -289,8 +283,8 @@ def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
             f"seeding size law infeasible: r3 = {r3:.4f} for |S|={s_size}, "
             f"delta={delta}, q={q}"
         )
-    if s_size > 0 and not (delta > 0 and s_size < q):
-        raise ValueError(f"seeding needs 0 < delta, |S| < q: |S|={s_size}, delta={delta}, q={q}")
+    if s_size > 0 and s_size >= q:
+        raise ValueError(f"seeding needs |S| < q: |S|={s_size}, delta={delta}, q={q}")
     return SizeLaw(2, 3, 1.0 - r3)
 
 
@@ -317,13 +311,9 @@ def seeding_predict(
 
 
 def seeding_acceptance(s_size: int, law: SizeLaw, q: int, n_blocked: int) -> float:
-    """Acceptance probability for emitting a slack color given |C| blocked; p_c
-    and q_c are LP row |C|'s left side and bound, so it is <= 1 exactly on that row."""
-    p_c = 0
-    for k, p in law.terms:
-        if p > 0.0:
-            p_c += p * comb(n_blocked, k - 1) / comb(s_size, k - 1)
-    q_c = (q - s_size) / (q - n_blocked)
+    """Acceptance probability for emitting a slack color given |C| blocked:
+    (1 - bound) / (1 - lhs) of LP row |C|, so it is <= 1 exactly where that row holds."""
+    p_c, q_c = lp_row(s_size, law, q, n_blocked)
     if p_c >= 1.0:
         return 1
     return (1 - q_c) / (1 - p_c)
@@ -340,8 +330,6 @@ def seeding_decode(
     if c_mask & ~s_mask:
         raise EngineError("blocked colors outside the slack set reached seeding decode")
     s_size = s_mask.bit_count()
-    if s_size == 0:
-        return draw.c0
     for y in draw.prefix:
         if not c_mask >> y & 1:
             if draw.u_prime < seeding_acceptance(s_size, law, q, c_mask.bit_count()):

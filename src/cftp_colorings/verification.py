@@ -231,7 +231,7 @@ def lp_grid_suite(delta_lo: int = 3, delta_hi: int = 16) -> list[CheckResult]:
         violations = cp.verify_full_lp(inst, law)
         if violations:
             infeasible.append((delta, s_size, q, violations[:1]))
-        best = cp.relaxed_lp_vertex_optimum(inst)
+        best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
         if law.expected_size > best + 1e-12:
             suboptimal.append((delta, s_size, q, law.expected_size, best))
     return [

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -227,3 +228,40 @@ def test_csv_lines_end_in_lf_only(args):
     assert r.stdout.startswith(b"# {")
     assert r.stdout.count(b"\n") > 2
     assert b"\r" not in r.stdout
+
+
+OUT_COMMANDS = [
+    K4,
+    ("bench", "--delta", "4", "--n-list", "10", "--runs", "1", "--seed", "1"),
+    ("lowerbound", "--delta-range", "4:4"),
+    ("lpaudit", "--delta", "3:3"),
+]
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=[a[0] for a in OUT_COMMANDS])
+@pytest.mark.parametrize("bad_out", ["missing-dir/out.txt", "."])
+def test_bad_out_path_exits_64(args, bad_out, tmp_path):
+    # a missing directory or a directory is refused before the command's work
+    r = run_cli(*args, "--out", str(tmp_path / bad_out))
+    assert r.returncode == 64
+    assert "'--out'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_out_path_resolves_against_outdir(tmp_path):
+    (tmp_path / "sub").mkdir()
+    env = {**os.environ, "CFTP_COLORINGS_OUTDIR": str(tmp_path)}
+
+    def lpaudit(out):
+        return subprocess.run(
+            [sys.executable, "-m", "cftp_colorings.cli", "lpaudit", "--delta", "3:3", "--out", out],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+
+    assert lpaudit("table.csv").returncode == 0
+    assert (tmp_path / "table.csv").read_text().startswith("# {")
+    # relative paths are checked where they will be written: under the output directory
+    r = lpaudit("sub")
+    assert r.returncode == 64 and "is a directory" in r.stderr
+    r = lpaudit("missing-dir/table.csv")
+    assert r.returncode == 64 and "does not exist" in r.stderr

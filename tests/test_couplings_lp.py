@@ -10,25 +10,30 @@ from cftp_colorings import verification as vf
 from cftp_colorings.errors import CouplingRegimeError
 
 
+def z_top(inst, k):
+    """Row delta's coefficient of size k: its left side for a point mass on k."""
+    return cp.lp_row(inst.s_size, cp.SizeLaw(k, k, 1), inst.q, inst.delta)[0]
+
+
 def test_lhs_point_mass_on_one_is_one():
     inst = cp.LPInstance(s_size=5, delta=3, q=9)
     law = cp.SizeLaw(1, 1, 1.0)
     for j in range(1, 4):
-        assert cp.lp_constraint_lhs(inst, law, j) == 1.0
+        assert cp.lp_row(inst.s_size, law, inst.q, j)[0] == 1.0
 
 
 def test_lhs_binomial_evaluation():
     # C(3,2)/C(5,2) = 3/10 for a point mass on size 3 at row j = 3
     inst = cp.LPInstance(s_size=5, delta=3, q=9)
     law = cp.SizeLaw(3, 3, 1.0)
-    assert cp.lp_constraint_lhs(inst, law, 3) == pytest.approx(0.3, abs=1e-15)
+    assert cp.lp_row(inst.s_size, law, inst.q, 3)[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_top_row_equals_relaxed_moment():
     inst = cp.LPInstance(s_size=7, delta=4, q=12)
     law = cp.SizeLaw(2, 3, 0.25)
-    top = cp.lp_constraint_lhs(inst, law, inst.delta)
-    relaxed = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
+    top, _ = cp.lp_row(inst.s_size, law, inst.q, inst.delta)
+    relaxed = sum(p * z_top(inst, k) for k, p in law.terms)
     assert top == pytest.approx(relaxed, abs=1e-15)
 
 
@@ -41,8 +46,9 @@ def test_solve_relaxed_lp_reference_point():
     assert law.r(3) == pytest.approx(float(r3), abs=1e-12)
     assert law.r(2) == pytest.approx(float(1 - r3), abs=1e-12)
     # the moment constraint is tight
-    moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
-    assert moment == pytest.approx(inst.row_bound(inst.delta), abs=1e-12)
+    moment = sum(p * z_top(inst, k) for k, p in law.terms)
+    _, w = cp.lp_row(inst.s_size, law, inst.q, inst.delta)
+    assert moment == pytest.approx(w, abs=1e-12)
 
 
 def test_solve_relaxed_lp_boundary_point_mass():
@@ -76,7 +82,12 @@ def test_seeding_size_law_out_of_regime_raises():
 
 @pytest.mark.parametrize(
     "s_size, delta, q, error",
-    [(3, 0, 8, ValueError), (8, 1, 8, ValueError), (20, 8, 20, CouplingRegimeError)],
+    [
+        (3, 0, 8, ValueError),
+        (9, 0, 8, ValueError),
+        (8, 1, 8, ValueError),
+        (20, 8, 20, CouplingRegimeError),
+    ],
 )
 def test_seeding_size_law_rejects_bad_parameters(s_size, delta, q, error):
     # delta = 0 and |S| = q are malformed; at (20, 8, 20) r3 > 1 is the
@@ -93,16 +104,28 @@ def test_verify_full_lp_flags_infeasible_point_mass():
     assert [v[0] for v in violations] == [1, 2, 3]
 
 
+def test_unusable_size_is_refused_by_the_row():
+    # size 4 needs 3 slack colors; with 2 the row function refuses it, and
+    # verify_full_lp passes its error on rather than report a row
+    inst = cp.LPInstance(s_size=2, delta=3, q=8)
+    law = cp.SizeLaw(4, 4, 1)
+    for j in (1, 2):
+        with pytest.raises(CouplingRegimeError, match="size 4 unusable"):
+            cp.lp_row(inst.s_size, law, inst.q, j)
+    with pytest.raises(CouplingRegimeError, match="size 4 unusable"):
+        cp.verify_full_lp(inst, law)
+
+
 def test_verify_full_lp_top_row_point_mass_on_delta():
     # lhs at row delta for a point mass on delta with |S| = delta + 1 is
     # C(d, d-1) / C(d+1, d-1) = 2 / (d+1)
     for delta in (3, 5, 8):
         inst = cp.LPInstance(s_size=delta + 1, delta=delta, q=3 * delta)
         law = cp.SizeLaw(delta, delta, 1.0)
-        lhs = cp.lp_constraint_lhs(inst, law, delta)
+        lhs, bound = cp.lp_row(inst.s_size, law, inst.q, delta)
         assert lhs == pytest.approx(2 / (delta + 1), abs=1e-12)
         feasible = not cp.verify_full_lp(inst, law)
-        assert feasible == (lhs <= inst.row_bound(inst.delta) + 1e-9)
+        assert feasible == (lhs <= bound + 1e-9)
 
 
 def test_relaxed_solution_feasible_on_light_grid():
@@ -120,9 +143,8 @@ def test_relaxed_solution_feasible_on_light_grid():
 def test_closed_form_matches_vertex_enumeration_spot():
     inst = cp.LPInstance(s_size=6, delta=4, q=8)
     law = cp.solve_relaxed_lp(inst)
-    assert law.expected_size == pytest.approx(
-        cp.relaxed_lp_vertex_optimum(inst), abs=1e-12
-    )
+    best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
+    assert law.expected_size == pytest.approx(best, abs=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -139,10 +161,11 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     inst = cp.LPInstance(s_size, delta, q)
     law = cp.solve_relaxed_lp(inst)
     # feasible for the relaxed program
-    moment = sum(p * inst.z(inst.delta, k) for k, p in law.terms)
-    assert moment <= inst.row_bound(inst.delta) + 1e-9
+    moment = sum(p * z_top(inst, k) for k, p in law.terms)
+    _, w = cp.lp_row(inst.s_size, law, inst.q, inst.delta)
+    assert moment <= w + 1e-9
     # optimal among polytope vertices
-    assert law.expected_size <= cp.relaxed_lp_vertex_optimum(inst) + 1e-9
+    assert law.expected_size <= min(v.expected_size for v in cp.relaxed_lp_vertices(inst)) + 1e-9
 
 
 def test_lp_grid_suite_fails_on_an_empty_grid():

@@ -159,6 +159,34 @@ def test_block_runs_no_lp(monkeypatch):
     assert len(calls) > 0
 
 
+def test_seeding_fallback_block_replays(monkeypatch):
+    # at q = 66 on K32,32 the slack of a seeded vertex is often too wide for
+    # the size law, so seeding falls back to compress; a carried coloring must
+    # stay in its lists through those updates, the same way on every replay
+    g = gen_complete_bipartite(32)
+    cfg = engine.SamplerConfig(q=66, master_seed=0, force=True, t2_override=50)
+    stream = SeedStream(0)
+    part = engine.lll_partition(g, stream)
+    block = engine.construct_block(g, part, cfg, 1, stream)
+    assert block.seeding_fallbacks > 0
+    replayed = []
+    run_schedule = engine.run_schedule
+
+    def recording(state, seed_set, config):
+        run_schedule(state, seed_set, config)
+        replayed.append(state)
+
+    monkeypatch.setattr(engine, "run_schedule", recording)
+    start = tuple(v % 3 if v < 32 else 3 + v % 5 for v in range(g.n))
+    assert engine.is_proper(g, start)
+    # replay raises EngineError if a carried color leaves its bounding list
+    out = engine.replay(g, part, cfg, 1, stream, start)
+    assert engine.replay(g, part, cfg, 1, stream, start) == out
+    assert engine.is_proper(g, out)
+    # both replays carried the coloring through the block's fallbacks
+    assert [s.seeding_fallbacks for s in replayed] == [block.seeding_fallbacks] * 2
+
+
 def test_block_update_budget():
     g = gen_random_regular(60, 6, seed=2)
     q = math.ceil(engine.regime_threshold(6)) + 1
