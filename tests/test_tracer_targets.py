@@ -8,7 +8,10 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from cftp_colorings import bounding, couplings, engine, seedstream, verification
+from cftp_colorings.graphs import gen_complete_bipartite, gen_random_regular
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,3 +42,32 @@ def test_every_layer_target_resolves_to_a_library_function():
         if label not in STALE and not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "graph, q, t2",
+    [
+        (gen_random_regular(20, 6, seed=5), 18, 140),
+        # the seeding phase runs, so its keys are counted too
+        (gen_complete_bipartite(32), 105, 300),
+    ],
+    ids=["regular-d6", "k3232-phase1"],
+)
+def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2):
+    # perfbench's seedstream.subkey layer times the seed stream by wrapping
+    # this one method, so its figures hold only while no key bypasses it
+    config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
+    stream = seedstream.SeedStream(config.master_seed)
+    seed_set = engine.lll_partition(graph, stream)
+    calls = 0
+    inner = seedstream.SeedStream.subkey
+
+    def counted(self, block, update):
+        nonlocal calls
+        calls += 1
+        return inner(self, block, update)
+
+    monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
+    state = engine.construct_block(graph, seed_set, config, 1, stream)
+    assert state.updates > 0
+    assert calls == state._index
