@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import click
 
@@ -223,7 +224,7 @@ def _unshuffled_compress_draw(a_mask, q, key):
 def _unshuffled_seeding_predict(s_mask, law, q, key):
     """seeding_predict with the slack prefix taken in ascending order."""
     _, draw = cp.seeding_predict(s_mask, law, q, key)
-    prefix = tuple(members(s_mask)[:draw.k - 1])
+    prefix = tuple(members(s_mask)[:len(draw.prefix)])
     return mask_from(prefix) | 1 << draw.c0, draw._replace(prefix=prefix)
 
 
@@ -302,17 +303,15 @@ def _bench_one(args):
     cfg = _bench_config(n, d, q, seed, max_blocks)
     t0 = time.perf_counter()
     try:
-        res = engine.sample(g, cfg)
-        blocks, updates, coalesced = res.blocks_used, res.updates, 1
-        resamples = res.partition_resamples
+        run, coalesced = engine.sample(g, cfg), 1
     except NoCoalescenceError as exc:
-        blocks, updates, coalesced = max_blocks, exc.stats["updates"], 0
-        resamples = exc.stats["partition_resamples"]
+        # the error carries the result's run statistics under the same names
+        run, coalesced = SimpleNamespace(**exc.stats), 0
     wall = (time.perf_counter() - t0) * 1e3
     return {
-        "n": n, "delta": d, "q": q, "seed": seed, "blocks": blocks,
-        "updates": updates, "coalesced": coalesced,
-        "wall_ms": wall, "resamples": resamples,
+        "n": n, "delta": d, "q": q, "seed": seed, "blocks": run.blocks_used,
+        "updates": run.updates, "coalesced": coalesced,
+        "wall_ms": wall, "resamples": run.partition_resamples,
     }
 
 

@@ -253,8 +253,7 @@ def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: Color
 
 
 class SeedingDraw(NamedTuple):
-    k: int
-    prefix: tuple[int, ...]
+    prefix: tuple[int, ...]  # the drawn size K is len(prefix) + 1
     c0: int
     u_prime: float
 
@@ -301,12 +300,12 @@ def seeding_predict(
     c0 = outside_color(s_mask, q, key, 1)
     u_prime = unit_uniform(key, 2)
     if s_size == 0:
-        return 1 << c0, SeedingDraw(k=1, prefix=(), c0=c0, u_prime=u_prime)
+        return 1 << c0, SeedingDraw(prefix=(), c0=c0, u_prime=u_prime)
     k = _draw_size(law, key)
     if k - 1 > s_size:
         raise EngineError(f"size law asks for {k - 1} slack colors, only {s_size} exist")
     prefix = tuple(shuffled_prefix(key, 3, members(s_mask), k - 1))
-    draw = SeedingDraw(k=k, prefix=prefix, c0=c0, u_prime=u_prime)
+    draw = SeedingDraw(prefix=prefix, c0=c0, u_prime=u_prime)
     return mask_from(prefix) | 1 << c0, draw
 
 
@@ -359,7 +358,6 @@ class DisjointParams(NamedTuple):
     q: int
     delta: int
     s_mask: ColorSet
-    q_mask: ColorSet
     pairs: tuple[ColorSet, ...]  # 2-color masks, ordered by lowest color
     d_mask: ColorSet
     e_mask: ColorSet
@@ -435,7 +433,6 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
         q=q,
         delta=delta,
         s_mask=s_mask,
-        q_mask=q_mask,
         pairs=tuple(sorted(pair_lists, key=lambda m: m & -m)),
         d_mask=d_mask,
         e_mask=e_mask,

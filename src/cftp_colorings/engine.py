@@ -97,16 +97,18 @@ def lll_partition(
 ) -> SeedVertexSet:
     """Balanced seeding set via independent inclusion plus local resampling.
 
-    Each vertex joins with probability max(0, 1/2 - eta/2); any vertex whose
-    neighborhood violates a balance bound triggers a resample of its
-    neighbors' bits. The queue-driven repair terminates quickly because the
-    bounds hold with overwhelming margin per neighborhood. p0_override
-    replaces the inclusion probability (experimentation only; pushing it up
-    makes violations common and eventually exhausts the resample budget).
+    Each vertex joins with probability p0 = max(0, 1/2 - eta/2), which is 0
+    for 1 <= delta <= 14 (eta >= 1), so the set is empty there; at delta = 0
+    there are no bounds to meet and p0 = 1/2. Any vertex whose neighborhood
+    violates a balance bound triggers a resample of its neighbors' bits. The
+    queue-driven repair terminates quickly because the bounds hold with
+    overwhelming margin per neighborhood. p0_override replaces the inclusion
+    probability (experimentation only; pushing it up makes violations common
+    and eventually exhausts the resample budget).
     """
     n, delta = g.n, g.max_degree
     eta = eta_for(delta)
-    p0 = 0.5 if delta < 1 else min(1.0, max(0.0, 0.5 - eta / 2.0))
+    p0 = 0.5 if delta < 1 else max(0.0, 0.5 - eta / 2.0)
     if p0_override is not None:
         p0 = p0_override
     key0 = stream.subkey(PARTITION_BLOCK, 0)
@@ -300,7 +302,6 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     stream = SeedStream(config.master_seed)
     seed_set = lll_partition(g, stream)
     updates = degraded = 0
-    # one record of the fallback counts, for the result or the error alike
     phase_stats = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
     for t in range(1, config.max_blocks + 1):
         block = construct_block(g, seed_set, config, t, stream)
@@ -312,31 +313,22 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         # free this block's lists before the next block builds its own
         del block
         if omega is not None:
+            for s in range(t - 1, 0, -1):
+                omega = replay(g, seed_set, config, s, stream, omega)
+            if not is_proper(g, omega):
+                raise EngineError("sampler produced an improper coloring")
             break
-    else:
-        stats = {
-            "blocks_used": config.max_blocks,
-            "updates": updates,
-            "degraded_blocks": degraded,
-            "phase_stats": phase_stats,
-            "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "partition_resamples": seed_set.resamples,
-        }
+    # one record of the run statistics, for the result or the error alike
+    stats = {
+        "blocks_used": t,
+        "updates": updates,
+        "degraded_blocks": degraded,
+        "phase_stats": phase_stats,
+        "wall_ms": (time.perf_counter() - t0) * 1e3,
+        "partition_resamples": seed_set.resamples,
+    }
+    if omega is None:
         raise NoCoalescenceError(
             f"no coalescence within {config.max_blocks} blocks", stats=stats
         )
-    for s in range(t - 1, 0, -1):
-        omega = replay(g, seed_set, config, s, stream, omega)
-    if not is_proper(g, omega):
-        raise EngineError("sampler produced an improper coloring")
-    return SampleResult(
-        coloring=omega,
-        q=config.q,
-        master_seed=config.master_seed,
-        blocks_used=t,
-        updates=updates,
-        degraded_blocks=degraded,
-        phase_stats=phase_stats,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        partition_resamples=seed_set.resamples,
-    )
+    return SampleResult(coloring=omega, q=config.q, master_seed=config.master_seed, **stats)

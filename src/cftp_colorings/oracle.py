@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc, ndtr
 
 from . import couplings as cp
 from .colorsets import ColorSet, mask_from
@@ -80,10 +80,11 @@ def gof_from_counts(counts) -> GofResult:
     m = len(counts)
     expected = n / m
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    pvalue = float(sps.chi2.sf(chi2, m - 1))
+    # the chi-square and normal survival functions, without loading scipy.stats
+    pvalue = float(chdtrc(m - 1, chi2))
     tv = float(np.abs(counts / n - 1.0 / m).sum() / 2.0)
     mean, sd = null_tv_moments(n, m)
-    tv_pvalue = float(sps.norm.sf((tv - mean) / sd))
+    tv_pvalue = float(ndtr(-(tv - mean) / sd))
     return GofResult(
         chi2=chi2, pvalue=pvalue, tv=tv, tv_pvalue=tv_pvalue, n_samples=n, n_cells=m
     )
@@ -117,9 +118,6 @@ class LowerBoundInstance:
     lists: tuple[ColorSet, ...]
     delta: int
     q: int
-    m: int
-    r: int
-    bound: float
 
 
 def lower_bound_value(delta: int, q: int) -> float:
@@ -145,7 +143,7 @@ def build_worst_case(delta: int, q: int, copies: int = 1) -> LowerBoundInstance:
     lists {3k, 3k+1} and {3k+1, 3k+2}, so every vertex's neighborhood splits
     into pairs whose lists overlap in exactly one color.
     """
-    bound = lower_bound_value(delta, q)  # validates delta and q
+    lower_bound_value(delta, q)  # validates delta and q
     if copies < 1:
         raise ValueError("need at least one copy")
     m = delta // 2
@@ -160,15 +158,7 @@ def build_worst_case(delta: int, q: int, copies: int = 1) -> LowerBoundInstance:
         side_lists.append(mask_from((3 * k, 3 * k + 1)))
         side_lists.append(mask_from((3 * k + 1, 3 * k + 2)))
     lists = tuple(side_lists[i % delta] for i in range(graph.n))
-    inst = LowerBoundInstance(
-        graph=graph,
-        lists=lists,
-        delta=delta,
-        q=q,
-        m=m,
-        r=q - 3 * m,
-        bound=bound,
-    )
+    inst = LowerBoundInstance(graph=graph, lists=lists, delta=delta, q=q)
     if not audit_worst_case(inst):
         raise AssertionError("worst-case instance failed its triangle audit")
     return inst

@@ -121,7 +121,9 @@ def seeding_suite(
         tag, q, partial(predict, s_mask, law, q),
         partial(cp.seeding_decode, s_mask, law, q), c_sets, n_draws, master_seed,
     )
-    size_ok = all(predicted.bit_count() == draw.k for predicted, draw in predictions)
+    size_ok = all(
+        predicted.bit_count() == len(draw.prefix) + 1 for predicted, draw in predictions
+    )
     return [
         CheckResult(f"{tag} law feasible", not violations, f"violations: {violations[:2]}"),
         containment,

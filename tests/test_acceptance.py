@@ -7,7 +7,6 @@ a few minutes.
 
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine, oracle
 from cftp_colorings import verification as vf
-from cftp_colorings.colorsets import mask_from
 from cftp_colorings.graphs import gen_complete, gen_complete_bipartite, gen_random_regular
 from cftp_colorings.seedstream import SeedStream
 from cftp_colorings.verification import sample_many
@@ -88,26 +86,13 @@ def test_criterion_02_coalescence_rate():
 
 
 def test_criterion_03_seeding_size_law():
-    s_size, delta, q, n_draws = 24, 12, 30, 100_000
-    law = cp.seeding_size_law(s_size, delta, q)
-    r3 = law.r(3)
+    r3 = cp.seeding_size_law(24, 12, 30).r(3)
     assert r3 == pytest.approx(6 * 23 / 216, abs=1e-12)
-    s_mask = mask_from(range(s_size))
-    stream = SeedStream(303)
-    sizes = Counter()
-    for i in range(n_draws):
-        predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
-        sizes[predicted.bit_count()] += 1
-    clean = set(sizes) <= {2, 3}
-    frac = sizes[3] / n_draws
-    sigma = math.sqrt(r3 * (1 - r3) / n_draws)
-    within = abs(frac - r3) <= 3 * sigma
-    detail = (
-        f"Pr[|L|=3] = {frac:.5f} vs {r3:.5f} (3 sigma = {3 * sigma:.5f}); "
-        f"sizes observed: {dict(sizes)}"
-    )
-    report(3, clean and within, detail)
-    assert clean and within, detail
+    results = vf.size_law_suite(n_draws=100_000, master_seed=303)
+    ok = all(r.passed for r in results)
+    detail = "; ".join(f"{r.name}" + (f" [{r.detail}]" if r.detail else "") for r in results)
+    report(3, ok, detail)
+    assert ok, detail
 
 
 def test_criterion_04_marginal_correctness_all_couplings():
@@ -224,7 +209,8 @@ def test_criterion_08_lower_bound_obstruction():
     detail = (
         f"analytic floor > 2 on the full grid ({'ok' if not bad else bad[:3]}); "
         f"seeding at (4, 8): mean {audit.mean:.4f}, 95% CI "
-        f"[{audit.ci_lo:.4f}, {audit.ci_hi:.4f}], analytic floor {inst.bound}"
+        f"[{audit.ci_lo:.4f}, {audit.ci_hi:.4f}], "
+        f"analytic floor {oracle.lower_bound_value(4, 8)}"
     )
     report(8, ok, detail)
     assert ok, detail

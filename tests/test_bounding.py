@@ -51,14 +51,17 @@ def neighbor_lists(state, g, v):
 
 
 def test_singleton_colors():
-    # the disjoint update's singleton set: colors of 1-color neighbor lists
+    # the disjoint update's singleton colors, those of 1-color neighbor lists,
+    # are never E colors and are left out of the pair slots' share
     g = star(2)
     state = make_state(g, 10, {1: [4], 2: [5, 1]})
-    assert members(cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask) == [4]
+    params = cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0))
+    assert params.e_mask == 0 and params.p_pair == 1 / (10 - 1 - 1)
     state = make_state(g, 10, {1: [4], 2: [4]})
-    assert members(cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask) == [4]
+    params = cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0))
+    assert params.e_mask == 0 and params.leftover == 1
     state = make_state(g, 10, {1: [2, 3], 2: [5, 1]})
-    assert cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).q_mask == 0
+    assert cp.disjoint_params_from_lists(10, 2, neighbor_lists(state, g, 0)).p_pair == 1 / 8
 
 
 def test_disjoint_pair_scan_two_separate_pairs():

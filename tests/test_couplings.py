@@ -125,8 +125,8 @@ def test_seeding_hand_trace_both_branches():
     s_mask = mask_from([1, 2, 3, 4, 5])
     alpha = seeding_trace_alpha()
     c_mask = mask_from([1, 2])
-    low = cp.SeedingDraw(k=2, prefix=(4,), c0=7, u_prime=alpha - 0.01)
-    high = cp.SeedingDraw(k=2, prefix=(4,), c0=7, u_prime=alpha + 0.01)
+    low = cp.SeedingDraw(prefix=(4,), c0=7, u_prime=alpha - 0.01)
+    high = cp.SeedingDraw(prefix=(4,), c0=7, u_prime=alpha + 0.01)
     assert cp.seeding_decode(s_mask, TRACE_LAW, 8, low, c_mask) == 4
     assert cp.seeding_decode(s_mask, TRACE_LAW, 8, high, c_mask) == 7
 
@@ -139,7 +139,7 @@ def test_seeding_acceptance_matches_trace():
 
 def test_seeding_prefix_swallowed_by_blocked_returns_free_color():
     s_mask = mask_from([1, 2, 3, 4, 5])
-    draw = cp.SeedingDraw(k=2, prefix=(1,), c0=6, u_prime=0.0)
+    draw = cp.SeedingDraw(prefix=(1,), c0=6, u_prime=0.0)
     assert cp.seeding_decode(s_mask, TRACE_LAW, 8, draw, mask_from([1, 2])) == 6
 
 
@@ -148,10 +148,10 @@ def test_seeding_predict_structure():
     law = cp.seeding_size_law(5, 3, 12)
     for j in range(500):
         predicted, draw = cp.seeding_predict(s_mask, law, 12, STREAM.subkey(7, j))
-        assert predicted.bit_count() == draw.k
+        assert predicted.bit_count() == len(draw.prefix) + 1
+        assert len(draw.prefix) + 1 in (law.lo, law.hi)
         assert draw.c0 >= 0 and not s_mask >> draw.c0 & 1
         assert all(s_mask >> c & 1 for c in draw.prefix)
-        assert len(draw.prefix) == draw.k - 1
 
 
 def test_seeding_rejects_full_palette_slack():
@@ -161,7 +161,7 @@ def test_seeding_rejects_full_palette_slack():
 
 def test_seeding_decode_rejects_colors_outside_slack():
     s_mask = mask_from([1, 2])
-    draw = cp.SeedingDraw(k=2, prefix=(1,), c0=5, u_prime=0.5)
+    draw = cp.SeedingDraw(prefix=(1,), c0=5, u_prime=0.5)
     with pytest.raises(EngineError):
         cp.seeding_decode(s_mask, TRACE_LAW, 8, draw, mask_from([3]))
 
@@ -219,7 +219,6 @@ def fixture_params(name="paired"):
 def test_disjoint_fixture_classification():
     p = fixture_params("paired")
     assert p.pairs == (mask_from([1, 2]), mask_from([3, 4]))
-    assert members(p.q_mask) == [5, 6]
     assert p.e_mask == 0
     assert p.leftover == pytest.approx(2 / 3, abs=1e-12)
 
@@ -227,7 +226,6 @@ def test_disjoint_fixture_classification():
 def test_disjoint_entangled_classification():
     p = fixture_params("entangled")
     assert p.pairs == (mask_from([4, 5]),)
-    assert members(p.q_mask) == [6]
     assert members(p.e_mask) == [1, 2, 3]
     # 1 - (|S| - |Q|) / (q - delta) + (|D|/2) / (q - |Q| - |D|/2)
     assert p.leftover == pytest.approx(1 - 5 / 6 + 1 / 8, abs=1e-12)

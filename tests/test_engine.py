@@ -345,6 +345,11 @@ def test_sample_no_coalescence_reports_stats():
     with pytest.raises(NoCoalescenceError) as err:
         engine.sample(g, cfg)
     assert err.value.stats["blocks_used"] == 2
+    # the exit-2 JSON's keys, in order: the run statistics a SampleResult holds
+    assert list(err.value.stats) == [
+        "blocks_used", "updates", "degraded_blocks", "phase_stats", "wall_ms",
+        "partition_resamples",
+    ]
     # the same fallback counts a SampleResult reports
     phase_stats = err.value.stats["phase_stats"]
     assert set(phase_stats) == {"seeding_fallbacks", "disjoint_fallbacks"}

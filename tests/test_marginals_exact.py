@@ -97,7 +97,7 @@ def seeding_marginal(s_colors, law, q, c_mask):
         for prefix in prefixes:
             for c0 in t_colors:
                 outcomes = _split(alpha, lambda u: cp.seeding_decode(
-                    s_mask, law, qf, cp.SeedingDraw(k, prefix, c0, u), c_mask))
+                    s_mask, law, qf, cp.SeedingDraw(prefix, c0, u), c_mask))
                 _tally(mass, weight, mask_from(prefix) | 1 << c0, c_mask, outcomes)
     return mass
 
@@ -219,7 +219,7 @@ def test_disjoint_implementation_matches_exact_oracle(q, delta, raw_lists):
     neighbor_lists = [mask_from(s) for s in raw_lists]
     params = cp.disjoint_params_from_lists(Fraction(q), delta, neighbor_lists)
     b = len(params.pairs)
-    q_size = params.q_mask.bit_count()
+    q_size = len(set().union(*(s for s in raw_lists if len(s) == 1)))
     if b:
         assert params.p_pair == Fraction(1, q - q_size - b)
     assert params.s_e == Fraction(1, q - delta)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,37 @@ def test_gof_point_mass_tv():
     assert res.pvalue < 1e-12
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [10, 10, 10],
+        [600, 0, 0, 0, 0, 0],
+        [1, 2],
+        [3, 7, 1, 9, 0, 4, 12],
+        np.random.default_rng(3).multinomial(20_000, np.full(2000, 1 / 2000)),
+    ],
+)
+def test_gof_pvalues_equal_scipy_stats(counts):
+    # gof_from_counts calls the special functions behind these two survival
+    # functions directly, so the p-values must agree bit for bit
+    res = oracle.gof_from_counts(counts)
+    mean, sd = oracle.null_tv_moments(res.n_samples, res.n_cells)
+    assert res.pvalue == sps.chi2.sf(res.chi2, res.n_cells - 1)
+    assert res.tv_pvalue == sps.norm.sf((res.tv - mean) / sd)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import, once per CLI process
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, cftp_colorings.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_gof_rejects_sample_outside_universe():
     g = gen_cycle(3)
     universe = oracle.enumerate_colorings(g, 3)
@@ -163,7 +197,6 @@ def test_build_worst_case_lists():
     inst = oracle.build_worst_case(4, 8)
     per_side = [members(m) for m in inst.lists[:4]]
     assert per_side == [[0, 1], [1, 2], [3, 4], [4, 5]]
-    assert inst.m == 2 and inst.r == 2
     assert all(m.bit_count() == 2 for m in inst.lists)
     assert oracle.audit_worst_case(inst)
 
@@ -171,8 +204,7 @@ def test_build_worst_case_lists():
 def test_build_worst_case_rejects_too_few_colors():
     with pytest.raises(ValueError):
         oracle.build_worst_case(4, 5)
-    inst = oracle.build_worst_case(4, 7)  # r = 1 is fine
-    assert inst.r == 1
+    oracle.build_worst_case(4, 7)  # r = 1 is fine
 
 
 def test_build_worst_case_copies():
@@ -188,7 +220,7 @@ def test_audit_coupling_seeding_exceeds_two():
     assert res.compatible
     assert res.ci_lo > 2.0
     # never measurably below the analytic floor
-    assert res.ci_hi >= inst.bound - 3 * (res.ci_hi - res.ci_lo)
+    assert res.ci_hi >= oracle.lower_bound_value(4, 8) - 3 * (res.ci_hi - res.ci_lo)
 
 
 def test_audit_coupling_disjoint_incompatible_below_threshold():
