@@ -135,7 +135,7 @@ def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> 
             sp_mask |= m
         dp_mask, dp_pairs = 0, []
     elif mode == PHASE_CONVERT:
-        sp_mask, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
+        sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
     else:
         raise ValueError(f"unknown greedy mode {mode!r}")
     # pair colors live only in their own list, so non-pair lists are
@@ -152,12 +152,15 @@ def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> 
 # ---------------------------------------------------------------------------
 
 
-def apply_compress(state: BoundingState, v: int, a_mask: ColorSet) -> None:
+def apply_compress(
+    state: BoundingState, v: int, a_mask: ColorSet, outside: list[int]
+) -> None:
+    """Compress update at v against A; outside is cp.compress_outside(A, q)."""
     key = state.next_key()
-    state.lists[v] = cp.compress_predict(a_mask, state.q, key)
+    state.lists[v] = cp.compress_predict(a_mask, outside, key)
     state.updates += 1
     if state.coloring is not None:
-        draw = cp.compress_draw(a_mask, state.q, key)
+        draw = cp.compress_draw(a_mask, outside, key)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
 
 
@@ -196,5 +199,6 @@ def cleanup(state: BoundingState, v: int, preserved, mode: str) -> None:
     if not targets:
         return
     a_mask = greedy_reference_set(state, v, preserved, mode)
+    outside = cp.compress_outside(a_mask, state.q)
     for w in targets:
-        apply_compress(state, w, a_mask)
+        apply_compress(state, w, a_mask, outside)

@@ -17,13 +17,20 @@ Three constructions are provided:
   acceptance is its row |C|, read through lp_row as the checks read it.
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
-  blocks exactly one of the two.
+  blocks exactly one of the two. When every neighbor color is held by a
+  singleton list, the layout has one slot and the update reads only its
+  reserve color (draw 2).
 
 Every color set a coupling takes or returns is an int mask (colorsets), the
 disjoint pairs included; only a drawn permutation or prefix is a sequence,
 since its order is the draw. Each coupling draws one color uniformly outside
 a mask (compress's extra color, seeding's free color, disjoint's reserve),
-and outside_color is the one rule for it.
+and outside_color is the one rule for it; compress applies the same rule to
+the member list of [q] \\ A that one cleanup builds for all its updates.
+
+A kernel may leave out a draw that cannot change its output: draws are
+addressed by index under the update's key, so a draw left untaken moves no
+other draw.
 
 Every per-update record (CompressDraw, SeedingDraw, DisjointParams,
 DisjointDraw) is a NamedTuple: as immutable as a frozen dataclass and several
@@ -195,7 +202,9 @@ def relaxed_lp_vertices(inst: LPInstance):
 #
 # Draw layout at an update key: draw 0 selects the extra color x' from
 # [q] \ A, draw 1 is the acceptance variate u', draws 2.. drive the
-# Fisher-Yates shuffle of A (ascending order).
+# Fisher-Yates shuffle of A (ascending order). Every compress update of one
+# cleanup shares A, so the caller builds [q] \ A once (compress_outside) and
+# each update indexes it.
 
 
 class CompressDraw(NamedTuple):
@@ -204,22 +213,29 @@ class CompressDraw(NamedTuple):
     u_prime: float
 
 
-def compress_extra_color(a_mask: ColorSet, q: int, key: int) -> int:
+def compress_outside(a_mask: ColorSet, q: int) -> list[int]:
+    """Members of [q] \\ A in ascending order: the range of the extra color."""
     if a_mask.bit_count() >= q:
         raise CouplingRegimeError("compress needs at least one color outside A")
-    return outside_color(a_mask, q, key, 0)
+    return members(full_mask(q) & ~a_mask)
 
 
-def compress_draw(a_mask: ColorSet, q: int, key: int) -> CompressDraw:
-    x_prime = compress_extra_color(a_mask, q, key)
+def compress_extra_color(outside: list[int], key: int) -> int:
+    """Draw 0 indexes compress_outside's list; the color equals
+    outside_color(A, q, key, 0), since nth_color(m, i) == members(m)[i]."""
+    return outside[randint_below(key, 0, len(outside))]
+
+
+def compress_draw(a_mask: ColorSet, outside: list[int], key: int) -> CompressDraw:
+    x_prime = compress_extra_color(outside, key)
     u_prime = unit_uniform(key, 1)
     pi = tuple(shuffled(key, 2, list(iter_colors(a_mask))))
     return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
 
 
-def compress_predict(a_mask: ColorSet, q: int, key: int) -> ColorSet:
+def compress_predict(a_mask: ColorSet, outside: list[int], key: int) -> ColorSet:
     """Predicted bounding set A + {x'} without materializing the permutation."""
-    return a_mask | 1 << compress_extra_color(a_mask, q, key)
+    return a_mask | 1 << compress_extra_color(outside, key)
 
 
 def compress_accept(q, delta: int, n_blocked: int):
@@ -352,7 +368,11 @@ def seeding_decode(
 # bounding set always has size 1 or 2.
 #
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
-# draw 2 picks the reserve color.
+# draw 2 picks the reserve color. A one-slot layout (every slack color held
+# by a singleton list, so no pairs and no D or E colors) is all leftover:
+# its predicted set is {reserve} whatever draws 0 and 1 say, so it reads
+# draw 2 alone. Each draw is addressed by its index, so a draw left untaken
+# moves no other draw.
 
 class DisjointParams(NamedTuple):
     q: int
@@ -373,28 +393,32 @@ class DisjointDraw(NamedTuple):
     color: int  # the slot's color, or -1
     slot_prob: float
     in_d: bool  # a D color's slot; False on pair and leftover slots
-    v: float
+    v: float  # draw 1; 0.0 on a one-slot layout, whose leftover slot never reads it
     reserve: int
 
 
-def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, list[ColorSet]]:
-    """Union of the lists, union of the pairs, and the pairs: the 2-lists
-    that meet no other list.
+def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, ColorSet, list[ColorSet]]:
+    """Union of the lists, union of the 1-lists (the pinned colors Q), union
+    of the pairs, and the pairs: the 2-lists that meet no other list.
 
     One pass: ``shared`` collects every color seen in two or more lists, so
-    a 2-list is a disjoint pair iff it misses ``shared``. Pairs come back in
-    input order.
+    a 2-list is a disjoint pair iff it misses ``shared``. When the union is
+    Q, every color of a 2-list is also in a 1-list, so there are no pairs
+    and the pair pass is skipped. Pairs come back in input order.
     """
-    seen = 0
-    shared = 0
+    seen = shared = pinned = 0
     for m in lists:
         shared |= seen & m
         seen |= m
+        if m.bit_count() == 1:
+            pinned |= m
+    if seen == pinned:
+        return seen, pinned, 0, []
     pairs = [m for m in lists if m.bit_count() == 2 and not (m & shared)]
     pair_mask = 0
     for m in pairs:
         pair_mask |= m
-    return seen, pair_mask, pairs
+    return seen, pinned, pair_mask, pairs
 
 
 def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> DisjointParams:
@@ -405,46 +429,43 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     in every realizable configuration. Raises CouplingRegimeError when the
     slot masses exceed 1, which cannot happen when every neighbor list has
     at most two colors and q >= 2.5 * delta; larger lists are tolerated as
-    long as the mass check passes.
+    long as the mass check passes. When every slack color is pinned (in Q),
+    the layout has one slot, the leftover, of mass exactly 1.
     """
-    s_mask, d_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
+    s_mask, q_mask, d_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
     if q <= delta:
         raise CouplingRegimeError("disjoint needs q > delta")
     if s_mask.bit_count() >= q:
         raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
-    q_mask = 0
-    for m in neighbor_lists:
-        if m.bit_count() == 1:
-            q_mask |= m
-    e_mask = s_mask & ~q_mask & ~d_mask
     b = len(pair_lists)
     q_size = q_mask.bit_count()
     p_pair = 1 / (q - q_size - b) if b else 0
-    s_d = max(0, 1 / (q - delta) - p_pair)
     s_e = 1 / (q - delta)
-    mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
+    s_d = max(0, s_e - p_pair)
+    if s_mask == q_mask:
+        # one slot: no pairs and no D or E colors, so no slot mass; 0 * s_e is
+        # 0 in s_e's type, so a Fraction q keeps the leftover a Fraction
+        e_mask, mass = 0, 0 * s_e
+    else:
+        e_mask = s_mask & ~q_mask & ~d_mask
+        mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
     leftover = 1 - mass
     if leftover < -1e-9:
         raise CouplingRegimeError(
             f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
             f"(|S|={s_mask.bit_count()}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
         )
+    pairs = tuple(sorted(pair_lists, key=lambda m: m & -m) if b > 1 else pair_lists)
     return DisjointParams(
-        q=q,
-        delta=delta,
-        s_mask=s_mask,
-        pairs=tuple(sorted(pair_lists, key=lambda m: m & -m)),
-        d_mask=d_mask,
-        e_mask=e_mask,
-        p_pair=p_pair,
-        s_d=s_d,
-        s_e=s_e,
-        leftover=max(0, leftover),
+        q, delta, s_mask, pairs, d_mask, e_mask, p_pair, s_d, s_e, max(0, leftover)
     )
 
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
     reserve = outside_color(params.s_mask, params.q, key, 2)
+    if params.leftover == 1:
+        # a one-slot layout: every u lands in the leftover, so draws 0 and 1 go untaken
+        return 1 << reserve, DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
     return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 

@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import bounding as bd
+from . import couplings as cp
 from .errors import CouplingRegimeError, EngineError, NoCoalescenceError
 from .graphs import Graph
 from .seedstream import SeedStream, randint_below, unit_uniform
@@ -191,7 +192,7 @@ def _seeding_or_fallback(state: bd.BoundingState, v: int, preserved) -> None:
         bd.apply_seeding(state, v)
     except CouplingRegimeError:
         a_mask = bd.greedy_reference_set(state, v, preserved, bd.PHASE_SEEDING)
-        bd.apply_compress(state, v, a_mask)
+        bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
         state.seeding_fallbacks += 1
 
 
@@ -201,7 +202,7 @@ def _disjoint_or_fallback(state: bd.BoundingState, v: int) -> None:
     except CouplingRegimeError:
         nbrs = set(state.g.adjacency[v])
         a_mask = bd.greedy_reference_set(state, v, nbrs, bd.PHASE_CONVERT)
-        bd.apply_compress(state, v, a_mask)
+        bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
         state.disjoint_fallbacks += 1
 
 

@@ -85,12 +85,13 @@ def compress_suite(
     master_seed: int = 2024,
     draw=cp.compress_draw,
 ) -> list[CheckResult]:
-    """Exhaustive marginal and containment check for compress; draw(a_mask, q, key)."""
+    """Exhaustive marginal and containment check for compress; draw(a_mask, outside, key)."""
     q, delta = 6, 3
     a_mask = mask_from((1, 2, 3))
+    outside = cp.compress_outside(a_mask, q)
 
     def predict(key):
-        d = draw(a_mask, q, key)
+        d = draw(a_mask, outside, key)
         return a_mask | 1 << d.x_prime, d
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
@@ -121,13 +122,18 @@ def seeding_suite(
         tag, q, partial(predict, s_mask, law, q),
         partial(cp.seeding_decode, s_mask, law, q), c_sets, n_draws, master_seed,
     )
-    size_ok = all(
-        predicted.bit_count() == len(draw.prefix) + 1 for predicted, draw in predictions
+    # the prefix holds distinct slack colors and c0 is free, so the predicted
+    # set has the drawn size len(prefix) + 1
+    draws_ok = all(
+        mask_from(draw.prefix).bit_count() == len(draw.prefix)
+        and not mask_from(draw.prefix) & ~s_mask
+        and not s_mask >> draw.c0 & 1
+        for _, draw in predictions
     )
     return [
         CheckResult(f"{tag} law feasible", not violations, f"violations: {violations[:2]}"),
         containment,
-        CheckResult(f"{tag} predicted size equals drawn size", size_ok),
+        CheckResult(f"{tag} prefix distinct inside the slack set, c0 outside it", draws_ok),
         marginals,
     ]
 

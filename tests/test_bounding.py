@@ -67,8 +67,9 @@ def test_singleton_colors():
 def test_disjoint_pair_scan_two_separate_pairs():
     g = star(2)
     state = make_state(g, 8, {1: [1, 2], 2: [3, 4]})
-    union, pair_mask, pairs = cp.disjoint_pair_scan(neighbor_lists(state, g, 0))
+    union, pinned, pair_mask, pairs = cp.disjoint_pair_scan(neighbor_lists(state, g, 0))
     assert members(union) == [1, 2, 3, 4]
+    assert pinned == 0
     assert members(pair_mask) == [1, 2, 3, 4]
     assert pairs == [mask_from([1, 2]), mask_from([3, 4])]
 
@@ -77,17 +78,17 @@ def test_disjoint_pair_scan_overlap_disqualifies():
     g = star(3)
     # overlapping 2-lists, identical 2-lists, and a 2-list meeting a 3-list
     state = make_state(g, 10, {1: [1, 2], 2: [2, 3], 3: [5, 6]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([5, 6])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[3] == [mask_from([5, 6])]
     state = make_state(g, 10, {1: [1, 2], 2: [1, 2], 3: [5, 6]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([5, 6])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[3] == [mask_from([5, 6])]
     state = make_state(g, 10, {1: [6, 7, 8], 2: [5, 6], 3: [1, 2]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([1, 2])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[3] == [mask_from([1, 2])]
 
 
 def test_disjoint_pair_scan_single_neighbor():
     g = star(1)
     state = make_state(g, 8, {1: [1, 2]})
-    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[2] == [mask_from([1, 2])]
+    assert cp.disjoint_pair_scan(neighbor_lists(state, g, 0))[3] == [mask_from([1, 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_apply_compress_postcondition():
     q = 9
     state = make_state(g, q, seed=5)
     a = mask_from([0, 1, 2])
-    bd.apply_compress(state, 1, a)
+    bd.apply_compress(state, 1, a, cp.compress_outside(a, q))
     assert state.lists[1].bit_count() == 4
     assert a & state.lists[1] == a
     assert state.updates == 1
@@ -208,6 +209,19 @@ def test_cleanup_reference_set_shared():
         # one shared reference set plus one extra color each
         assert a & state.lists[w] == a
         assert (state.lists[w] & ~a).bit_count() == 1
+
+
+@pytest.mark.parametrize("q,delta", [(13, 3), (31, 8), (105, 32), (130, 40)])
+def test_cleanup_complement_gives_outside_color(q, delta):
+    # every update of one cleanup indexes the complement built once for it,
+    # and gets the extra color outside_color draws from A at its own key
+    g = star(delta)
+    state = make_state(g, q, seed=q)
+    a = bd.greedy_reference_set(state, 0, set(), bd.PHASE_CONVERT)
+    bd.cleanup(state, 0, preserved=set(), mode=bd.PHASE_CONVERT)
+    for i, w in enumerate(g.adjacency[0]):
+        key = state.stream.subkey(state.block, i)
+        assert state.lists[w] == a | 1 << cp.outside_color(a, q, key, 0)
 
 
 # ---------------------------------------------------------------------------

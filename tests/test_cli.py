@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from cftp_colorings import cli, engine
+from cftp_colorings.errors import NoCoalescenceError
 
 
 def run_cli(*args):
@@ -138,6 +142,24 @@ def test_bench_workers_match_sequential():
         return [r[:7] + r[8:] for r in rows]
 
     assert rows_without_wall_time(seq.stdout) == rows_without_wall_time(par.stdout)
+
+
+def test_bench_reads_wall_time_from_the_run_statistics(monkeypatch):
+    # mark the wall time the run statistics carry, for a coalesced run and for
+    # an exhausted one; bench must report the mark, not a clock of its own
+    real = engine.sample
+
+    def marked(g, config):
+        try:
+            return dataclasses.replace(real(g, config), wall_ms=-1.0)
+        except NoCoalescenceError as exc:
+            exc.stats["wall_ms"] = -2.0
+            raise
+
+    monkeypatch.setattr(engine, "sample", marked)
+    assert cli._bench_one((30, 6, 25, 11, 64))["wall_ms"] == -1.0
+    exhausted = cli._bench_one((12, 4, 8, 2, 2))
+    assert exhausted["coalesced"] == 0 and exhausted["wall_ms"] == -2.0
 
 
 def test_bench_subthreshold_reports_low_fraction():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from cftp_colorings import oracle
 from cftp_colorings import verification as vf
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
-from cftp_colorings.seedstream import SeedStream
+from cftp_colorings.seedstream import SeedStream, unit_uniform
 
 STREAM = SeedStream(99)
 
@@ -37,27 +38,30 @@ def test_compress_hand_trace_accepts_extra():
 
 def test_compress_predicted_size_is_delta_plus_one():
     a = mask_from([0, 2, 4])
+    outside = cp.compress_outside(a, 9)
     for j in range(200):
         key = STREAM.subkey(1, j)
-        assert cp.compress_predict(a, 9, key).bit_count() == 4
-        assert not a >> cp.compress_extra_color(a, 9, key) & 1
+        assert cp.compress_predict(a, outside, key).bit_count() == 4
+        assert not a >> cp.compress_extra_color(outside, key) & 1
 
 
 def test_compress_q_delta_plus_one_forces_full_palette():
     a = mask_from([0, 1, 2])
+    outside = cp.compress_outside(a, 4)
     for j in range(50):
-        predicted = cp.compress_predict(a, 4, STREAM.subkey(2, j))
+        predicted = cp.compress_predict(a, outside, STREAM.subkey(2, j))
         assert predicted == mask_from([0, 1, 2, 3])
 
 
 def test_compress_extra_color_uniform():
     a = mask_from([1, 2, 3])
     q, n = 8, 100_000
+    outside = cp.compress_outside(a, q)
     counts = Counter(
-        cp.compress_extra_color(a, q, STREAM.subkey(3, j)) for j in range(n)
+        cp.compress_extra_color(outside, STREAM.subkey(3, j)) for j in range(n)
     )
-    outside = [c for c in range(q) if not a >> c & 1]
-    assert oracle.gof_from_counts([counts[c] for c in outside]).pvalue > 0.001
+    free = [c for c in range(q) if not a >> c & 1]
+    assert oracle.gof_from_counts([counts[c] for c in free]).pvalue > 0.001
 
 
 @pytest.mark.parametrize("q", [105, 200])
@@ -76,18 +80,43 @@ def test_outside_color_uniform_on_wide_palettes(q):
 
 def test_compress_draw_matches_predict():
     a = mask_from([4, 5, 6])
+    outside = cp.compress_outside(a, 11)
     for j in range(100):
         key = STREAM.subkey(4, j)
-        predicted = cp.compress_predict(a, 11, key)
-        draw = cp.compress_draw(a, 11, key)
-        assert draw.x_prime == cp.compress_extra_color(a, 11, key)
+        predicted = cp.compress_predict(a, outside, key)
+        draw = cp.compress_draw(a, outside, key)
+        assert draw.x_prime == cp.compress_extra_color(outside, key)
         assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
 
 
+# (q, |A|) at the benchmark workloads' palettes, and one wider than two words
+PALETTES = [(13, 3), (31, 8), (105, 32), (130, 40)]
+
+
+@pytest.mark.parametrize("q,a_size", PALETTES)
+def test_compress_outside_list_gives_outside_color(q, a_size):
+    # one cleanup builds [q] \ A once; indexing it must give the color that
+    # outside_color draws from the mask at the same key and draw index
+    rng = random.Random(q)
+    a = mask_from(rng.sample(range(q), a_size))
+    outside = cp.compress_outside(a, q)
+    assert outside == [c for c in range(q) if not a >> c & 1]
+    for j in range(2000):
+        key = STREAM.subkey(20, j)
+        color = cp.outside_color(a, q, key, 0)
+        assert cp.compress_extra_color(outside, key) == color
+        assert cp.compress_predict(a, outside, key) == a | 1 << color
+
+
+def test_compress_outside_needs_a_free_color():
+    with pytest.raises(CouplingRegimeError):
+        cp.compress_outside(mask_from([0, 1, 2]), 3)
+
+
 def test_compress_blocked_larger_than_reference_rejected():
     a = mask_from([0, 1])
-    draw = cp.compress_draw(a, 6, STREAM.subkey(5, 0))
+    draw = cp.compress_draw(a, cp.compress_outside(a, 6), STREAM.subkey(5, 0))
     with pytest.raises(EngineError):
         cp.compress_decode(a, 6, draw, mask_from([2, 3, 4]))
 
@@ -100,7 +129,7 @@ def test_compress_blocked_larger_than_reference_rejected():
 def test_compress_containment_and_availability(blocked, j):
     a = mask_from([0, 1, 2])
     key = STREAM.subkey(6, j)
-    draw = cp.compress_draw(a, 9, key)
+    draw = cp.compress_draw(a, cp.compress_outside(a, 9), key)
     blocked_mask = mask_from(blocked)
     out = cp.compress_decode(a, 9, draw, blocked_mask)
     assert not blocked_mask >> out & 1
@@ -295,6 +324,100 @@ def test_disjoint_containment_on_realizable_sets(j, pick):
     assert not blocked >> out & 1
 
 
+def singleton_layouts(n_cases=90, seed=16):
+    """(q, delta, neighbor lists) built from singletons, 2-lists and (delta+1)-lists.
+
+    A third of the cases hold only singletons and 2-lists of singleton
+    colors, so every slack color is pinned (one-slot layouts). A third add
+    one 2-list with a color no singleton holds, so their E set is not empty.
+    The rest draw lists of 1, 2 or delta+1 random colors. q runs up to 70,
+    past one 64-bit word, with every fifth case above 64.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(n_cases):
+        delta = rng.randint(2, 6)
+        q = rng.randint(65, 70) if i % 5 == 0 else rng.randint(3 * delta + 2, 70)
+        if i % 3 == 2:
+            lists = [
+                mask_from(rng.sample(range(q), rng.choice((1, 2, delta + 1))))
+                for _ in range(rng.randint(1, delta))
+            ]
+        else:
+            pinned = rng.sample(range(q), rng.randint(1, delta - (i % 3)))
+            lists = [1 << c for c in pinned]
+            while len(lists) < delta - (i % 3):
+                lists.append(mask_from(rng.sample(pinned, min(2, len(pinned)))))
+            if i % 3 == 1:
+                free = rng.choice([c for c in range(q) if c not in pinned])
+                lists.append(1 << rng.choice(pinned) | 1 << free)
+            rng.shuffle(lists)
+        out.append((q, delta, lists))
+    return out
+
+
+def full_walk(params, key):
+    """The slot walk with every draw taken: u, v and the reserve."""
+    reserve = cp.outside_color(params.s_mask, params.q, key, 2)
+    return cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+
+
+def predict_mismatches(predict, n_keys=200):
+    """(q, lists, key index) wherever predict's set or decoded colors differ
+    from the full walk's, with the number of one-slot and of E-holding layouts."""
+    rng = random.Random(61)
+    out, one_slot, with_e = [], 0, 0
+    for q, delta, lists in singleton_layouts():
+        try:
+            params = cp.disjoint_params_from_lists(q, delta, lists)
+        except CouplingRegimeError:
+            continue
+        one_slot += params.leftover == 1
+        with_e += params.e_mask != 0
+        blocked_sets = [
+            mask_from(rng.choice(members(m)) for m in lists) for _ in range(4)
+        ]
+        for j in range(n_keys):
+            key = STREAM.subkey(40, j)
+            predicted, draw = predict(params, key)
+            full_predicted, full_draw = full_walk(params, key)
+            if predicted != full_predicted or any(
+                cp.disjoint_decode(params, draw, blocked)
+                != cp.disjoint_decode(params, full_draw, blocked)
+                for blocked in blocked_sets
+            ):
+                out.append((q, lists, j))
+    return out, one_slot, with_e
+
+
+def test_disjoint_predict_matches_full_walk():
+    mismatches, one_slot, with_e = predict_mismatches(cp.disjoint_predict)
+    assert mismatches == []
+    assert one_slot >= 20 and with_e >= 20
+
+
+def test_full_walk_check_catches_a_shortcut_with_e_colors():
+    """Negative control: take the one-slot shortcut whenever no pair is left,
+    E colors or not."""
+
+    def shortcut_without_pairs(params, key):
+        reserve = cp.outside_color(params.s_mask, params.q, key, 2)
+        if not params.pairs:
+            return 1 << reserve, cp.DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
+        return full_walk(params, key)
+
+    assert predict_mismatches(shortcut_without_pairs)[0]
+
+
+def test_disjoint_pair_scan_pins_the_singleton_colors():
+    for _, _, lists in singleton_layouts():
+        q_mask = 0
+        for m in lists:
+            if m.bit_count() == 1:
+                q_mask |= m
+        assert cp.disjoint_pair_scan(lists)[1] == q_mask
+
+
 # ---------------------------------------------------------------------------
 # verification suites at a reduced budget
 # ---------------------------------------------------------------------------
@@ -306,6 +429,18 @@ def test_compress_suite_passes():
 
 def test_seeding_suite_passes():
     assert all(r.passed for r in vf.seeding_suite(n_draws=6000, master_seed=4))
+
+
+def test_seeding_suite_rejects_a_repeated_prefix_color():
+    """Negative control: a prefix that repeats its first color fails the draw check."""
+
+    def repeating_predict(s_mask, law, q, key):
+        predicted, draw = cp.seeding_predict(s_mask, law, q, key)
+        return predicted, draw._replace(prefix=draw.prefix[:1] * len(draw.prefix))
+
+    results = vf.seeding_suite(n_draws=200, master_seed=4, predict=repeating_predict)
+    check = next(r for r in results if "prefix distinct" in r.name)
+    assert not check.passed
 
 
 def test_disjoint_suites_pass():
