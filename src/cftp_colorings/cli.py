@@ -230,7 +230,7 @@ def _unshuffled_seeding_predict(s_mask, law, q, key):
 @cli.command("verify")
 @click.option("--full", is_flag=True, help="run the full-size sample budgets")
 @click.option("--lp", "lp_only", is_flag=True, help="run only the LP grid check")
-# the relaxed size-law program needs a degree of at least 3
+# below degree 3 the relaxed size-law program has grid points with no vertex
 @click.option("--delta", "delta_range", default="3:16", show_default=True,
               callback=degree_range(3), help="LP grid degree range LO:HI")
 @click.option("--inject-fault", type=click.Choice(["biased-permutation"]), default=None,
@@ -275,13 +275,14 @@ def cmd_lpaudit(delta_range, out_path):
         feasible = law is not None and not cp.verify_full_lp(cp.LPInstance(s_size, delta, q), law)
         rows.append([
             delta, s_size, q,
+            round(law.r(1), 9) if law else "",
             round(law.r(2), 9) if law else "",
             round(law.r(3), 9) if law else "",
             round(law.expected_size, 9) if law else "",
             int(feasible),
         ])
     meta = run_meta(0, command="lpaudit", delta_range=[lo, hi])
-    header = ["delta", "s_size", "q", "r2", "r3", "expected_size", "full_lp_feasible"]
+    header = ["delta", "s_size", "q", "r1", "r2", "r3", "expected_size", "full_lp_feasible"]
     emit(csv_text(meta, header, rows), out_path)
 
 

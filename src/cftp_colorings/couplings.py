@@ -48,9 +48,10 @@ from .errors import CouplingRegimeError, EngineError
 from .seedstream import randint_below, shuffled, shuffled_prefix, unit_uniform
 
 # Slack a feasibility row may exceed its bound by, for float rounding: the float
-# law SizeLaw(2, 3, 1.0 - r3) exceeds the exact row delta by up to 2.2e-17 where
-# fl(1 - fl(r3)) > 1 - r3 (169 of the 1081 lp_grid(3, 16) points). So the check
-# can be exact only once P(2) is rounded down or drawn exactly.
+# seeding law exceeds an exact row by up to 5.4e-17 at 434 of the 1081
+# lp_grid(3, 16) points, where fl(r1) > r1 (265 on {1, 2}) or fl(1 - fl(r3)) >
+# 1 - r3 (169 on {2, 3}). So the check can be exact only once the low size's
+# mass is rounded down or drawn exactly.
 _LP_TOL = 1e-9
 
 
@@ -132,55 +133,29 @@ def lp_row(s_size: int, law: SizeLaw, q, j: int) -> tuple[float, float]:
 def verify_full_lp(inst: LPInstance, law: SizeLaw) -> list[tuple[int, float, float]]:
     """Violated feasibility rows as (j, lhs, bound) triples; empty iff feasible.
 
-    Rows j > |S| cannot arise (blocked colors inside the slack set number at
-    most |S|) and are skipped. A law on a size the slack cannot hold raises
+    Rows 0..min(delta, |S|) can arise: row 0 is the update with nothing blocked,
+    which binds a law with mass on size 1, and blocked colors inside the slack
+    set number at most |S|. A law on a size the slack cannot hold raises
     lp_row's CouplingRegimeError.
     """
     violations = []
-    for j in range(1, min(inst.delta, inst.s_size) + 1):
+    for j in range(min(inst.delta, inst.s_size) + 1):
         lhs, bound = lp_row(inst.s_size, law, inst.q, j)
         if lhs > bound + _LP_TOL:
             violations.append((j, lhs, bound))
     return violations
 
 
-def _top_row(inst: LPInstance) -> tuple[dict[int, float], float]:
-    """Row delta's coefficient z(k) for each size k <= delta, and its bound w."""
-    rows = {
-        k: lp_row(inst.s_size, SizeLaw(k, k, 1), inst.q, inst.delta)
-        for k in range(1, inst.delta + 1)
-    }
-    return {k: z for k, (z, _) in rows.items()}, rows[1][1]
-
-
-def solve_relaxed_lp(inst: LPInstance) -> SizeLaw:
-    """Closed-form optimum of the program relaxed to its top row.
-
-    With z(k) = z_delta(k) decreasing and convex in k, the minimizer of the
-    expected size subject to sum r_k z(k) <= w is supported on the two
-    consecutive sizes straddling w (lo's mass is 0 when z(hi) = w).
-    """
-    if inst.s_size <= inst.delta:
-        raise CouplingRegimeError(
-            "relaxed program is only meaningful for slack larger than delta"
-        )
-    z, w = _top_row(inst)
-    for i in range(2, inst.delta + 1):
-        if z[i] <= w:
-            return SizeLaw(i - 1, i, (w - z[i]) / (z[i - 1] - z[i]))
-    raise CouplingRegimeError(
-        f"no feasible size <= delta for |S|={inst.s_size}, delta={inst.delta}, q={inst.q}"
-    )
-
-
 def relaxed_lp_vertices(inst: LPInstance):
-    """All vertices of the relaxed feasible region, as size laws.
+    """All vertices of the program relaxed to row delta, on sizes 1..delta, as size laws.
 
     Vertices are point masses on feasible sizes plus two-point mixtures that
-    make the single moment constraint tight. Used as an independent check
-    that the closed form is optimal.
+    make row delta tight. The minimum expected size among them is an optimum
+    found independently of seeding_size_law's closed form.
     """
-    zs, w = _top_row(inst)
+    zs = {}
+    for k in range(1, inst.delta + 1):
+        zs[k], w = lp_row(inst.s_size, SizeLaw(k, k, 1), inst.q, inst.delta)
     out = []
     for k, zk in zs.items():
         if zk <= w + 1e-15:
@@ -274,33 +249,46 @@ class SeedingDraw(NamedTuple):
     u_prime: float
 
 
-def seeding_size_law(s_size: int, delta: int, q: int) -> SizeLaw:
-    """The feasibility LP's optimum on {2, 3} for a slack set of s_size colors.
+def seeding_size_law(s_size: int, delta: int, q) -> SizeLaw:
+    """The feasibility LP's optimum for a slack set of s_size colors; exact for a Fraction q.
 
-    P(3) = r3 = (|S|+delta-q)(|S|-1) / ((q-delta) delta), or 0 when |S| <= q-delta,
-    makes row delta tight and every row j <= min(delta, |S|) hold. At r3 = 0 row j
-    reads (j-|S|)(q-j-|S|) <= 0. Otherwise, with c = r3 / (|S|-1), it holds iff
-    (|S|-j) phi(j) >= 0, phi(j) = q-|S|-j + c j (q-j): phi is concave with
-    phi(0) = q-|S| > 0 and phi(delta) = 0. So the sampler runs no LP; the checks
-    do. r3 > 1 raises CouplingRegimeError, and the caller falls back to compress.
+    Rows j <= min(delta, |S|) arise. Row |S|, when |S| <= delta, reads 1 <= 1
+    for any law, so the binding row is J = min(delta, |S|-1), and J < |S|.
+
+    Sizes 1 or 2, when |S|+J <= q: P(1) = r1 = (q-|S|-J) / (q-J). For a law on
+    {1, 2}, row j < |S| holds iff r1 <= (q-|S|-j) / (q-j) = 1 - |S|/(q-j),
+    a bound that falls as j grows, so row J is tight and rows j < J hold.
+
+    Sizes 2 or 3, otherwise: P(3) = r3 = (|S|-1)(|S|+J-q) / (J(q-J)) makes
+    row J tight. With c = r3 / (|S|-1), row j holds iff (|S|-j) phi(j) >= 0,
+    phi(j) = q-|S|-j + c j (q-j): phi is concave with phi(0) = q-|S| > 0 and
+    phi(J) = 0, so phi >= 0 on [0, J].
+
+    Optimal: relaxed to row J alone, the program weighs size k by
+    z(k) = C(J, k-1) / C(|S|, k-1), decreasing and convex in k since J < |S|,
+    so its optimum sits on the two consecutive sizes around the bound w.
+    z(1) = 1 > w, z(2) <= w iff |S|+J <= q, and z(3) <= w iff r3 <= 1. The
+    law above is that optimum, and it holds every row. So the sampler runs no
+    LP; the checks do. r3 > 1 raises CouplingRegimeError, and the caller
+    falls back to compress.
     """
     if q <= delta:
         raise CouplingRegimeError("seeding needs q > delta")
     if s_size > 0 and delta <= 0:
         raise ValueError(f"seeding needs 0 < delta: |S|={s_size}, delta={delta}, q={q}")
-    if s_size <= q - delta:
-        r3 = 0.0
-    else:
-        # int by int, rounded once: r3 > 1 iff the rational is, for (q-delta) delta < 2**52
-        r3 = (s_size + delta - q) * (s_size - 1) / ((q - delta) * delta)
+    top = min(delta, s_size - 1)  # J, the binding row
+    if s_size + top <= q:
+        return SizeLaw(1, 2, (q - s_size - top) / (q - top))
+    # int by int, rounded once: r3 > 1 iff the rational is, for (q-J) J < 2**52
+    r3 = (s_size + top - q) * (s_size - 1) / ((q - top) * top)
     if r3 > 1:
         raise CouplingRegimeError(
-            f"seeding size law infeasible: r3 = {r3:.4f} for |S|={s_size}, "
+            f"seeding size law infeasible: r3 = {float(r3):.4f} for |S|={s_size}, "
             f"delta={delta}, q={q}"
         )
-    if s_size > 0 and s_size >= q:
+    if s_size >= q:
         raise ValueError(f"seeding needs |S| < q: |S|={s_size}, delta={delta}, q={q}")
-    return SizeLaw(2, 3, 1.0 - r3)
+    return SizeLaw(2, 3, 1 - r3)
 
 
 def _draw_size(law: SizeLaw, key: int) -> int:

@@ -198,36 +198,47 @@ class CouplingAudit:
     compatible: bool
 
 
+def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeLaw | None]:
+    """Vertex 0's slack set, and the size law the seeding audit draws from.
+
+    The law is the least-expected-size vertex of relaxed_lp_vertices, not
+    seeding_size_law: the worst case can need sizes above 3, where the
+    sampler's law raises. It is None when the relaxed program has no vertex
+    or its optimum breaks a row of the full LP.
+    """
+    s_mask = 0
+    for u in inst.graph.adjacency[0]:
+        s_mask |= inst.lists[u]
+    try:
+        inst_lp = cp.LPInstance(s_mask.bit_count(), inst.delta, inst.q)
+        law = min(cp.relaxed_lp_vertices(inst_lp), key=lambda v: v.expected_size, default=None)
+        if law is not None and cp.verify_full_lp(inst_lp, law):
+            law = None
+    except (CouplingRegimeError, ValueError):
+        law = None
+    return s_mask, law
+
+
 def audit_seeding_at_worst_case(
     inst: LowerBoundInstance,
     trials: int = 100_000,
     master_seed: int = 0,
 ) -> CouplingAudit:
     """Monte Carlo estimate of the seeding coupling's predicted-set size at a
-    worst-case vertex.
+    worst-case vertex, under worst_case_seeding_law.
 
-    A slack set whose size law is infeasible is reported as incompatible
-    rather than failing.
+    A slack set with no such law is reported as incompatible rather than
+    failing.
     """
-    g = inst.graph
-    q, delta = inst.q, inst.delta
-    s_mask = 0
-    for u in g.adjacency[0]:
-        s_mask |= inst.lists[u]
-    try:
-        inst_lp = cp.LPInstance(s_mask.bit_count(), delta, q)
-        law = cp.solve_relaxed_lp(inst_lp)
-        compatible = not cp.verify_full_lp(inst_lp, law)
-    except (CouplingRegimeError, ValueError):
-        compatible = False
-    if not compatible:
+    s_mask, law = worst_case_seeding_law(inst)
+    if law is None:
         return CouplingAudit(math.nan, math.nan, math.nan, False)
 
     stream = SeedStream(master_seed)
     total = 0
     total_sq = 0
     for i in range(trials):
-        predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
+        predicted, _ = cp.seeding_predict(s_mask, law, inst.q, stream.subkey(1, i))
         s = predicted.bit_count()
         total += s
         total_sq += s * s

@@ -224,32 +224,32 @@ def lp_grid(delta_lo: int, delta_hi: int):
 
 
 def lp_grid_suite(delta_lo: int = 3, delta_hi: int = 16) -> list[CheckResult]:
-    """Closed-form law feasibility and optimality across the parameter grid.
+    """The sampler's law, seeding_size_law, across the parameter grid.
 
-    The closed-form law is solve_relaxed_lp's relaxed optimum, which mixes
-    sizes 1 and 2 when |S| <= q - delta; the sampler (and cli lpaudit) use
-    seeding_size_law's law on {2, 3}. An empty grid fails: it checks nothing.
+    At every point it must satisfy every row of the full LP, and its expected
+    size must equal the optimum found by enumerating relaxed_lp_vertices. An
+    empty grid fails: it checks nothing.
     """
     points = list(lp_grid(delta_lo, delta_hi))
     infeasible = []
     suboptimal = []
     for delta, s_size, q in points:
         inst = cp.LPInstance(s_size, delta, q)
-        law = cp.solve_relaxed_lp(inst)
+        law = cp.seeding_size_law(s_size, delta, q)
         violations = cp.verify_full_lp(inst, law)
         if violations:
             infeasible.append((delta, s_size, q, violations[:1]))
         best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
-        if law.expected_size > best + 1e-12:
+        if abs(law.expected_size - best) > 1e-12:
             suboptimal.append((delta, s_size, q, law.expected_size, best))
     return [
         CheckResult(
-            f"closed-form law satisfies all rows on {len(points)} grid points",
+            f"seeding_size_law satisfies all rows on {len(points)} grid points",
             bool(points) and not infeasible,
             f"violations: {infeasible[:3]}",
         ),
         CheckResult(
-            "closed-form law matches vertex-enumeration optimum",
+            "seeding_size_law matches vertex-enumeration optimum",
             not suboptimal,
             f"suboptimal: {suboptimal[:3]}",
         ),

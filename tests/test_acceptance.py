@@ -115,15 +115,17 @@ def test_criterion_04_marginal_correctness_all_couplings():
 
 
 def test_criterion_05_phase_invariants(monkeypatch):
-    # Record the list size after every seeding and disjoint update. A vertex
-    # is preserved right after its own update in its phase, so its phase-end
-    # list is the one that update produced.
+    # Record the list size after every seeding and disjoint update, with the
+    # slack size read before it. A vertex is preserved right after its own
+    # update in its phase, so its phase-end list is the one that update
+    # produced.
     sizes = {"seeding": [], "disjoint": []}
 
     def recording(update, seen):
         def wrapper(state, v):
+            slack = bd.neighborhood_slack(state, v).bit_count()
             update(state, v)
-            seen.append((v, state.lists[v].bit_count()))
+            seen.append((v, state.lists[v].bit_count(), slack))
 
         return wrapper
 
@@ -144,16 +146,18 @@ def test_criterion_05_phase_invariants(monkeypatch):
                 seen.clear()
             block = engine.construct_block(g, part, cfg, 1, stream)
             runs += 1
-            for v, s in sizes["seeding"]:
-                if s not in (2, 3):
-                    violations.append(("seeding", g.max_degree, seed, v, s))
-            for v, s in sizes["disjoint"]:
+            # a seeded list has one of the two sizes its slack's law draws
+            for v, s, slack in sizes["seeding"]:
+                law = cp.seeding_size_law(slack, g.max_degree, q)
+                if s not in (law.lo, law.hi):
+                    violations.append(("seeding", g.max_degree, seed, v, s, slack))
+            for v, s, _ in sizes["disjoint"]:
                 if s not in (1, 2):
                     violations.append(("disjoint", g.max_degree, seed, v, s))
-            if {v for v, _ in sizes["seeding"]} != part.members:
+            if {v for v, _, _ in sizes["seeding"]} != part.members:
                 violations.append(("unseeded", g.max_degree, seed))
             # the drift updates any vertex; the conversion every vertex outside S
-            if not set(range(g.n)) - part.members <= {v for v, _ in sizes["disjoint"]}:
+            if not set(range(g.n)) - part.members <= {v for v, _, _ in sizes["disjoint"]}:
                 violations.append(("unconverted", g.max_degree, seed))
             if block.seeding_fallbacks or block.disjoint_fallbacks:
                 violations.append(("fallback", g.max_degree, seed))

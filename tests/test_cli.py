@@ -124,11 +124,15 @@ def test_sample_no_coalescence_exits_2():
 def test_lpaudit_reference_row():
     r = run_cli("lpaudit", "--delta", "12:12")
     assert r.returncode == 0, r.stderr
-    rows = {tuple(ln.split(",")[:3]): ln.split(",") for ln in r.stdout.splitlines()
-            if ln and not ln.startswith("#") and not ln.startswith("delta")}
+    lines = r.stdout.splitlines()
+    assert lines[1] == "delta,s_size,q,r1,r2,r3,expected_size,full_lp_feasible"
+    rows = {tuple(ln.split(",")[:3]): ln.split(",") for ln in lines[2:]}
     row = rows[("12", "24", "30")]
-    assert abs(float(row[4]) - 23 / 36) < 1e-6
-    assert row[6] == "1"
+    assert float(row[3]) == 0
+    assert abs(float(row[5]) - 23 / 36) < 1e-6
+    assert row[7] == "1"
+    # |S| + delta <= q: the law mixes sizes 1 and 2, r1 = (28 - 13 - 12) / (28 - 12)
+    assert rows[("12", "13", "28")][3:6] == ["0.1875", "0.8125", "0"]
 
 
 def test_bench_workers_match_sequential():

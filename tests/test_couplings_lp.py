@@ -37,36 +37,37 @@ def test_top_row_equals_relaxed_moment():
     assert top == pytest.approx(relaxed, abs=1e-15)
 
 
-def test_solve_relaxed_lp_reference_point():
+def test_seeding_size_law_matches_relaxed_solution():
     # (delta, |S|, q) = (12, 24, 30): direct evaluation of the two-point
     # formula gives r3 = 6 * 23 / 216 = 23/36
     inst = cp.LPInstance(s_size=24, delta=12, q=30)
-    law = cp.solve_relaxed_lp(inst)
+    law = cp.seeding_size_law(24, 12, 30)
     r3 = Fraction(6 * 23, 216)
     assert law.r(3) == pytest.approx(float(r3), abs=1e-12)
     assert law.r(2) == pytest.approx(float(1 - r3), abs=1e-12)
-    # the moment constraint is tight
+    # the moment constraint is tight, and no relaxed vertex does better
     moment = sum(p * z_top(inst, k) for k, p in law.terms)
     _, w = cp.lp_row(inst.s_size, law, inst.q, inst.delta)
     assert moment == pytest.approx(w, abs=1e-12)
-
-
-def test_solve_relaxed_lp_boundary_point_mass():
-    # |S| = q - delta makes size 2 exactly feasible alone
-    inst = cp.LPInstance(s_size=9, delta=3, q=12)
-    law = cp.solve_relaxed_lp(inst)
-    assert law.r(2) == 1.0
-
-
-def test_seeding_size_law_matches_relaxed_solution():
-    law = cp.seeding_size_law(24, 12, 30)
-    assert law.r(3) == pytest.approx(23 / 36, abs=1e-12)
+    best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
+    assert law.expected_size == pytest.approx(best, abs=1e-12)
 
 
 def test_seeding_size_law_clamps_to_two():
-    law = cp.seeding_size_law(5, 3, 9)  # |S| <= q - delta
-    assert law.r(2) == 1.0 and law.r(3) == 0.0
+    # |S| = q - delta makes size 2 exactly feasible alone: r1 = 0
+    law = cp.seeding_size_law(9, 3, 12)
+    assert law.r(1) == 0.0 and law.r(2) == 1.0 and law.r(3) == 0.0
     assert law.expected_size == 2.0
+
+
+def test_seeding_size_law_mixes_one_and_two_below_q_minus_delta():
+    # |S| + delta < q: row delta binds r1 = (q - |S| - delta) / (q - delta) = 1/6
+    law = cp.seeding_size_law(5, 3, 9)
+    assert (law.lo, law.hi) == (1, 2)
+    assert law.p_lo == 1 / 6
+    assert cp.seeding_size_law(5, 3, Fraction(9)).p_lo == Fraction(1, 6)
+    assert law.expected_size == pytest.approx(11 / 6, abs=1e-15)
+
 
 
 def test_seeding_size_law_expected_size_at_most_three():
@@ -101,7 +102,16 @@ def test_verify_full_lp_flags_infeasible_point_mass():
     inst = cp.LPInstance(s_size=6, delta=3, q=8)
     violations = cp.verify_full_lp(inst, cp.SizeLaw(1, 1, 1.0))
     assert violations
-    assert [v[0] for v in violations] == [1, 2, 3]
+    assert [v[0] for v in violations] == [0, 1, 2, 3]
+
+
+def test_verify_full_lp_checks_row_zero():
+    # with nothing blocked the decode never emits the free color after a
+    # size-1 draw, so a point mass on 1 breaks row 0: lhs 1 > bound 8/9;
+    # row 1 reads 1 <= 1
+    inst = cp.LPInstance(s_size=1, delta=3, q=9)
+    assert cp.lp_row(1, cp.SizeLaw(1, 1, 1.0), 9, 0) == (1.0, 8 / 9)
+    assert cp.verify_full_lp(inst, cp.SizeLaw(1, 1, 1.0)) == [(0, 1.0, 8 / 9)]
 
 
 def test_unusable_size_is_refused_by_the_row():
@@ -128,21 +138,9 @@ def test_verify_full_lp_top_row_point_mass_on_delta():
         assert feasible == (lhs <= bound + 1e-9)
 
 
-def test_relaxed_solution_feasible_on_light_grid():
-    for delta in range(3, 9):
-        for s_size in range(delta + 1, 2 * delta + 1):
-            for q in range(math.ceil(7 * delta / 3), 3 * delta + 1):
-                if s_size >= q:
-                    continue
-                inst = cp.LPInstance(s_size, delta, q)
-                law = cp.solve_relaxed_lp(inst)
-                violations = cp.verify_full_lp(inst, law)
-                assert not violations, (delta, s_size, q, violations)
-
-
 def test_closed_form_matches_vertex_enumeration_spot():
     inst = cp.LPInstance(s_size=6, delta=4, q=8)
-    law = cp.solve_relaxed_lp(inst)
+    law = cp.seeding_size_law(6, 4, 8)
     best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
     assert law.expected_size == pytest.approx(best, abs=1e-12)
 
@@ -159,11 +157,11 @@ def test_relaxed_solution_tight_and_optimal(delta, s_extra, q_extra):
     if s_size >= q:
         return
     inst = cp.LPInstance(s_size, delta, q)
-    law = cp.solve_relaxed_lp(inst)
-    # feasible for the relaxed program
+    law = cp.seeding_size_law(s_size, delta, q)
+    # tight for the relaxed program: |S| > delta, so row delta binds
     moment = sum(p * z_top(inst, k) for k, p in law.terms)
     _, w = cp.lp_row(inst.s_size, law, inst.q, inst.delta)
-    assert moment <= w + 1e-9
+    assert moment == pytest.approx(w, abs=1e-12)
     # optimal among polytope vertices
     assert law.expected_size <= min(v.expected_size for v in cp.relaxed_lp_vertices(inst)) + 1e-9
 
@@ -176,23 +174,24 @@ def test_lp_grid_suite_fails_on_an_empty_grid():
 
 
 def test_seeding_size_law_on_the_lp_grid():
-    # the sampler's law, not the relaxed optimum, over every grid point lpaudit prints
+    # the sampler's law over every grid point lpaudit prints: feasible, and
+    # as small in expectation as the best vertex of the relaxed program
     points = list(vf.lp_grid(3, 16))
     assert len(points) == 1081
     for delta, s_size, q in points:
         inst = cp.LPInstance(s_size, delta, q)
         law = cp.seeding_size_law(s_size, delta, q)
         assert not cp.verify_full_lp(inst, law), (delta, s_size, q)
-        assert 2.0 <= law.expected_size <= 3.0, (delta, s_size, q)
-        if s_size > q - delta:
-            relaxed = cp.solve_relaxed_lp(inst)
-            assert law.r(3) == pytest.approx(relaxed.r(3), abs=1e-12), (delta, s_size, q)
+        assert (law.lo, law.hi) == ((1, 2) if s_size <= q - delta else (2, 3))
+        best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
+        assert law.expected_size == pytest.approx(best, abs=1e-12), (delta, s_size, q)
 
 
-def _row_lhs(s_size, p2, p3, j):
-    """LP row j's left side for P(2) = p2, P(3) = p3, in the rationals."""
-    terms = ((2, p2), (3, p3))
-    return sum(p * Fraction(math.comb(j, k - 1), math.comb(s_size, k - 1)) for k, p in terms if p)
+def _row_lhs(s_size, law, j):
+    """LP row j's left side for a law with Fraction masses, in the rationals."""
+    return sum(
+        p * Fraction(math.comb(j, k - 1), math.comb(s_size, k - 1)) for k, p in law.terms if p
+    )
 
 
 def _row_bound(s_size, q, j):
@@ -200,27 +199,47 @@ def _row_bound(s_size, q, j):
 
 
 def test_seeding_size_law_is_the_exact_closed_form():
-    # every law seeding_size_law builds for delta <= 16 and delta < q <= 4 delta + 2,
-    # checked against the LP in the rationals; the sampler itself runs no LP
-    laws = controls = 0
+    # every law seeding_size_law builds at a Fraction q for delta <= 16 and
+    # delta < q <= 4 delta + 2, checked against every row in the rationals;
+    # the sampler itself runs no LP
+    regions = {"|S| <= delta": 0, "delta < |S| <= q - delta": 0, "|S| > q - delta": 0}
+    raised = controls = 0
     for delta in range(1, 17):
         for q in range(delta + 1, 4 * delta + 3):
             for s_size in range(1, q):
-                r3 = Fraction(max(0, s_size + delta - q) * (s_size - 1), (q - delta) * delta)
-                if r3 > 1:
+                top = min(delta, s_size - 1)  # the binding row J
+                try:
+                    law = cp.seeding_size_law(s_size, delta, Fraction(q))
+                except CouplingRegimeError:
+                    # no law on sizes <= 3 holds row J: size 3 alone breaks it
+                    point3 = cp.SizeLaw(3, 3, Fraction(1))
+                    assert _row_lhs(s_size, point3, top) > _row_bound(s_size, q, top)
+                    raised += 1
                     continue
-                laws += 1
-                law = cp.seeding_size_law(s_size, delta, q)
-                assert (law.lo, law.hi) == (2, 3)
-                assert law.p_lo == 1.0 - float(r3), (delta, s_size, q)
-                for j in range(1, min(delta, s_size) + 1):
-                    lhs = _row_lhs(s_size, 1 - r3, r3, j)
+                if s_size <= delta:
+                    regions["|S| <= delta"] += 1
+                elif s_size <= q - delta:
+                    regions["delta < |S| <= q - delta"] += 1
+                else:
+                    regions["|S| > q - delta"] += 1
+                # the int q law is the same rational, rounded once
+                float_law = cp.seeding_size_law(s_size, delta, q)
+                assert (float_law.lo, float_law.hi) == (law.lo, law.hi)
+                if law.lo == 1:
+                    assert s_size + top <= q
+                    assert float_law.p_lo == float(law.p_lo), (delta, s_size, q)
+                else:
+                    assert (law.lo, law.hi) == (2, 3) and s_size + top > q
+                    assert float_law.p_lo == 1 - float(1 - law.p_lo), (delta, s_size, q)
+                for j in range(min(delta, s_size) + 1):
+                    lhs = _row_lhs(s_size, law, j)
                     assert lhs <= _row_bound(s_size, q, j), (delta, s_size, q, j)
-                if q - delta < s_size and delta <= s_size:
-                    assert _row_lhs(s_size, 1 - r3, r3, delta) == _row_bound(s_size, q, delta)
-                if q - delta < s_size and delta < s_size:
-                    # negative control: a size-3 mass just below r3 breaks row delta
-                    low = r3 - Fraction(1, 1000)
-                    assert _row_lhs(s_size, 1 - low, low, delta) > _row_bound(s_size, q, delta)
-                    controls += 1
-    assert (laws, controls) == (10829, 2580)
+                assert _row_lhs(s_size, law, top) == _row_bound(s_size, q, top)
+                # negative control: moving mass to the low size breaks row J
+                shifted = cp.SizeLaw(law.lo, law.hi, law.p_lo + Fraction(1, 1000))
+                assert _row_lhs(s_size, shifted, top) > _row_bound(s_size, q, top)
+                controls += 1
+    assert regions == {
+        "|S| <= delta": 4677, "delta < |S| <= q - delta": 3720, "|S| > q - delta": 2580
+    }
+    assert (raised, controls) == (1143, 10977)

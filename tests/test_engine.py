@@ -104,22 +104,25 @@ def test_partition_budget_exceeded_raises():
 
 
 def record_list_sizes(monkeypatch, name):
-    """Wrap bounding.<name> to record (vertex, new list size) after each call."""
+    """Wrap bounding.<name> to record (vertex, new list size, slack size) per
+    call; the slack is read before the update."""
     seen = []
     update = getattr(bd, name)
 
     def recording(state, v):
+        slack = bd.neighborhood_slack(state, v).bit_count()
         update(state, v)
-        seen.append((v, state.lists[v].bit_count()))
+        seen.append((v, state.lists[v].bit_count(), slack))
 
     monkeypatch.setattr(bd, name, recording)
     return seen
 
 
 def test_block_phase_invariants_k3232(monkeypatch):
-    # every seeding update leaves a list of 2 or 3 colors and every disjoint
-    # update one of 1 or 2; a vertex is preserved right after its own update
-    # in its phase, so these are also the phase-end sizes
+    # every seeding update leaves a list of one of the two sizes its slack's
+    # law draws, and every disjoint update one of 1 or 2; a vertex is
+    # preserved right after its own update in its phase, so these are also
+    # the phase-end sizes
     seeding = record_list_sizes(monkeypatch, "apply_seeding")
     disjoint = record_list_sizes(monkeypatch, "apply_disjoint")
     g = gen_complete_bipartite(32)
@@ -128,10 +131,12 @@ def test_block_phase_invariants_k3232(monkeypatch):
     part = engine.lll_partition(g, stream)
     block = engine.construct_block(g, part, cfg, 1, stream)
     assert len(part) > 0
-    assert {v for v, _ in seeding} == part.members
-    assert set(range(g.n)) - part.members <= {v for v, _ in disjoint}
-    assert {s for _, s in seeding} <= {2, 3}
-    assert {s for _, s in disjoint} <= {1, 2}
+    assert {v for v, _, _ in seeding} == part.members
+    assert set(range(g.n)) - part.members <= {v for v, _, _ in disjoint}
+    for _, size, slack in seeding:
+        law = cp.seeding_size_law(slack, g.max_degree, cfg.q)
+        assert size in (law.lo, law.hi), (size, slack, law)
+    assert {s for _, s, _ in disjoint} <= {1, 2}
     assert block.seeding_fallbacks == 0
 
 

@@ -108,9 +108,14 @@ def seeding_marginal(s_colors, law, q, c_mask):
         ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 2, Fraction(1))),
         ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 3, Fraction(1, 2))),
         ((1, 2, 3, 4, 5), 8, cp.SizeLaw(2, 3, Fraction(2, 5))),
-        # slack below q - delta admits a law mixing sizes 1 and 2: the
-        # closed-form optimum at (|S|, delta, q) = (4, 3, 9) is (1/3, 2/3)
-        ((1, 2, 3, 4), 9, cp.SizeLaw(1, 2, Fraction(1, 3))),
+        # the shipped law at delta = 3, one point per region of the slack:
+        # delta < |S| <= q - delta mixes sizes 1 and 2, (1/3, 2/3) here
+        ((1, 2, 3, 4), 9, cp.seeding_size_law(4, 3, Fraction(9))),
+        # |S| > q - delta mixes sizes 2 and 3
+        ((1, 2, 3, 4, 5), 7, cp.seeding_size_law(5, 3, Fraction(7))),
+        # |S| <= delta binds row |S| - 1, on sizes 1 and 2 or on 2 and 3
+        ((1, 2, 3), 9, cp.seeding_size_law(3, 3, Fraction(9))),
+        ((1, 2, 3), 4, cp.seeding_size_law(3, 3, Fraction(4))),
     ],
 )
 def test_seeding_exact_uniform_marginal(s_colors, q, law):
@@ -125,9 +130,10 @@ def test_seeding_exact_uniform_marginal(s_colors, q, law):
 
 def test_size_one_mixture_is_the_lp_optimum_at_small_slack():
     inst = cp.LPInstance(s_size=4, delta=3, q=9)
-    law = cp.solve_relaxed_lp(inst)
-    assert (law.lo, law.hi) == (1, 2)
-    assert law.p_lo == pytest.approx(1 / 3, abs=1e-12)
+    law = cp.seeding_size_law(4, 3, Fraction(9))
+    assert (law.lo, law.hi, law.p_lo) == (1, 2, Fraction(1, 3))
+    best = min(v.expected_size for v in cp.relaxed_lp_vertices(inst))
+    assert float(law.expected_size) == pytest.approx(best, abs=1e-12)
 
 
 def test_seeding_alpha_matches_exact_fraction():

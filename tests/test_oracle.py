@@ -11,7 +11,7 @@ from scipy import stats as sps
 
 from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
-from cftp_colorings.colorsets import members
+from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EnumerationBudgetError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_cycle
 
@@ -271,3 +271,33 @@ def test_tv_pvalue_rejects_concentrated_bias_at_criterion_size():
     res = oracle.goodness_of_fit(samples, [(i,) for i in range(n_cells)])
     assert res.n_samples == n_samples and res.n_cells == n_cells
     assert res.tv_pvalue < 1e-3, res
+
+
+def test_worst_case_law_meets_the_lower_bound():
+    # the audit's law, checked without sampling: at every compatible row of
+    # lowerbound's table for even delta 4-40 it holds the full LP, and its
+    # expected size is at least the analytic floor
+    rows = []
+    for delta in range(4, 41, 2):
+        for q in range(3 * delta // 2, math.ceil(2.5 * delta - 1)):
+            s_mask, law = oracle.worst_case_seeding_law(oracle.build_worst_case(delta, q))
+            if law is None:
+                continue
+            assert not cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
+            rows.append(law.expected_size - oracle.lower_bound_value(delta, q))
+    assert len(rows) == 380
+    assert min(rows) >= 0
+
+
+def test_worst_case_with_no_relaxed_vertex_is_incompatible():
+    # (|S|, delta, q) = (4, 2, 5): every size's row-delta coefficient exceeds
+    # the bound, so the relaxed program has no vertex
+    inst = oracle.LowerBoundInstance(
+        graph=build_graph(3, [(0, 1), (0, 2)]),
+        lists=(mask_from((4,)), mask_from((0, 1)), mask_from((2, 3))),
+        delta=2,
+        q=5,
+    )
+    assert cp.relaxed_lp_vertices(cp.LPInstance(4, 2, 5)) == []
+    assert oracle.worst_case_seeding_law(inst) == (0b1111, None)
+    assert not oracle.audit_seeding_at_worst_case(inst, trials=10).compatible
