@@ -69,7 +69,6 @@ def test_seeding_size_law_mixes_one_and_two_below_q_minus_delta():
     assert law.expected_size == pytest.approx(11 / 6, abs=1e-15)
 
 
-
 def test_seeding_size_law_expected_size_at_most_three():
     law = cp.seeding_size_law(24, 12, 30)
     assert 2.0 <= law.expected_size <= 3.0
