@@ -7,6 +7,10 @@ only the state hands out, so re-running a block's schedule reproduces its
 lists exactly. A state may also carry one proper coloring: each update then
 decodes it with the parameters and draw its bounding update has just
 computed, and checks that the decoded color lies in the vertex's new list.
+
+Every compress update, in either phase, takes its reference set from one
+rule, ``greedy_reference_set``, applied to neighbor lists: the preserved
+ones in ``cleanup``, all of v's in a fallback.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from .colorsets import ColorSet, full_mask, iter_colors, members
 from .errors import EngineError
 from .graphs import Graph
 from .seedstream import SeedStream
-
-PHASE_SEEDING = "phase1"
-PHASE_CONVERT = "phase2"
 
 
 class BoundingState:
@@ -113,31 +114,20 @@ def _fill_singles(a: ColorSet, cap: int, pool: ColorSet) -> ColorSet:
     return a
 
 
-def greedy_reference_set(state: BoundingState, v: int, preserved, mode: str) -> ColorSet:
-    """Reference set of exactly max-degree colors for compress updates.
+def greedy_reference_set(q: int, delta: int, kept) -> ColorSet:
+    """Reference set of exactly delta colors for compress updates.
 
-    Priority comes from the preserved neighbors' lists: the seeding phase
-    packs the whole neighborhood slack first; the converting phase packs
-    colors outside the disjoint pairs first so surviving pairs stay out of
-    every compressed neighbor's list. Whole lists are taken atomically when
-    they fit, then single colors ascending, then arbitrary colors ascending.
+    One rule for both phases, read from the kept neighbor lists alone.
+    Colors outside the disjoint pairs go in first: whole non-pair lists
+    when they fit, then their single colors ascending. Pairs come next,
+    whole then color by color, and palette order fills the rest. Pairs are
+    held back because the compressed neighbors' lists are A plus one extra
+    color each: a kept 2-list inside A meets every one of them, so it stops
+    being a disjoint pair for the update at v.
     """
-    g = state.g
-    delta = g.max_degree
-    q = state.q
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
-    kept = [state.lists[u] for u in g.adjacency[v] if u in preserved]
-    if mode == PHASE_SEEDING:
-        # no pairs are held back: the two pair steps below then add nothing
-        sp_mask = 0
-        for m in kept:
-            sp_mask |= m
-        dp_mask, dp_pairs = 0, []
-    elif mode == PHASE_CONVERT:
-        sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
-    else:
-        raise ValueError(f"unknown greedy mode {mode!r}")
+    sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
     # pair colors live only in their own list, so non-pair lists are
     # exactly the ones disjoint from dp_mask
     a = _fill_atomic(0, delta, [m for m in kept if not (m & dp_mask)])
@@ -193,12 +183,19 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
         state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
 
 
-def cleanup(state: BoundingState, v: int, preserved, mode: str) -> None:
-    """Compress every non-preserved neighbor of v against one reference set."""
-    targets = [w for w in state.g.adjacency[v] if w not in preserved]
+def cleanup(state: BoundingState, v: int, preserved) -> None:
+    """Compress every non-preserved neighbor of v against one reference set,
+    the one the preserved neighbors' lists give."""
+    lists = state.lists
+    kept, targets = [], []
+    for u in state.g.adjacency[v]:
+        if u in preserved:
+            kept.append(lists[u])
+        else:
+            targets.append(u)
     if not targets:
         return
-    a_mask = greedy_reference_set(state, v, preserved, mode)
+    a_mask = greedy_reference_set(state.q, state.g.max_degree, kept)
     outside = cp.compress_outside(a_mask, state.q)
     for w in targets:
         apply_compress(state, w, a_mask, outside)

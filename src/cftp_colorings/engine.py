@@ -187,31 +187,30 @@ def check_config(g: Graph, config: SamplerConfig) -> None:
         raise ValueError(f"need t2_override (--t2) >= 0, got {config.t2_override}")
 
 
-def _seeding_or_fallback(state: bd.BoundingState, v: int, preserved) -> None:
-    try:
-        bd.apply_seeding(state, v)
-    except CouplingRegimeError:
-        a_mask = bd.greedy_reference_set(state, v, preserved, bd.PHASE_SEEDING)
-        bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
-        state.seeding_fallbacks += 1
+def _update_or_compress(update, state: bd.BoundingState, v: int) -> bool:
+    """Run update(state, v), a bd.apply_* update; True if it fell back.
 
-
-def _disjoint_or_fallback(state: bd.BoundingState, v: int) -> None:
+    An update whose regime is infeasible falls back to compressing v against
+    the reference set of all v's neighbor lists.
+    """
     try:
-        bd.apply_disjoint(state, v)
+        update(state, v)
+        return False
     except CouplingRegimeError:
-        nbrs = set(state.g.adjacency[v])
-        a_mask = bd.greedy_reference_set(state, v, nbrs, bd.PHASE_CONVERT)
+        kept = [state.lists[u] for u in state.g.adjacency[v]]
+        a_mask = bd.greedy_reference_set(state.q, state.g.max_degree, kept)
         bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
-        state.disjoint_fallbacks += 1
+        return True
 
 
 def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:
     """Run one block's update schedule on state.
 
     The update schedule always runs to completion. A seeding or disjoint
-    update whose parameter regime is infeasible falls back to a compress
-    update at the same vertex instead, and state counts the fallback.
+    update whose parameter regime is infeasible falls back, by one rule in
+    both phases, to compressing v against the reference set of all v's
+    neighbor lists, and state counts the fallback under the update it
+    replaced.
     Swapping the coupling is safe because the choice depends only on the
     bounding lists, never on any trajectory, so every composed step still
     applies an exact single-site kernel; cutting the schedule short would
@@ -232,22 +231,23 @@ def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sampl
     # Each vertex is preserved once seeded, so after the loop preserved is S.
     preserved: set[int] = set()
     for v in s_list:
-        bd.cleanup(state, v, preserved, bd.PHASE_SEEDING)
-        _seeding_or_fallback(state, v, preserved)
+        bd.cleanup(state, v, preserved)
+        state.seeding_fallbacks += _update_or_compress(bd.apply_seeding, state, v)
         preserved.add(v)
     for _ in range(t1):
         v = s_list[randint_below(state.next_key(), 0, len(s_list))]
-        bd.cleanup(state, v, preserved, bd.PHASE_SEEDING)
-        _seeding_or_fallback(state, v, preserved)
+        bd.cleanup(state, v, preserved)
+        state.seeding_fallbacks += _update_or_compress(bd.apply_seeding, state, v)
 
     # Phase II: convert the rest to lists of size at most two, then drift
     # everything to singletons.
     for v in others:
-        bd.cleanup(state, v, preserved, bd.PHASE_CONVERT)
-        _disjoint_or_fallback(state, v)
+        bd.cleanup(state, v, preserved)
+        state.disjoint_fallbacks += _update_or_compress(bd.apply_disjoint, state, v)
         preserved.add(v)
     for _ in range(t2):
-        _disjoint_or_fallback(state, randint_below(state.next_key(), 0, n))
+        v = randint_below(state.next_key(), 0, n)
+        state.disjoint_fallbacks += _update_or_compress(bd.apply_disjoint, state, v)
 
 
 def construct_block(

@@ -183,30 +183,30 @@ def disjoint_suite(
     ]
 
 
-def size_law_suite(n_draws: int = 20_000, master_seed: int = 31) -> list[CheckResult]:
+def size_law_suite(
+    s_size: int, delta: int, q: int, n_draws: int = 20_000, master_seed: int = 31
+) -> list[CheckResult]:
     """Empirical size frequencies of the seeding coupling against its law."""
-    s_size, delta, q = 24, 12, 30
     law = cp.seeding_size_law(s_size, delta, q)
     s_mask = full_mask(s_size)
     stream = SeedStream(master_seed)
-    n3 = 0
-    clean = True
-    for i in range(n_draws):
-        predicted, _ = cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))
-        k = predicted.bit_count()
-        if k not in (2, 3):
-            clean = False
-        if k == 3:
-            n3 += 1
-    r3 = law.r(3)
-    sigma = math.sqrt(r3 * (1 - r3) / n_draws)
-    frac = n3 / n_draws
+    sizes = [
+        cp.seeding_predict(s_mask, law, q, stream.subkey(1, i))[0].bit_count()
+        for i in range(n_draws)
+    ]
+    lo, hi, p_lo = law.lo, law.hi, law.p_lo
+    sigma = math.sqrt(p_lo * (1 - p_lo) / n_draws)
+    frac = sizes.count(lo) / n_draws
+    tag = f"seeding size law at |S|={s_size}, delta={delta}, q={q}"
     return [
-        CheckResult(f"seeding sizes in {{2,3}} ({n_draws} draws)", clean),
         CheckResult(
-            "seeding size-3 frequency within 3 sigma",
-            abs(frac - r3) <= 3 * sigma,
-            f"freq = {frac:.5f}, law r3 = {r3:.5f}, sigma = {sigma:.5f}",
+            f"{tag}: sizes in {{{lo},{hi}}} ({n_draws} draws)",
+            all(k in (lo, hi) for k in sizes),
+        ),
+        CheckResult(
+            f"{tag}: size-{lo} frequency within 3 sigma",
+            abs(frac - p_lo) <= 3 * sigma,
+            f"freq = {frac:.5f}, law P({lo}) = {p_lo:.5f}, sigma = {sigma:.5f}",
         ),
     ]
 
@@ -294,6 +294,7 @@ def default_verify(full: bool = False) -> list[CheckResult]:
     out += seeding_suite(law=cp.seeding_size_law(5, 3, 8), n_draws=n, label="regime-law")
     out += disjoint_suite("paired", n_draws=n)
     out += disjoint_suite("entangled", n_draws=n)
-    out += size_law_suite(n_draws=n)
+    out += size_law_suite(24, 12, 30, n_draws=n)
+    out += size_law_suite(8, 4, 16, n_draws=n)
     out += uniformity_suite(n_samples=8000 if full else 3000)
     return out

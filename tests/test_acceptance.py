@@ -88,7 +88,7 @@ def test_criterion_02_coalescence_rate():
 def test_criterion_03_seeding_size_law():
     r3 = cp.seeding_size_law(24, 12, 30).r(3)
     assert r3 == pytest.approx(6 * 23 / 216, abs=1e-12)
-    results = vf.size_law_suite(n_draws=100_000, master_seed=303)
+    results = vf.size_law_suite(24, 12, 30, n_draws=100_000, master_seed=303)
     ok = all(r.passed for r in results)
     detail = "; ".join(f"{r.name}" + (f" [{r.detail}]" if r.detail else "") for r in results)
     report(3, ok, detail)

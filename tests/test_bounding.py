@@ -97,55 +97,42 @@ def test_disjoint_pair_scan_single_neighbor():
 
 
 def test_greedy_empty_slack_lowest_colors():
-    g = star(3)
-    state = make_state(g, 9)
-    a = bd.greedy_reference_set(state, 0, preserved=set(), mode=bd.PHASE_SEEDING)
-    assert members(a) == [0, 1, 2]
+    assert members(bd.greedy_reference_set(9, 3, [])) == [0, 1, 2]
 
 
 def test_greedy_phase1_trace():
-    g = star(3)
-    state = make_state(g, 9, {1: [5, 7]})
-    a = bd.greedy_reference_set(state, 0, preserved={1}, mode=bd.PHASE_SEEDING)
-    assert members(a) == [0, 5, 7]
+    assert members(bd.greedy_reference_set(9, 3, [mask_from([5, 7])])) == [0, 5, 7]
 
 
 def test_greedy_phase2_trace():
     # two identical entangled lists {1,2} and one disjoint pair {8,9}
-    g = star(3)
-    state = make_state(g, 10, {1: [1, 2], 2: [1, 2], 3: [8, 9]})
-    a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_CONVERT)
-    assert members(a) == [1, 2, 8]
+    kept = [mask_from(s) for s in ([1, 2], [1, 2], [8, 9])]
+    assert members(bd.greedy_reference_set(10, 3, kept)) == [1, 2, 8]
 
 
 def test_greedy_phase1_prefers_whole_lists():
-    # capacity 2: the 3-color list cannot fit atomically, the pair can
-    g = star(2)
-    state = make_state(g, 12, {1: [3, 4, 5], 2: [8, 9]})
-    a = bd.greedy_reference_set(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
-    assert members(a) == [8, 9]
+    # capacity 2: the 3-color list cannot fit whole, so its first two colors
+    # go in one by one; the disjoint pair {8,9} fits whole, but is held back
+    # until every non-pair color has had its turn
+    kept = [mask_from([3, 4, 5]), mask_from([8, 9])]
+    assert members(bd.greedy_reference_set(12, 2, kept)) == [3, 4]
 
 
 def test_greedy_exact_size_delta():
-    g = gen_complete(5)
-    state = make_state(g, 11, {1: [1], 2: [2, 3], 3: [4, 5], 4: [6]})
-    for mode in (bd.PHASE_SEEDING, bd.PHASE_CONVERT):
-        a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3, 4}, mode=mode)
-        assert a.bit_count() == g.max_degree
+    kept = [mask_from(s) for s in ([1], [2, 3], [4, 5], [6])]
+    assert bd.greedy_reference_set(11, 4, kept).bit_count() == 4
 
 
 def test_greedy_covers_small_slack_entirely():
-    g = gen_complete(5)  # delta 4
-    state = make_state(g, 11, {1: [7], 2: [2, 3]})
-    a = bd.greedy_reference_set(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
+    kept = [mask_from([7]), mask_from([2, 3])]
+    a = bd.greedy_reference_set(11, 4, kept)
     assert members(mask_from([7, 2, 3]) & a) == [2, 3, 7]
     assert a.bit_count() == 4
 
 
 def test_greedy_stays_inside_large_slack():
-    g = gen_complete(4)  # delta 3
-    state = make_state(g, 12, {1: [1, 2, 3], 2: [4, 5, 6], 3: [7, 8]})
-    a = bd.greedy_reference_set(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING)
+    kept = [mask_from(s) for s in ([1, 2, 3], [4, 5, 6], [7, 8])]
+    a = bd.greedy_reference_set(12, 3, kept)
     slack = mask_from(range(1, 9))
     assert a.bit_count() == 3
     assert a & ~slack == 0
@@ -169,10 +156,17 @@ def test_apply_compress_postcondition():
 
 
 def test_apply_seeding_postcondition():
+    # slack {1,2,3,4} at delta 3, q 12: the law is sizes 1 or 2, P(1) = 5/9
     g = star(3)
-    state = make_state(g, 12, {1: [1, 2], 2: [2, 3], 3: [4]}, seed=6)
-    bd.apply_seeding(state, 0)
-    assert state.lists[0].bit_count() in (2, 3)
+    lists = {1: [1, 2], 2: [2, 3], 3: [4]}
+    law = cp.seeding_size_law(4, 3, 12)
+    assert (law.lo, law.hi, law.p_lo) == (1, 2, pytest.approx(5 / 9))
+    sizes = set()
+    for seed in range(20):
+        state = make_state(g, 12, lists, seed=seed)
+        bd.apply_seeding(state, 0)
+        sizes.add(state.lists[0].bit_count())
+    assert sizes == {law.lo, law.hi}
 
 
 def test_apply_disjoint_postcondition():
@@ -185,7 +179,7 @@ def test_apply_disjoint_postcondition():
 def test_cleanup_noop_when_neighbors_preserved():
     g = star(3)
     state = make_state(g, 9, seed=8)
-    bd.cleanup(state, 0, preserved={1, 2, 3}, mode=bd.PHASE_SEEDING)
+    bd.cleanup(state, 0, preserved={1, 2, 3})
     assert state.updates == 0
     assert state.lists == [full_mask(9)] * g.n
 
@@ -193,7 +187,7 @@ def test_cleanup_noop_when_neighbors_preserved():
 def test_cleanup_single_target_trace():
     g = gen_complete(4)
     state = make_state(g, 9, seed=9)
-    bd.cleanup(state, 0, preserved={1, 2}, mode=bd.PHASE_SEEDING)
+    bd.cleanup(state, 0, preserved={1, 2})
     assert state.updates == 1
     assert [v for v in range(g.n) if state.lists[v] != full_mask(9)] == [3]
     assert state.lists[3].bit_count() == 4
@@ -202,8 +196,8 @@ def test_cleanup_single_target_trace():
 def test_cleanup_reference_set_shared():
     g = star(3)
     state = make_state(g, 9, seed=10)
-    a = bd.greedy_reference_set(state, 0, set(), bd.PHASE_SEEDING)
-    bd.cleanup(state, 0, preserved=set(), mode=bd.PHASE_SEEDING)
+    a = bd.greedy_reference_set(9, 3, [])
+    bd.cleanup(state, 0, preserved=set())
     assert state.updates == 3
     for w in (1, 2, 3):
         # one shared reference set plus one extra color each
@@ -217,8 +211,8 @@ def test_cleanup_complement_gives_outside_color(q, delta):
     # and gets the extra color outside_color draws from A at its own key
     g = star(delta)
     state = make_state(g, q, seed=q)
-    a = bd.greedy_reference_set(state, 0, set(), bd.PHASE_CONVERT)
-    bd.cleanup(state, 0, preserved=set(), mode=bd.PHASE_CONVERT)
+    a = bd.greedy_reference_set(q, delta, [])
+    bd.cleanup(state, 0, preserved=set())
     for i, w in enumerate(g.adjacency[0]):
         key = state.stream.subkey(state.block, i)
         assert state.lists[w] == a | 1 << cp.outside_color(a, q, key, 0)

@@ -451,4 +451,8 @@ def test_disjoint_suites_pass():
 
 
 def test_size_law_suite_passes():
-    assert all(r.passed for r in vf.size_law_suite(n_draws=6000, master_seed=6))
+    # one point on sizes {2, 3} and one on sizes {1, 2}, P(1) = 1/3
+    for point, sizes in (((24, 12, 30), "{2,3}"), ((8, 4, 16), "{1,2}")):
+        results = vf.size_law_suite(*point, n_draws=6000, master_seed=6)
+        assert all(r.passed for r in results)
+        assert f"sizes in {sizes}" in results[0].name

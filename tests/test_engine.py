@@ -7,7 +7,7 @@ import pytest
 from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine
-from cftp_colorings.errors import NoCoalescenceError
+from cftp_colorings.errors import CouplingRegimeError, NoCoalescenceError
 from cftp_colorings.graphs import (
     build_graph,
     gen_complete,
@@ -190,6 +190,39 @@ def test_seeding_fallback_block_replays(monkeypatch):
     assert engine.is_proper(g, out)
     # both replays carried the coloring through the block's fallbacks
     assert [s.seeding_fallbacks for s in replayed] == [block.seeding_fallbacks] * 2
+
+
+def test_seeding_fallback_compresses_against_all_neighbor_lists(monkeypatch):
+    # a fallback reads every neighbor list of v, the compressed ones too, by
+    # the same rule as cleanup; the block is test_seeding_fallback_block_replays'
+    g = gen_complete_bipartite(32)
+    cfg = engine.SamplerConfig(q=66, master_seed=0, force=True, t2_override=50)
+    stream = SeedStream(0)
+    part = engine.lll_partition(g, stream)
+    pending = []
+    checked = 0
+    apply_seeding, apply_compress = bd.apply_seeding, bd.apply_compress
+
+    def seeding(state, v):
+        try:
+            apply_seeding(state, v)
+        except CouplingRegimeError:
+            kept = [state.lists[u] for u in g.adjacency[v]]
+            pending.append((v, bd.greedy_reference_set(66, g.max_degree, kept)))
+            raise
+
+    def compress(state, v, a_mask, outside):
+        nonlocal checked
+        if pending:
+            # the update right after a failed seeding update is its fallback
+            assert (v, a_mask) == pending.pop()
+            checked += 1
+        apply_compress(state, v, a_mask, outside)
+
+    monkeypatch.setattr(bd, "apply_seeding", seeding)
+    monkeypatch.setattr(bd, "apply_compress", compress)
+    block = engine.construct_block(g, part, cfg, 1, stream)
+    assert checked == block.seeding_fallbacks > 0
 
 
 def test_block_update_budget():

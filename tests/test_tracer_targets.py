@@ -45,15 +45,17 @@ def test_every_layer_target_resolves_to_a_library_function():
 
 
 @pytest.mark.parametrize(
-    "graph, q, t2",
+    "graph, q, t2, seeding_falls_back",
     [
-        (gen_random_regular(20, 6, seed=5), 18, 140),
+        (gen_random_regular(20, 6, seed=5), 18, 140, False),
         # the seeding phase runs, so its keys are counted too
-        (gen_complete_bipartite(32), 105, 300),
+        (gen_complete_bipartite(32), 105, 300, False),
+        # seeding updates fall back to compress, so the fallbacks' keys are too
+        (gen_complete_bipartite(32), 66, 50, True),
     ],
-    ids=["regular-d6", "k3232-phase1"],
+    ids=["regular-d6", "k3232-phase1", "k3232-fallback"],
 )
-def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2):
+def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_falls_back):
     # perfbench's seedstream.subkey layer times the seed stream by wrapping
     # this one method, so its figures hold only while no key bypasses it
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
@@ -70,4 +72,5 @@ def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2):
     monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
     state = engine.construct_block(graph, seed_set, config, 1, stream)
     assert state.updates > 0
+    assert (state.seeding_fallbacks > 0) == seeding_falls_back
     assert calls == state._index
