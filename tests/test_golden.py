@@ -34,10 +34,11 @@ for _s in (0, 1, 29, 65):
 for _s in range(2):
     CASES[f"k3232-q105-s{_s}"] = ("bipartite:32", 105, _s, False, None)
 # a short drift leaves older blocks to replay, so Phase I seeding updates are
-# decoded: 152 decodes over 3 blocks at seed 3 (25 of size-1 draws), and 219
+# decoded: 152 decodes over 3 blocks at seed 3 (25 of size-1 draws), 219
 # over 2 at seed 8 (51 of size 1), the one whose coloring changes when the
-# seeding acceptance is scaled by 0.7
-for _s in (3, 8):
+# seeding acceptance is scaled by 0.7, and 504 over 5 at seed 29 (119 of
+# size 1), the one whose coloring changes when it is scaled by 0.9
+for _s in (3, 8, 29):
     CASES[f"k3232-q105-t300-s{_s}"] = ("bipartite:32", 105, _s, False, 300)
 CASES["regular-d8-n400-q31"] = ("regular:400,8,1", 31, 7, False, None)
 CASES["regular-d32-n400-q105"] = ("regular:400,32,1", 105, 7, False, None)
