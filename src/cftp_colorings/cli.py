@@ -23,7 +23,6 @@ from . import couplings as cp
 from . import engine, oracle, verification
 from .colorsets import iter_colors, mask_from, members
 from .errors import (
-    CouplingRegimeError,
     EngineError,
     GenerationFailedError,
     GraphParseError,
@@ -267,18 +266,16 @@ def cmd_lpaudit(delta_range, out_path):
     lo, hi = delta_range
     rows = []
     for delta, s_size, q in verification.lp_grid(lo, hi):
-        try:
-            law = cp.seeding_size_law(s_size, delta, q)
-        except CouplingRegimeError:
-            law = None
-        # the sampler's closed form, checked against the full LP
-        feasible = law is not None and not cp.verify_full_lp(cp.LPInstance(s_size, delta, q), law)
+        # the sampler's closed form, checked against the full LP; it exists at
+        # every grid point, where |S| < q and r3 < 1
+        law = cp.seeding_size_law(s_size, delta, q)
+        feasible = not cp.verify_full_lp(cp.LPInstance(s_size, delta, q), law)
         rows.append([
             delta, s_size, q,
-            round(law.r(1), 9) if law else "",
-            round(law.r(2), 9) if law else "",
-            round(law.r(3), 9) if law else "",
-            round(law.expected_size, 9) if law else "",
+            round(law.r(1), 9),
+            round(law.r(2), 9),
+            round(law.r(3), 9),
+            round(law.expected_size, 9),
             int(feasible),
         ])
     meta = run_meta(0, command="lpaudit", delta_range=[lo, hi])
@@ -390,7 +387,7 @@ def cmd_partition(graph_file, gen_spec, seed):
         sys.exit(EXIT_FAIL)
     payload = {
         "meta": run_meta(seed, command="partition", graph_n=g.n, max_degree=g.max_degree),
-        "eta": part.eta,
+        "eta": engine.eta_for(g.max_degree),
         "size": len(part),
         "members": sorted(part.members),
         "resamples": part.resamples,

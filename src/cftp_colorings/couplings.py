@@ -225,7 +225,7 @@ def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: Color
     if n_blocked > delta:
         raise EngineError(f"blocked set of size {n_blocked} exceeds |A| = {delta}")
     if not blocked >> draw.x_prime & 1:
-        if draw.u_prime <= compress_accept(q, delta, n_blocked):
+        if draw.u_prime < compress_accept(q, delta, n_blocked):
             return draw.x_prime
     for y in draw.pi:
         if not blocked >> y & 1:
@@ -461,12 +461,11 @@ def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet,
     """Predicted set and draw of the slot u falls in: pairs, D, E colors, leftover."""
     # a running float sum picks the slot; arithmetic on u can differ at a boundary
     acc = 0
-    if params.p_pair > 0.0:
-        for pair in params.pairs:
-            acc += params.p_pair
-            if u < acc:
-                draw = DisjointDraw(pair, -1, params.p_pair, False, v, reserve)
-                return pair, draw
+    for pair in params.pairs:
+        acc += params.p_pair
+        if u < acc:
+            draw = DisjointDraw(pair, -1, params.p_pair, False, v, reserve)
+            return pair, draw
     if params.s_d > 0.0:
         for c in iter_colors(params.d_mask):
             acc += params.s_d

@@ -44,7 +44,6 @@ def regime_threshold(delta: int) -> float:
 @dataclass(frozen=True)
 class SeedVertexSet:
     members: frozenset[int]
-    eta: float
     resamples: int
 
     def __len__(self) -> int:
@@ -85,17 +84,16 @@ def balanced(g: Graph, v: int, inside: int, eta: float) -> bool:
     return 0.5 + eta >= 1.0 or g.degree(v) - inside <= (0.5 + eta) * delta
 
 
-def audit_partition(g: Graph, members, eta: float) -> bool:
+def audit_partition(g: Graph, members) -> bool:
     """Exact check of both neighborhood balance bounds."""
+    eta = eta_for(g.max_degree)
     return all(
         balanced(g, v, sum(1 for u in g.adjacency[v] if u in members), eta)
         for v in range(g.n)
     )
 
 
-def lll_partition(
-    g: Graph, stream: SeedStream, p0_override: float | None = None
-) -> SeedVertexSet:
+def lll_partition(g: Graph, stream: SeedStream) -> SeedVertexSet:
     """Balanced seeding set via independent inclusion plus local resampling.
 
     Each vertex joins with probability p0 = max(0, 1/2 - eta/2), which is 0
@@ -103,15 +101,11 @@ def lll_partition(
     there are no bounds to meet and p0 = 1/2. Any vertex whose neighborhood
     violates a balance bound triggers a resample of its neighbors' bits. The
     queue-driven repair terminates quickly because the bounds hold with
-    overwhelming margin per neighborhood. p0_override replaces the inclusion
-    probability (experimentation only; pushing it up makes violations common
-    and eventually exhausts the resample budget).
+    overwhelming margin per neighborhood.
     """
     n, delta = g.n, g.max_degree
     eta = eta_for(delta)
     p0 = 0.5 if delta < 1 else max(0.0, 0.5 - eta / 2.0)
-    if p0_override is not None:
-        p0 = p0_override
     key0 = stream.subkey(PARTITION_BLOCK, 0)
     in_s = [unit_uniform(key0, v) < p0 for v in range(n)]
     budget = max(16, math.ceil(10 * n / max(delta, 1)))
@@ -140,10 +134,9 @@ def lll_partition(
                 queue.append(w)
                 queued[w] = True
     members = frozenset(v for v in range(n) if in_s[v])
-    out = SeedVertexSet(members=members, eta=eta, resamples=resamples)
-    if not audit_partition(g, members, eta):
+    if not audit_partition(g, members):
         raise EngineError("vertex partition failed its own audit")
-    return out
+    return SeedVertexSet(members=members, resamples=resamples)
 
 
 def default_t1(seed_set_size: int) -> int:

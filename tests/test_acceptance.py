@@ -181,7 +181,7 @@ def test_criterion_06_lll_partition_bounds():
         budget = math.ceil(10 * g.n / g.max_degree)
         for seed in seeds:
             part = engine.lll_partition(g, SeedStream(600 + seed))
-            assert engine.audit_partition(g, part.members, part.eta)
+            assert engine.audit_partition(g, part.members)
             assert part.resamples <= budget, (g.n, g.max_degree, part.resamples)
             worst_resamples = max(worst_resamples, part.resamples)
             checked += 1

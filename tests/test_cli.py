@@ -135,6 +135,16 @@ def test_lpaudit_reference_row():
     assert rows[("12", "13", "28")][3:6] == ["0.1875", "0.8125", "0"]
 
 
+def test_lpaudit_fills_every_cell_and_holds_the_lp():
+    # seeding_size_law never raises on lp_grid, so no row has an empty cell
+    r = run_cli("lpaudit", "--delta", "0:24")
+    assert r.returncode == 0, r.stderr
+    rows = [ln.split(",") for ln in r.stdout.splitlines()[2:]]
+    assert rows
+    assert all(len(row) == 8 and all(row) for row in rows)
+    assert all(row[7] == "1" for row in rows)
+
+
 def test_bench_workers_match_sequential():
     seq = run_cli("bench", "--delta", "6", "--n-list", "30", "--runs", "2",
                   "--seed", "11")

@@ -28,12 +28,20 @@ def test_compress_hand_trace_blocked_extra():
 
 
 def test_compress_hand_trace_accepts_extra():
-    # empty blocked set accepts x' exactly when u' <= (q - delta) / q
+    # empty blocked set accepts x' exactly when u' < (q - delta) / q
     a = mask_from([1, 2, 3])
     lo = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=0.49)
     hi = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=0.51)
     assert cp.compress_decode(a, 6, lo, 0) == 4
     assert cp.compress_decode(a, 6, hi, 0) == 1
+
+
+def test_compress_rejects_extra_at_the_threshold():
+    # u' = alpha = 0.5 rejects: on the k / 2**53 grid of unit_uniform, u' < alpha
+    # accepts with chance exactly alpha, as the other decodes compare
+    draw = cp.CompressDraw(pi=(1, 2, 3), x_prime=5, u_prime=0.5)
+    assert cp.compress_accept(6, 3, 0) == 0.5
+    assert cp.compress_decode(mask_from([1, 2, 3]), 6, draw, 0) == 1
 
 
 def test_compress_predicted_size_is_delta_plus_one():

@@ -42,11 +42,11 @@ def test_t_schedules():
 
 
 def test_partition_small_degree_is_empty():
-    # eta >= 1 for degrees below 16, so the inclusion probability clamps to 0
+    # eta >= 1 for degrees below 15, so the inclusion probability clamps to 0
     g = gen_random_regular(40, 6, seed=1)
     part = engine.lll_partition(g, SeedStream(3))
     assert len(part) == 0
-    assert engine.audit_partition(g, part.members, part.eta)
+    assert engine.audit_partition(g, part.members)
 
 
 def test_partition_k66_bounds():
@@ -60,14 +60,14 @@ def test_partition_empty_graph_coin_flips():
     g = build_graph(40, [])
     part = engine.lll_partition(g, SeedStream(5))
     assert 0 < len(part) < 40  # p0 = 1/2 coins, bounds vacuous
-    assert engine.audit_partition(g, part.members, part.eta)
+    assert engine.audit_partition(g, part.members)
 
 
 def test_partition_nontrivial_degree_audits():
     g = gen_complete_bipartite(32)
     for seed in range(5):
         part = engine.lll_partition(g, SeedStream(seed))
-        assert engine.audit_partition(g, part.members, part.eta)
+        assert engine.audit_partition(g, part.members)
         assert part.resamples <= max(16, math.ceil(10 * g.n / 32))
 
 
@@ -78,24 +78,30 @@ def test_partition_deterministic():
     assert a.members == b.members
 
 
-def test_partition_repair_loop_converges():
-    # an inflated inclusion probability forces violations, which the
-    # resampling repair must fix while staying within budget
+def test_partition_repair_loop_converges(monkeypatch):
+    # scaling every coin by p0 / 0.42 makes a vertex join with chance 0.42,
+    # which forces violations of the real balance bounds; the resampling
+    # repair must fix them while staying within budget
     g = gen_complete_bipartite(16)
+    p0 = 0.5 - engine.eta_for(16) / 2
+    unit = engine.unit_uniform
+    monkeypatch.setattr(engine, "unit_uniform", lambda key, i: unit(key, i) * p0 / 0.42)
     hit = 0
     for seed in range(20):
-        part = engine.lll_partition(g, SeedStream(40 + seed), p0_override=0.42)
-        assert engine.audit_partition(g, part.members, part.eta)
+        part = engine.lll_partition(g, SeedStream(40 + seed))
+        assert engine.audit_partition(g, part.members)
         hit += part.resamples > 0
     assert hit > 0  # the repair path actually ran
 
 
-def test_partition_budget_exceeded_raises():
-    # near-certain inclusion violates the half-degree bound persistently;
-    # the repair cannot converge and must stop at its budget
+def test_partition_budget_exceeded_raises(monkeypatch):
+    # with every coin 0.0 every vertex joins, so each vertex has 16 neighbors
+    # inside where at most 8 are allowed; the repair cannot converge and must
+    # stop at its budget
     g = gen_complete_bipartite(16)
+    monkeypatch.setattr(engine, "unit_uniform", lambda key, i: 0.0)
     with pytest.raises(engine.EngineError, match="resamples"):
-        engine.lll_partition(g, SeedStream(41), p0_override=0.9)
+        engine.lll_partition(g, SeedStream(41))
 
 
 # ---------------------------------------------------------------------------

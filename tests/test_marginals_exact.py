@@ -28,10 +28,14 @@ EPS = Fraction(1, 10**30)
 
 
 def _split(alpha, decode_at):
-    """Law of decode_at(u) for u ~ Uniform(0, 1) and acceptance threshold alpha."""
+    """Law of decode_at(u) for u ~ Uniform[0, 1) and acceptance threshold alpha.
+
+    A side of zero mass is not probed: at alpha = 1 it would sit at u = 1,
+    which unit_uniform never draws.
+    """
     alpha = min(max(alpha, 0), 1)
-    below, above = max(alpha - EPS, 0), min(alpha + EPS, 1)
-    return ((decode_at(below), alpha), (decode_at(above), 1 - alpha))
+    sides = ((alpha - EPS, alpha), (alpha + EPS, 1 - alpha))
+    return tuple((decode_at(u), p) for u, p in sides if p > 0)
 
 
 def _tally(mass, weight, predicted, blocked, outcomes):

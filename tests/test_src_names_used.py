@@ -12,6 +12,13 @@ class. Reads are found in the syntax tree, not in the tokens: an f-string is
 one token, yet ``f"{gof.tv}"`` reads ``tv``. The guard matches attribute
 names, not types, so a field named ``m`` or ``r`` gets through by way of
 ``g.m`` or ``law.r``, whatever record it sits in.
+
+Every parameter with a default, in a function or method of the sampler
+modules (SAMPLER_MODULES), must be named somewhere in those directories
+outside its own function, so that no knob exists for tests alone. Like the
+definition check, this one reads NAME tokens: a parameter whose name
+appears outside its function for any reason, say a local variable elsewhere
+that happens to share it, gets through.
 """
 
 import ast
@@ -21,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # a public result field: the golden runs pin it and NoCoalescenceError.stats carries it
 FIELD_EXEMPT = {"SampleResult.degraded_blocks"}
+SAMPLER_MODULES = ("engine", "bounding", "couplings", "seedstream", "colorsets", "graphs")
 
 
 def name_lines(path: Path) -> dict[str, list[int]]:
@@ -55,19 +63,25 @@ def definitions(path: Path):
                     yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
 
 
+def found_outside(index, path: Path, name: str, first: int, last: int) -> bool:
+    """Whether index (file -> name -> line numbers) has name anywhere but
+    lines first..last of path."""
+    return any(
+        not (p == path and first <= line <= last)
+        for p, lines in index.items()
+        for line in lines.get(name, ())
+    )
+
+
 def unnamed_definitions(modules, callers) -> list[str]:
     """Definitions in modules that no caller file names outside the definition."""
     names = {p: name_lines(p) for p in callers}
-    out = []
-    for path in modules:
-        for qualname, name, first, last in definitions(path):
-            if not any(
-                not (p == path and first <= line <= last)
-                for p in callers
-                for line in names[p].get(name, ())
-            ):
-                out.append(f"{path.name}:{qualname}")
-    return out
+    return [
+        f"{path.name}:{qualname}"
+        for path in modules
+        for qualname, name, first, last in definitions(path)
+        if not found_outside(names, path, name, first, last)
+    ]
 
 
 def fields(path: Path):
@@ -92,16 +106,43 @@ def attribute_loads(path: Path) -> dict[str, list[int]]:
 def unread_fields(modules, callers, exempt=frozenset()) -> list[str]:
     """Fields in modules that no caller file reads outside the field's class."""
     loads = {p: attribute_loads(p) for p in callers}
-    out = []
-    for path in modules:
-        for qualname, name, first, last in fields(path):
-            if qualname not in exempt and not any(
-                not (p == path and first <= line <= last)
-                for p in callers
-                for line in loads[p].get(name, ())
-            ):
-                out.append(f"{path.name}:{qualname}")
-    return out
+    return [
+        f"{path.name}:{qualname}"
+        for path in modules
+        for qualname, name, first, last in fields(path)
+        if qualname not in exempt and not found_outside(loads, path, name, first, last)
+    ]
+
+
+def defaulted_parameters(path: Path):
+    """(qualified name, parameter, first line, last line) of each parameter
+    with a default, in a module-level function or a method."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, funcs):
+            found = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, funcs)]
+        else:
+            continue
+        for qualname, f in found:
+            a = f.args
+            positional = a.posonlyargs + a.args
+            params = positional[len(positional) - len(a.defaults):]
+            params += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for p in params:
+                yield qualname, p.arg, f.lineno, f.end_lineno
+
+
+def unnamed_defaults(modules, callers) -> list[str]:
+    """Defaulted parameters that no caller file names outside their function."""
+    names = {p: name_lines(p) for p in callers}
+    return [
+        f"{path.name}:{qualname}({param})"
+        for path in modules
+        for qualname, param, first, last in defaulted_parameters(path)
+        if not found_outside(names, path, param, first, last)
+    ]
 
 
 def src_modules_and_callers():
@@ -119,6 +160,13 @@ def test_every_src_definition_is_named_outside_itself():
 
 def test_every_src_field_is_read_outside_its_class():
     assert unread_fields(*src_modules_and_callers(), exempt=FIELD_EXEMPT) == []
+
+
+def test_every_sampler_default_is_set_outside_tests():
+    modules, callers = src_modules_and_callers()
+    sampler = [p for p in modules if p.stem in SAMPLER_MODULES]
+    assert len(sampler) == len(SAMPLER_MODULES)
+    assert unnamed_defaults(sampler, callers) == []
 
 
 def test_self_reference_and_comments_do_not_count(tmp_path):
@@ -156,3 +204,21 @@ def test_field_reads_found_in_fstrings_not_in_own_class_or_stores(tmp_path):
     )
     assert unread_fields([mod], [mod]) == ["mod.py:Rec.inner", "mod.py:Rec.stored"]
     assert unread_fields([mod], [mod], exempt={"Rec.inner"}) == ["mod.py:Rec.stored"]
+
+
+def test_defaults_named_only_inside_their_function_are_flagged(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def knob(x, scale=1.0, *, shift=0, flag):\n"
+        "    return x * scale + shift  # scale\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    def __init__(self, fill=None):\n"
+        "        self.size = fill\n"
+        "\n"
+        "\n"
+        "def use():\n"
+        "    return knob(1, flag=True), Box(fill=3)\n"
+    )
+    assert unnamed_defaults([mod], [mod]) == ["mod.py:knob(scale)", "mod.py:knob(shift)"]
