@@ -170,11 +170,31 @@ def apply_seeding(state: BoundingState, v: int) -> None:
 
 
 def apply_disjoint(state: BoundingState, v: int) -> None:
-    """Disjoint update at v; raises CouplingRegimeError when infeasible."""
+    """Disjoint update at v; raises CouplingRegimeError when infeasible.
+
+    When every neighbor list is a singleton, the slot layout has one slot,
+    the leftover, so the new list is the reserve color (draw 2) and the
+    carried color is that color; no layout is built.
+    """
     lists = state.lists
     g = state.g
+    q = state.q
+    s_mask = 0
+    for u in g.adjacency[v]:
+        m = lists[u]
+        if m.bit_count() != 1:
+            break
+        s_mask |= m
+    else:
+        if q > g.max_degree:  # else the layout below raises CouplingRegimeError
+            color = cp.outside_color(s_mask, q, state.next_key(), 2)
+            lists[v] = 1 << color
+            state.updates += 1
+            if state.coloring is not None:
+                state.carry(v, color)
+            return
     params = cp.disjoint_params_from_lists(
-        state.q, g.max_degree, [lists[u] for u in g.adjacency[v]]
+        q, g.max_degree, [lists[u] for u in g.adjacency[v]]
     )
     key = state.next_key()
     lists[v], draw = cp.disjoint_predict(params, key)

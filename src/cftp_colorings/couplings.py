@@ -17,9 +17,9 @@ Three constructions are provided:
   acceptance is its row |C|, read through lp_row as the checks read it.
 * disjoint: predicted set has size 1 or 2; exploits neighbors whose 2-color
   lists are disjoint from everything else, whose realized color always
-  blocks exactly one of the two. When every neighbor color is held by a
-  singleton list, the layout has one slot and the update reads only its
-  reserve color (draw 2).
+  blocks exactly one of the two. When every neighbor list is a singleton,
+  the layout has one slot and bounding.apply_disjoint draws only its
+  reserve color (draw 2), without building the layout.
 
 Every color set a coupling takes or returns is an int mask (colorsets), the
 disjoint pairs included; only a drawn permutation or prefix is a sequence,
@@ -358,9 +358,11 @@ def seeding_decode(
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
 # draw 2 picks the reserve color. A one-slot layout (every slack color held
 # by a singleton list, so no pairs and no D or E colors) is all leftover:
-# its predicted set is {reserve} whatever draws 0 and 1 say, so it reads
-# draw 2 alone. Each draw is addressed by its index, so a draw left untaken
-# moves no other draw.
+# its predicted set is {reserve} whatever draws 0 and 1 say. When every
+# neighbor list is a singleton, bounding.apply_disjoint draws the reserve
+# alone; a mixed one-slot layout (2-lists whose colors all lie in singleton
+# lists) walks the slots and reads draws 0 and 1 without using them. Each
+# draw is addressed by its index, so a draw left untaken moves no other draw.
 
 class DisjointParams(NamedTuple):
     q: int
@@ -381,7 +383,7 @@ class DisjointDraw(NamedTuple):
     color: int  # the slot's color, or -1
     slot_prob: float
     in_d: bool  # a D color's slot; False on pair and leftover slots
-    v: float  # draw 1; 0.0 on a one-slot layout, whose leftover slot never reads it
+    v: float  # draw 1; only a color slot's decode uses it
     reserve: int
 
 
@@ -418,7 +420,9 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     slot masses exceed 1, which cannot happen when every neighbor list has
     at most two colors and q >= 2.5 * delta; larger lists are tolerated as
     long as the mass check passes. When every slack color is pinned (in Q),
-    the layout has one slot, the leftover, of mass exactly 1.
+    the layout has one slot, the leftover, of mass exactly 1;
+    bounding.apply_disjoint takes the case of all-singleton lists before
+    building any layout.
     """
     s_mask, q_mask, d_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
     if q <= delta:
@@ -430,13 +434,8 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     p_pair = 1 / (q - q_size - b) if b else 0
     s_e = 1 / (q - delta)
     s_d = max(0, s_e - p_pair)
-    if s_mask == q_mask:
-        # one slot: no pairs and no D or E colors, so no slot mass; 0 * s_e is
-        # 0 in s_e's type, so a Fraction q keeps the leftover a Fraction
-        e_mask, mass = 0, 0 * s_e
-    else:
-        e_mask = s_mask & ~q_mask & ~d_mask
-        mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
+    e_mask = s_mask & ~q_mask & ~d_mask
+    mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
     leftover = 1 - mass
     if leftover < -1e-9:
         raise CouplingRegimeError(
@@ -451,9 +450,6 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
     reserve = outside_color(params.s_mask, params.q, key, 2)
-    if params.leftover == 1:
-        # a one-slot layout: every u lands in the leftover, so draws 0 and 1 go untaken
-        return 1 << reserve, DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
     return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 

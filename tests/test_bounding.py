@@ -5,9 +5,9 @@ from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine
 from cftp_colorings.colorsets import full_mask, mask_from, members
-from cftp_colorings.errors import EngineError
+from cftp_colorings.errors import CouplingRegimeError, EngineError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_complete_bipartite
-from cftp_colorings.seedstream import SeedStream
+from cftp_colorings.seedstream import SeedStream, unit_uniform
 
 
 def star(center_degree):
@@ -174,6 +174,90 @@ def test_apply_disjoint_postcondition():
     state = make_state(g, 10, {1: [1, 2], 2: [3, 4], 3: [5], 4: [6]}, seed=7)
     bd.apply_disjoint(state, 0)
     assert state.lists[0].bit_count() in (1, 2)
+
+
+# (leaf colors of a star, q, an isolated vertex beside it); every leaf list
+# is the singleton of its color
+SINGLETON_STARS = [
+    ((1, 2, 3, 4), 5, False),  # q = delta + 1: one color outside the slack
+    ((7, 7, 7, 7), 10, False),
+    ((60, 63, 64, 66, 66, 0), 70, False),
+    (tuple(range(0, 96, 3)), 105, False),
+    ((3, 3, 9, 40, 40, 40, 104) * 4 + (5, 6, 7, 8), 105, False),
+    ((64, 100, 129), 130, True),
+    ((0, 1), 6, True),
+]
+
+
+def singleton_star(leaf_colors, q, isolated, seed):
+    """The star's state, its carried coloring, and the vertices to update:
+    the center, and the vertex of degree 0 when there is one."""
+    d = len(leaf_colors)
+    g = build_graph(d + 1 + isolated, [(0, i + 1) for i in range(d)])
+    # an updated vertex's own carried color is never read
+    coloring = [0, *leaf_colors] + [0] * isolated
+    state = make_state(g, q, {i + 1: [c] for i, c in enumerate(leaf_colors)}, seed=seed)
+    return g, state, coloring, [0] + [d + 1] * isolated
+
+
+def full_layout_walk(g, q, lists, v, key, coloring):
+    """v's new list and decoded color with the slot layout built and draws
+    0, 1 and 2 all taken."""
+    params = cp.disjoint_params_from_lists(q, g.max_degree, [lists[u] for u in g.adjacency[v]])
+    reserve = cp.outside_color(params.s_mask, q, key, 2)
+    predicted, draw = cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+    blocked = mask_from(coloring[u] for u in g.adjacency[v])
+    return predicted, cp.disjoint_decode(params, draw, blocked)
+
+
+def singleton_star_mismatches(apply_disjoint, n_seeds=25):
+    """(leaf colors, q, v, seed) wherever apply_disjoint's new list or carried
+    color differs from the full layout walk's at the same key."""
+    out = []
+    for leaf_colors, q, isolated in SINGLETON_STARS:
+        for seed in range(n_seeds):
+            g, state, coloring, updated = singleton_star(leaf_colors, q, isolated, seed)
+            for v in updated:
+                key = make_state(g, q, seed=seed).next_key()
+                expected = full_layout_walk(g, q, state.lists, v, key, coloring)
+                plain = make_state(g, q, seed=seed)
+                plain.lists = list(state.lists)
+                carried = bd.BoundingState(g, q, SeedStream(seed), block=1, coloring=coloring)
+                carried.lists = list(state.lists)
+                apply_disjoint(plain, v)
+                apply_disjoint(carried, v)
+                got = (plain.lists[v], carried.coloring[v])
+                if carried.lists[v] != plain.lists[v] or got != expected:
+                    out.append((leaf_colors, q, v, seed))
+                assert plain.updates == 1 and plain._index == 1
+    return out
+
+
+def test_apply_disjoint_all_singletons_matches_full_layout_walk():
+    assert singleton_star_mismatches(bd.apply_disjoint) == []
+
+
+def test_singleton_star_check_catches_reserve_from_draw_0(monkeypatch):
+    """Negative control: the reserve drawn at draw 0 in place of draw 2."""
+    real = cp.outside_color
+
+    def reserve_from_draw_0(state, v):
+        with monkeypatch.context() as m:
+            m.setattr(cp, "outside_color", lambda s, q, key, draw: real(s, q, key, 0))
+            bd.apply_disjoint(state, v)
+
+    assert singleton_star_mismatches(reserve_from_draw_0)
+
+
+@pytest.mark.parametrize("leaf_colors", [(0, 1, 2, 3), (0, 1, 1, 2)])
+def test_apply_disjoint_all_singletons_raises_at_q_delta(leaf_colors):
+    # q = delta leaves no disjoint regime, however many colors the slack
+    # holds; the schedule then falls back to compress
+    g, state, _, _ = singleton_star(leaf_colors, 4, False, seed=0)
+    with pytest.raises(CouplingRegimeError, match="q > delta"):
+        bd.apply_disjoint(state, 0)
+    assert state.lists[0] == full_mask(4)
+    assert state.updates == 0 and state._index == 0
 
 
 def test_cleanup_noop_when_neighbors_preserved():

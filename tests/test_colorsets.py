@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,19 @@ def test_members_sorted_and_nth():
     assert [cs.nth_color(mask, i) for i in range(3)] == [2, 5, 9]
 
 
+@pytest.mark.parametrize("q", [13, 18, 64, 65, 105, 130])
+def test_members_matches_iter_colors_at_every_size(q):
+    # members reads masks of more than 8 colors from their binary digits;
+    # iter_colors, the bit loop, is the independent reference
+    rng = random.Random(q)
+    for k in range(q + 1):
+        masks = [cs.mask_from(rng.sample(range(q), k)) for _ in range(3)]
+        masks += [(1 << k) - 1, cs.full_mask(q) & ~((1 << (q - k)) - 1)]
+        for mask in masks:
+            assert mask.bit_count() == k
+            assert cs.members(mask) == list(cs.iter_colors(mask))
+
+
 def test_nth_color_matches_members_for_every_small_mask():
     # masks up to 11 bits wide cross the width where the select stops halving
     for mask in range(1 << 11):
@@ -46,6 +61,12 @@ wide_masks = st.one_of(
     st.integers(min_value=1, max_value=(1 << 256) - 1),
     st.frozensets(st.integers(0, 255), min_size=1, max_size=40).map(cs.mask_from),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_masks)
+def test_members_matches_iter_colors_on_wide_masks(mask):
+    assert cs.members(mask) == list(cs.iter_colors(mask))
 
 
 @settings(max_examples=300, deadline=None)
