@@ -28,9 +28,10 @@ class BoundingState:
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index.
     ``updates`` counts the updates applied; the index also advances for the
-    schedule's own vertex picks, so the two differ. The schedule counts its
-    seeding and disjoint fallbacks here. A built block has no other record:
-    the sampler reads these counts and ``phi`` from its state.
+    drift's vertex picks, which ``engine.block_steps`` takes, so the two
+    differ. The schedule counts its seeding and disjoint fallbacks here. A
+    built block has no other record: the sampler reads these counts and
+    ``phi`` from its state.
     """
 
     __slots__ = (

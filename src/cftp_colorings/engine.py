@@ -180,30 +180,46 @@ def check_config(g: Graph, config: SamplerConfig) -> None:
         raise ValueError(f"need t2_override (--t2) >= 0, got {config.t2_override}")
 
 
-def _update_or_compress(update, state: bd.BoundingState, v: int) -> bool:
-    """Run update(state, v), a bd.apply_* update; True if it fell back.
+def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig):
+    """Yield one block's steps in order, as (phase, v, preserved).
 
-    An update whose regime is infeasible falls back to compressing v against
-    the reference set of all v's neighbor lists.
+    Phase 1 seeds each vertex of the seeding set S, then drifts S for t1
+    picks; phase 2 converts the other vertices, then drifts all n for t2
+    picks. A step cleans up v against preserved (the vertices already
+    seeded or converted), then runs its phase's update at v; preserved is
+    None in the phase 2 drift, which runs no cleanup. Run each step before
+    asking for the next. Key facts: every update, a fallback included,
+    takes exactly one key; a cleanup with k targets takes k consecutive
+    keys; a drift step takes its pick key first, in this generator. So the
+    key index after each step depends only on (graph, S, t1, t2), never on
+    a draw.
     """
-    try:
-        update(state, v)
-        return False
-    except CouplingRegimeError:
-        kept = [state.lists[u] for u in state.g.adjacency[v]]
-        a_mask = bd.greedy_reference_set(state.q, state.g.max_degree, kept)
-        bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
-        return True
+    n = state.g.n
+    s_list = sorted(seed_set.members)
+    t2 = config.t2_override
+    if t2 is None:
+        t2 = default_t2(n, config.q, state.g.max_degree)
+    preserved: set[int] = set()
+    for v in s_list:
+        yield 1, v, preserved
+        preserved.add(v)
+    for _ in range(default_t1(len(s_list))):
+        yield 1, s_list[randint_below(state.next_key(), 0, len(s_list))], preserved
+    for v in range(n):
+        if v not in preserved:
+            yield 2, v, preserved
+            preserved.add(v)
+    for _ in range(t2):
+        yield 2, randint_below(state.next_key(), 0, n), None
 
 
 def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:
-    """Run one block's update schedule on state.
+    """Run one block's steps (block_steps) on state, to completion.
 
-    The update schedule always runs to completion. A seeding or disjoint
-    update whose parameter regime is infeasible falls back, by one rule in
-    both phases, to compressing v against the reference set of all v's
-    neighbor lists, and state counts the fallback under the update it
-    replaced.
+    A seeding or disjoint update whose parameter regime is infeasible falls
+    back, by one rule in both phases, to compressing v against the
+    reference set of all v's neighbor lists, and state counts the fallback
+    under the update it replaced.
     Swapping the coupling is safe because the choice depends only on the
     bounding lists, never on any trajectory, so every composed step still
     applies an exact single-site kernel; cutting the schedule short would
@@ -211,36 +227,17 @@ def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sampl
     replayed, and replaying such a conditioned prefix measurably biases the
     output.
     """
-    g = state.g
-    n = g.n
-    s_list = sorted(seed_set.members)
-    others = [v for v in range(n) if v not in seed_set.members]
-    t1 = default_t1(len(s_list))
-    t2 = config.t2_override
-    if t2 is None:
-        t2 = default_t2(n, config.q, g.max_degree)
-
-    # Phase I: seed the balanced set with small lists, then drift them down.
-    # Each vertex is preserved once seeded, so after the loop preserved is S.
-    preserved: set[int] = set()
-    for v in s_list:
-        bd.cleanup(state, v, preserved)
-        state.seeding_fallbacks += _update_or_compress(bd.apply_seeding, state, v)
-        preserved.add(v)
-    for _ in range(t1):
-        v = s_list[randint_below(state.next_key(), 0, len(s_list))]
-        bd.cleanup(state, v, preserved)
-        state.seeding_fallbacks += _update_or_compress(bd.apply_seeding, state, v)
-
-    # Phase II: convert the rest to lists of size at most two, then drift
-    # everything to singletons.
-    for v in others:
-        bd.cleanup(state, v, preserved)
-        state.disjoint_fallbacks += _update_or_compress(bd.apply_disjoint, state, v)
-        preserved.add(v)
-    for _ in range(t2):
-        v = randint_below(state.next_key(), 0, n)
-        state.disjoint_fallbacks += _update_or_compress(bd.apply_disjoint, state, v)
+    for phase, v, preserved in block_steps(state, seed_set, config):
+        if preserved is not None:
+            bd.cleanup(state, v, preserved)
+        try:
+            (bd.apply_seeding if phase == 1 else bd.apply_disjoint)(state, v)
+        except CouplingRegimeError:
+            kept = [state.lists[u] for u in state.g.adjacency[v]]
+            a_mask = bd.greedy_reference_set(state.q, state.g.max_degree, kept)
+            bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
+            state.seeding_fallbacks += phase == 1
+            state.disjoint_fallbacks += phase == 2
 
 
 def construct_block(
@@ -250,7 +247,7 @@ def construct_block(
     block_index: int,
     stream: SeedStream,
 ) -> bd.BoundingState:
-    """One randomness block (seeding, converting, drift, check); returns its state."""
+    """Build a block: its steps (block_steps) on full lists; returns its state."""
     state = bd.BoundingState(g, config.q, stream, block_index)
     run_schedule(state, seed_set, config)
     phi = state.phi

@@ -206,9 +206,7 @@ def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeL
     sampler's law raises. It is None when the relaxed program has no vertex
     or its optimum breaks a row of the full LP.
     """
-    s_mask = 0
-    for u in inst.graph.adjacency[0]:
-        s_mask |= inst.lists[u]
+    s_mask = cp.disjoint_pair_scan([inst.lists[u] for u in inst.graph.adjacency[0]])[0]
     try:
         inst_lp = cp.LPInstance(s_mask.bit_count(), inst.delta, inst.q)
         law = min(cp.relaxed_lp_vertices(inst_lp), key=lambda v: v.expected_size, default=None)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
 from cftp_colorings import verification as vf
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
+from cftp_colorings.graphs import build_graph
 from cftp_colorings.seedstream import SeedStream, unit_uniform
 
 STREAM = SeedStream(99)
@@ -370,9 +372,11 @@ def full_walk(params, key):
     return cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 
-def predict_mismatches(predict, n_keys=200):
-    """(q, lists, key index) wherever predict's set or decoded colors differ
-    from the full walk's, with the number of one-slot and of E-holding layouts."""
+def apply_mismatches(n_keys=200):
+    """(q, lists, key index) wherever bd.apply_disjoint, at the center of a
+    star whose leaves hold lists and carry one color each, gives a new list
+    or a carried color other than the full walk's; with the number of
+    one-slot and of E-holding layouts."""
     rng = random.Random(61)
     out, one_slot, with_e = [], 0, 0
     for q, delta, lists in singleton_layouts():
@@ -382,39 +386,45 @@ def predict_mismatches(predict, n_keys=200):
             continue
         one_slot += params.leftover == 1
         with_e += params.e_mask != 0
-        blocked_sets = [
-            mask_from(rng.choice(members(m)) for m in lists) for _ in range(4)
-        ]
+        # center 0, leaves 1..k, and a second star of delta leaves so that
+        # the max degree is delta
+        k = len(lists)
+        edges = [(0, i + 1) for i in range(k)] + [(k + 1, k + 2 + i) for i in range(delta)]
+        g = build_graph(k + delta + 2, edges)
         for j in range(n_keys):
-            key = STREAM.subkey(40, j)
-            predicted, draw = predict(params, key)
-            full_predicted, full_draw = full_walk(params, key)
-            if predicted != full_predicted or any(
-                cp.disjoint_decode(params, draw, blocked)
-                != cp.disjoint_decode(params, full_draw, blocked)
-                for blocked in blocked_sets
+            # the center's own carried color is never read
+            coloring = [0, *(rng.choice(members(m)) for m in lists), 1] + [0] * delta
+            state = bd.BoundingState(g, q, STREAM, j, coloring=coloring)
+            state.lists[1 : k + 1] = lists
+            bd.apply_disjoint(state, 0)
+            predicted, draw = full_walk(params, STREAM.subkey(j, 0))
+            blocked = mask_from(coloring[1 : k + 1])
+            if state.lists[0] != predicted or state.coloring[0] != cp.disjoint_decode(
+                params, draw, blocked
             ):
                 out.append((q, lists, j))
     return out, one_slot, with_e
 
 
-def test_disjoint_predict_matches_full_walk():
-    mismatches, one_slot, with_e = predict_mismatches(cp.disjoint_predict)
+def test_apply_disjoint_matches_full_walk():
+    mismatches, one_slot, with_e = apply_mismatches()
     assert mismatches == []
     assert one_slot >= 20 and with_e >= 20
 
 
-def test_full_walk_check_catches_a_shortcut_with_e_colors():
+def test_full_walk_check_catches_a_shortcut_with_e_colors(monkeypatch):
     """Negative control: take the one-slot shortcut whenever no pair is left,
     E colors or not."""
+    real = cp.disjoint_predict
 
     def shortcut_without_pairs(params, key):
+        if params.pairs:
+            return real(params, key)
         reserve = cp.outside_color(params.s_mask, params.q, key, 2)
-        if not params.pairs:
-            return 1 << reserve, cp.DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
-        return full_walk(params, key)
+        return 1 << reserve, cp.DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
 
-    assert predict_mismatches(shortcut_without_pairs)[0]
+    monkeypatch.setattr(cp, "disjoint_predict", shortcut_without_pairs)
+    assert apply_mismatches()[0]
 
 
 def test_disjoint_pair_scan_pins_the_singleton_colors():

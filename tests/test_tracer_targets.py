@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from cftp_colorings import bounding, couplings, engine, seedstream, verification
+from cftp_colorings.errors import CouplingRegimeError
 from cftp_colorings.graphs import gen_complete_bipartite, gen_random_regular
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -44,15 +45,47 @@ def test_every_layer_target_resolves_to_a_library_function():
     assert missing == []
 
 
+def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
+    """Wrap engine.block_steps to predict the key index from the steps alone:
+    +1 for a drift pick, +k for a cleanup's k targets and +1 for the update.
+    Returns the built block's state, the step count, and the steps at whose
+    start or end state._index differs from the prediction."""
+    inner = engine.block_steps
+    steps, mismatches = 0, []
+
+    def checked(state, seed_set, config):
+        nonlocal steps
+        expected = 0
+        for phase, v, preserved in inner(state, seed_set, config):
+            # a drift step updates a vertex already seeded or converted
+            expected += preserved is None or v in preserved
+            if state._index != expected:
+                mismatches.append((steps, "pick"))
+            if preserved is not None:
+                expected += sum(u not in preserved for u in graph.adjacency[v])
+            expected += 1
+            yield phase, v, preserved
+            if state._index != expected:
+                mismatches.append((steps, "update"))
+            steps += 1
+
+    monkeypatch.setattr(engine, "block_steps", checked)
+    state = engine.construct_block(graph, seed_set, config, 1, stream)
+    return state, steps, mismatches
+
+
+FIXTURES = [
+    (gen_random_regular(20, 6, seed=5), 18, 140, False),
+    # the seeding phase runs, so its keys are counted too
+    (gen_complete_bipartite(32), 105, 300, False),
+    # seeding and disjoint updates fall back to compress, so the fallbacks'
+    # keys are too
+    (gen_complete_bipartite(32), 66, 50, True),
+]
+
+
 @pytest.mark.parametrize(
-    "graph, q, t2, seeding_falls_back",
-    [
-        (gen_random_regular(20, 6, seed=5), 18, 140, False),
-        # the seeding phase runs, so its keys are counted too
-        (gen_complete_bipartite(32), 105, 300, False),
-        # seeding updates fall back to compress, so the fallbacks' keys are too
-        (gen_complete_bipartite(32), 66, 50, True),
-    ],
+    "graph, q, t2, seeding_falls_back", FIXTURES,
     ids=["regular-d6", "k3232-phase1", "k3232-fallback"],
 )
 def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_falls_back):
@@ -70,7 +103,33 @@ def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_
         return inner(self, block, update)
 
     monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
-    state = engine.construct_block(graph, seed_set, config, 1, stream)
-    assert state.updates > 0
+    state, steps, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
+    assert state.updates > 0 and steps > 0
     assert (state.seeding_fallbacks > 0) == seeding_falls_back
     assert calls == state._index
+    # block_steps' key facts: the index after every step follows from the
+    # steps alone, fallbacks included
+    assert mismatches == []
+
+
+def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch):
+    """Negative control: a failed update takes a key before it raises, so
+    its fallback's compress update takes a second one."""
+    graph, q, t2, _ = FIXTURES[2]
+    config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
+    stream = seedstream.SeedStream(config.master_seed)
+    seed_set = engine.lll_partition(graph, stream)
+    for name in ("apply_seeding", "apply_disjoint"):
+        real = getattr(bounding, name)
+
+        def keyed_then_raises(state, v, real=real):
+            try:
+                real(state, v)
+            except CouplingRegimeError:
+                state.next_key()
+                raise
+
+        monkeypatch.setattr(bounding, name, keyed_then_raises)
+    state, _, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
+    assert state.seeding_fallbacks > 0 and state.disjoint_fallbacks > 0
+    assert mismatches
