@@ -19,24 +19,36 @@ from . import couplings as cp
 from .colorsets import ColorSet, full_mask, iter_colors, members
 from .errors import EngineError
 from .graphs import Graph
-from .seedstream import SeedStream
+from .seedstream import SeedStream, raw64
+
+MAX_LANES = 32  # the widest key batch (see BoundingState)
 
 
 class BoundingState:
     """Bounding lists for one block of one graph, optionally carrying a coloring.
 
     A block is a pure function of (master seed, block index): ``next_key``
-    hands out the key at (block, update index) and advances the index.
-    ``updates`` counts the updates applied; the index also advances for the
-    drift's vertex picks, which ``engine.block_steps`` takes, so the two
-    differ. The schedule counts its seeding and disjoint fallbacks here. A
-    built block has no other record: the sampler reads these counts and
-    ``phi`` from its state.
+    hands out the key at (block, update index) and advances the index, and
+    ``next_word(d)`` hands out word d of that key in its place. ``updates``
+    counts the updates applied; the index also advances for the drift's
+    vertex picks, which ``engine.block_steps`` takes, so the two differ. The
+    schedule counts its seeding and disjoint fallbacks here. A built block
+    has no other record: the sampler reads these counts and ``phi`` from its
+    state.
+
+    On a graph of n >= 32 vertices the state takes its keys, with words 0
+    and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
+    (``SeedStream.subkeys``); below that it asks ``SeedStream.subkey`` for
+    one key at a time and hashes each word on demand. Both give the same
+    keys and words. Batches pay only on long blocks, and a small graph's
+    block is short while its peak memory is small enough that fixed 32-lane
+    buffers would double it.
     """
 
     __slots__ = (
         "g", "q", "stream", "block", "lists", "coloring", "updates",
         "seeding_fallbacks", "disjoint_fallbacks", "_index",
+        "_lanes", "_base", "_end", "_keys", "_words",
     )
 
     def __init__(self, g: Graph, q: int, stream: SeedStream, block: int, coloring=None):
@@ -50,11 +62,37 @@ class BoundingState:
         self.seeding_fallbacks = 0
         self.disjoint_fallbacks = 0
         self._index = 0
+        lanes = min(MAX_LANES, g.n // 16)
+        self._lanes = lanes if lanes >= 2 else 0
+        # the batch holds keys _base .. _end - 1
+        self._base = self._end = 0
+        self._keys: tuple = ()
+        self._words: dict[int, tuple] = {}
+
+    def _refill(self, idx: int) -> None:
+        self._keys, w0, w2 = self.stream.subkeys(self.block, idx, self._lanes)
+        self._words = {0: w0, 2: w2}
+        self._base, self._end = idx, idx + self._lanes
 
     def next_key(self) -> int:
         idx = self._index
         self._index = idx + 1
-        return self.stream.subkey(self.block, idx)
+        if not self._lanes:
+            return self.stream.subkey(self.block, idx)
+        if idx >= self._end:
+            self._refill(idx)
+        return self._keys[idx - self._base]
+
+    def next_word(self, draw: int) -> int:
+        """raw64(self.next_key(), draw) for draw 0 or 2, read from the batch
+        when the state takes its keys in batches."""
+        idx = self._index
+        self._index = idx + 1
+        if not self._lanes:
+            return raw64(self.stream.subkey(self.block, idx), draw)
+        if idx >= self._end:
+            self._refill(idx)
+        return self._words[draw][idx - self._base]
 
     @property
     def phi(self) -> tuple[int, ...] | None:
@@ -146,13 +184,19 @@ def greedy_reference_set(q: int, delta: int, kept) -> ColorSet:
 def apply_compress(
     state: BoundingState, v: int, a_mask: ColorSet, outside: list[int]
 ) -> None:
-    """Compress update at v against A; outside is cp.compress_outside(A, q)."""
-    key = state.next_key()
-    state.lists[v] = cp.compress_predict(a_mask, outside, key)
-    state.updates += 1
-    if state.coloring is not None:
+    """Compress update at v against A; outside is cp.compress_outside(A, q).
+
+    The bounding update reads only word 0; a carried coloring's decode
+    needs the key itself for the rest of the draw.
+    """
+    if state.coloring is None:
+        state.lists[v] = cp.compress_predict(a_mask, outside, state.next_word(0))
+    else:
+        key = state.next_key()
+        state.lists[v] = cp.compress_predict(a_mask, outside, raw64(key, 0))
         draw = cp.compress_draw(a_mask, outside, key)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
+    state.updates += 1
 
 
 def apply_seeding(state: BoundingState, v: int) -> None:
@@ -188,7 +232,7 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
         s_mask |= m
     else:
         if q > g.max_degree:  # else the layout below raises CouplingRegimeError
-            color = cp.outside_color(s_mask, q, state.next_key(), 2)
+            color = cp.outside_color(s_mask, q, state.next_word(2))
             lists[v] = 1 << color
             state.updates += 1
             if state.coloring is not None:

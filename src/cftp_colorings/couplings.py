@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_color
 from .errors import CouplingRegimeError, EngineError
-from .seedstream import randint_below, shuffled, shuffled_prefix, unit_uniform
+from .seedstream import randint_below, raw64, shuffled, shuffled_prefix, unit_uniform
 
 # Slack a feasibility row may exceed its bound by, for float rounding: the float
 # seeding law exceeds an exact row by up to 5.4e-17 at 434 of the 1081
@@ -55,10 +55,11 @@ from .seedstream import randint_below, shuffled, shuffled_prefix, unit_uniform
 _LP_TOL = 1e-9
 
 
-def outside_color(mask: ColorSet, q: int, key: int, draw: int) -> int:
-    """Uniform color of [q] outside mask; callers check that one exists."""
+def outside_color(mask: ColorSet, q: int, word: int) -> int:
+    """Uniform color of [q] outside mask, from one word (raw64(key, draw));
+    callers check that one exists."""
     t_mask = full_mask(q) & ~mask
-    return nth_color(t_mask, randint_below(key, draw, t_mask.bit_count()))
+    return nth_color(t_mask, randint_below(word, t_mask.bit_count()))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +196,22 @@ def compress_outside(a_mask: ColorSet, q: int) -> list[int]:
     return members(full_mask(q) & ~a_mask)
 
 
-def compress_extra_color(outside: list[int], key: int) -> int:
-    """Draw 0 indexes compress_outside's list; the color equals
-    outside_color(A, q, key, 0), since nth_color(m, i) == members(m)[i]."""
-    return outside[randint_below(key, 0, len(outside))]
+def compress_extra_color(outside: list[int], word: int) -> int:
+    """Word 0 (raw64(key, 0)) indexes compress_outside's list; the color
+    equals outside_color(A, q, word), since nth_color(m, i) == members(m)[i]."""
+    return outside[randint_below(word, len(outside))]
 
 
 def compress_draw(a_mask: ColorSet, outside: list[int], key: int) -> CompressDraw:
-    x_prime = compress_extra_color(outside, key)
+    x_prime = compress_extra_color(outside, raw64(key, 0))
     u_prime = unit_uniform(key, 1)
     pi = tuple(shuffled(key, 2, list(iter_colors(a_mask))))
     return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
 
 
-def compress_predict(a_mask: ColorSet, outside: list[int], key: int) -> ColorSet:
-    """Predicted bounding set A + {x'} without materializing the permutation."""
-    return a_mask | 1 << compress_extra_color(outside, key)
+def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:
+    """Predicted bounding set A + {x'} from word 0, without the permutation."""
+    return a_mask | 1 << compress_extra_color(outside, word)
 
 
 def compress_accept(q, delta: int, n_blocked: int):
@@ -301,7 +302,7 @@ def seeding_predict(
     s_size = s_mask.bit_count()
     if s_size >= q:
         raise CouplingRegimeError("seeding needs a free color outside the slack set")
-    c0 = outside_color(s_mask, q, key, 1)
+    c0 = outside_color(s_mask, q, raw64(key, 1))
     u_prime = unit_uniform(key, 2)
     if s_size == 0:
         return 1 << c0, SeedingDraw(prefix=(), c0=c0, u_prime=u_prime)
@@ -449,7 +450,7 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
 
 
 def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
-    reserve = outside_color(params.s_mask, params.q, key, 2)
+    reserve = outside_color(params.s_mask, params.q, raw64(key, 2))
     return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 

@@ -97,15 +97,27 @@ def lll_partition(g: Graph, stream: SeedStream) -> SeedVertexSet:
     """Balanced seeding set via independent inclusion plus local resampling.
 
     Each vertex joins with probability p0 = max(0, 1/2 - eta/2), which is 0
-    for 1 <= delta <= 14 (eta >= 1), so the set is empty there; at delta = 0
-    there are no bounds to meet and p0 = 1/2. Any vertex whose neighborhood
-    violates a balance bound triggers a resample of its neighbors' bits. The
-    queue-driven repair terminates quickly because the bounds hold with
-    overwhelming margin per neighborhood.
+    for 1 <= delta <= 14 (eta >= 1): no coin can put a vertex in the set,
+    and the empty set meets both bounds, so no coin is drawn there. At
+    delta = 0 there are no bounds to meet and p0 = 1/2. Any vertex whose
+    neighborhood violates a balance bound triggers a resample of its
+    neighbors' bits. The queue-driven repair terminates quickly because the
+    bounds hold with overwhelming margin per neighborhood.
     """
-    n, delta = g.n, g.max_degree
+    delta = g.max_degree
     eta = eta_for(delta)
     p0 = 0.5 if delta < 1 else max(0.0, 0.5 - eta / 2.0)
+    members, resamples = frozenset(), 0
+    if p0 > 0.0:
+        members, resamples = _repaired_coins(g, stream, p0, eta)
+    if not audit_partition(g, members):
+        raise EngineError("vertex partition failed its own audit")
+    return SeedVertexSet(members=members, resamples=resamples)
+
+
+def _repaired_coins(g: Graph, stream: SeedStream, p0: float, eta: float):
+    """The set the p0 coins give, after the repair; with its resample count."""
+    n, delta = g.n, g.max_degree
     key0 = stream.subkey(PARTITION_BLOCK, 0)
     in_s = [unit_uniform(key0, v) < p0 for v in range(n)]
     budget = max(16, math.ceil(10 * n / max(delta, 1)))
@@ -133,10 +145,7 @@ def lll_partition(g: Graph, stream: SeedStream) -> SeedVertexSet:
             if not queued[w]:
                 queue.append(w)
                 queued[w] = True
-    members = frozenset(v for v in range(n) if in_s[v])
-    if not audit_partition(g, members):
-        raise EngineError("vertex partition failed its own audit")
-    return SeedVertexSet(members=members, resamples=resamples)
+    return frozenset(v for v in range(n) if in_s[v]), resamples
 
 
 def default_t1(seed_set_size: int) -> int:
@@ -204,13 +213,13 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
         yield 1, v, preserved
         preserved.add(v)
     for _ in range(default_t1(len(s_list))):
-        yield 1, s_list[randint_below(state.next_key(), 0, len(s_list))], preserved
+        yield 1, s_list[randint_below(state.next_word(0), len(s_list))], preserved
     for v in range(n):
         if v not in preserved:
             yield 2, v, preserved
             preserved.add(v)
     for _ in range(t2):
-        yield 2, randint_below(state.next_key(), 0, n), None
+        yield 2, randint_below(state.next_word(0), n), None
 
 
 def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:

@@ -5,15 +5,28 @@ realized as a keyed counter PRNG. Word j under a key is the splitmix64
 finalizer applied to key + (j+1) * GOLDEN (``raw64``). The root key is the
 finalizer of the master seed; a block's key is word ``block`` under the
 root, an update's key is word ``update`` under its block's key, and draw j
-of an update is word j under the update's key. A stream computes each
-block key once and reuses it for the block's updates. Replaying an update
-therefore needs only its address, never stored random bytes.
+of an update is word j under the update's key. ``subkey`` computes each
+block key once and reuses it for a run of the block's updates. Replaying an
+update therefore needs only its address, never stored random bytes.
+
+``lane_words`` computes a run of consecutive keys under one block key, and
+word 0 and word 2 under each, all at once: lane i of one packed int holds
+the 64-bit value for key ``start + i`` in bits 128i to 128i+63, and every
+splitmix64 step runs on the whole int. Each shift's result and each
+product are masked back to the low 64 bits of every lane, so no lane
+bleeds into the next: a 64x64-bit product fits its 128-bit lane. The lanes
+are read back through ``to_bytes`` and one ``struct`` unpack. The results
+equal ``raw64`` lane for lane, so a batched key is the same key. The lane
+rule, which graphs take batches and how wide, is ``bounding.BoundingState``'s.
 
 Couplings agree on a fixed draw layout per update (documented where each
 coupling is implemented), so predict and decode regenerate identical values.
 """
 
 from __future__ import annotations
+
+import struct
+from functools import lru_cache
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,21 +68,66 @@ class SeedStream:
             self._last_block = (block, key)
         return raw64(key, update)
 
+    def subkeys(self, block: int, start: int, lanes: int) -> tuple[tuple, tuple, tuple]:
+        """subkey(block, start + i) for i < lanes, with word 0 and word 2
+        under each key: three tuples from one lane_words batch. The block key
+        is hashed afresh, one word per batch, and the cache is left alone."""
+        return lane_words(raw64(self._root, block), start, lanes)
+
+
+def _finalize_lanes(z: int, mr: int) -> int:
+    """raw64's finalizer on every 128-bit lane of z; each lane holds < 2**64."""
+    z ^= (z >> 30) & mr
+    z = (z * 0xBF58476D1CE4E5B9) & mr
+    z ^= (z >> 27) & mr
+    z = (z * 0x94D049BB133111EB) & mr
+    return z ^ ((z >> 31) & mr)
+
+
+@lru_cache(maxsize=32)
+def _lane_constants(lanes: int) -> tuple:
+    """Per-lane-count constants: the lane mask, the counter ramp (i+1)*GOLDEN
+    in lane i, the offsets of word 0 and word 2 in every lane, and the unpack."""
+    ones = sum(1 << 128 * i for i in range(lanes))
+    ramp = sum(((i + 1) * _GOLDEN & _M64) << 128 * i for i in range(lanes))
+    return (
+        _M64 * ones, ramp, ones, _GOLDEN * ones, (3 * _GOLDEN & _M64) * ones,
+        struct.Struct("<" + "Q8x" * lanes).unpack,
+    )
+
+
+def lane_words(block_key: int, start: int, lanes: int) -> tuple[tuple, tuple, tuple]:
+    """Keys raw64(block_key, start + i) for i < lanes, and raw64(key, 0) and
+    raw64(key, 2) under each, as three tuples.
+
+    Lane i's input is (block_key + (start+i+1)*GOLDEN) mod 2**64: the block's
+    base (block_key + start*GOLDEN) mod 2**64, copied into every lane, plus
+    the ramp.
+    """
+    mr, ramp, ones, word0, word2, unpack = _lane_constants(lanes)
+    size = 16 * lanes
+    base = (block_key + start * _GOLDEN) & _M64
+    keys = _finalize_lanes((ramp + base * ones) & mr, mr)
+    w0 = _finalize_lanes((keys + word0) & mr, mr)
+    w2 = _finalize_lanes((keys + word2) & mr, mr)
+    return tuple(unpack(z.to_bytes(size, "little")) for z in (keys, w0, w2))
+
 
 def unit_uniform(key: int, draw: int) -> float:
     """Uniform double in [0, 1) from the top 53 bits of one raw word."""
     return (raw64(key, draw) >> 11) * _TO_DOUBLE
 
 
-def randint_below(key: int, draw: int, n: int) -> int:
-    """Uniform integer in [0, n) via multiply-shift.
+def randint_below(word: int, n: int) -> int:
+    """Uniform integer in [0, n) from one 64-bit word via multiply-shift.
 
+    Callers pass raw64(key, draw), or the same word from a lane_words batch.
     Bias is at most n / 2**64, far below anything resolvable by the
     statistical tests this package runs.
     """
     if n <= 0:
         raise ValueError("randint_below needs n >= 1")
-    return (raw64(key, draw) * n) >> 64
+    return (word * n) >> 64
 
 
 def shuffled(key: int, first_draw: int, items: list) -> list:
@@ -81,8 +139,8 @@ def shuffled_prefix(key: int, first_draw: int, items: list, k: int) -> list:
     """First k elements of shuffled(key, first_draw, items).
 
     Element i of the permutation is fixed after step i, so a prefix needs
-    only its own draws. Step i swaps in ``randint_below(key, first_draw + i,
-    m - i)``, written out so each step costs one call.
+    only its own draws. Step i swaps in ``randint_below(raw64(key,
+    first_draw + i), m - i)``, written out so each step costs one call.
     """
     out = list(items)
     m = len(out)

@@ -7,7 +7,7 @@ from cftp_colorings import engine
 from cftp_colorings.colorsets import full_mask, mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_complete_bipartite
-from cftp_colorings.seedstream import SeedStream, unit_uniform
+from cftp_colorings.seedstream import SeedStream, raw64, unit_uniform
 
 
 def star(center_degree):
@@ -204,7 +204,7 @@ def full_layout_walk(g, q, lists, v, key, coloring):
     """v's new list and decoded color with the slot layout built and draws
     0, 1 and 2 all taken."""
     params = cp.disjoint_params_from_lists(q, g.max_degree, [lists[u] for u in g.adjacency[v]])
-    reserve = cp.outside_color(params.s_mask, q, key, 2)
+    reserve = cp.outside_color(params.s_mask, q, raw64(key, 2))
     predicted, draw = cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
     blocked = mask_from(coloring[u] for u in g.adjacency[v])
     return predicted, cp.disjoint_decode(params, draw, blocked)
@@ -239,11 +239,11 @@ def test_apply_disjoint_all_singletons_matches_full_layout_walk():
 
 def test_singleton_star_check_catches_reserve_from_draw_0(monkeypatch):
     """Negative control: the reserve drawn at draw 0 in place of draw 2."""
-    real = cp.outside_color
+    real = bd.BoundingState.next_word
 
     def reserve_from_draw_0(state, v):
         with monkeypatch.context() as m:
-            m.setattr(cp, "outside_color", lambda s, q, key, draw: real(s, q, key, 0))
+            m.setattr(bd.BoundingState, "next_word", lambda self, draw: real(self, 0))
             bd.apply_disjoint(state, v)
 
     assert singleton_star_mismatches(reserve_from_draw_0)
@@ -299,7 +299,7 @@ def test_cleanup_complement_gives_outside_color(q, delta):
     bd.cleanup(state, 0, preserved=set())
     for i, w in enumerate(g.adjacency[0]):
         key = state.stream.subkey(state.block, i)
-        assert state.lists[w] == a | 1 << cp.outside_color(a, q, key, 0)
+        assert state.lists[w] == a | 1 << cp.outside_color(a, q, raw64(key, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from cftp_colorings import verification as vf
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
 from cftp_colorings.graphs import build_graph
-from cftp_colorings.seedstream import SeedStream, unit_uniform
+from cftp_colorings.seedstream import SeedStream, raw64, unit_uniform
 
 STREAM = SeedStream(99)
 
@@ -51,15 +51,15 @@ def test_compress_predicted_size_is_delta_plus_one():
     outside = cp.compress_outside(a, 9)
     for j in range(200):
         key = STREAM.subkey(1, j)
-        assert cp.compress_predict(a, outside, key).bit_count() == 4
-        assert not a >> cp.compress_extra_color(outside, key) & 1
+        assert cp.compress_predict(a, outside, raw64(key, 0)).bit_count() == 4
+        assert not a >> cp.compress_extra_color(outside, raw64(key, 0)) & 1
 
 
 def test_compress_q_delta_plus_one_forces_full_palette():
     a = mask_from([0, 1, 2])
     outside = cp.compress_outside(a, 4)
     for j in range(50):
-        predicted = cp.compress_predict(a, outside, STREAM.subkey(2, j))
+        predicted = cp.compress_predict(a, outside, raw64(STREAM.subkey(2, j), 0))
         assert predicted == mask_from([0, 1, 2, 3])
 
 
@@ -68,7 +68,7 @@ def test_compress_extra_color_uniform():
     q, n = 8, 100_000
     outside = cp.compress_outside(a, q)
     counts = Counter(
-        cp.compress_extra_color(outside, STREAM.subkey(3, j)) for j in range(n)
+        cp.compress_extra_color(outside, raw64(STREAM.subkey(3, j), 0)) for j in range(n)
     )
     free = [c for c in range(q) if not a >> c & 1]
     assert oracle.gof_from_counts([counts[c] for c in free]).pvalue > 0.001
@@ -82,7 +82,7 @@ def test_outside_color_uniform_on_wide_palettes(q):
     free = [c for c in range(q) if not mask >> c & 1]
     n = 200 * len(free)
     counts = Counter(
-        cp.outside_color(mask, q, STREAM.subkey(11, j), 2) for j in range(n)
+        cp.outside_color(mask, q, raw64(STREAM.subkey(11, j), 2)) for j in range(n)
     )
     assert set(counts) <= set(free)
     assert oracle.gof_from_counts([counts[c] for c in free]).pvalue > 1e-3
@@ -93,9 +93,9 @@ def test_compress_draw_matches_predict():
     outside = cp.compress_outside(a, 11)
     for j in range(100):
         key = STREAM.subkey(4, j)
-        predicted = cp.compress_predict(a, outside, key)
+        predicted = cp.compress_predict(a, outside, raw64(key, 0))
         draw = cp.compress_draw(a, outside, key)
-        assert draw.x_prime == cp.compress_extra_color(outside, key)
+        assert draw.x_prime == cp.compress_extra_color(outside, raw64(key, 0))
         assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
 
@@ -114,9 +114,9 @@ def test_compress_outside_list_gives_outside_color(q, a_size):
     assert outside == [c for c in range(q) if not a >> c & 1]
     for j in range(2000):
         key = STREAM.subkey(20, j)
-        color = cp.outside_color(a, q, key, 0)
-        assert cp.compress_extra_color(outside, key) == color
-        assert cp.compress_predict(a, outside, key) == a | 1 << color
+        color = cp.outside_color(a, q, raw64(key, 0))
+        assert cp.compress_extra_color(outside, raw64(key, 0)) == color
+        assert cp.compress_predict(a, outside, raw64(key, 0)) == a | 1 << color
 
 
 def test_compress_outside_needs_a_free_color():
@@ -368,7 +368,7 @@ def singleton_layouts(n_cases=90, seed=16):
 
 def full_walk(params, key):
     """The slot walk with every draw taken: u, v and the reserve."""
-    reserve = cp.outside_color(params.s_mask, params.q, key, 2)
+    reserve = cp.outside_color(params.s_mask, params.q, raw64(key, 2))
     return cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
 
 
@@ -420,7 +420,7 @@ def test_full_walk_check_catches_a_shortcut_with_e_colors(monkeypatch):
     def shortcut_without_pairs(params, key):
         if params.pairs:
             return real(params, key)
-        reserve = cp.outside_color(params.s_mask, params.q, key, 2)
+        reserve = cp.outside_color(params.s_mask, params.q, raw64(key, 2))
         return 1 << reserve, cp.DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
 
     monkeypatch.setattr(cp, "disjoint_predict", shortcut_without_pairs)

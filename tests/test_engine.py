@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -41,12 +44,20 @@ def test_t_schedules():
 # ---------------------------------------------------------------------------
 
 
-def test_partition_small_degree_is_empty():
-    # eta >= 1 for degrees below 15, so the inclusion probability clamps to 0
-    g = gen_random_regular(40, 6, seed=1)
-    part = engine.lll_partition(g, SeedStream(3))
-    assert len(part) == 0
-    assert engine.audit_partition(g, part.members)
+def test_partition_small_degree_is_empty(monkeypatch):
+    # eta >= 1 for degrees 1 to 14, so the inclusion probability clamps to
+    # 0: the coins and their repair give the empty set with no resample, so
+    # lll_partition draws no coin
+    for degree in (1, 6, 14):
+        g = gen_random_regular(40, degree, seed=1)
+        assert engine.eta_for(degree) >= 1
+        coins = engine._repaired_coins(g, SeedStream(3), 0.0, engine.eta_for(degree))
+        assert coins == (frozenset(), 0)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "unit_uniform", None)
+            part = engine.lll_partition(g, SeedStream(3))
+        assert len(part) == 0 and part.resamples == 0
+        assert engine.audit_partition(g, part.members)
 
 
 def test_partition_k66_bounds():
@@ -472,3 +483,24 @@ def test_forced_subthreshold_run_still_exact():
     )
     results = sample_many(g, cfg, 4000)
     assert goodness_of_fit([r.coloring for r in results], universe).pvalue > 0.001
+
+
+def test_sample_leaves_numpy_unloaded():
+    # importing numpy takes longer than the whole set-up of a small sample,
+    # so the sampler, its key batches included, runs on plain ints; a cycle
+    # of 32 vertices takes its keys in batches
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "from cftp_colorings import bounding, engine, graphs\n"
+        "g = graphs.gen_cycle(32)\n"
+        "assert bounding.BoundingState(g, 9, None, 1)._lanes > 1\n"
+        "engine.sample(g, engine.SamplerConfig(q=9, master_seed=1))\n"
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from scipy import stats as sps
 from cftp_colorings import oracle
 from cftp_colorings import seedstream as ss
 from cftp_colorings import couplings as cp
+from cftp_colorings.bounding import MAX_LANES
 from cftp_colorings.colorsets import full_mask, mask_from
 
 STREAM = ss.SeedStream(123456789)
@@ -52,7 +53,7 @@ def test_unit_uniform_ks_and_mean():
 def uniform_member(key, draw, colors):
     # the one rule every coupling uses, picking outside the complement of colors
     q = colors.bit_length()
-    return cp.outside_color(full_mask(q) & ~colors, q, key, draw)
+    return cp.outside_color(full_mask(q) & ~colors, q, ss.raw64(key, draw))
 
 
 def test_uniform_in_set_singleton():
@@ -171,3 +172,66 @@ def test_permutation_is_permutation(colors, j):
     key = STREAM.subkey(9, j)
     out = ss.shuffled(key, 0, sorted(colors))
     assert sorted(out) == sorted(colors)
+
+
+# ---------------------------------------------------------------------------
+# packed-lane batches
+# ---------------------------------------------------------------------------
+
+
+def lane_mismatches(master, block, start, lanes):
+    """Lanes where SeedStream.subkeys differs from subkey and raw64 at the
+    same address, in the key, word 0 or word 2."""
+    keys, w0, w2 = ss.SeedStream(master).subkeys(block, start, lanes)
+    assert len(keys) == len(w0) == len(w2) == lanes
+    fresh = ss.SeedStream(master)
+    out = []
+    for i in range(lanes):
+        key = fresh.subkey(block, start + i)
+        if (keys[i], w0[i], w2[i]) != (key, ss.raw64(key, 0), ss.raw64(key, 2)):
+            out.append(i)
+    return out
+
+
+def wrapping_start(master, block):
+    """A start at which lane 0's input wraps: (block_key + start*G) mod 2**64
+    lies above 2**64 - G, so adding lane 0's G passes 2**64."""
+    block_key = ss.raw64(ss.SeedStream(master)._root, block)
+    return next(s for s in range(1, 64) if (block_key + s * ss._GOLDEN) & M64 > 2**64 - ss._GOLDEN)
+
+
+@pytest.mark.parametrize("address", sorted(KNOWN_ANSWERS))
+def test_lane_words_match_raw64_at_every_lane_count(address):
+    master, block, update = address
+    for start in (update, wrapping_start(master, block), 2**64 - 5):
+        for lanes in range(1, MAX_LANES + 1):
+            assert lane_mismatches(master, block, start, lanes) == [], (start, lanes)
+
+
+def finalizer_without_mask(k):
+    """A copy of _finalize_lanes with its k-th lane mask dropped, for k < 4;
+    with every mask kept when k is None. The fifth mask only keeps each lane
+    below 2**64 for the caller, who masks before using a lane again, so no
+    lane's low word depends on it."""
+    def finalize(z, mr):
+        masks = [mr] * 4
+        if k is not None:
+            masks[k] = -1
+        z ^= (z >> 30) & masks[0]
+        z = (z * 0xBF58476D1CE4E5B9) & masks[1]
+        z ^= (z >> 27) & masks[2]
+        z = (z * 0x94D049BB133111EB) & masks[3]
+        return z ^ ((z >> 31) & mr)
+
+    return finalize
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_lane_check_catches_a_dropped_mask(monkeypatch, k):
+    """Negative control: without any one of these masks a lane bleeds into
+    its neighbor, or a lane's high bits reach its own low word."""
+    master, block, update = sorted(KNOWN_ANSWERS)[0]
+    monkeypatch.setattr(ss, "_finalize_lanes", finalizer_without_mask(None))
+    assert lane_mismatches(master, block, update, MAX_LANES) == []
+    monkeypatch.setattr(ss, "_finalize_lanes", finalizer_without_mask(k))
+    assert lane_mismatches(master, block, update, MAX_LANES)

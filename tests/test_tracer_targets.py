@@ -75,8 +75,10 @@ def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
 
 
 FIXTURES = [
+    # 20 vertices: keys one at a time through SeedStream.subkey
     (gen_random_regular(20, 6, seed=5), 18, 140, False),
-    # the seeding phase runs, so its keys are counted too
+    # 64 vertices, so keys come in batches; the seeding phase runs, so its
+    # keys are counted too
     (gen_complete_bipartite(32), 105, 300, False),
     # seeding and disjoint updates fall back to compress, so the fallbacks'
     # keys are too
@@ -84,32 +86,85 @@ FIXTURES = [
 ]
 
 
+def record_stream_keys(monkeypatch, stream, block):
+    """Wrap SeedStream.subkey and its batch, SeedStream.subkeys; returns the
+    list of (update index, key) that they compute on stream for block, in
+    order."""
+    computed = []
+    one, batch = seedstream.SeedStream.subkey, seedstream.SeedStream.subkeys
+
+    def counted(self, b, update):
+        key = one(self, b, update)
+        if self is stream and b == block:
+            computed.append((update, key))
+        return key
+
+    def counted_batch(self, b, start, lanes):
+        out = batch(self, b, start, lanes)
+        if self is stream and b == block:
+            computed.extend(zip(range(start, start + lanes), out[0]))
+        return out
+
+    monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
+    monkeypatch.setattr(seedstream.SeedStream, "subkeys", counted_batch)
+    return computed
+
+
+def key_faults(state, computed, master):
+    """Ways the computed keys fail to be the block's keys 0 .. state._index - 1,
+    each computed once, in order, at its own address. A batch may run past
+    the block's last key, by less than one batch."""
+    faults = []
+    indices = [idx for idx, _ in computed]
+    if indices != list(range(len(indices))):
+        faults.append("indices out of order or repeated")
+    if not state._index <= len(indices) < state._index + max(state._lanes, 1):
+        faults.append(f"{len(indices)} keys computed for index {state._index}")
+    fresh = seedstream.SeedStream(master)
+    faults += [idx for idx, key in computed if key != fresh.subkey(state.block, idx)]
+    return faults
+
+
+def test_fixtures_take_both_key_paths():
+    lanes = [bounding.BoundingState(g, q, None, 1)._lanes for g, q, _, _ in FIXTURES]
+    assert lanes[0] == 0 and lanes[1] > 1
+
+
 @pytest.mark.parametrize(
     "graph, q, t2, seeding_falls_back", FIXTURES,
     ids=["regular-d6", "k3232-phase1", "k3232-fallback"],
 )
 def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_falls_back):
-    # perfbench's seedstream.subkey layer times the seed stream by wrapping
-    # this one method, so its figures hold only while no key bypasses it
+    # perfbench's seed-stream layer times the seed stream by wrapping its
+    # methods, so its figures hold only while no key bypasses subkey and
+    # its batch subkeys
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
     seed_set = engine.lll_partition(graph, stream)
-    calls = 0
-    inner = seedstream.SeedStream.subkey
-
-    def counted(self, block, update):
-        nonlocal calls
-        calls += 1
-        return inner(self, block, update)
-
-    monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
+    computed = record_stream_keys(monkeypatch, stream, 1)
     state, steps, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
     assert state.updates > 0 and steps > 0
     assert (state.seeding_fallbacks > 0) == seeding_falls_back
-    assert calls == state._index
+    assert key_faults(state, computed, config.master_seed) == []
     # block_steps' key facts: the index after every step follows from the
     # steps alone, fallbacks included
     assert mismatches == []
+
+
+def test_key_check_catches_a_batch_one_key_late(monkeypatch):
+    """Negative control: every batch starts one key past the index asked for."""
+    graph, q, t2, _ = FIXTURES[1]
+    config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
+    stream = seedstream.SeedStream(config.master_seed)
+    seed_set = engine.lll_partition(graph, stream)
+    real = seedstream.SeedStream.subkeys
+    monkeypatch.setattr(
+        seedstream.SeedStream, "subkeys",
+        lambda self, b, start, lanes: real(self, b, start + 1, lanes),
+    )
+    computed = record_stream_keys(monkeypatch, stream, 1)
+    state = engine.construct_block(graph, seed_set, config, 1, stream)
+    assert key_faults(state, computed, config.master_seed)
 
 
 def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch):
