@@ -28,8 +28,9 @@ class BoundingState:
     """Bounding lists for one block of one graph, optionally carrying a coloring.
 
     A block is a pure function of (master seed, block index): ``next_key``
-    hands out the key at (block, update index) and advances the index, and
-    ``next_word(d)`` hands out word d of that key in its place. ``updates``
+    hands out the key at (block, update index) and advances the index,
+    ``next_word(d)`` hands out word d of that key in its place, and
+    ``next_key_words`` hands out the key with its words 0 and 2. ``updates``
     counts the updates applied; the index also advances for the drift's
     vertex picks, which ``engine.block_steps`` takes, so the two differ. The
     schedule counts its seeding and disjoint fallbacks here. A built block
@@ -43,6 +44,12 @@ class BoundingState:
     keys and words. Batches pay only on long blocks, and a small graph's
     block is short while its peak memory is small enough that fixed 32-lane
     buffers would double it.
+
+    The batch readers are the drift's vertex picks and compress's extra
+    color (``next_word(0)``), an all-singleton disjoint update's reserve
+    (``next_word(2)``), and a disjoint update's slot layout and a carried
+    compress update (``next_key_words``). Every word 0 or 2 that an update
+    reads comes from the state; no update in this module hashes one itself.
     """
 
     __slots__ = (
@@ -93,6 +100,21 @@ class BoundingState:
         if idx >= self._end:
             self._refill(idx)
         return self._words[draw][idx - self._base]
+
+    def next_key_words(self) -> tuple[int, int, int]:
+        """(key, raw64(key, 0), raw64(key, 2)) for key = self.next_key(),
+        the words read from the batch when the state takes its keys in
+        batches."""
+        idx = self._index
+        self._index = idx + 1
+        if not self._lanes:
+            key = self.stream.subkey(self.block, idx)
+            return key, raw64(key, 0), raw64(key, 2)
+        if idx >= self._end:
+            self._refill(idx)
+        i = idx - self._base
+        words = self._words
+        return self._keys[i], words[0][i], words[2][i]
 
     @property
     def phi(self) -> tuple[int, ...] | None:
@@ -187,14 +209,15 @@ def apply_compress(
     """Compress update at v against A; outside is cp.compress_outside(A, q).
 
     The bounding update reads only word 0; a carried coloring's decode
-    needs the key itself for the rest of the draw.
+    needs the key itself for the rest of the draw, and takes the same
+    word 0 for its extra color.
     """
     if state.coloring is None:
         state.lists[v] = cp.compress_predict(a_mask, outside, state.next_word(0))
     else:
-        key = state.next_key()
-        state.lists[v] = cp.compress_predict(a_mask, outside, raw64(key, 0))
-        draw = cp.compress_draw(a_mask, outside, key)
+        key, w0, _ = state.next_key_words()
+        state.lists[v] = cp.compress_predict(a_mask, outside, w0)
+        draw = cp.compress_draw(a_mask, outside, key, w0)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
     state.updates += 1
 
@@ -219,7 +242,8 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
 
     When every neighbor list is a singleton, the slot layout has one slot,
     the leftover, so the new list is the reserve color (draw 2) and the
-    carried color is that color; no layout is built.
+    carried color is that color; no layout is built. Otherwise the layout
+    reads the key's words 0 and 2 from the state.
     """
     lists = state.lists
     g = state.g
@@ -241,8 +265,8 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
     params = cp.disjoint_params_from_lists(
         q, g.max_degree, [lists[u] for u in g.adjacency[v]]
     )
-    key = state.next_key()
-    lists[v], draw = cp.disjoint_predict(params, key)
+    key, w0, w2 = state.next_key_words()
+    lists[v], draw = cp.disjoint_predict(params, key, w0, w2)
     state.updates += 1
     if state.coloring is not None:
         state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))

@@ -16,8 +16,12 @@ from typing import Iterable, Iterator
 
 ColorSet = int
 
-# Width at which nth_color stops halving and clears low members one by one.
-_SELECT_WIDTH = 8
+# Width at or below which nth_color stops halving and reads the mask's two
+# bytes from the tables below.
+_SELECT_WIDTH = 16
+# Each byte's popcount, and its members in ascending order.
+_BYTE_COUNT = bytes(b.bit_count() for b in range(256))
+_BYTE_MEMBERS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 # Size above which members reads the binary digits at C level; below it the
 # bit loop is faster (0.45 against 0.90 us at two members, CPython 3.11, x86_64).
 _LOOP_MEMBERS = 8
@@ -54,10 +58,11 @@ def members(mask: ColorSet) -> list[int]:
 def nth_color(mask: ColorSet, n: int) -> int:
     """n-th member (0-based) in ascending order, in O(log q) int operations.
 
-    Halve the mask: keep the low half while n is below its popcount, else
-    drop those members from n and move to the high half. Once the mask is
-    at most _SELECT_WIDTH bits wide, clear its n lowest members and return
-    the lowest one left. The result equals ``members(mask)[n]``.
+    Halve the mask while it is wider than _SELECT_WIDTH bits: keep the low
+    half while n is below its popcount, else drop those members from n and
+    move to the high half. The mask left fits in two bytes; read the member
+    from the low byte's table entry, or from the high byte's with the low
+    byte's popcount dropped from n. The result equals ``members(mask)[n]``.
     """
     if n < 0 or n >= mask.bit_count():
         raise IndexError(f"no member {n} in a color set of {mask.bit_count()}")
@@ -73,6 +78,8 @@ def nth_color(mask: ColorSet, n: int) -> int:
             n -= below
             mask >>= width
             base += width
-    for _ in range(n):
-        mask &= mask - 1
-    return base + (mask & -mask).bit_length() - 1
+    low = mask & 255
+    below = _BYTE_COUNT[low]
+    if n < below:
+        return base + _BYTE_MEMBERS[low][n]
+    return base + 8 + _BYTE_MEMBERS[mask >> 8][n - below]

@@ -45,7 +45,9 @@ from typing import NamedTuple
 
 from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_color
 from .errors import CouplingRegimeError, EngineError
-from .seedstream import randint_below, raw64, shuffled, shuffled_prefix, unit_uniform
+from .seedstream import (
+    randint_below, raw64, shuffled, shuffled_prefix, unit_from_word, unit_uniform,
+)
 
 # Slack a feasibility row may exceed its bound by, for float rounding: the float
 # seeding law exceeds an exact row by up to 5.4e-17 at 434 of the 1081
@@ -202,8 +204,10 @@ def compress_extra_color(outside: list[int], word: int) -> int:
     return outside[randint_below(word, len(outside))]
 
 
-def compress_draw(a_mask: ColorSet, outside: list[int], key: int) -> CompressDraw:
-    x_prime = compress_extra_color(outside, raw64(key, 0))
+def compress_draw(a_mask: ColorSet, outside: list[int], key: int, word: int) -> CompressDraw:
+    """The whole draw at key; word is word 0 (raw64(key, 0)), which the
+    caller has already taken for compress_predict."""
+    x_prime = compress_extra_color(outside, word)
     u_prime = unit_uniform(key, 1)
     pi = tuple(shuffled(key, 2, list(iter_colors(a_mask))))
     return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
@@ -357,13 +361,16 @@ def seeding_decode(
 # bounding set always has size 1 or 2.
 #
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
-# draw 2 picks the reserve color. A one-slot layout (every slack color held
-# by a singleton list, so no pairs and no D or E colors) is all leftover:
-# its predicted set is {reserve} whatever draws 0 and 1 say. When every
-# neighbor list is a singleton, bounding.apply_disjoint draws the reserve
-# alone; a mixed one-slot layout (2-lists whose colors all lie in singleton
-# lists) walks the slots and reads draws 0 and 1 without using them. Each
-# draw is addressed by its index, so a draw left untaken moves no other draw.
+# draw 2 picks the reserve color. The caller of disjoint_predict supplies
+# words 0 and 2 (bounding.BoundingState.next_key_words reads them from its
+# key batch when it has one); draw 1, which no batch carries, is hashed
+# from the key. A one-slot layout (every slack color held by a singleton
+# list, so no pairs and no D or E colors) is all leftover: its predicted
+# set is {reserve} whatever draws 0 and 1 say. When every neighbor list is
+# a singleton, bounding.apply_disjoint draws the reserve alone; a mixed
+# one-slot layout (2-lists whose colors all lie in singleton lists) walks
+# the slots and reads draws 0 and 1 without using them. Each draw is
+# addressed by its index, so a draw left untaken moves no other draw.
 
 class DisjointParams(NamedTuple):
     q: int
@@ -449,9 +456,13 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     )
 
 
-def disjoint_predict(params: DisjointParams, key: int) -> tuple[ColorSet, DisjointDraw]:
-    reserve = outside_color(params.s_mask, params.q, raw64(key, 2))
-    return disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+def disjoint_predict(
+    params: DisjointParams, key: int, w0: int, w2: int
+) -> tuple[ColorSet, DisjointDraw]:
+    """Predicted set and draw at key, given its words w0 = raw64(key, 0) and
+    w2 = raw64(key, 2): slot u from w0, reserve from w2, v from draw 1."""
+    reserve = outside_color(params.s_mask, params.q, w2)
+    return disjoint_slot(params, unit_from_word(w0), unit_uniform(key, 1), reserve)
 
 
 def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet, DisjointDraw]:

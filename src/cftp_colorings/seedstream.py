@@ -18,6 +18,10 @@ bleeds into the next: a 64x64-bit product fits its 128-bit lane. The lanes
 are read back through ``to_bytes`` and one ``struct`` unpack. The results
 equal ``raw64`` lane for lane, so a batched key is the same key. The lane
 rule, which graphs take batches and how wide, is ``bounding.BoundingState``'s.
+The batch readers are the drift's vertex picks (word 0), compress's extra
+color (word 0), an all-singleton disjoint update's reserve (word 2), and a
+disjoint update's slot layout, whose slot variate and reserve are words 0
+and 2; every other draw is hashed from its key with ``raw64``.
 
 Couplings agree on a fixed draw layout per update (documented where each
 coupling is implemented), so predict and decode regenerate identical values.
@@ -113,9 +117,14 @@ def lane_words(block_key: int, start: int, lanes: int) -> tuple[tuple, tuple, tu
     return tuple(unpack(z.to_bytes(size, "little")) for z in (keys, w0, w2))
 
 
+def unit_from_word(word: int) -> float:
+    """Uniform double in [0, 1) from the top 53 bits of one 64-bit word."""
+    return (word >> 11) * _TO_DOUBLE
+
+
 def unit_uniform(key: int, draw: int) -> float:
-    """Uniform double in [0, 1) from the top 53 bits of one raw word."""
-    return (raw64(key, draw) >> 11) * _TO_DOUBLE
+    """unit_from_word of word draw under key."""
+    return unit_from_word(raw64(key, draw))
 
 
 def randint_below(word: int, n: int) -> int:

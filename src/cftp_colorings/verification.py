@@ -85,13 +85,14 @@ def compress_suite(
     master_seed: int = 2024,
     draw=cp.compress_draw,
 ) -> list[CheckResult]:
-    """Exhaustive marginal and containment check for compress; draw(a_mask, outside, key)."""
+    """Exhaustive marginal and containment check for compress; draw has the
+    signature of couplings.compress_draw."""
     q, delta = 6, 3
     a_mask = mask_from((1, 2, 3))
     outside = cp.compress_outside(a_mask, q)
 
     def predict(key):
-        d = draw(a_mask, outside, key)
+        d = draw(a_mask, outside, key, raw64(key, 0))
         return a_mask | 1 << d.x_prime, d
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
@@ -163,8 +164,12 @@ def disjoint_suite(
     neighbor_lists = [mask_from(s) for s in raw_lists]
     params = cp.disjoint_params_from_lists(q, delta, neighbor_lists)
     tag = f"disjoint[{fixture}]"
+
+    def predict(key):
+        return cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2))
+
     containment, marginals, predictions = _decode_marginals(
-        tag, q, partial(cp.disjoint_predict, params), partial(cp.disjoint_decode, params),
+        tag, q, predict, partial(cp.disjoint_decode, params),
         realizable_blocked_sets(neighbor_lists), n_draws, master_seed, per="",
     )
     sizes = [predicted.bit_count() for predicted, _ in predictions]

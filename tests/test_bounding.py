@@ -6,7 +6,7 @@ from cftp_colorings import couplings as cp
 from cftp_colorings import engine
 from cftp_colorings.colorsets import full_mask, mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
-from cftp_colorings.graphs import build_graph, gen_complete, gen_complete_bipartite
+from cftp_colorings.graphs import build_graph, gen_complete, gen_complete_bipartite, gen_cycle
 from cftp_colorings.seedstream import SeedStream, raw64, unit_uniform
 
 
@@ -136,6 +136,41 @@ def test_greedy_stays_inside_large_slack():
     slack = mask_from(range(1, 9))
     assert a.bit_count() == 3
     assert a & ~slack == 0
+
+
+# ---------------------------------------------------------------------------
+# keys and their words
+# ---------------------------------------------------------------------------
+
+M64 = 2**64 - 1
+# (master, block) -> (key, word 0, word 2) at update 0; the keys and words 0
+# are test_seedstream's KNOWN_ANSWERS at the same addresses
+FIRST_KEY_WORDS = {
+    (0, 0): (0xA706DD2F4D197E6F, 0x238275BC38FCBE91, 0x47200E1D9780FA44),
+    (M64, 1): (0xB1EFC05B7519170F, 0x2B3BBC37E23493C8, 0x93830616B26D12EC),
+}
+
+
+@pytest.mark.parametrize("n, lanes", [(20, 0), (400, 25)])
+@pytest.mark.parametrize("master, block", sorted(FIRST_KEY_WORDS))
+def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, block):
+    # n = 20 takes one key at a time; n = 400 takes batches of 25 keys, and
+    # 60 indices cross two batch boundaries (idx 25 and 50 are both taken
+    # here), with next_key and next_word taking some indices in between
+    state = bd.BoundingState(gen_cycle(n), 5, SeedStream(master), block)
+    assert state._lanes == lanes
+    assert state.next_key_words() == FIRST_KEY_WORDS[master, block]
+    assert state._index == 1
+    fresh = SeedStream(master)
+    for idx in range(1, 60):
+        key = fresh.subkey(block, idx)
+        if idx % 7 == 3:
+            assert state.next_key() == key
+        elif idx % 7 == 5:
+            assert state.next_word(2) == raw64(key, 2)
+        else:
+            assert state.next_key_words() == (key, raw64(key, 0), raw64(key, 2))
+        assert state._index == idx + 1
 
 
 # ---------------------------------------------------------------------------

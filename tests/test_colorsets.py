@@ -51,8 +51,10 @@ def test_members_matches_iter_colors_at_every_size(q):
 
 
 def test_nth_color_matches_members_for_every_small_mask():
-    # masks up to 11 bits wide cross the width where the select stops halving
-    for mask in range(1 << 11):
+    # masks up to 17 bits wide cross the width where the select stops halving
+    # (16 bits): every mask of at most 16 bits is read from the byte tables
+    # alone, and every 17-bit one is halved once into 9-bit halves first
+    for mask in range(1 << 17):
         expected = cs.members(mask)
         assert [cs.nth_color(mask, n) for n in range(len(expected))] == expected
 

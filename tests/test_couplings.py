@@ -94,7 +94,7 @@ def test_compress_draw_matches_predict():
     for j in range(100):
         key = STREAM.subkey(4, j)
         predicted = cp.compress_predict(a, outside, raw64(key, 0))
-        draw = cp.compress_draw(a, outside, key)
+        draw = cp.compress_draw(a, outside, key, raw64(key, 0))
         assert draw.x_prime == cp.compress_extra_color(outside, raw64(key, 0))
         assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
@@ -126,7 +126,8 @@ def test_compress_outside_needs_a_free_color():
 
 def test_compress_blocked_larger_than_reference_rejected():
     a = mask_from([0, 1])
-    draw = cp.compress_draw(a, cp.compress_outside(a, 6), STREAM.subkey(5, 0))
+    key = STREAM.subkey(5, 0)
+    draw = cp.compress_draw(a, cp.compress_outside(a, 6), key, raw64(key, 0))
     with pytest.raises(EngineError):
         cp.compress_decode(a, 6, draw, mask_from([2, 3, 4]))
 
@@ -139,7 +140,7 @@ def test_compress_blocked_larger_than_reference_rejected():
 def test_compress_containment_and_availability(blocked, j):
     a = mask_from([0, 1, 2])
     key = STREAM.subkey(6, j)
-    draw = cp.compress_draw(a, cp.compress_outside(a, 9), key)
+    draw = cp.compress_draw(a, cp.compress_outside(a, 9), key, raw64(key, 0))
     blocked_mask = mask_from(blocked)
     out = cp.compress_decode(a, 9, draw, blocked_mask)
     assert not blocked_mask >> out & 1
@@ -283,7 +284,8 @@ def test_disjoint_all_singletons_always_coalesces():
     assert params.leftover == pytest.approx(1.0, abs=1e-12)
     blocked = mask_from([0, 1, 2, 3])
     for j in range(300):
-        predicted, draw = cp.disjoint_predict(params, STREAM.subkey(10, j))
+        key = STREAM.subkey(10, j)
+        predicted, draw = cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2))
         assert predicted.bit_count() == 1
         out = cp.disjoint_decode(params, draw, blocked)
         assert predicted >> out & 1 and not blocked >> out & 1
@@ -310,9 +312,9 @@ def test_disjoint_infeasible_configuration_raises():
 def test_disjoint_decode_unrealizable_pair_blocked_state_raises():
     params = fixture_params("paired")
     _, draw = next(
-        (cp.disjoint_predict(params, STREAM.subkey(11, j)))
-        for j in range(200)
-        if cp.disjoint_predict(params, STREAM.subkey(11, j))[1].pair
+        (cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2)))
+        for key in (STREAM.subkey(11, j) for j in range(200))
+        if cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2))[1].pair
     )
     both = draw.pair | mask_from([5, 6])
     with pytest.raises(EngineError):
@@ -327,7 +329,8 @@ def test_disjoint_decode_unrealizable_pair_blocked_state_raises():
 def test_disjoint_containment_on_realizable_sets(j, pick):
     params = fixture_params("paired")
     blocked = mask_from([1 if pick[0] else 2, 3 if pick[1] else 4, 5, 6])
-    predicted, draw = cp.disjoint_predict(params, STREAM.subkey(12, j))
+    key = STREAM.subkey(12, j)
+    predicted, draw = cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2))
     assert predicted.bit_count() in (1, 2)
     out = cp.disjoint_decode(params, draw, blocked)
     assert predicted >> out & 1
@@ -417,10 +420,10 @@ def test_full_walk_check_catches_a_shortcut_with_e_colors(monkeypatch):
     E colors or not."""
     real = cp.disjoint_predict
 
-    def shortcut_without_pairs(params, key):
+    def shortcut_without_pairs(params, key, w0, w2):
         if params.pairs:
-            return real(params, key)
-        reserve = cp.outside_color(params.s_mask, params.q, raw64(key, 2))
+            return real(params, key, w0, w2)
+        reserve = cp.outside_color(params.s_mask, params.q, w2)
         return 1 << reserve, cp.DisjointDraw(0, -1, params.leftover, False, 0.0, reserve)
 
     monkeypatch.setattr(cp, "disjoint_predict", shortcut_without_pairs)

@@ -19,6 +19,10 @@ outside its own function, so that no knob exists for tests alone. Like the
 definition check, this one reads NAME tokens: a parameter whose name
 appears outside its function for any reason, say a local variable elsewhere
 that happens to share it, gets through.
+
+Outside the methods of ``bounding.BoundingState``, nothing in
+``bounding.py`` names ``raw64``, so every word 0 or 2 that an update reads
+comes from the state, which reads its key batch when it has one.
 """
 
 import ast
@@ -145,6 +149,26 @@ def unnamed_defaults(modules, callers) -> list[str]:
     ]
 
 
+def names_outside_class(path: Path, name: str, owner: str) -> list[int]:
+    """Line numbers where path reads name, as a bare name or an attribute,
+    outside the class owner; an import does not count."""
+    tree = ast.parse(path.read_text())
+    spans = [
+        (node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == owner
+    ]
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+        )
+        and not any(first <= node.lineno <= last for first, last in spans)
+    )
+
+
 def src_modules_and_callers():
     modules = sorted((ROOT / "src" / "cftp_colorings").glob("*.py"))
     callers = [
@@ -222,3 +246,31 @@ def test_defaults_named_only_inside_their_function_are_flagged(tmp_path):
         "    return knob(1, flag=True), Box(fill=3)\n"
     )
     assert unnamed_defaults([mod], [mod]) == ["mod.py:knob(scale)", "mod.py:knob(shift)"]
+
+
+def test_bounding_hashes_no_word_outside_its_state():
+    bounding = ROOT / "src" / "cftp_colorings" / "bounding.py"
+    assert names_outside_class(bounding, "raw64", "BoundingState") == []
+
+
+def test_word_reads_outside_the_state_are_flagged(tmp_path):
+    # the last function is a carried compress update hashing its own word 0
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .seedstream import raw64\n"
+        "\n"
+        "\n"
+        "class BoundingState:\n"
+        "    def next_word(self, draw):\n"
+        "        return raw64(self.key, draw)\n"
+        "\n"
+        "\n"
+        "def hasher(ss):\n"
+        "    return ss.raw64\n"
+        "\n"
+        "\n"
+        "def apply_compress(state):\n"
+        "    key = state.next_key()\n"
+        "    return raw64(key, 0)\n"
+    )
+    assert names_outside_class(mod, "raw64", "BoundingState") == [10, 15]
