@@ -30,12 +30,12 @@ class BoundingState:
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index,
     ``next_word(d)`` hands out word d of that key in its place, and
-    ``next_key_words`` hands out the key with its words 0 and 2. ``updates``
-    counts the updates applied; the index also advances for the drift's
-    vertex picks, which ``engine.block_steps`` takes, so the two differ. The
-    schedule counts its seeding and disjoint fallbacks here. A built block
-    has no other record: the sampler reads these counts and ``phi`` from its
-    state.
+    ``next_key_word0`` and ``next_key_words`` hand out the key with its word
+    0, or with its words 0 and 2. ``updates`` counts the updates applied;
+    the index also advances for the drift's vertex picks, which
+    ``engine.block_steps`` takes, so the two differ. The schedule counts its
+    seeding and disjoint fallbacks here. A built block has no other record:
+    the sampler reads these counts and ``phi`` from its state.
 
     On a graph of n >= 32 vertices the state takes its keys, with words 0
     and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
@@ -47,9 +47,10 @@ class BoundingState:
 
     The batch readers are the drift's vertex picks and compress's extra
     color (``next_word(0)``), an all-singleton disjoint update's reserve
-    (``next_word(2)``), and a disjoint update's slot layout and a carried
-    compress update (``next_key_words``). Every word 0 or 2 that an update
-    reads comes from the state; no update in this module hashes one itself.
+    (``next_word(2)``), a carried compress update (``next_key_word0``; its
+    shuffle hashes word 2 from the key) and a disjoint update's slot layout
+    (``next_key_words``). Every word 0 or 2 that an update reads comes from
+    the state; no update in this module hashes one itself.
     """
 
     __slots__ = (
@@ -100,6 +101,19 @@ class BoundingState:
         if idx >= self._end:
             self._refill(idx)
         return self._words[draw][idx - self._base]
+
+    def next_key_word0(self) -> tuple[int, int]:
+        """(key, raw64(key, 0)) for key = self.next_key(): next_key_words
+        without word 2, which one key at a time would hash for nothing."""
+        idx = self._index
+        self._index = idx + 1
+        if not self._lanes:
+            key = self.stream.subkey(self.block, idx)
+            return key, raw64(key, 0)
+        if idx >= self._end:
+            self._refill(idx)
+        i = idx - self._base
+        return self._keys[i], self._words[0][i]
 
     def next_key_words(self) -> tuple[int, int, int]:
         """(key, raw64(key, 0), raw64(key, 2)) for key = self.next_key(),
@@ -215,7 +229,7 @@ def apply_compress(
     if state.coloring is None:
         state.lists[v] = cp.compress_predict(a_mask, outside, state.next_word(0))
     else:
-        key, w0, _ = state.next_key_words()
+        key, w0 = state.next_key_word0()
         state.lists[v] = cp.compress_predict(a_mask, outside, w0)
         draw = cp.compress_draw(a_mask, outside, key, w0)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))

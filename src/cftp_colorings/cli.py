@@ -14,7 +14,6 @@ import os
 import secrets
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import click
@@ -345,6 +344,9 @@ def cmd_bench(delta, n_list, q, runs, seed, workers, max_blocks, out_path):
         for j in range(runs)
     ]
     if workers > 1:
+        # its only use, so no other command pays for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, jobs))
     else:

@@ -6,9 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import chdtrc, ndtr
-
 from . import couplings as cp
 from .colorsets import ColorSet, mask_from
 from .errors import CouplingRegimeError, EnumerationBudgetError
@@ -59,7 +56,7 @@ def goodness_of_fit(samples, universe) -> GofResult:
     coloring and is reported as a hard failure.
     """
     index = {c: i for i, c in enumerate(universe)}
-    counts = np.zeros(len(universe), dtype=np.int64)
+    counts = [0] * len(universe)
     for s in samples:
         i = index.get(tuple(s))
         if i is None:
@@ -74,7 +71,14 @@ def gof_from_counts(counts) -> GofResult:
     `tv` is the plug-in distance, which a perfectly uniform source keeps well
     above zero when cells are sparsely sampled; `tv_pvalue` is the one-sided
     probability, under that uniform source, of a plug-in TV at least as large.
+
+    numpy and scipy load here, on the first call, not when the module is
+    imported: the sampler, ``verification.sample_many`` and the CLI run
+    without them, and importing them costs more than a small sample's set-up.
     """
+    import numpy as np
+    from scipy.special import chdtrc, ndtr
+
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
     m = len(counts)

@@ -155,8 +155,9 @@ FIRST_KEY_WORDS = {
 @pytest.mark.parametrize("master, block", sorted(FIRST_KEY_WORDS))
 def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, block):
     # n = 20 takes one key at a time; n = 400 takes batches of 25 keys, and
-    # 60 indices cross two batch boundaries (idx 25 and 50 are both taken
-    # here), with next_key and next_word taking some indices in between
+    # 60 indices cross two batch boundaries (idx 25 is taken here and idx 50
+    # by next_key_word0), with next_key and next_word taking some indices in
+    # between
     state = bd.BoundingState(gen_cycle(n), 5, SeedStream(master), block)
     assert state._lanes == lanes
     assert state.next_key_words() == FIRST_KEY_WORDS[master, block]
@@ -168,6 +169,8 @@ def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, bl
             assert state.next_key() == key
         elif idx % 7 == 5:
             assert state.next_word(2) == raw64(key, 2)
+        elif idx % 7 == 1:
+            assert state.next_key_word0() == (key, raw64(key, 0))
         else:
             assert state.next_key_words() == (key, raw64(key, 0), raw64(key, 2))
         assert state._index == idx + 1

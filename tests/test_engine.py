@@ -485,22 +485,47 @@ def test_forced_subthreshold_run_still_exact():
     assert goodness_of_fit([r.coloring for r in results], universe).pvalue > 0.001
 
 
-def test_sample_leaves_numpy_unloaded():
+@pytest.mark.parametrize(
+    "code",
+    [
+        # a cycle of 32 vertices takes its keys in batches
+        pytest.param(
+            "from cftp_colorings import bounding, engine, graphs\n"
+            "g = graphs.gen_cycle(32)\n"
+            "assert bounding.BoundingState(g, 9, None, 1)._lanes > 1\n"
+            "engine.sample(g, engine.SamplerConfig(q=9, master_seed=1))\n"
+            "assert not loaded(), loaded()\n",
+            id="engine-sample-batch",
+        ),
+        # the CLI and sample_many load neither; the first goodness-of-fit
+        # call loads both
+        pytest.param(
+            "import cftp_colorings.cli\n"
+            "from cftp_colorings import engine, graphs, oracle, verification\n"
+            "g = graphs.gen_complete(4)\n"
+            "runs = verification.sample_many(g, engine.SamplerConfig(q=13, master_seed=1), 20)\n"
+            "assert not loaded(), loaded()\n"
+            "universe = oracle.enumerate_colorings(g, 13)\n"
+            "gof = oracle.goodness_of_fit([r.coloring for r in runs], universe)\n"
+            "assert gof.n_samples == 20, gof\n"
+            "assert loaded() == ['numpy', 'scipy'], loaded()\n",
+            id="cli-sample-many-then-gof",
+        ),
+    ],
+)
+def test_sample_leaves_numpy_unloaded(code):
     # importing numpy takes longer than the whole set-up of a small sample,
-    # so the sampler, its key batches included, runs on plain ints; a cycle
-    # of 32 vertices takes its keys in batches
+    # so the sampler, its key batches included, runs on plain ints, and
+    # numpy and scipy load only when a statistic is computed
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
+    prelude = (
         "import sys\n"
-        "from cftp_colorings import bounding, engine, graphs\n"
-        "g = graphs.gen_cycle(32)\n"
-        "assert bounding.BoundingState(g, 9, None, 1)._lanes > 1\n"
-        "engine.sample(g, engine.SamplerConfig(q=9, master_seed=1))\n"
-        "print('numpy' in sys.modules)"
+        "def loaded():\n"
+        "    return sorted({'numpy', 'scipy'} & set(sys.modules))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", prelude + code],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
