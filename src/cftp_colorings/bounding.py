@@ -19,7 +19,7 @@ from . import couplings as cp
 from .colorsets import ColorSet, full_mask, iter_colors, members
 from .errors import EngineError
 from .graphs import Graph
-from .seedstream import SeedStream, raw64
+from .seedstream import SeedStream, randint_below, raw64
 
 MAX_LANES = 32  # the widest key batch (see BoundingState)
 
@@ -29,13 +29,14 @@ class BoundingState:
 
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index,
-    ``next_word(d)`` hands out word d of that key in its place, and
-    ``next_key_word0`` and ``next_key_words`` hand out the key with its word
-    0, or with its words 0 and 2. ``updates`` counts the updates applied;
-    the index also advances for the drift's vertex picks, which
-    ``engine.block_steps`` takes, so the two differ. The schedule counts its
-    seeding and disjoint fallbacks here. A built block has no other record:
-    the sampler reads these counts and ``phi`` from its state.
+    ``next_word(d)`` hands out word d of that key in its place,
+    ``next_key_words`` hands out the key with its words 0 and 2, and
+    ``drift_words`` hands out the drift tail's words, two keys per step.
+    ``updates`` counts the updates applied; the index also advances for the
+    drift's vertex picks, which ``engine.block_steps`` takes, so the two
+    differ. The schedule counts its seeding and disjoint fallbacks here. A
+    built block has no other record: the sampler reads these counts and
+    ``phi`` from its state.
 
     On a graph of n >= 32 vertices the state takes its keys, with words 0
     and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
@@ -47,10 +48,11 @@ class BoundingState:
 
     The batch readers are the drift's vertex picks and compress's extra
     color (``next_word(0)``), an all-singleton disjoint update's reserve
-    (``next_word(2)``), a carried compress update (``next_key_word0``; its
-    shuffle hashes word 2 from the key) and a disjoint update's slot layout
-    (``next_key_words``). Every word 0 or 2 that an update reads comes from
-    the state; no update in this module hashes one itself.
+    (``next_word(2)``), a carried compress update (its extra color and its
+    shuffle's first step) and a disjoint update's slot layout
+    (``next_key_words``), and the drift tail, each step's pick word 0 and
+    update word 2 (``drift_words``). Every word 0 or 2 that an update reads
+    comes from the state; no update in this module hashes one itself.
     """
 
     __slots__ = (
@@ -102,19 +104,6 @@ class BoundingState:
             self._refill(idx)
         return self._words[draw][idx - self._base]
 
-    def next_key_word0(self) -> tuple[int, int]:
-        """(key, raw64(key, 0)) for key = self.next_key(): next_key_words
-        without word 2, which one key at a time would hash for nothing."""
-        idx = self._index
-        self._index = idx + 1
-        if not self._lanes:
-            key = self.stream.subkey(self.block, idx)
-            return key, raw64(key, 0)
-        if idx >= self._end:
-            self._refill(idx)
-        i = idx - self._base
-        return self._keys[i], self._words[0][i]
-
     def next_key_words(self) -> tuple[int, int, int]:
         """(key, raw64(key, 0), raw64(key, 2)) for key = self.next_key(),
         the words read from the batch when the state takes its keys in
@@ -130,10 +119,45 @@ class BoundingState:
         words = self._words
         return self._keys[i], words[0][i], words[2][i]
 
+    def drift_words(self, steps: int):
+        """Yield (word 0 of the pick's key, word 2 of the update's key) for
+        each of the next steps drift steps, which take two keys each, the
+        pick's and then the update's. The index advances past all 2 * steps
+        keys at once."""
+        idx = self._index
+        stop = self._index = idx + 2 * steps
+        if not self._lanes:
+            subkey, block = self.stream.subkey, self.block
+            for idx in range(idx, stop, 2):
+                yield raw64(subkey(block, idx), 0), raw64(subkey(block, idx + 1), 2)
+            return
+        while idx < stop:
+            if idx >= self._end:
+                self._refill(idx)
+            base, end = self._base, self._end
+            w0, w2 = self._words[0], self._words[2]
+            i = idx - base
+            # the steps whose two keys both lie in this batch
+            k = 2 * ((min(end, stop) - idx) // 2)
+            yield from zip(w0[i : i + k : 2], w2[i + 1 : i + k : 2])
+            idx += k
+            if idx < stop and idx + 1 == end:
+                # the pick's key is the batch's last; the update's opens the next
+                self._refill(end)
+                yield w0[-1], self._words[2][0]
+                idx += 2
+
+    def all_singletons(self) -> bool:
+        """Whether every list is a singleton: the lists are one coloring."""
+        for m in self.lists:
+            if m.bit_count() != 1:
+                return False
+        return True
+
     @property
     def phi(self) -> tuple[int, ...] | None:
         """The coalesced coloring if every list is a singleton, else None."""
-        if all(m.bit_count() == 1 for m in self.lists):
+        if self.all_singletons():
             return tuple(m.bit_length() - 1 for m in self.lists)
         return None
 
@@ -224,14 +248,14 @@ def apply_compress(
 
     The bounding update reads only word 0; a carried coloring's decode
     needs the key itself for the rest of the draw, and takes the same
-    word 0 for its extra color.
+    word 0 for its extra color and word 2 for its shuffle's first step.
     """
     if state.coloring is None:
         state.lists[v] = cp.compress_predict(a_mask, outside, state.next_word(0))
     else:
-        key, w0 = state.next_key_word0()
+        key, w0, w2 = state.next_key_words()
         state.lists[v] = cp.compress_predict(a_mask, outside, w0)
-        draw = cp.compress_draw(a_mask, outside, key, w0)
+        draw = cp.compress_draw(a_mask, outside, key, w0, w2)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
     state.updates += 1
 
@@ -284,6 +308,35 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
     state.updates += 1
     if state.coloring is not None:
         state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
+
+
+def drift_tail(state: BoundingState, steps: int) -> None:
+    """The last steps of the Phase II drift, run once every list is a
+    singleton and q > max_degree.
+
+    Each step is apply_disjoint's all-singleton update at a picked vertex:
+    the pick is randint_below(word 0, n) of the pick's key, the color is
+    cp.outside_color of the neighbors' colors with word 2 of the update's
+    key, and the lists stay singletons. The steps take the same keys as
+    the same drift steps run one by one (``state.drift_words``) and count
+    as the same updates. A carried coloring must equal the lists' colors;
+    each step then carries its color, checked as every update's is.
+    """
+    lists, q = state.lists, state.q
+    n, adjacency = state.g.n, state.g.adjacency
+    carried = state.coloring is not None
+    if carried and state.coloring != [m.bit_length() - 1 for m in lists]:
+        raise EngineError("carried coloring escaped its singleton bounding lists")
+    for w0, w2 in state.drift_words(steps):
+        v = randint_below(w0, n)
+        m = 0
+        for u in adjacency[v]:
+            m |= lists[u]
+        color = cp.outside_color(m, q, w2)
+        lists[v] = 1 << color
+        if carried:
+            state.carry(v, color)
+    state.updates += steps
 
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:

@@ -213,9 +213,9 @@ def cmd_sample(graph_file, gen_spec, q, n_samples, seed, max_blocks, t2_override
         emit(csv_text(meta, header, rows), out_path)
 
 
-def _unshuffled_compress_draw(a_mask, outside, key, word):
+def _unshuffled_compress_draw(a_mask, outside, key, w0, w2):
     """compress_draw with the shuffle of A left in ascending order."""
-    return cp.compress_draw(a_mask, outside, key, word)._replace(pi=tuple(iter_colors(a_mask)))
+    return cp.compress_draw(a_mask, outside, key, w0, w2)._replace(pi=tuple(iter_colors(a_mask)))
 
 
 def _unshuffled_seeding_predict(s_mask, law, q, key):

@@ -180,9 +180,11 @@ def relaxed_lp_vertices(inst: LPInstance):
 #
 # Draw layout at an update key: draw 0 selects the extra color x' from
 # [q] \ A, draw 1 is the acceptance variate u', draws 2.. drive the
-# Fisher-Yates shuffle of A (ascending order). Every compress update of one
-# cleanup shares A, so the caller builds [q] \ A once (compress_outside) and
-# each update indexes it.
+# Fisher-Yates shuffle of A (ascending order). The caller supplies words 0
+# and 2 (bounding.BoundingState reads them from its key batch when it has
+# one), and the shuffle's steps after the first hash words 3.. from the key.
+# Every compress update of one cleanup shares A, so the caller builds
+# [q] \ A once (compress_outside) and each update indexes it.
 
 
 class CompressDraw(NamedTuple):
@@ -204,13 +206,23 @@ def compress_extra_color(outside: list[int], word: int) -> int:
     return outside[randint_below(word, len(outside))]
 
 
-def compress_draw(a_mask: ColorSet, outside: list[int], key: int, word: int) -> CompressDraw:
-    """The whole draw at key; word is word 0 (raw64(key, 0)), which the
-    caller has already taken for compress_predict."""
-    x_prime = compress_extra_color(outside, word)
+def compress_draw(
+    a_mask: ColorSet, outside: list[int], key: int, w0: int, w2: int
+) -> CompressDraw:
+    """The whole draw at key, given its words 0 and 2 (raw64(key, 0) and
+    raw64(key, 2)); the caller has already taken w0 for compress_predict.
+
+    pi is shuffled(key, 2, A): the Fisher-Yates step 0 reads w2, and the
+    steps after it, which permute the rest of the list, read words 3 on.
+    """
+    x_prime = compress_extra_color(outside, w0)
     u_prime = unit_uniform(key, 1)
-    pi = tuple(shuffled(key, 2, list(iter_colors(a_mask))))
-    return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
+    pi = list(iter_colors(a_mask))
+    if pi:
+        j = randint_below(w2, len(pi))
+        pi[0], pi[j] = pi[j], pi[0]
+        pi[1:] = shuffled(key, 3, pi[1:])
+    return CompressDraw(pi=tuple(pi), x_prime=x_prime, u_prime=u_prime)
 
 
 def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:

@@ -202,12 +202,19 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
     keys; a drift step takes its pick key first, in this generator. So the
     key index after each step depends only on (graph, S, t1, t2), never on
     a draw.
+
+    The drift tail: every n phase 2 drift picks, if every list is a
+    singleton (and q > max_degree), every later drift update would be
+    apply_disjoint's all-singleton one, so this generator runs all the
+    remaining drift steps itself, in bounding.drift_tail, and yields no
+    more. The tail runs every remaining step, with the same keys, draws and
+    update count as the steps run one by one.
     """
-    n = state.g.n
+    n, q = state.g.n, state.q
     s_list = sorted(seed_set.members)
     t2 = config.t2_override
     if t2 is None:
-        t2 = default_t2(n, config.q, state.g.max_degree)
+        t2 = default_t2(n, q, state.g.max_degree)
     preserved: set[int] = set()
     for v in s_list:
         yield 1, v, preserved
@@ -218,12 +225,19 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
         if v not in preserved:
             yield 2, v, preserved
             preserved.add(v)
-    for _ in range(t2):
-        yield 2, randint_below(state.next_word(0), n), None
+    # sweeps of n picks, each after a look for the drift tail (at
+    # q <= max_degree its updates would fall back)
+    for start in range(0, t2, max(n, 1)):
+        if q > state.g.max_degree and state.all_singletons():
+            bd.drift_tail(state, t2 - start)
+            return
+        for _ in range(min(n, t2 - start)):
+            yield 2, randint_below(state.next_word(0), n), None
 
 
 def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:
-    """Run one block's steps (block_steps) on state, to completion.
+    """Run one block's steps (block_steps) on state, to completion; the
+    drift tail, which block_steps runs itself, is every remaining step.
 
     A seeding or disjoint update whose parameter regime is infeasible falls
     back, by one rule in both phases, to compressing v against the

@@ -92,7 +92,7 @@ def compress_suite(
     outside = cp.compress_outside(a_mask, q)
 
     def predict(key):
-        d = draw(a_mask, outside, key, raw64(key, 0))
+        d = draw(a_mask, outside, key, raw64(key, 0), raw64(key, 2))
         return a_mask | 1 << d.x_prime, d
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]

@@ -155,9 +155,8 @@ FIRST_KEY_WORDS = {
 @pytest.mark.parametrize("master, block", sorted(FIRST_KEY_WORDS))
 def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, block):
     # n = 20 takes one key at a time; n = 400 takes batches of 25 keys, and
-    # 60 indices cross two batch boundaries (idx 25 is taken here and idx 50
-    # by next_key_word0), with next_key and next_word taking some indices in
-    # between
+    # 60 indices cross two batch boundaries (idx 25 and idx 50 are taken
+    # here), with next_key and next_word taking some indices in between
     state = bd.BoundingState(gen_cycle(n), 5, SeedStream(master), block)
     assert state._lanes == lanes
     assert state.next_key_words() == FIRST_KEY_WORDS[master, block]
@@ -169,8 +168,6 @@ def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, bl
             assert state.next_key() == key
         elif idx % 7 == 5:
             assert state.next_word(2) == raw64(key, 2)
-        elif idx % 7 == 1:
-            assert state.next_key_word0() == (key, raw64(key, 0))
         else:
             assert state.next_key_words() == (key, raw64(key, 0), raw64(key, 2))
         assert state._index == idx + 1
@@ -434,6 +431,20 @@ def test_lists_never_empty_through_block():
         # every update's list held the color decoded into it
         assert len(state.sizes) == state.updates > 0
         assert min(state.sizes) >= 1
+
+
+def test_drift_tail_rejects_a_coloring_outside_its_lists():
+    # the tail checks once, at its start, that the carried coloring is the
+    # coloring the singleton lists give
+    g = gen_cycle(4)
+    state = bd.BoundingState(g, 5, SeedStream(46), 1, coloring=[0, 1, 0, 2])
+    state.lists = [1 << c for c in (0, 1, 0, 1)]
+    with pytest.raises(EngineError, match="escaped its singleton bounding lists"):
+        bd.drift_tail(state, 3)
+    state.coloring = [0, 1, 0, 1]
+    bd.drift_tail(state, 3)
+    assert state.coloring == [m.bit_length() - 1 for m in state.lists]
+    assert state.updates == 3 and state._index == 6
 
 
 def test_replay_rejects_color_escaping_its_list(monkeypatch):

@@ -12,7 +12,7 @@ from cftp_colorings import verification as vf
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
 from cftp_colorings.graphs import build_graph
-from cftp_colorings.seedstream import SeedStream, raw64, unit_uniform
+from cftp_colorings.seedstream import SeedStream, raw64, shuffled, unit_uniform
 
 STREAM = SeedStream(99)
 
@@ -94,10 +94,22 @@ def test_compress_draw_matches_predict():
     for j in range(100):
         key = STREAM.subkey(4, j)
         predicted = cp.compress_predict(a, outside, raw64(key, 0))
-        draw = cp.compress_draw(a, outside, key, raw64(key, 0))
+        draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
         assert draw.x_prime == cp.compress_extra_color(outside, raw64(key, 0))
         assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("a_colors", [[], [7], [4, 5, 6], list(range(0, 64, 2))])
+def test_compress_draw_shuffle_is_shuffled_from_draw_2(a_colors):
+    # step 0 of the shuffle reads the given word 2 and the later steps hash
+    # words 3.. from the key: the permutation shuffled(key, 2, A) gives
+    a = mask_from(a_colors)
+    outside = cp.compress_outside(a, 70)
+    for j in range(200):
+        key = STREAM.subkey(21, j)
+        draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
+        assert draw.pi == tuple(shuffled(key, 2, a_colors))
 
 
 # (q, |A|) at the benchmark workloads' palettes, and one wider than two words
@@ -127,7 +139,7 @@ def test_compress_outside_needs_a_free_color():
 def test_compress_blocked_larger_than_reference_rejected():
     a = mask_from([0, 1])
     key = STREAM.subkey(5, 0)
-    draw = cp.compress_draw(a, cp.compress_outside(a, 6), key, raw64(key, 0))
+    draw = cp.compress_draw(a, cp.compress_outside(a, 6), key, raw64(key, 0), raw64(key, 2))
     with pytest.raises(EngineError):
         cp.compress_decode(a, 6, draw, mask_from([2, 3, 4]))
 
@@ -140,7 +152,7 @@ def test_compress_blocked_larger_than_reference_rejected():
 def test_compress_containment_and_availability(blocked, j):
     a = mask_from([0, 1, 2])
     key = STREAM.subkey(6, j)
-    draw = cp.compress_draw(a, cp.compress_outside(a, 9), key, raw64(key, 0))
+    draw = cp.compress_draw(a, cp.compress_outside(a, 9), key, raw64(key, 0), raw64(key, 2))
     blocked_mask = mask_from(blocked)
     out = cp.compress_decode(a, 9, draw, blocked_mask)
     assert not blocked_mask >> out & 1

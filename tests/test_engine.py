@@ -20,7 +20,7 @@ from cftp_colorings.graphs import (
     gen_single_vertex,
 )
 from cftp_colorings.oracle import enumerate_colorings, goodness_of_fit
-from cftp_colorings.seedstream import SeedStream
+from cftp_colorings.seedstream import SeedStream, raw64
 from cftp_colorings.verification import sample_many
 
 
@@ -256,6 +256,87 @@ def test_block_update_budget():
     # a Phase II drift step makes one
     per = 6 + 1
     assert block.updates <= len(part) * per + t1 * per + (g.n - len(part)) * per + t2
+
+
+# ---------------------------------------------------------------------------
+# the drift tail
+# ---------------------------------------------------------------------------
+
+# (graph, q, t2, parity of the tail's first key): 20 vertices take one key
+# at a time; 33 and 34 vertices take batches of 2 keys, so a tail starting
+# at an odd key has every step's pick and update keys in two batches, and
+# one starting at an even key never does
+TAIL_FIXTURES = [
+    (gen_random_regular(20, 4, seed=1), 17, 300, None),
+    (gen_random_regular(33, 4, seed=1), 17, 400, 1),
+    (gen_random_regular(34, 4, seed=1), 17, 400, 0),
+]
+TAIL_IDS = ["one-key", "batch-odd-start", "batch-even-start"]
+
+
+def tail_run(monkeypatch, graph, q, t2, omega):
+    """Block 1 at master seed 3, built, or replayed from the proper coloring
+    omega: the keys at which the tail started, and the state's lists,
+    coloring, update count and key index at the end."""
+    cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
+    stream = SeedStream(3)
+    part = engine.lll_partition(graph, stream)
+    starts, tail = [], bd.drift_tail
+
+    def recorded(state, steps):
+        starts.append(state._index)
+        tail(state, steps)
+
+    monkeypatch.setattr(bd, "drift_tail", recorded)
+    state = bd.BoundingState(graph, q, stream, 1, coloring=omega)
+    engine.run_schedule(state, part, cfg)
+    return starts, (state.lists, state.coloring, state.updates, state._index)
+
+
+def tail_mismatches(monkeypatch, graph, q, t2, carried):
+    """The tail's start keys, and the fields of the final state in which the
+    block run with the tail differs from it run with the tail turned off.
+    A carried run replays the block from block 2's coalesced coloring."""
+    omega = None
+    if carried:
+        cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
+        stream = SeedStream(3)
+        part = engine.lll_partition(graph, stream)
+        omega = engine.construct_block(graph, part, cfg, 2, stream).phi
+        assert omega is not None
+    with monkeypatch.context() as m:
+        starts, on = tail_run(m, graph, q, t2, omega)
+    with monkeypatch.context() as m:
+        m.setattr(bd.BoundingState, "all_singletons", lambda self: False)
+        no_starts, off = tail_run(m, graph, q, t2, omega)
+    assert no_starts == []
+    names = ("lists", "coloring", "updates", "_index")
+    return starts, [name for name, a, b in zip(names, on, off) if a != b]
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["built", "carried"])
+@pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES, ids=TAIL_IDS)
+def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, parity, carried):
+    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2, carried)
+    assert len(starts) == 1
+    assert parity is None or starts[0] % 2 == parity
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES[:2], ids=TAIL_IDS[:2])
+def test_tail_check_catches_word_2_read_from_the_pick_key(monkeypatch, graph, q, t2, parity):
+    """Negative control: the tail takes the same keys, but hashes the
+    update's word 2 under the pick's key."""
+
+    def pick_key_words(state, steps):
+        for _ in range(steps):
+            key = state.next_key()
+            state.next_key()
+            yield raw64(key, 0), raw64(key, 2)
+
+    monkeypatch.setattr(bd.BoundingState, "drift_words", pick_key_words)
+    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2, False)
+    assert starts and "lists" in mismatches and "_index" not in mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ that happens to share it, gets through.
 
 Outside the methods of ``bounding.BoundingState``, nothing in
 ``bounding.py`` names ``raw64``, so every word 0 or 2 that an update reads
-comes from the state, which reads its key batch when it has one.
+comes from the state, which reads its key batch when it has one. Nor does
+anything in ``bounding.py`` or ``engine.py`` outside that class name the
+batch's internals (BATCH_INTERNALS), so the drift tail, too, reads its
+words through the state.
 """
 
 import ast
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # a public result field: the golden runs pin it and NoCoalescenceError.stats carries it
 FIELD_EXEMPT = {"SampleResult.degraded_blocks"}
 SAMPLER_MODULES = ("engine", "bounding", "couplings", "seedstream", "colorsets", "graphs")
+BATCH_INTERNALS = ("_keys", "_words", "_refill")
 
 
 def name_lines(path: Path) -> dict[str, list[int]]:
@@ -274,3 +278,31 @@ def test_word_reads_outside_the_state_are_flagged(tmp_path):
         "    return raw64(key, 0)\n"
     )
     assert names_outside_class(mod, "raw64", "BoundingState") == [10, 15]
+
+
+def test_batch_internals_are_read_only_inside_the_state():
+    src = ROOT / "src" / "cftp_colorings"
+    found = [
+        (path, name, line)
+        for path in ("bounding.py", "engine.py")
+        for name in BATCH_INTERNALS
+        for line in names_outside_class(src / path, name, "BoundingState")
+    ]
+    assert found == []
+
+
+def test_batch_reads_outside_the_state_are_flagged(tmp_path):
+    # the last function is a tail reading the pick words from the batch itself
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class BoundingState:\n"
+        "    def _refill(self, idx):\n"
+        "        self._keys, self._words = (), {}\n"
+        "\n"
+        "\n"
+        "def drift_tail(state, steps):\n"
+        "    state._refill(state._index)\n"
+        "    return state._words[0][:steps]\n"
+    )
+    found = {name: names_outside_class(mod, name, "BoundingState") for name in BATCH_INTERNALS}
+    assert found == {"_keys": [], "_words": [8], "_refill": [7]}

@@ -49,7 +49,8 @@ def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
     """Wrap engine.block_steps to predict the key index from the steps alone:
     +1 for a drift pick, +k for a cleanup's k targets and +1 for the update.
     Returns the built block's state, the step count, and the steps at whose
-    start or end state._index differs from the prediction."""
+    start or end state._index differs from the prediction. The drift tail's
+    steps are not yielded, so they are not counted here."""
     inner = engine.block_steps
     steps, mismatches = 0, []
 
@@ -76,13 +77,19 @@ def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
 
 FIXTURES = [
     # 20 vertices: keys one at a time through SeedStream.subkey
-    (gen_random_regular(20, 6, seed=5), 18, 140, False),
+    (gen_random_regular(20, 6, seed=5), 18, 140, False, False),
     # 64 vertices, so keys come in batches; the seeding phase runs, so its
     # keys are counted too
-    (gen_complete_bipartite(32), 105, 300, False),
+    (gen_complete_bipartite(32), 105, 300, False, False),
     # seeding and disjoint updates fall back to compress, so the fallbacks'
     # keys are too
-    (gen_complete_bipartite(32), 66, 50, True),
+    (gen_complete_bipartite(32), 66, 50, True, False),
+    # every list is a singleton 140 keys in, so the drift's last 260 steps
+    # run in the tail, one key at a time
+    (gen_random_regular(20, 4, seed=1), 17, 300, False, True),
+    # 33 vertices take batches of 2 keys; the tail starts at key 297, so
+    # every one of its steps has its pick and update keys in two batches
+    (gen_random_regular(33, 4, seed=1), 17, 400, False, True),
 ]
 
 
@@ -126,15 +133,19 @@ def key_faults(state, computed, master):
 
 
 def test_fixtures_take_both_key_paths():
-    lanes = [bounding.BoundingState(g, q, None, 1)._lanes for g, q, _, _ in FIXTURES]
-    assert lanes[0] == 0 and lanes[1] > 1
+    lanes = [bounding.BoundingState(g, q, None, 1)._lanes for g, q, *_ in FIXTURES]
+    assert lanes[0] == lanes[3] == 0 and lanes[1] > 1 and lanes[4] > 1
 
 
 @pytest.mark.parametrize(
-    "graph, q, t2, seeding_falls_back", FIXTURES,
-    ids=["regular-d6", "k3232-phase1", "k3232-fallback"],
+    "graph, q, t2, seeding_falls_back, reaches_tail", FIXTURES,
+    ids=[
+        "regular-d6", "k3232-phase1", "k3232-fallback", "regular-d4-tail", "regular-d4-batch-tail",
+    ],
 )
-def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_falls_back):
+def test_every_block_key_goes_through_subkey(
+    monkeypatch, graph, q, t2, seeding_falls_back, reaches_tail
+):
     # perfbench's seed-stream layer times the seed stream by wrapping its
     # methods, so its figures hold only while no key bypasses subkey and
     # its batch subkeys
@@ -142,18 +153,28 @@ def test_every_block_key_goes_through_subkey(monkeypatch, graph, q, t2, seeding_
     stream = seedstream.SeedStream(config.master_seed)
     seed_set = engine.lll_partition(graph, stream)
     computed = record_stream_keys(monkeypatch, stream, 1)
+    tails, tail = [], bounding.drift_tail
+
+    def counted_tail(state, steps):
+        tails.append(steps)
+        tail(state, steps)
+
+    monkeypatch.setattr(bounding, "drift_tail", counted_tail)
     state, steps, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
     assert state.updates > 0 and steps > 0
     assert (state.seeding_fallbacks > 0) == seeding_falls_back
+    assert bool(tails) == reaches_tail
     assert key_faults(state, computed, config.master_seed) == []
     # block_steps' key facts: the index after every step follows from the
-    # steps alone, fallbacks included
+    # steps alone, fallbacks included, and every update and every drift
+    # pick took one key, the tail's included
     assert mismatches == []
+    assert state._index == state.updates + engine.default_t1(len(seed_set)) + t2
 
 
 def test_key_check_catches_a_batch_one_key_late(monkeypatch):
     """Negative control: every batch starts one key past the index asked for."""
-    graph, q, t2, _ = FIXTURES[1]
+    graph, q, t2, *_ = FIXTURES[1]
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
     seed_set = engine.lll_partition(graph, stream)
@@ -170,7 +191,7 @@ def test_key_check_catches_a_batch_one_key_late(monkeypatch):
 def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch):
     """Negative control: a failed update takes a key before it raises, so
     its fallback's compress update takes a second one."""
-    graph, q, t2, _ = FIXTURES[2]
+    graph, q, t2, *_ = FIXTURES[2]
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
     seed_set = engine.lll_partition(graph, stream)
