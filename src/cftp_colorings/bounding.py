@@ -311,31 +311,26 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
 
 
 def drift_tail(state: BoundingState, steps: int) -> None:
-    """The last steps of the Phase II drift, run once every list is a
-    singleton and q > max_degree.
+    """The last steps of the Phase II drift of a built block, run once every
+    list is a singleton and q > max_degree.
 
     Each step is apply_disjoint's all-singleton update at a picked vertex:
     the pick is randint_below(word 0, n) of the pick's key, the color is
     cp.outside_color of the neighbors' colors with word 2 of the update's
     key, and the lists stay singletons. The steps take the same keys as
     the same drift steps run one by one (``state.drift_words``) and count
-    as the same updates. A carried coloring must equal the lists' colors;
-    each step then carries its color, checked as every update's is.
+    as the same updates. A block that reaches the tail coalesces, and the
+    sampler replays only blocks that did not, so the tail never carries a
+    coloring (engine.block_steps).
     """
     lists, q = state.lists, state.q
     n, adjacency = state.g.n, state.g.adjacency
-    carried = state.coloring is not None
-    if carried and state.coloring != [m.bit_length() - 1 for m in lists]:
-        raise EngineError("carried coloring escaped its singleton bounding lists")
     for w0, w2 in state.drift_words(steps):
         v = randint_below(w0, n)
         m = 0
         for u in adjacency[v]:
             m |= lists[u]
-        color = cp.outside_color(m, q, w2)
-        lists[v] = 1 << color
-        if carried:
-            state.carry(v, color)
+        lists[v] = 1 << cp.outside_color(m, q, w2)
     state.updates += steps
 
 

@@ -22,7 +22,7 @@ Three constructions are provided:
   reserve color (draw 2), without building the layout.
 
 Every color set a coupling takes or returns is an int mask (colorsets), the
-disjoint pairs included; only a drawn permutation or prefix is a sequence,
+disjoint pairs included; only a drawn permutation or prefix is ordered,
 since its order is the draw. Each coupling draws one color uniformly outside
 a mask (compress's extra color, seeding's free color, disjoint's reserve),
 and outside_color is the one rule for it; compress applies the same rule to
@@ -39,15 +39,15 @@ times cheaper to build.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
 from math import comb
 from typing import NamedTuple
 
 from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_color
 from .errors import CouplingRegimeError, EngineError
-from .seedstream import (
-    randint_below, raw64, shuffled, shuffled_prefix, unit_from_word, unit_uniform,
-)
+from .seedstream import randint_below, raw64, shuffle_walk, unit_from_word, unit_uniform
 
 # Slack a feasibility row may exceed its bound by, for float rounding: the float
 # seeding law exceeds an exact row by up to 5.4e-17 at 434 of the 1081
@@ -182,13 +182,15 @@ def relaxed_lp_vertices(inst: LPInstance):
 # [q] \ A, draw 1 is the acceptance variate u', draws 2.. drive the
 # Fisher-Yates shuffle of A (ascending order). The caller supplies words 0
 # and 2 (bounding.BoundingState reads them from its key batch when it has
-# one), and the shuffle's steps after the first hash words 3.. from the key.
+# one). The shuffle is a walk: step i >= 1 hashes word 2 + i from the key
+# only when the decode asks for color i.
 # Every compress update of one cleanup shares A, so the caller builds
 # [q] \ A once (compress_outside) and each update indexes it.
 
 
 class CompressDraw(NamedTuple):
-    pi: tuple[int, ...]
+    # shuffled(key, 2, A): compress_draw's one-pass walk, or any sequence
+    pi: Iterable[int]
     x_prime: int
     u_prime: float
 
@@ -212,17 +214,13 @@ def compress_draw(
     """The whole draw at key, given its words 0 and 2 (raw64(key, 0) and
     raw64(key, 2)); the caller has already taken w0 for compress_predict.
 
-    pi is shuffled(key, 2, A): the Fisher-Yates step 0 reads w2, and the
-    steps after it, which permute the rest of the list, read words 3 on.
+    pi walks shuffled(key, 2, A): step 0 reads w2, step i >= 1 hashes word
+    2 + i when color i is asked for. To decode a draw twice, tuple pi first.
     """
     x_prime = compress_extra_color(outside, w0)
     u_prime = unit_uniform(key, 1)
-    pi = list(iter_colors(a_mask))
-    if pi:
-        j = randint_below(w2, len(pi))
-        pi[0], pi[j] = pi[j], pi[0]
-        pi[1:] = shuffled(key, 3, pi[1:])
-    return CompressDraw(pi=tuple(pi), x_prime=x_prime, u_prime=u_prime)
+    pi = shuffle_walk(iter_colors(a_mask), chain((w2,), map(raw64, repeat(key), count(3))))
+    return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
 
 
 def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:
@@ -237,7 +235,7 @@ def compress_accept(q, delta: int, n_blocked: int):
 
 def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: ColorSet) -> int:
     """Color for the realized blocked set; uniform on [q] \\ blocked."""
-    delta = len(draw.pi)
+    delta = a_mask.bit_count()
     n_blocked = blocked.bit_count()
     if n_blocked > delta:
         raise EngineError(f"blocked set of size {n_blocked} exceeds |A| = {delta}")
@@ -325,7 +323,8 @@ def seeding_predict(
     k = _draw_size(law, key)
     if k - 1 > s_size:
         raise EngineError(f"size law asks for {k - 1} slack colors, only {s_size} exist")
-    prefix = tuple(shuffled_prefix(key, 3, members(s_mask), k - 1))
+    words = map(raw64, repeat(key), count(3))
+    prefix = tuple(islice(shuffle_walk(members(s_mask), words), k - 1))
     draw = SeedingDraw(prefix=prefix, c0=c0, u_prime=u_prime)
     return mask_from(prefix) | 1 << c0, draw
 

@@ -203,12 +203,13 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
     key index after each step depends only on (graph, S, t1, t2), never on
     a draw.
 
-    The drift tail: every n phase 2 drift picks, if every list is a
-    singleton (and q > max_degree), every later drift update would be
-    apply_disjoint's all-singleton one, so this generator runs all the
+    The drift tail: every n phase 2 drift picks of a built block, if every
+    list is a singleton (and q > max_degree), every later drift update would
+    be apply_disjoint's all-singleton one, so this generator runs all the
     remaining drift steps itself, in bounding.drift_tail, and yields no
-    more. The tail runs every remaining step, with the same keys, draws and
-    update count as the steps run one by one.
+    more, with the same keys, draws and update count as the steps run one
+    by one. Such a block coalesces, and sample() replays only blocks that
+    did not; a carried run of one runs the same steps one by one.
     """
     n, q = state.g.n, state.q
     s_list = sorted(seed_set.members)
@@ -227,8 +228,9 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
             preserved.add(v)
     # sweeps of n picks, each after a look for the drift tail (at
     # q <= max_degree its updates would fall back)
+    tail = state.coloring is None and q > state.g.max_degree
     for start in range(0, t2, max(n, 1)):
-        if q > state.g.max_degree and state.all_singletons():
+        if tail and state.all_singletons():
             bd.drift_tail(state, t2 - start)
             return
         for _ in range(min(n, t2 - start)):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import count, repeat
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -141,22 +142,24 @@ def randint_below(word: int, n: int) -> int:
     return (word * n) >> 64
 
 
-def shuffled(key: int, first_draw: int, items: list) -> list:
-    """Fisher-Yates permutation of items, consuming len(items)-1 draws."""
-    return shuffled_prefix(key, first_draw, items, len(items))
+def shuffle_walk(items, words):
+    """Yield the Fisher-Yates permutation of items one element at a time,
+    taking step i's word from words only when element i is asked for.
 
-
-def shuffled_prefix(key: int, first_draw: int, items: list, k: int) -> list:
-    """First k elements of shuffled(key, first_draw, items).
-
-    Element i of the permutation is fixed after step i, so a prefix needs
-    only its own draws. Step i swaps in ``randint_below(raw64(key,
-    first_draw + i), m - i)``, written out so each step costs one call.
+    Step i swaps in ``randint_below(word, m - i)``, written out so each step
+    costs one call. Element i is fixed after step i, so a prefix needs only
+    its own words, and a whole walk takes len(items) - 1.
     """
     out = list(items)
     m = len(out)
-    k = min(k, m)
-    for i in range(min(k, m - 1)):
-        j = i + ((raw64(key, first_draw + i) * (m - i)) >> 64)
+    for i, word in zip(range(m - 1), words):
+        j = i + ((word * (m - i)) >> 64)
         out[i], out[j] = out[j], out[i]
-    return out[:k]
+        yield out[i]
+    if m:
+        yield out[-1]
+
+
+def shuffled(key: int, first_draw: int, items) -> list:
+    """Fisher-Yates permutation of items, from draws first_draw on under key."""
+    return list(shuffle_walk(items, map(raw64, repeat(key), count(first_draw))))

@@ -92,8 +92,9 @@ def compress_suite(
     outside = cp.compress_outside(a_mask, q)
 
     def predict(key):
+        # one draw is decoded against every blocked set: walk its shuffle once
         d = draw(a_mask, outside, key, raw64(key, 0), raw64(key, 2))
-        return a_mask | 1 << d.x_prime, d
+        return a_mask | 1 << d.x_prime, d._replace(pi=tuple(d.pi))
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
     containment, marginals, _ = _decode_marginals(

@@ -433,20 +433,6 @@ def test_lists_never_empty_through_block():
         assert min(state.sizes) >= 1
 
 
-def test_drift_tail_rejects_a_coloring_outside_its_lists():
-    # the tail checks once, at its start, that the carried coloring is the
-    # coloring the singleton lists give
-    g = gen_cycle(4)
-    state = bd.BoundingState(g, 5, SeedStream(46), 1, coloring=[0, 1, 0, 2])
-    state.lists = [1 << c for c in (0, 1, 0, 1)]
-    with pytest.raises(EngineError, match="escaped its singleton bounding lists"):
-        bd.drift_tail(state, 3)
-    state.coloring = [0, 1, 0, 1]
-    bd.drift_tail(state, 3)
-    assert state.coloring == [m.bit_length() - 1 for m in state.lists]
-    assert state.updates == 3 and state._index == 6
-
-
 def test_replay_rejects_color_escaping_its_list(monkeypatch):
     # negative control for the inline containment check: a disjoint decode
     # that returns a color outside the predicted set must stop the re-run

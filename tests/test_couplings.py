@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import oracle
+from cftp_colorings import seedstream as ss
 from cftp_colorings import verification as vf
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EngineError
@@ -109,7 +111,82 @@ def test_compress_draw_shuffle_is_shuffled_from_draw_2(a_colors):
     for j in range(200):
         key = STREAM.subkey(21, j)
         draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
-        assert draw.pi == tuple(shuffled(key, 2, a_colors))
+        assert tuple(draw.pi) == tuple(shuffled(key, 2, a_colors))
+
+
+def recorded_shuffle_words(monkeypatch):
+    """The draw indices of the shuffle words (draws 3 on) that couplings or
+    seedstream hash from now on; a SeedStream's keys are words too, so a
+    caller clears the record after taking a key."""
+    drawn = []
+
+    def recorded(key, draw):
+        if draw >= 3:
+            drawn.append(draw)
+        return raw64(key, draw)
+
+    monkeypatch.setattr(cp, "raw64", recorded)
+    monkeypatch.setattr(ss, "raw64", recorded)
+    return drawn
+
+
+# A = 32 even colors, at the regular-d32 workload's degree
+LAZY_A = list(range(0, 64, 2))
+LAZY_Q = 105
+
+
+def test_compress_decode_hashes_no_shuffle_word_when_it_accepts_x_prime(monkeypatch):
+    a = mask_from(LAZY_A)
+    outside = cp.compress_outside(a, LAZY_Q)
+    drawn = recorded_shuffle_words(monkeypatch)
+    accepted = 0
+    for j in range(200):
+        key = STREAM.subkey(22, j)
+        drawn.clear()
+        draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
+        # x' free, and A's first two colors blocked
+        out = cp.compress_decode(a, LAZY_Q, draw, mask_from(LAZY_A[:2]))
+        if out == draw.x_prime:
+            accepted += 1
+            assert drawn == []
+    assert accepted > 100
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 15, 30, 31])
+def test_compress_decode_hashes_the_shuffle_only_up_to_the_color_it_reads(monkeypatch, i):
+    # x' and the shuffle's first i colors blocked: the decode reads color i,
+    # and the walk hashes the words of steps 1..min(i, delta - 2) alone
+    a = mask_from(LAZY_A)
+    delta = len(LAZY_A)
+    outside = cp.compress_outside(a, LAZY_Q)
+    drawn = recorded_shuffle_words(monkeypatch)
+    for j in range(20):
+        key = STREAM.subkey(23, j)
+        full = shuffled(key, 2, LAZY_A)
+        x_prime = cp.compress_extra_color(outside, raw64(key, 0))
+        drawn.clear()
+        draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
+        assert drawn == []
+        out = cp.compress_decode(a, LAZY_Q, draw, mask_from(full[:i]) | 1 << x_prime)
+        assert out == full[i]
+        assert drawn == [2 + step for step in range(1, min(i, delta - 2) + 1)]
+        walk = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2)).pi
+        assert list(islice(walk, i + 1)) == full[: i + 1]
+
+
+def test_compress_walk_read_whole_hashes_every_shuffle_step(monkeypatch):
+    # negative control: the count sees the walk's words when it takes them
+    a = mask_from(LAZY_A)
+    outside = cp.compress_outside(a, LAZY_Q)
+    drawn = recorded_shuffle_words(monkeypatch)
+    key = STREAM.subkey(24, 0)
+    drawn.clear()
+    draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
+    assert drawn == []
+    walked = tuple(draw.pi)
+    # steps 0..delta-2, step 0 on the given word 2
+    assert drawn == list(range(3, 3 + len(LAZY_A) - 2))
+    assert walked == tuple(shuffled(key, 2, LAZY_A))
 
 
 # (q, |A|) at the benchmark workloads' palettes, and one wider than two words

@@ -293,22 +293,15 @@ def tail_run(monkeypatch, graph, q, t2, omega):
     return starts, (state.lists, state.coloring, state.updates, state._index)
 
 
-def tail_mismatches(monkeypatch, graph, q, t2, carried):
-    """The tail's start keys, and the fields of the final state in which the
-    block run with the tail differs from it run with the tail turned off.
-    A carried run replays the block from block 2's coalesced coloring."""
-    omega = None
-    if carried:
-        cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
-        stream = SeedStream(3)
-        part = engine.lll_partition(graph, stream)
-        omega = engine.construct_block(graph, part, cfg, 2, stream).phi
-        assert omega is not None
+def tail_mismatches(monkeypatch, graph, q, t2):
+    """The tail's start keys in a built run of the block, and the fields of
+    the final state in which the run with the tail differs from it run with
+    the tail turned off."""
     with monkeypatch.context() as m:
-        starts, on = tail_run(m, graph, q, t2, omega)
+        starts, on = tail_run(m, graph, q, t2, None)
     with monkeypatch.context() as m:
         m.setattr(bd.BoundingState, "all_singletons", lambda self: False)
-        no_starts, off = tail_run(m, graph, q, t2, omega)
+        no_starts, off = tail_run(m, graph, q, t2, None)
     assert no_starts == []
     names = ("lists", "coloring", "updates", "_index")
     return starts, [name for name, a, b in zip(names, on, off) if a != b]
@@ -317,10 +310,59 @@ def tail_mismatches(monkeypatch, graph, q, t2, carried):
 @pytest.mark.parametrize("carried", [False, True], ids=["built", "carried"])
 @pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES, ids=TAIL_IDS)
 def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, parity, carried):
-    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2, carried)
-    assert len(starts) == 1
-    assert parity is None or starts[0] % 2 == parity
-    assert mismatches == []
+    if not carried:
+        starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2)
+        assert len(starts) == 1
+        assert parity is None or starts[0] % 2 == parity
+        assert mismatches == []
+        return
+    # a replay of the block from block 2's coalesced coloring starts no
+    # tail: it runs the same steps one by one, and ends where the built
+    # run, which took the tail, ends, carrying the built block's phi
+    cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
+    stream = SeedStream(3)
+    part = engine.lll_partition(graph, stream)
+    omega = engine.construct_block(graph, part, cfg, 2, stream).phi
+    assert omega is not None
+    with monkeypatch.context() as m:
+        starts, (lists, coloring, updates, index) = tail_run(m, graph, q, t2, omega)
+    with monkeypatch.context() as m:
+        built_starts, (built_lists, _, built_updates, built_index) = tail_run(
+            m, graph, q, t2, None
+        )
+    assert starts == [] and len(built_starts) == 1
+    assert (lists, updates, index) == (built_lists, built_updates, built_index)
+    assert tuple(coloring) == engine.construct_block(graph, part, cfg, 1, stream).phi
+
+
+def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
+    # why the tail needs no carried mode: a block's lists stay singletons
+    # once they all are, so a block that takes the tail coalesces, and
+    # sample() replays only blocks that did not
+    tailed, tail = [], bd.drift_tail
+
+    def recorded(state, steps):
+        tailed.append(state)
+        tail(state, steps)
+
+    monkeypatch.setattr(bd, "drift_tail", recorded)
+    # the forced-d6 graph of the golden cases, where about one block in
+    # four fails to coalesce, then the tail fixtures
+    fixtures = [(gen_random_regular(20, 6, seed=5), 18, 140, 200)]
+    fixtures += [(graph, q, t2, 40) for graph, q, t2, _ in TAIL_FIXTURES]
+    took_tail = failed = 0
+    for graph, q, t2, blocks in fixtures:
+        cfg = engine.SamplerConfig(q=q, master_seed=5, force=True, t2_override=t2)
+        stream = SeedStream(5)
+        part = engine.lll_partition(graph, stream)
+        for t in range(1, blocks + 1):
+            tailed.clear()
+            block = engine.construct_block(graph, part, cfg, t, stream)
+            assert tailed in ([], [block])
+            assert not tailed or block.phi is not None
+            took_tail += bool(tailed)
+            failed += block.phi is None
+    assert took_tail > 100 and failed > 10
 
 
 @pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES[:2], ids=TAIL_IDS[:2])
@@ -335,7 +377,7 @@ def test_tail_check_catches_word_2_read_from_the_pick_key(monkeypatch, graph, q,
             yield raw64(key, 0), raw64(key, 2)
 
     monkeypatch.setattr(bd.BoundingState, "drift_words", pick_key_words)
-    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2, False)
+    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2)
     assert starts and "lists" in mismatches and "_index" not in mismatches
 
 

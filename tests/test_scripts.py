@@ -32,3 +32,18 @@ def test_uniformity_demo_rejects_no_samples():
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert "--samples" in r.stderr
+
+
+def test_replay_cost_runs():
+    r = run_script(
+        "replay_cost.py", "--gen", "regular:20,6,5", "--q", "18", "--t2", "140", "--seeds", "1,3"
+    )
+    assert r.returncode == 0, r.stderr
+    rows = [line for line in r.stdout.splitlines() if line.startswith("seed=")]
+    assert len(rows) == 2
+    for row in rows:
+        fields = dict(f.split("=") for f in row.split())
+        assert float(fields["built_s"]) > 0 and float(fields["carried_s"]) > 0
+        assert int(fields["compress_decodes"]) > 0
+        assert 0 < float(fields["read_pi"]) <= 1
+        assert float(fields["read_pi"]) <= float(fields["mean_colors_read"]) <= 6

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import count, islice, permutations
 
 import numpy as np
 import pytest
@@ -101,11 +101,16 @@ def test_permutation_three_elements_chi_square():
 
 
 def test_shuffled_prefix_matches_full_shuffle():
+    # a walk's first k elements are the full shuffle's, and take only the
+    # words of their own steps: at most k, and none for the last element
     items = list(range(9))
     key = STREAM.subkey(8, 0)
     full = ss.shuffled(key, 0, items)
     for k in range(10):
-        assert ss.shuffled_prefix(key, 0, items, k) == full[: min(k, 9)]
+        taken = []
+        words = (taken.append(d) or ss.raw64(key, d) for d in count())
+        assert list(islice(ss.shuffle_walk(items, words), k)) == full[:k]
+        assert taken == list(range(min(k, 8)))
 
 
 @given(
