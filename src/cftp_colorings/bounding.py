@@ -15,8 +15,10 @@ ones in ``cleanup``, all of v's in a fallback.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import couplings as cp
-from .colorsets import ColorSet, full_mask, iter_colors, members
+from .colorsets import ColorSet, full_mask, iter_colors, members, nth_outside
 from .errors import EngineError
 from .graphs import Graph
 from .seedstream import SeedStream, randint_below, raw64
@@ -30,7 +32,8 @@ class BoundingState:
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index,
     ``next_word(d)`` hands out word d of that key in its place,
-    ``next_key_words`` hands out the key with its words 0 and 2, and
+    ``next_key_words`` hands out the key with its words 0 and 2,
+    ``next_words0(k)`` hands out word 0 of the next k keys, and
     ``drift_words`` hands out the drift tail's words, two keys per step.
     ``updates`` counts the updates applied; the index also advances for the
     drift's vertex picks, which ``engine.block_steps`` takes, so the two
@@ -46,12 +49,13 @@ class BoundingState:
     block is short while its peak memory is small enough that fixed 32-lane
     buffers would double it.
 
-    The batch readers are the drift's vertex picks and compress's extra
-    color (``next_word(0)``), an all-singleton disjoint update's reserve
-    (``next_word(2)``), a carried compress update (its extra color and its
-    shuffle's first step) and a disjoint update's slot layout
-    (``next_key_words``), and the drift tail, each step's pick word 0 and
-    update word 2 (``drift_words``). Every word 0 or 2 that an update reads
+    The batch readers are the drift's vertex picks and a fallback's
+    compress extra color (``next_word(0)``), a built cleanup's run of
+    compress extra colors (``next_words0``), an all-singleton disjoint
+    update's reserve (``next_word(2)``), a carried compress update (its
+    extra color and its shuffle's first step) and a disjoint update's slot
+    layout (``next_key_words``), and the drift tail, each step's pick word
+    0 and update word 2 (``drift_words``). Every word 0 or 2 that an update reads
     comes from the state; no update in this module hashes one itself.
     """
 
@@ -118,6 +122,23 @@ class BoundingState:
         i = idx - self._base
         words = self._words
         return self._keys[i], words[0][i], words[2][i]
+
+    def next_words0(self, k: int) -> list[int]:
+        """[raw64(key, 0) for the next k keys], read from the batch when the
+        state takes its keys in batches. The index advances past all k."""
+        if not self._lanes:
+            return [self.next_word(0) for _ in range(k)]
+        idx = self._index
+        stop = self._index = idx + k
+        words: list[int] = []
+        while idx < stop:
+            if idx >= self._end:
+                self._refill(idx)
+            # islice, not a tuple slice, which would build one more tuple
+            end = min(self._end, stop)
+            words.extend(islice(self._words[0], idx - self._base, end - self._base))
+            idx = end
+        return words
 
     def drift_words(self, steps: int):
         """Yield (word 0 of the pick's key, word 2 of the update's key) for
@@ -222,7 +243,9 @@ def greedy_reference_set(q: int, delta: int, kept) -> ColorSet:
     whole then color by color, and palette order fills the rest. Pairs are
     held back because the compressed neighbors' lists are A plus one extra
     color each: a kept 2-list inside A meets every one of them, so it stops
-    being a disjoint pair for the update at v.
+    being a disjoint pair for the update at v. The palette fill is the
+    lowest delta - |A| colors not in A, that is every color up to the
+    (delta - |A| - 1)-th one not in A (nth_outside).
     """
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
@@ -233,7 +256,8 @@ def greedy_reference_set(q: int, delta: int, kept) -> ColorSet:
     a = _fill_singles(a, delta, sp_mask & ~dp_mask)
     a = _fill_atomic(a, delta, dp_pairs)
     a = _fill_singles(a, delta, dp_mask)
-    return _fill_singles(a, delta, full_mask(q))
+    need = delta - a.bit_count()
+    return a | ((2 << nth_outside(a, need - 1)) - 1) if need else a
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +269,8 @@ def apply_compress(
     state: BoundingState, v: int, a_mask: ColorSet, outside: list[int]
 ) -> None:
     """Compress update at v against A; outside is cp.compress_outside(A, q).
+    A fallback and a carried cleanup call it; a built cleanup runs its
+    compress updates in one loop (cleanup).
 
     The bounding update reads only word 0; a carried coloring's decode
     needs the key itself for the rest of the draw, and takes the same
@@ -336,7 +362,13 @@ def drift_tail(state: BoundingState, steps: int) -> None:
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:
     """Compress every non-preserved neighbor of v against one reference set,
-    the one the preserved neighbors' lists give."""
+    the one the preserved neighbors' lists give.
+
+    A built block's k targets take word 0 of k consecutive keys in one
+    state.next_words0(k) and get the lists that apply_compress would give
+    them one by one. A carried block runs apply_compress per target, since
+    each decode reads the colors of neighbors that earlier targets took.
+    """
     lists = state.lists
     kept, targets = [], []
     for u in state.g.adjacency[v]:
@@ -348,5 +380,11 @@ def cleanup(state: BoundingState, v: int, preserved) -> None:
         return
     a_mask = greedy_reference_set(state.q, state.g.max_degree, kept)
     outside = cp.compress_outside(a_mask, state.q)
-    for w in targets:
-        apply_compress(state, w, a_mask, outside)
+    if state.coloring is None:
+        predict = cp.compress_predict
+        for w, word in zip(targets, state.next_words0(len(targets))):
+            lists[w] = predict(a_mask, outside, word)
+        state.updates += len(targets)
+    else:
+        for w in targets:
+            apply_compress(state, w, a_mask, outside)

@@ -45,7 +45,7 @@ from itertools import chain, count, islice, repeat
 from math import comb
 from typing import NamedTuple
 
-from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_color
+from .colorsets import ColorSet, full_mask, iter_colors, mask_from, members, nth_outside
 from .errors import CouplingRegimeError, EngineError
 from .seedstream import randint_below, raw64, shuffle_walk, unit_from_word, unit_uniform
 
@@ -58,10 +58,12 @@ _LP_TOL = 1e-9
 
 
 def outside_color(mask: ColorSet, q: int, word: int) -> int:
-    """Uniform color of [q] outside mask, from one word (raw64(key, draw));
-    callers check that one exists."""
-    t_mask = full_mask(q) & ~mask
-    return nth_color(t_mask, randint_below(word, t_mask.bit_count()))
+    """Uniform color of [q] outside mask, from one word (raw64(key, draw)):
+    the randint_below(word, q - |mask|)-th color not in mask.
+
+    mask must lie inside [q], since its size counts the colors it takes
+    from [q]. A mask covering all of [q] raises ValueError."""
+    return nth_outside(mask, randint_below(word, q - mask.bit_count()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +206,8 @@ def compress_outside(a_mask: ColorSet, q: int) -> list[int]:
 
 def compress_extra_color(outside: list[int], word: int) -> int:
     """Word 0 (raw64(key, 0)) indexes compress_outside's list; the color
-    equals outside_color(A, q, word), since nth_color(m, i) == members(m)[i]."""
+    equals outside_color(A, q, word), since the list's i-th member is
+    nth_outside(A, i)."""
     return outside[randint_below(word, len(outside))]
 
 

@@ -19,7 +19,8 @@ are read back through ``to_bytes`` and one ``struct`` unpack. The results
 equal ``raw64`` lane for lane, so a batched key is the same key. The lane
 rule, which graphs take batches and how wide, is ``bounding.BoundingState``'s.
 The batch readers are the drift's vertex picks (word 0), compress's extra
-color (word 0), a carried compress update's first shuffle step (word 2),
+color (word 0), which a built cleanup reads for its k targets as one run of
+k keys, a carried compress update's first shuffle step (word 2),
 an all-singleton disjoint update's reserve (word 2), a disjoint update's
 slot layout, whose slot variate and reserve are words 0 and 2, and the
 drift tail, which reads each step's pick word 0 and update word 2 straight

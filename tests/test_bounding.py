@@ -337,6 +337,71 @@ def test_cleanup_complement_gives_outside_color(q, delta):
         assert state.lists[w] == a | 1 << cp.outside_color(a, q, raw64(key, 0))
 
 
+# (lanes, n, max degree, preserved leaves, keys taken before the cleanup):
+# a star of that many leaves, padded with isolated vertices to n
+CLEANUP_CASES = [
+    (0, 13, 12, 4, 5),  # one key at a time
+    (25, 400, 31, 11, 0),  # the 20 targets take keys 0-19, inside one batch
+    (25, 400, 31, 11, 20),  # keys 20-39 straddle the batch boundary at 25
+    (25, 400, 31, 0, 24),  # keys 24-54 straddle two boundaries, at 25 and 50
+    (2, 41, 40, 7, 1),  # a boundary after every other target
+]
+
+
+def cleanup_mismatches(lanes, n, delta, n_preserved, start):
+    """Run cleanup at a star's center on a built state, and its targets one
+    by one through apply_compress on a second state; returns the fields of
+    the two states that differ."""
+    g = build_graph(n, [(0, i + 1) for i in range(delta)])
+    q = 3 * delta + 2
+    rng = np.random.default_rng(n + start)
+    preserved = {int(u) + 1 for u in rng.choice(delta, n_preserved, replace=False)}
+    kept = {
+        u: mask_from(int(c) for c in rng.choice(q, 1 + u % 3, replace=False)) for u in preserved
+    }
+    states = [bd.BoundingState(g, q, SeedStream(start), block=3) for _ in range(2)]
+    for state in states:
+        assert state._lanes == lanes
+        for u, m in kept.items():
+            state.lists[u] = m
+        for _ in range(start):
+            state.next_word(0)
+    batched, one_by_one = states
+    bd.cleanup(batched, 0, preserved)
+    a = bd.greedy_reference_set(q, delta, [kept[u] for u in g.adjacency[0] if u in preserved])
+    outside = cp.compress_outside(a, q)
+    for w in g.adjacency[0]:
+        if w not in preserved:
+            bd.apply_compress(one_by_one, w, a, outside)
+    assert one_by_one.updates == delta - n_preserved
+    return [
+        field
+        for field in ("lists", "updates", "_index")
+        if getattr(batched, field) != getattr(one_by_one, field)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", CLEANUP_CASES, ids=["one-key", "one-batch", "straddle", "two-boundaries", "two-lanes"]
+)
+def test_built_cleanup_matches_its_targets_run_one_by_one(case):
+    assert cleanup_mismatches(*case) == []
+
+
+def test_cleanup_check_catches_words_read_one_key_late(monkeypatch):
+    """Negative control: the cleanup's run of words 0 starts one key late."""
+    real = bd.BoundingState.next_words0
+
+    def one_late(self, k):
+        words = real(self, k + 1)[1:]
+        self._index -= 1
+        return words
+
+    monkeypatch.setattr(bd.BoundingState, "next_words0", one_late)
+    for case in CLEANUP_CASES:
+        assert cleanup_mismatches(*case) == ["lists"]
+
+
 # ---------------------------------------------------------------------------
 # containment through the re-run, and replay determinism
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_compress_extra_color_uniform():
 @pytest.mark.parametrize("q", [105, 200])
 def test_outside_color_uniform_on_wide_palettes(q):
     # 32 blocked colors spread over every 64-bit word of the palette, so the
-    # select halves several times before it clears low members
+    # select's fixpoint climbs past blocked colors in several steps
     mask = mask_from(range(1, q, q // 32)[:32])
     free = [c for c in range(q) if not mask >> c & 1]
     n = 200 * len(free)
@@ -206,6 +206,33 @@ def test_compress_outside_list_gives_outside_color(q, a_size):
         color = cp.outside_color(a, q, raw64(key, 0))
         assert cp.compress_extra_color(outside, raw64(key, 0)) == color
         assert cp.compress_predict(a, outside, raw64(key, 0)) == a | 1 << color
+
+
+def index_words(m, i):
+    """The least and the greatest 64-bit word w with randint_below(w, m) == i."""
+    return -(-(i << 64) // m), -(-((i + 1) << 64) // m) - 1
+
+
+@pytest.mark.parametrize("q,a_size", PALETTES)
+def test_compress_extra_color_is_outside_color_at_every_index(q, a_size):
+    # at both ends of each index's range of words, so every color of
+    # [q] \ A, and both rules step to the next color at the same word
+    rng = random.Random(-q)
+    for a in (mask_from(range(a_size)), mask_from(rng.sample(range(q), a_size))):
+        outside = cp.compress_outside(a, q)
+        m = len(outside)
+        for i, color in enumerate(outside):
+            for word in index_words(m, i):
+                assert ss.randint_below(word, m) == i
+                assert cp.outside_color(a, q, word) == color
+                assert cp.compress_extra_color(outside, word) == color
+
+
+@pytest.mark.parametrize("q", [1, 13, 31, 64, 65, 105, 130])
+def test_outside_color_raises_on_a_mask_covering_the_palette(q):
+    for word in (0, raw64(STREAM.subkey(21, q), 0), 2**64 - 1):
+        with pytest.raises(ValueError):
+            cp.outside_color((1 << q) - 1, q, word)
 
 
 def test_compress_outside_needs_a_free_color():
