@@ -12,6 +12,8 @@ from the shuffle of A, in a second replay that is not timed. It prints the
 share of those decodes that read the shuffle at all, and the mean number
 of colors read per decode. Runs are forced, so q may lie below the regime
 threshold; --t2 sets the drift length, else the sampler's formula does.
+Each seed's row starts with the schedule it ran: the size of the seeding
+set (seeded) and the drift lengths t1 and t2.
 """
 
 import argparse
@@ -75,24 +77,25 @@ def main() -> int:
     for seed in seeds:
         cfg = engine.SamplerConfig(q=args.q, master_seed=seed, force=True, t2_override=args.t2)
         stream = SeedStream(seed)
-        part = engine.lll_partition(g, stream)
+        schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
         t0 = time.perf_counter()
-        block = engine.construct_block(g, part, cfg, args.block, stream)
+        block = engine.construct_block(schedule, args.block, stream)
         built_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        engine.replay(g, part, cfg, args.block, stream, omega)
+        engine.replay(schedule, args.block, stream, omega)
         carried_s = time.perf_counter() - t0
         reads, decode = [], cp.compress_decode
         cp.compress_decode = counted_decodes(decode, reads)
         try:
-            engine.replay(g, part, cfg, args.block, stream, omega)
+            engine.replay(schedule, args.block, stream, omega)
         finally:
             cp.compress_decode = decode
         decodes = len(reads)
         share = sum(r > 0 for r in reads) / decodes if decodes else 0.0
         mean = sum(reads) / decodes if decodes else 0.0
         print(
-            f"seed={seed} coalesced={block.phi is not None} built_s={built_s:.3f} "
+            f"seed={seed} seeded={len(schedule.seeded)} t1={schedule.t1} t2={schedule.t2} "
+            f"coalesced={block.phi is not None} built_s={built_s:.3f} "
             f"carried_s={carried_s:.3f} compress_decodes={decodes} "
             f"read_pi={share:.3f} mean_colors_read={mean:.3f}"
         )

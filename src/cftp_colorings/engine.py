@@ -6,7 +6,7 @@ lists initialized to the full palette; if the lists all collapse to
 singletons the block's coalescence value is defined, and the final sample
 is that value pushed forward through all more recent blocks, oldest first.
 A block's updates are a pure function of (master seed, block index,
-partition), so nothing is stored to push a coloring through it: the block's
+schedule), so nothing is stored to push a coloring through it: the block's
 schedule is run again with the coloring carried alongside its bounding
 lists.
 """
@@ -17,6 +17,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounding as bd
 from . import couplings as cp
@@ -189,19 +190,46 @@ def check_config(g: Graph, config: SamplerConfig) -> None:
         raise ValueError(f"need t2_override (--t2) >= 0, got {config.t2_override}")
 
 
-def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig):
+class Schedule(NamedTuple):
+    """What every block of one sample runs: the graph, q, the seeding set S
+    in ascending order, and the Phase I and Phase II drift lengths t1, t2.
+
+    A schedule is fixed before any kernel draw, and each of its steps
+    applies an exact single-site kernel, so every schedule this record can
+    hold keeps the output exact (Propp and Wilson 1996); only how often a
+    block coalesces depends on it.
+    """
+
+    g: Graph
+    q: int
+    seeded: tuple[int, ...]
+    t1: int
+    t2: int
+
+
+def schedule_for(g: Graph, config: SamplerConfig, seed_set: SeedVertexSet) -> Schedule:
+    """A sample's schedule from its partition: S sorted, t1 =
+    default_t1(|S|), and t2 = t2_override, else default_t2."""
+    seeded = tuple(sorted(seed_set.members))
+    t2 = config.t2_override
+    if t2 is None:
+        t2 = default_t2(g.n, config.q, g.max_degree)
+    return Schedule(g, config.q, seeded, default_t1(len(seeded)), t2)
+
+
+def block_steps(state: bd.BoundingState, schedule: Schedule):
     """Yield one block's steps in order, as (phase, v, preserved).
 
-    Phase 1 seeds each vertex of the seeding set S, then drifts S for t1
-    picks; phase 2 converts the other vertices, then drifts all n for t2
-    picks. A step cleans up v against preserved (the vertices already
-    seeded or converted), then runs its phase's update at v; preserved is
-    None in the phase 2 drift, which runs no cleanup. Run each step before
-    asking for the next. Key facts: every update, a fallback included,
-    takes exactly one key; a cleanup with k targets takes k consecutive
-    keys; a drift step takes its pick key first, in this generator. So the
-    key index after each step depends only on (graph, S, t1, t2), never on
-    a draw.
+    Phase 1 seeds each vertex of schedule.seeded (S), then drifts S for
+    schedule.t1 picks; phase 2 converts the other vertices, then drifts all
+    n for schedule.t2 picks. A step cleans up v against preserved (the
+    vertices already seeded or converted), then runs its phase's update at
+    v; preserved is None in the phase 2 drift, which runs no cleanup. Run
+    each step before asking for the next. Key facts: every update, a
+    fallback included, takes exactly one key; a cleanup with k targets
+    takes k consecutive keys; a drift step takes its pick key first, in
+    this generator. So the key index after each step depends only on the
+    schedule, never on a draw.
 
     The drift tail: every n phase 2 drift picks of a built block, if every
     list is a singleton (and q > max_degree), every later drift update would
@@ -212,16 +240,13 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
     did not; a carried run of one runs the same steps one by one.
     """
     n, q = state.g.n, state.q
-    s_list = sorted(seed_set.members)
-    t2 = config.t2_override
-    if t2 is None:
-        t2 = default_t2(n, q, state.g.max_degree)
+    seeded, t2 = schedule.seeded, schedule.t2
     preserved: set[int] = set()
-    for v in s_list:
+    for v in seeded:
         yield 1, v, preserved
         preserved.add(v)
-    for _ in range(default_t1(len(s_list))):
-        yield 1, s_list[randint_below(state.next_word(0), len(s_list))], preserved
+    for _ in range(schedule.t1):
+        yield 1, seeded[randint_below(state.next_word(0), len(seeded))], preserved
     for v in range(n):
         if v not in preserved:
             yield 2, v, preserved
@@ -237,9 +262,10 @@ def block_steps(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sample
             yield 2, randint_below(state.next_word(0), n), None
 
 
-def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: SamplerConfig) -> None:
-    """Run one block's steps (block_steps) on state, to completion; the
-    drift tail, which block_steps runs itself, is every remaining step.
+def run_schedule(state: bd.BoundingState, schedule: Schedule) -> None:
+    """Run the steps block_steps yields for schedule on state, to
+    completion; the drift tail, which block_steps runs itself, is every
+    remaining step.
 
     A seeding or disjoint update whose parameter regime is infeasible falls
     back, by one rule in both phases, to compressing v against the
@@ -252,7 +278,7 @@ def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sampl
     replayed, and replaying such a conditioned prefix measurably biases the
     output.
     """
-    for phase, v, preserved in block_steps(state, seed_set, config):
+    for phase, v, preserved in block_steps(state, schedule):
         if preserved is not None:
             bd.cleanup(state, v, preserved)
         try:
@@ -265,18 +291,12 @@ def run_schedule(state: bd.BoundingState, seed_set: SeedVertexSet, config: Sampl
             state.disjoint_fallbacks += phase == 2
 
 
-def construct_block(
-    g: Graph,
-    seed_set: SeedVertexSet,
-    config: SamplerConfig,
-    block_index: int,
-    stream: SeedStream,
-) -> bd.BoundingState:
+def construct_block(schedule: Schedule, block_index: int, stream: SeedStream) -> bd.BoundingState:
     """Build a block: its steps (block_steps) on full lists; returns its state."""
-    state = bd.BoundingState(g, config.q, stream, block_index)
-    run_schedule(state, seed_set, config)
+    state = bd.BoundingState(schedule.g, schedule.q, stream, block_index)
+    run_schedule(state, schedule)
     phi = state.phi
-    if phi is not None and not is_proper(g, phi):
+    if phi is not None and not is_proper(schedule.g, phi):
         raise EngineError("coalesced configuration is not a proper coloring")
     return state
 
@@ -285,24 +305,17 @@ def is_proper(g: Graph, coloring) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
-def replay(
-    g: Graph,
-    seed_set: SeedVertexSet,
-    config: SamplerConfig,
-    block_index: int,
-    stream: SeedStream,
-    omega,
-) -> tuple[int, ...]:
+def replay(schedule: Schedule, block_index: int, stream: SeedStream, omega) -> tuple[int, ...]:
     """Push a proper coloring through every update of a block.
 
     Runs the block's schedule again with omega carried alongside the
     bounding lists. Raises EngineError if a carried color leaves the list
     its update predicted, which sound couplings never allow.
     """
-    if not is_proper(g, omega):
+    if not is_proper(schedule.g, omega):
         raise ValueError("replay requires a proper input coloring")
-    state = bd.BoundingState(g, config.q, stream, block_index, coloring=omega)
-    run_schedule(state, seed_set, config)
+    state = bd.BoundingState(schedule.g, schedule.q, stream, block_index, coloring=omega)
+    run_schedule(state, schedule)
     return tuple(state.coloring)
 
 
@@ -317,10 +330,11 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
     check_config(g, config)
     stream = SeedStream(config.master_seed)
     seed_set = lll_partition(g, stream)
+    schedule = schedule_for(g, config, seed_set)
     updates = degraded = 0
     phase_stats = {"seeding_fallbacks": 0, "disjoint_fallbacks": 0}
     for t in range(1, config.max_blocks + 1):
-        block = construct_block(g, seed_set, config, t, stream)
+        block = construct_block(schedule, t, stream)
         updates += block.updates
         degraded += bool(block.seeding_fallbacks or block.disjoint_fallbacks)
         phase_stats["seeding_fallbacks"] += block.seeding_fallbacks
@@ -330,7 +344,7 @@ def sample(g: Graph, config: SamplerConfig) -> SampleResult:
         del block
         if omega is not None:
             for s in range(t - 1, 0, -1):
-                omega = replay(g, seed_set, config, s, stream, omega)
+                omega = replay(schedule, s, stream, omega)
             if not is_proper(g, omega):
                 raise EngineError("sampler produced an improper coloring")
             break

@@ -70,9 +70,10 @@ def test_criterion_02_coalescence_rate():
             stream = SeedStream(97 + delta + n)
             part = engine.lll_partition(g, stream)
             cfg = engine.SamplerConfig(q=q, master_seed=stream.master_seed)
+            schedule = engine.schedule_for(g, cfg, part)
             hits = 0
             for t in range(1, n_blocks + 1):
-                block = engine.construct_block(g, part, cfg, t, stream)
+                block = engine.construct_block(schedule, t, stream)
                 hits += block.phi is not None
                 assert block.seeding_fallbacks == 0
                 assert block.disjoint_fallbacks == 0
@@ -144,7 +145,7 @@ def test_criterion_05_phase_invariants(monkeypatch):
             cfg = engine.SamplerConfig(q=q, master_seed=stream.master_seed)
             for seen in sizes.values():
                 seen.clear()
-            block = engine.construct_block(g, part, cfg, 1, stream)
+            block = engine.construct_block(engine.schedule_for(g, cfg, part), 1, stream)
             runs += 1
             # a seeded list has one of the two sizes its slack's law draws
             for v, s, slack in sizes["seeding"]:

@@ -428,11 +428,11 @@ def co_simulate(g, q, master_seed, n_trajectories=100, rng_seed=0):
     """
     cfg = engine.SamplerConfig(q=q, master_seed=master_seed, force=True, t2_override=30)
     stream = SeedStream(master_seed)
-    part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    block = engine.construct_block(schedule, 1, stream)
     rng = np.random.default_rng(rng_seed)
     starts = [random_proper_start(g, q, rng) for _ in range(n_trajectories)]
-    outs = [engine.replay(g, part, cfg, 1, stream, s) for s in starts]
+    outs = [engine.replay(schedule, 1, stream, s) for s in starts]
     assert all(engine.is_proper(g, out) for out in outs)
     if block.phi is not None:
         assert set(outs) == {block.phi}
@@ -453,16 +453,16 @@ def test_replay_reconstructs_final_lists():
     q = 13
     cfg = engine.SamplerConfig(q=q, master_seed=33)
     stream = SeedStream(33)
-    part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    block = engine.construct_block(schedule, 1, stream)
     plain = bd.BoundingState(g, q, stream, 1)
-    engine.run_schedule(plain, part, cfg)
+    engine.run_schedule(plain, schedule)
     assert plain.updates == block.updates
     assert plain.seeding_fallbacks == block.seeding_fallbacks
     assert plain.disjoint_fallbacks == block.disjoint_fallbacks
     # carrying a coloring leaves the bounding chain exactly as built
     carried = bd.BoundingState(g, q, stream, 1, coloring=(0, 1, 2, 3))
-    engine.run_schedule(carried, part, cfg)
+    engine.run_schedule(carried, schedule)
     assert carried.lists == plain.lists
     assert carried.updates == plain.updates
     assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
@@ -485,14 +485,14 @@ def test_lists_never_empty_through_block():
     q = 16
     cfg = engine.SamplerConfig(q=q, master_seed=44)
     stream = SeedStream(44)
-    part = engine.lll_partition(g, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
     rng = np.random.default_rng(3)
     for _ in range(5):
         # distinct colors on all six vertices: a proper start
         start = [int(c) for c in rng.permutation(q)[: g.n]]
         state = RecordingState(g, q, stream, 1, coloring=start)
         state.sizes = []
-        engine.run_schedule(state, part, cfg)
+        engine.run_schedule(state, schedule)
         # every update's list held the color decoded into it
         assert len(state.sizes) == state.updates > 0
         assert min(state.sizes) >= 1
@@ -508,8 +508,8 @@ def test_replay_rejects_color_escaping_its_list(monkeypatch):
     g = gen_complete(4)
     cfg = engine.SamplerConfig(q=13, master_seed=45)
     stream = SeedStream(45)
-    part = engine.lll_partition(g, stream)
-    assert engine.replay(g, part, cfg, 1, stream, (0, 1, 2, 3))
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    assert engine.replay(schedule, 1, stream, (0, 1, 2, 3))
     monkeypatch.setattr(cp, "disjoint_decode", escaping_decode)
     with pytest.raises(EngineError, match="escaped its bounding list"):
-        engine.replay(g, part, cfg, 1, stream, (0, 1, 2, 3))
+        engine.replay(schedule, 1, stream, (0, 1, 2, 3))

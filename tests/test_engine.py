@@ -30,13 +30,43 @@ def test_eta_reference_value():
     assert engine.regime_threshold(8) == pytest.approx(29.93, abs=0.01)
 
 
-def test_t_schedules():
+def test_t_schedules(monkeypatch):
     assert engine.default_t1(0) == 0 and engine.default_t1(1) == 0
     assert engine.default_t1(10) == math.ceil(50 * math.log(10))
     assert engine.default_t2(1, 13, 3) == 0
     assert engine.default_t2(100, 25, 6) == math.ceil(2 * 19 * 100 * math.log(100) / 10)
     with pytest.raises(ValueError):
         engine.default_t2(10, 7, 3)  # q <= 2.5 * delta needs an override
+    # schedule_for applies them to the partition and the config
+    g = gen_complete_bipartite(32)
+    part = engine.lll_partition(g, SeedStream(11))
+    assert len(part) > 0
+    for t2 in (None, 300):
+        cfg = engine.SamplerConfig(q=105, master_seed=11, t2_override=t2)
+        schedule = engine.schedule_for(g, cfg, part)
+        assert schedule.g is g and schedule.q == 105
+        assert schedule.seeded == tuple(sorted(part.members))
+        assert schedule.t1 == engine.default_t1(len(part))
+        assert schedule.t2 == (engine.default_t2(g.n, 105, 32) if t2 is None else t2)
+    # one schedule per sample, which every block reads: the golden case
+    # forced-d6-q18-s3 builds 3 blocks and replays 2
+    built, read = [], []
+    schedule_for, run_schedule = engine.schedule_for, engine.run_schedule
+
+    def building(*args):
+        built.append(schedule_for(*args))
+        return built[-1]
+
+    def reading(state, schedule):
+        read.append(schedule)
+        run_schedule(state, schedule)
+
+    monkeypatch.setattr(engine, "schedule_for", building)
+    monkeypatch.setattr(engine, "run_schedule", reading)
+    cfg = engine.SamplerConfig(q=18, master_seed=3, force=True, t2_override=140)
+    assert engine.sample(gen_random_regular(20, 6, seed=5), cfg).blocks_used == 3
+    assert len(built) == 1 and len(read) == 5
+    assert all(schedule is built[0] for schedule in read)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +176,7 @@ def test_block_phase_invariants_k3232(monkeypatch):
     cfg = engine.SamplerConfig(q=105, master_seed=11)
     stream = SeedStream(11)
     part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    block = engine.construct_block(engine.schedule_for(g, cfg, part), 1, stream)
     assert len(part) > 0
     assert {v for v, _, _ in seeding} == part.members
     assert set(range(g.n)) - part.members <= {v for v, _, _ in disjoint}
@@ -177,7 +207,7 @@ def test_block_runs_no_lp(monkeypatch):
     monkeypatch.setattr(cp, "LPInstance", no_lp)
     monkeypatch.setattr(cp, "verify_full_lp", no_lp)
     monkeypatch.setattr(cp, "seeding_size_law", counting)
-    engine.construct_block(g, part, cfg, 1, stream)
+    engine.construct_block(engine.schedule_for(g, cfg, part), 1, stream)
     assert len(calls) > 0
 
 
@@ -188,22 +218,22 @@ def test_seeding_fallback_block_replays(monkeypatch):
     g = gen_complete_bipartite(32)
     cfg = engine.SamplerConfig(q=66, master_seed=0, force=True, t2_override=50)
     stream = SeedStream(0)
-    part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    block = engine.construct_block(schedule, 1, stream)
     assert block.seeding_fallbacks > 0
     replayed = []
     run_schedule = engine.run_schedule
 
-    def recording(state, seed_set, config):
-        run_schedule(state, seed_set, config)
+    def recording(state, schedule):
+        run_schedule(state, schedule)
         replayed.append(state)
 
     monkeypatch.setattr(engine, "run_schedule", recording)
     start = tuple(v % 3 if v < 32 else 3 + v % 5 for v in range(g.n))
     assert engine.is_proper(g, start)
     # replay raises EngineError if a carried color leaves its bounding list
-    out = engine.replay(g, part, cfg, 1, stream, start)
-    assert engine.replay(g, part, cfg, 1, stream, start) == out
+    out = engine.replay(schedule, 1, stream, start)
+    assert engine.replay(schedule, 1, stream, start) == out
     assert engine.is_proper(g, out)
     # both replays carried the coloring through the block's fallbacks
     assert [s.seeding_fallbacks for s in replayed] == [block.seeding_fallbacks] * 2
@@ -215,7 +245,7 @@ def test_seeding_fallback_compresses_against_all_neighbor_lists(monkeypatch):
     g = gen_complete_bipartite(32)
     cfg = engine.SamplerConfig(q=66, master_seed=0, force=True, t2_override=50)
     stream = SeedStream(0)
-    part = engine.lll_partition(g, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
     pending = []
     checked = 0
     apply_seeding, apply_compress = bd.apply_seeding, bd.apply_compress
@@ -238,7 +268,7 @@ def test_seeding_fallback_compresses_against_all_neighbor_lists(monkeypatch):
 
     monkeypatch.setattr(bd, "apply_seeding", seeding)
     monkeypatch.setattr(bd, "apply_compress", compress)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    block = engine.construct_block(schedule, 1, stream)
     assert checked == block.seeding_fallbacks > 0
 
 
@@ -247,15 +277,13 @@ def test_block_update_budget():
     q = math.ceil(engine.regime_threshold(6)) + 1
     cfg = engine.SamplerConfig(q=q, master_seed=12)
     stream = SeedStream(12)
-    part = engine.lll_partition(g, stream)
-    t1 = engine.default_t1(len(part))
-    t2 = engine.default_t2(g.n, q, 6)
-    block = engine.construct_block(g, part, cfg, 1, stream)
-    # a seeding, Phase I drift or conversion step makes at most delta + 1
-    # updates (cleanup compresses the neighbors, then the vertex itself);
-    # a Phase II drift step makes one
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    block = engine.construct_block(schedule, 1, stream)
+    # each of the n seeding or conversion steps and the t1 Phase I drift
+    # steps makes at most delta + 1 updates (cleanup compresses the
+    # neighbors, then the vertex itself); a Phase II drift step makes one
     per = 6 + 1
-    assert block.updates <= len(part) * per + t1 * per + (g.n - len(part)) * per + t2
+    assert block.updates <= (g.n + schedule.t1) * per + schedule.t2
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +308,7 @@ def tail_run(monkeypatch, graph, q, t2, omega):
     coloring, update count and key index at the end."""
     cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
     stream = SeedStream(3)
-    part = engine.lll_partition(graph, stream)
+    schedule = engine.schedule_for(graph, cfg, engine.lll_partition(graph, stream))
     starts, tail = [], bd.drift_tail
 
     def recorded(state, steps):
@@ -289,7 +317,7 @@ def tail_run(monkeypatch, graph, q, t2, omega):
 
     monkeypatch.setattr(bd, "drift_tail", recorded)
     state = bd.BoundingState(graph, q, stream, 1, coloring=omega)
-    engine.run_schedule(state, part, cfg)
+    engine.run_schedule(state, schedule)
     return starts, (state.lists, state.coloring, state.updates, state._index)
 
 
@@ -321,8 +349,8 @@ def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, 
     # run, which took the tail, ends, carrying the built block's phi
     cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
     stream = SeedStream(3)
-    part = engine.lll_partition(graph, stream)
-    omega = engine.construct_block(graph, part, cfg, 2, stream).phi
+    schedule = engine.schedule_for(graph, cfg, engine.lll_partition(graph, stream))
+    omega = engine.construct_block(schedule, 2, stream).phi
     assert omega is not None
     with monkeypatch.context() as m:
         starts, (lists, coloring, updates, index) = tail_run(m, graph, q, t2, omega)
@@ -332,7 +360,7 @@ def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, 
         )
     assert starts == [] and len(built_starts) == 1
     assert (lists, updates, index) == (built_lists, built_updates, built_index)
-    assert tuple(coloring) == engine.construct_block(graph, part, cfg, 1, stream).phi
+    assert tuple(coloring) == engine.construct_block(schedule, 1, stream).phi
 
 
 def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
@@ -354,10 +382,10 @@ def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
     for graph, q, t2, blocks in fixtures:
         cfg = engine.SamplerConfig(q=q, master_seed=5, force=True, t2_override=t2)
         stream = SeedStream(5)
-        part = engine.lll_partition(graph, stream)
+        schedule = engine.schedule_for(graph, cfg, engine.lll_partition(graph, stream))
         for t in range(1, blocks + 1):
             tailed.clear()
-            block = engine.construct_block(graph, part, cfg, t, stream)
+            block = engine.construct_block(schedule, t, stream)
             assert tailed in ([], [block])
             assert not tailed or block.phi is not None
             took_tail += bool(tailed)
@@ -386,10 +414,10 @@ def test_tail_check_catches_word_2_read_from_the_pick_key(monkeypatch, graph, q,
 # ---------------------------------------------------------------------------
 
 
-def coalescing_block(g, cfg, stream, part, start=1, tries=50):
-    """(index, block) of the first coalescing block at or after start."""
-    for t in range(start, start + tries):
-        block = engine.construct_block(g, part, cfg, t, stream)
+def coalescing_block(schedule, stream, tries=50):
+    """(index, block) of the first coalescing block."""
+    for t in range(1, 1 + tries):
+        block = engine.construct_block(schedule, t, stream)
         if block.phi is not None:
             return t, block
     raise AssertionError("no coalescing block found")
@@ -400,31 +428,42 @@ def test_replay_empty_composition_is_identity():
     g = build_graph(0, [])
     cfg = engine.SamplerConfig(q=13, master_seed=14)
     stream = SeedStream(14)
-    part = engine.lll_partition(g, stream)
-    assert engine.construct_block(g, part, cfg, 1, stream).updates == 0
-    assert engine.replay(g, part, cfg, 1, stream, ()) == ()
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    assert engine.construct_block(schedule, 1, stream).updates == 0
+    assert engine.replay(schedule, 1, stream, ()) == ()
 
 
 def test_replay_rejects_improper_input():
     g = gen_complete(4)
     cfg = engine.SamplerConfig(q=13, master_seed=15)
     stream = SeedStream(15)
-    part = engine.lll_partition(g, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
     with pytest.raises(ValueError):
-        engine.replay(g, part, cfg, 1, stream, (0, 0, 1, 2))
+        engine.replay(schedule, 1, stream, (0, 0, 1, 2))
 
 
-def test_coalescence_soundness_replay_from_many_starts():
+@pytest.mark.parametrize("seeded", [False, True], ids=["partition", "seeded-0-1"])
+def test_coalescence_soundness_replay_from_many_starts(monkeypatch, seeded):
+    # at delta = 3 the partition is empty, so Phase I runs only in a
+    # schedule built directly; any schedule fixed before the draws is exact
     g = gen_complete(4)
     q = 13
     cfg = engine.SamplerConfig(q=q, master_seed=16)
     stream = SeedStream(16)
-    part = engine.lll_partition(g, stream)
-    t, block = coalescing_block(g, cfg, stream, part)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    assert schedule.seeded == ()
+    if seeded:
+        schedule = schedule._replace(seeded=(0, 1), t1=engine.default_t1(2))
+    t, block = coalescing_block(schedule, stream)
+    assert block.seeding_fallbacks == 0
+    seeding = record_list_sizes(monkeypatch, "apply_seeding")
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(0)
     for i in rng.integers(0, len(universe), 50):
-        assert engine.replay(g, part, cfg, t, stream, universe[i]) == block.phi
+        seeding.clear()
+        assert engine.replay(schedule, t, stream, universe[i]) == block.phi
+        assert len(seeding) == len(schedule.seeded) + schedule.t1
+    assert len(seeding) == (9 if seeded else 0)
 
 
 def test_replay_preserves_properness():
@@ -432,12 +471,12 @@ def test_replay_preserves_properness():
     q = 9
     cfg = engine.SamplerConfig(q=q, master_seed=17, force=True)
     stream = SeedStream(17)
-    part = engine.lll_partition(g, stream)
-    block = engine.construct_block(g, part, cfg, 1, stream)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    block = engine.construct_block(schedule, 1, stream)
     universe = enumerate_colorings(g, q)
     rng = np.random.default_rng(1)
     for i in rng.integers(0, len(universe), 30):
-        out = engine.replay(g, part, cfg, 1, stream, universe[i])
+        out = engine.replay(schedule, 1, stream, universe[i])
         assert engine.is_proper(g, out)
 
 
@@ -451,9 +490,9 @@ def test_stationarity_one_block_push():
     for t in range(6000):
         cfg = engine.SamplerConfig(q=q, master_seed=1000 + t, force=True)
         stream = SeedStream(cfg.master_seed)
-        part = engine.lll_partition(g, stream)
+        schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
         start = universe[rng.integers(0, len(universe))]
-        outs.append(engine.replay(g, part, cfg, 1, stream, start))
+        outs.append(engine.replay(schedule, 1, stream, start))
     assert goodness_of_fit(outs, universe).pvalue > 0.001
 
 

@@ -43,6 +43,8 @@ def test_replay_cost_runs():
     assert len(rows) == 2
     for row in rows:
         fields = dict(f.split("=") for f in row.split())
+        # below delta = 15 the seeding set is empty
+        assert (fields["seeded"], fields["t1"], fields["t2"]) == ("0", "0", "140")
         assert float(fields["built_s"]) > 0 and float(fields["carried_s"]) > 0
         assert int(fields["compress_decodes"]) > 0
         assert 0 < float(fields["read_pi"]) <= 1

@@ -26,6 +26,11 @@ comes from the state, which reads its key batch when it has one. Nor does
 anything in ``bounding.py`` or ``engine.py`` outside that class name the
 batch's internals (BATCH_INTERNALS), so the drift tail, too, reads its
 words through the state.
+
+In ``engine.py`` only ``schedule_for``, and ``check_config`` as the input
+check, name the drift-length rules (SCHEDULE_RULES), so block_steps,
+construction and replay read t1 and t2 from the one Schedule a sample
+builds.
 """
 
 import ast
@@ -37,6 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELD_EXEMPT = {"SampleResult.degraded_blocks"}
 SAMPLER_MODULES = ("engine", "bounding", "couplings", "seedstream", "colorsets", "graphs")
 BATCH_INTERNALS = ("_keys", "_words", "_refill")
+SCHEDULE_RULES = ("default_t1", "default_t2", "t2_override")
+# the definitions that may name SCHEDULE_RULES; SamplerConfig declares t2_override
+SCHEDULE_OWNERS = ("schedule_for", "check_config", "SamplerConfig")
 
 
 def name_lines(path: Path) -> dict[str, list[int]]:
@@ -153,14 +161,16 @@ def unnamed_defaults(modules, callers) -> list[str]:
     ]
 
 
-def names_outside_class(path: Path, name: str, owner: str) -> list[int]:
-    """Line numbers where path reads name, as a bare name or an attribute,
-    outside the class owner; an import does not count."""
+def names_outside(path: Path, name: str, *owners: str) -> list[int]:
+    """Line numbers where path names name, as a bare name or an attribute,
+    outside the module-level classes and functions owners; an import or a
+    definition's own name does not count."""
     tree = ast.parse(path.read_text())
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     spans = [
         (node.lineno, node.end_lineno)
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == owner
+        if isinstance(node, defs) and node.name in owners
     ]
     return sorted(
         node.lineno
@@ -254,7 +264,7 @@ def test_defaults_named_only_inside_their_function_are_flagged(tmp_path):
 
 def test_bounding_hashes_no_word_outside_its_state():
     bounding = ROOT / "src" / "cftp_colorings" / "bounding.py"
-    assert names_outside_class(bounding, "raw64", "BoundingState") == []
+    assert names_outside(bounding, "raw64", "BoundingState") == []
 
 
 def test_word_reads_outside_the_state_are_flagged(tmp_path):
@@ -277,7 +287,7 @@ def test_word_reads_outside_the_state_are_flagged(tmp_path):
         "    key = state.next_key()\n"
         "    return raw64(key, 0)\n"
     )
-    assert names_outside_class(mod, "raw64", "BoundingState") == [10, 15]
+    assert names_outside(mod, "raw64", "BoundingState") == [10, 15]
 
 
 def test_batch_internals_are_read_only_inside_the_state():
@@ -286,7 +296,7 @@ def test_batch_internals_are_read_only_inside_the_state():
         (path, name, line)
         for path in ("bounding.py", "engine.py")
         for name in BATCH_INTERNALS
-        for line in names_outside_class(src / path, name, "BoundingState")
+        for line in names_outside(src / path, name, "BoundingState")
     ]
     assert found == []
 
@@ -304,5 +314,39 @@ def test_batch_reads_outside_the_state_are_flagged(tmp_path):
         "    state._refill(state._index)\n"
         "    return state._words[0][:steps]\n"
     )
-    found = {name: names_outside_class(mod, name, "BoundingState") for name in BATCH_INTERNALS}
+    found = {name: names_outside(mod, name, "BoundingState") for name in BATCH_INTERNALS}
     assert found == {"_keys": [], "_words": [8], "_refill": [7]}
+
+
+def test_only_schedule_for_picks_the_drift_lengths():
+    engine = ROOT / "src" / "cftp_colorings" / "engine.py"
+    found = [
+        (name, line)
+        for name in SCHEDULE_RULES
+        for line in names_outside(engine, name, *SCHEDULE_OWNERS)
+    ]
+    assert found == []
+
+
+def test_drift_lengths_picked_outside_schedule_for_are_flagged(tmp_path):
+    # the last function is a block re-deriving t1 and t2 from the config
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class SamplerConfig:\n"
+        "    t2_override: int | None = None\n"
+        "\n"
+        "\n"
+        "def default_t1(size):\n"
+        "    return size\n"
+        "\n"
+        "\n"
+        "def schedule_for(g, config, seed_set):\n"
+        "    return default_t1(len(seed_set)), config.t2_override\n"
+        "\n"
+        "\n"
+        "def block_steps(state, seed_set, config):\n"
+        "    t1 = default_t1(len(seed_set))\n"
+        "    return t1, config.t2_override or default_t2(state.g.n)\n"
+    )
+    found = {name: names_outside(mod, name, *SCHEDULE_OWNERS) for name in SCHEDULE_RULES}
+    assert found == {"default_t1": [14], "default_t2": [15], "t2_override": [15]}

@@ -18,6 +18,13 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # removed from the library with the composition log; the tracer still lists it
 STALE = {"bounding.decode_entry"}
+LIB = SimpleNamespace(
+    engine=engine,
+    bounding=bounding,
+    couplings=couplings,
+    seedstream=seedstream,
+    verification=verification,
+)
 
 
 def load_tracer():
@@ -28,14 +35,7 @@ def load_tracer():
 
 
 def test_every_layer_target_resolves_to_a_library_function():
-    lib = SimpleNamespace(
-        engine=engine,
-        bounding=bounding,
-        couplings=couplings,
-        seedstream=seedstream,
-        verification=verification,
-    )
-    targets = load_tracer().layer_targets(lib)
+    targets = load_tracer().layer_targets(LIB)
     assert targets
     missing = [
         label
@@ -45,7 +45,20 @@ def test_every_layer_target_resolves_to_a_library_function():
     assert missing == []
 
 
-def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
+def test_traced_sample_counts_every_engine_call():
+    # the tracer wraps engine's attributes, so a call that sample() made
+    # through an alias bound at import time would read 0 calls; the golden
+    # case forced-d6-q18-s3 builds 3 blocks and replays the older 2
+    tracer = load_tracer()
+    graph = gen_random_regular(20, 6, seed=5)
+    config = engine.SamplerConfig(q=18, master_seed=3, force=True, t2_override=140)
+    with tracer.LayerTracer(tracer.layer_targets(LIB)) as traced:
+        assert engine.sample(graph, config).blocks_used == 3
+    calls = [traced.calls[f"engine.{fn}"] for fn in ("lll_partition", "construct_block", "replay")]
+    assert calls == [1, 3, 2]
+
+
+def key_index_mismatches(monkeypatch, graph, schedule, stream):
     """Wrap engine.block_steps to predict the key index from the steps alone:
     +1 for a drift pick, +k for a cleanup's k targets and +1 for the update.
     Returns the built block's state, the step count, and the steps at whose
@@ -54,10 +67,10 @@ def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
     inner = engine.block_steps
     steps, mismatches = 0, []
 
-    def checked(state, seed_set, config):
+    def checked(state, schedule):
         nonlocal steps
         expected = 0
-        for phase, v, preserved in inner(state, seed_set, config):
+        for phase, v, preserved in inner(state, schedule):
             # a drift step updates a vertex already seeded or converted
             expected += preserved is None or v in preserved
             if state._index != expected:
@@ -71,7 +84,7 @@ def key_index_mismatches(monkeypatch, graph, config, stream, seed_set):
             steps += 1
 
     monkeypatch.setattr(engine, "block_steps", checked)
-    state = engine.construct_block(graph, seed_set, config, 1, stream)
+    state = engine.construct_block(schedule, 1, stream)
     return state, steps, mismatches
 
 
@@ -151,7 +164,7 @@ def test_every_block_key_goes_through_subkey(
     # its batch subkeys
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
-    seed_set = engine.lll_partition(graph, stream)
+    schedule = engine.schedule_for(graph, config, engine.lll_partition(graph, stream))
     computed = record_stream_keys(monkeypatch, stream, 1)
     tails, tail = [], bounding.drift_tail
 
@@ -160,7 +173,7 @@ def test_every_block_key_goes_through_subkey(
         tail(state, steps)
 
     monkeypatch.setattr(bounding, "drift_tail", counted_tail)
-    state, steps, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
+    state, steps, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
     assert state.updates > 0 and steps > 0
     assert (state.seeding_fallbacks > 0) == seeding_falls_back
     assert bool(tails) == reaches_tail
@@ -169,7 +182,7 @@ def test_every_block_key_goes_through_subkey(
     # steps alone, fallbacks included, and every update and every drift
     # pick took one key, the tail's included
     assert mismatches == []
-    assert state._index == state.updates + engine.default_t1(len(seed_set)) + t2
+    assert state._index == state.updates + schedule.t1 + schedule.t2
 
 
 def test_key_check_catches_a_batch_one_key_late(monkeypatch):
@@ -177,14 +190,14 @@ def test_key_check_catches_a_batch_one_key_late(monkeypatch):
     graph, q, t2, *_ = FIXTURES[1]
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
-    seed_set = engine.lll_partition(graph, stream)
+    schedule = engine.schedule_for(graph, config, engine.lll_partition(graph, stream))
     real = seedstream.SeedStream.subkeys
     monkeypatch.setattr(
         seedstream.SeedStream, "subkeys",
         lambda self, b, start, lanes: real(self, b, start + 1, lanes),
     )
     computed = record_stream_keys(monkeypatch, stream, 1)
-    state = engine.construct_block(graph, seed_set, config, 1, stream)
+    state = engine.construct_block(schedule, 1, stream)
     assert key_faults(state, computed, config.master_seed)
 
 
@@ -194,7 +207,7 @@ def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch)
     graph, q, t2, *_ = FIXTURES[2]
     config = engine.SamplerConfig(q=q, master_seed=3, force=True, t2_override=t2)
     stream = seedstream.SeedStream(config.master_seed)
-    seed_set = engine.lll_partition(graph, stream)
+    schedule = engine.schedule_for(graph, config, engine.lll_partition(graph, stream))
     for name in ("apply_seeding", "apply_disjoint"):
         real = getattr(bounding, name)
 
@@ -206,6 +219,6 @@ def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch)
                 raise
 
         monkeypatch.setattr(bounding, name, keyed_then_raises)
-    state, _, mismatches = key_index_mismatches(monkeypatch, graph, config, stream, seed_set)
+    state, _, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
     assert state.seeding_fallbacks > 0 and state.disjoint_fallbacks > 0
     assert mismatches
