@@ -54,9 +54,12 @@ class BoundingState:
     compress extra colors (``next_words0``), an all-singleton disjoint
     update's reserve (``next_word(2)``), a carried compress update (its
     extra color and its shuffle's first step) and a disjoint update's slot
-    layout (``next_key_words``), and the drift tail, each step's pick word
-    0 and update word 2 (``drift_words``). Every word 0 or 2 that an update reads
-    comes from the state; no update in this module hashes one itself.
+    variate and reserve (``next_key_words``), and the drift tail, each
+    step's pick word 0 and update word 2 (``drift_words``). Every word 0 or
+    2 that an update reads comes from the state; no update in this module
+    hashes one itself. A built block's Phase II reads nothing else: its
+    disjoint updates take no key. Seeding updates and carried decodes hash
+    their other draws (draw 1, a shuffle's later steps) from the key.
     """
 
     __slots__ = (
@@ -217,9 +220,21 @@ def neighborhood_slack(state: BoundingState, v: int) -> ColorSet:
 # ---------------------------------------------------------------------------
 
 
+def _member_order(lists: list[ColorSet]) -> list[ColorSet]:
+    """lists in the order sorted(lists, key=members) gives, without building
+    member lists when it can: when no two lists share a lowest color, that
+    color alone decides, and only otherwise are the members compared."""
+    if len(lists) < 2:
+        return lists
+    lows = [m & -m for m in lists]
+    if len(set(lows)) == len(lows):
+        return [m for _, m in sorted(zip(lows, lists))]
+    return sorted(lists, key=members)
+
+
 def _fill_atomic(a: ColorSet, cap: int, lists) -> ColorSet:
     # whole lists first, smallest-sorted-members order
-    for m in sorted(lists, key=members):
+    for m in _member_order(lists):
         merged = a | m
         if merged.bit_count() <= cap:
             a = merged
@@ -302,12 +317,15 @@ def apply_seeding(state: BoundingState, v: int) -> None:
 
 
 def apply_disjoint(state: BoundingState, v: int) -> None:
-    """Disjoint update at v; raises CouplingRegimeError when infeasible.
+    """Disjoint update at v; raises CouplingRegimeError when infeasible,
+    before any key is taken.
 
     When every neighbor list is a singleton, the slot layout has one slot,
     the leftover, so the new list is the reserve color (draw 2) and the
     carried color is that color; no layout is built. Otherwise the layout
-    reads the key's words 0 and 2 from the state.
+    reads the key's words 0 and 2 from the state: a built block computes
+    only the new list from them, and a carried coloring's decode also
+    takes the key, for draw 1.
     """
     lists = state.lists
     g = state.g
@@ -326,14 +344,16 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
             if state.coloring is not None:
                 state.carry(v, color)
             return
-    params = cp.disjoint_params_from_lists(
-        q, g.max_degree, [lists[u] for u in g.adjacency[v]]
-    )
+    params = cp.disjoint_params_from_lists(q, g.max_degree, map(lists.__getitem__, g.adjacency[v]))
+    if state.coloring is None:
+        _, w0, w2 = state.next_key_words()
+        lists[v] = cp.disjoint_new_list(params, w0, w2)
+        state.updates += 1
+        return
     key, w0, w2 = state.next_key_words()
     lists[v], draw = cp.disjoint_predict(params, key, w0, w2)
     state.updates += 1
-    if state.coloring is not None:
-        state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
+    state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
 
 
 def drift_tail(state: BoundingState, steps: int) -> None:

@@ -19,7 +19,9 @@ Three constructions are provided:
   lists are disjoint from everything else, whose realized color always
   blocks exactly one of the two. When every neighbor list is a singleton,
   the layout has one slot and bounding.apply_disjoint draws only its
-  reserve color (draw 2), without building the layout.
+  reserve color (draw 2), without building the layout. An update that
+  carries no coloring reads only draws 0 and 2 (disjoint_new_list); draw 1
+  is read only by a carried color slot's decode.
 
 Every color set a coupling takes or returns is an int mask (colorsets), the
 disjoint pairs included; only a drawn permutation or prefix is ordered,
@@ -30,7 +32,9 @@ the member list of [q] \\ A that one cleanup builds for all its updates.
 
 A kernel may leave out a draw that cannot change its output: draws are
 addressed by index under the update's key, so a draw left untaken moves no
-other draw.
+other draw. The acceptance variates of compress and disjoint (u' and v,
+both draw 1) sit in their draw records as zero-argument callables, hashed
+only when a decode reaches its acceptance test.
 
 Every per-update record (CompressDraw, SeedingDraw, DisjointParams,
 DisjointDraw) is a NamedTuple: as immutable as a frozen dataclass and several
@@ -39,8 +43,9 @@ times cheaper to build.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain, count, islice, repeat
 from math import comb
 from typing import NamedTuple
@@ -181,7 +186,8 @@ def relaxed_lp_vertices(inst: LPInstance):
 # ---------------------------------------------------------------------------
 #
 # Draw layout at an update key: draw 0 selects the extra color x' from
-# [q] \ A, draw 1 is the acceptance variate u', draws 2.. drive the
+# [q] \ A, draw 1 is the acceptance variate u' (hashed only when the
+# decode finds x' unblocked), draws 2.. drive the
 # Fisher-Yates shuffle of A (ascending order). The caller supplies words 0
 # and 2 (bounding.BoundingState reads them from its key batch when it has
 # one). The shuffle is a walk: step i >= 1 hashes word 2 + i from the key
@@ -194,7 +200,7 @@ class CompressDraw(NamedTuple):
     # shuffled(key, 2, A): compress_draw's one-pass walk, or any sequence
     pi: Iterable[int]
     x_prime: int
-    u_prime: float
+    u_prime: Callable[[], float]  # draw 1; the decode calls it only when x' is unblocked
 
 
 def compress_outside(a_mask: ColorSet, q: int) -> list[int]:
@@ -221,9 +227,8 @@ def compress_draw(
     2 + i when color i is asked for. To decode a draw twice, tuple pi first.
     """
     x_prime = compress_extra_color(outside, w0)
-    u_prime = unit_uniform(key, 1)
     pi = shuffle_walk(iter_colors(a_mask), chain((w2,), map(raw64, repeat(key), count(3))))
-    return CompressDraw(pi=pi, x_prime=x_prime, u_prime=u_prime)
+    return CompressDraw(pi=pi, x_prime=x_prime, u_prime=partial(unit_uniform, key, 1))
 
 
 def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:
@@ -243,7 +248,7 @@ def compress_decode(a_mask: ColorSet, q: int, draw: CompressDraw, blocked: Color
     if n_blocked > delta:
         raise EngineError(f"blocked set of size {n_blocked} exceeds |A| = {delta}")
     if not blocked >> draw.x_prime & 1:
-        if draw.u_prime < compress_accept(q, delta, n_blocked):
+        if draw.u_prime() < compress_accept(q, delta, n_blocked):
             return draw.x_prime
     for y in draw.pi:
         if not blocked >> y & 1:
@@ -375,28 +380,39 @@ def seeding_decode(
 # bounding set always has size 1 or 2.
 #
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
-# draw 2 picks the reserve color. The caller of disjoint_predict supplies
-# words 0 and 2 (bounding.BoundingState.next_key_words reads them from its
-# key batch when it has one); draw 1, which no batch carries, is hashed
-# from the key. A one-slot layout (every slack color held by a singleton
-# list, so no pairs and no D or E colors) is all leftover: its predicted
-# set is {reserve} whatever draws 0 and 1 say. When every neighbor list is
-# a singleton, bounding.apply_disjoint draws the reserve alone; a mixed
-# one-slot layout (2-lists whose colors all lie in singleton lists) walks
-# the slots and reads draws 0 and 1 without using them. Each draw is
+# draw 2 picks the reserve color. The caller supplies words 0 and 2
+# (bounding.BoundingState.next_key_words reads them from its key batch
+# when it has one). Draw 1, which no batch carries, is read only by the
+# decode of a color slot whose color is unblocked: disjoint_predict puts it
+# in the draw as a callable that hashes it from the key, and an update that
+# carries no coloring calls disjoint_new_list, which takes no key and
+# builds no draw. disjoint_slot is the one walk over the layout for both.
+# The layout (disjoint_params_from_lists) holds the walk's running sum at
+# the end of each section, added slot by slot as the walk adds them, so
+# the walk returns the leftover as soon as u >= total, starts each section
+# from where the ones before it end, and sorts the pairs only when u falls
+# among them. A one-slot layout (every slack color held by a singleton
+# list, so no pairs and no D or E colors) has total 0: it is all leftover,
+# and its predicted set is {reserve} whatever draw 0 says. Its scan
+# (disjoint_pair_scan) skips the pair pass. When every neighbor list is a
+# singleton, bounding.apply_disjoint draws the reserve alone. Each draw is
 # addressed by its index, so a draw left untaken moves no other draw.
 
 class DisjointParams(NamedTuple):
     q: int
     delta: int
     s_mask: ColorSet
-    pairs: tuple[ColorSet, ...]  # 2-color masks, ordered by lowest color
+    pairs: tuple[ColorSet, ...]  # 2-color masks, in neighbor order
     d_mask: ColorSet
     e_mask: ColorSet
     p_pair: float
     s_d: float
     s_e: float
     leftover: float  # exact probability that the predicted set is a singleton
+    # the walk's running sum after the pairs, after the D colors, after the E colors
+    pairs_end: float
+    d_end: float
+    total: float
 
 
 class DisjointDraw(NamedTuple):
@@ -405,7 +421,7 @@ class DisjointDraw(NamedTuple):
     color: int  # the slot's color, or -1
     slot_prob: float
     in_d: bool  # a D color's slot; False on pair and leftover slots
-    v: float  # draw 1; only a color slot's decode uses it
+    v: Callable[[], float]  # draw 1; only a color slot's decode calls it
     reserve: int
 
 
@@ -413,28 +429,61 @@ def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, ColorSet, list[ColorS
     """Union of the lists, union of the 1-lists (the pinned colors Q), union
     of the pairs, and the pairs: the 2-lists that meet no other list.
 
-    One pass: ``shared`` collects every color seen in two or more lists, so
-    a 2-list is a disjoint pair iff it misses ``shared``. When the union is
-    Q, every color of a 2-list is also in a 1-list, so there are no pairs
-    and the pair pass is skipped. Pairs come back in input order.
+    One pass over lists, which may be any iterable: ``shared`` collects every
+    color seen in two or more lists of two or more colors, so a 2-list is a
+    disjoint pair iff it misses ``shared`` and Q. When the union is Q, every
+    color of a 2-list is also in a 1-list, so there are no pairs and the
+    pair pass is skipped. Pairs come back in input order.
     """
     seen = shared = pinned = 0
+    twos = []
     for m in lists:
-        shared |= seen & m
-        seen |= m
-        if m.bit_count() == 1:
+        if m & (m - 1):
+            shared |= seen & m
+            seen |= m
+            if m.bit_count() == 2:
+                twos.append(m)
+        else:
             pinned |= m
-    if seen == pinned:
-        return seen, pinned, 0, []
-    pairs = [m for m in lists if m.bit_count() == 2 and not (m & shared)]
+    if not seen & ~pinned:
+        return seen | pinned, pinned, 0, []
+    shared |= pinned
+    pairs = [m for m in twos if not m & shared]
     pair_mask = 0
     for m in pairs:
         pair_mask |= m
-    return seen, pinned, pair_mask, pairs
+    return seen | pinned, pinned, pair_mask, pairs
 
 
-def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> DisjointParams:
-    """Slot layout for the given neighbor bounding lists.
+@lru_cache(maxsize=1024, typed=True)
+def _pair_masses(q: int, delta: int, q_size: int, b: int) -> tuple:
+    """(p_pair, s_d, s_e, pair mass, pairs_end, d_end, room for E colors)
+    of a layout with q_size pinned colors and b pairs: the slot masses, the
+    mass of the pair and D slots, and the walk's running sum after the
+    pairs and after the D colors, added slot by slot as the walk adds them.
+    Raises CouplingRegimeError when q <= delta or the slack leaves no
+    reserve color. Cached, since these depend only on the counts, and at
+    most (delta + 1)(delta + 2) / 2 of them arise for one q; typed, so a
+    Fraction q never meets a float result."""
+    if q <= delta:
+        raise CouplingRegimeError("disjoint needs q > delta")
+    e_room = q - q_size - 2 * b
+    if e_room <= 0:
+        raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
+    p_pair = 1 / (q - q_size - b) if b else 0
+    s_e = 1 / (q - delta)
+    s_d = max(0, s_e - p_pair)
+    acc = 0
+    for _ in range(b):
+        acc += p_pair
+    pairs_end = acc
+    for _ in range(2 * b):
+        acc += s_d
+    return p_pair, s_d, s_e, b * p_pair + 2 * b * s_d, pairs_end, acc, e_room
+
+
+def disjoint_params_from_lists(q: int, delta: int, neighbor_lists) -> DisjointParams:
+    """Slot layout for the given neighbor bounding lists (any iterable).
 
     A 2-color list qualifies as a disjoint pair when it intersects no other
     neighbor list of any size; its colors then block exactly one of the two
@@ -442,31 +491,35 @@ def disjoint_params_from_lists(q: int, delta: int, neighbor_lists: list) -> Disj
     slot masses exceed 1, which cannot happen when every neighbor list has
     at most two colors and q >= 2.5 * delta; larger lists are tolerated as
     long as the mass check passes. When every slack color is pinned (in Q),
-    the layout has one slot, the leftover, of mass exactly 1;
-    bounding.apply_disjoint takes the case of all-singleton lists before
-    building any layout.
+    the layout has one slot, the leftover, of mass exactly 1, and total is 0.
+
+    pairs_end, d_end and total are the walk's running sum at the end of
+    each section, added slot by slot in the walk's order, so comparing u
+    with them picks the section the walk would; a product such as
+    b * p_pair could differ from that sum in its last bit.
     """
-    s_mask, q_mask, d_mask, pair_lists = disjoint_pair_scan(neighbor_lists)
-    if q <= delta:
-        raise CouplingRegimeError("disjoint needs q > delta")
-    if s_mask.bit_count() >= q:
-        raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
-    b = len(pair_lists)
+    s_mask, q_mask, d_mask, pairs = disjoint_pair_scan(neighbor_lists)
     q_size = q_mask.bit_count()
-    p_pair = 1 / (q - q_size - b) if b else 0
-    s_e = 1 / (q - delta)
-    s_d = max(0, s_e - p_pair)
+    p_pair, s_d, s_e, pair_mass, pairs_end, d_end, e_room = _pair_masses(
+        q, delta, q_size, len(pairs)
+    )
     e_mask = s_mask & ~q_mask & ~d_mask
-    mass = b * p_pair + d_mask.bit_count() * s_d + e_mask.bit_count() * s_e
+    e_size = e_mask.bit_count()
+    if e_size >= e_room:
+        raise CouplingRegimeError("disjoint needs a reserve color outside the slack set")
+    mass = pair_mass + e_size * s_e
     leftover = 1 - mass
     if leftover < -1e-9:
         raise CouplingRegimeError(
             f"disjoint coupling infeasible: slot mass {float(mass):.6f} exceeds 1 "
-            f"(|S|={s_mask.bit_count()}, |Q|={q_size}, pairs={b}, q={q}, delta={delta})"
+            f"(|S|={s_mask.bit_count()}, |Q|={q_size}, pairs={len(pairs)}, q={q}, delta={delta})"
         )
-    pairs = tuple(sorted(pair_lists, key=lambda m: m & -m) if b > 1 else pair_lists)
+    total = d_end
+    for _ in range(e_size):
+        total += s_e
     return DisjointParams(
-        q, delta, s_mask, pairs, d_mask, e_mask, p_pair, s_d, s_e, max(0, leftover)
+        q, delta, s_mask, tuple(pairs), d_mask, e_mask, p_pair, s_d, s_e,
+        leftover if leftover > 0 else 0, pairs_end, d_end, total,
     )
 
 
@@ -474,33 +527,47 @@ def disjoint_predict(
     params: DisjointParams, key: int, w0: int, w2: int
 ) -> tuple[ColorSet, DisjointDraw]:
     """Predicted set and draw at key, given its words w0 = raw64(key, 0) and
-    w2 = raw64(key, 2): slot u from w0, reserve from w2, v from draw 1."""
+    w2 = raw64(key, 2): slot u from w0, reserve from w2, and v, draw 1 under
+    key, hashed only if the decode calls it."""
     reserve = outside_color(params.s_mask, params.q, w2)
-    return disjoint_slot(params, unit_from_word(w0), unit_uniform(key, 1), reserve)
+    predicted, slot = disjoint_slot(params, unit_from_word(w0), reserve)
+    return predicted, DisjointDraw(*slot, partial(unit_uniform, key, 1), reserve)
 
 
-def disjoint_slot(params: DisjointParams, u, v, reserve: int) -> tuple[ColorSet, DisjointDraw]:
-    """Predicted set and draw of the slot u falls in: pairs, D, E colors, leftover."""
-    # a running float sum picks the slot; arithmetic on u can differ at a boundary
-    acc = 0
-    for pair in params.pairs:
-        acc += params.p_pair
-        if u < acc:
-            draw = DisjointDraw(pair, -1, params.p_pair, False, v, reserve)
-            return pair, draw
-    if params.s_d > 0.0:
-        for c in iter_colors(params.d_mask):
-            acc += params.s_d
+def disjoint_new_list(params: DisjointParams, w0: int, w2: int) -> ColorSet:
+    """disjoint_predict's predicted set alone, for an update that decodes no
+    coloring: it needs only words 0 and 2, never the key or draw 1."""
+    reserve = outside_color(params.s_mask, params.q, w2)
+    return disjoint_slot(params, unit_from_word(w0), reserve)[0]
+
+
+def disjoint_slot(params: DisjointParams, u, reserve: int) -> tuple[ColorSet, tuple]:
+    """Predicted set and slot of the slot u falls in: pairs, D, E colors,
+    leftover. The slot is (pair, color, slot_prob, in_d), DisjointDraw's
+    first fields.
+
+    u is compared with the layout's running sums, never with arithmetic on
+    u, which could differ at a boundary: u >= total is the leftover, and a
+    section's walk starts from the sum the sections before it end at. Pairs
+    are ordered by lowest color, and sorted only when u falls among them.
+    """
+    if u < params.total:
+        if u < params.pairs_end:
+            acc = 0
+            p = params.p_pair
+            for pair in sorted(params.pairs, key=lambda m: m & -m):
+                acc += p
+                if u < acc:
+                    return pair, (pair, -1, p, False)
+        if u < params.d_end:
+            acc, s, mask, in_d = params.pairs_end, params.s_d, params.d_mask, True
+        else:
+            acc, s, mask, in_d = params.d_end, params.s_e, params.e_mask, False
+        for c in iter_colors(mask):
+            acc += s
             if u < acc:
-                draw = DisjointDraw(0, c, params.s_d, True, v, reserve)
-                return 1 << c | 1 << reserve, draw
-    for c in iter_colors(params.e_mask):
-        acc += params.s_e
-        if u < acc:
-            draw = DisjointDraw(0, c, params.s_e, False, v, reserve)
-            return 1 << c | 1 << reserve, draw
-    draw = DisjointDraw(0, -1, params.leftover, False, v, reserve)
-    return 1 << reserve, draw
+                return 1 << c | 1 << reserve, (0, c, s, in_d)
+    return 1 << reserve, (0, -1, params.leftover, False)
 
 
 def disjoint_needed(params: DisjointParams, draw: DisjointDraw, n_blocked: int):
@@ -526,6 +593,6 @@ def disjoint_decode(params: DisjointParams, draw: DisjointDraw, blocked: ColorSe
     c = draw.color
     if c >= 0 and not blocked >> c & 1:
         needed = disjoint_needed(params, draw, n_blocked)
-        if needed > 0.0 and draw.v * draw.slot_prob < needed:
+        if needed > 0.0 and draw.v() * draw.slot_prob < needed:
             return c
     return draw.reserve

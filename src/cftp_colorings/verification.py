@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 from . import couplings as cp
 from . import engine, oracle
@@ -92,9 +92,10 @@ def compress_suite(
     outside = cp.compress_outside(a_mask, q)
 
     def predict(key):
-        # one draw is decoded against every blocked set: walk its shuffle once
+        # one draw is decoded against every blocked set: walk its shuffle
+        # and hash u' once
         d = draw(a_mask, outside, key, raw64(key, 0), raw64(key, 2))
-        return a_mask | 1 << d.x_prime, d._replace(pi=tuple(d.pi))
+        return a_mask | 1 << d.x_prime, d._replace(pi=tuple(d.pi), u_prime=cache(d.u_prime))
 
     blocked_sets = [mask_from(s) for s in _subsets_up_to(list(range(q)), delta)]
     containment, marginals, _ = _decode_marginals(

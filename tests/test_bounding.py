@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,39 @@ def test_greedy_stays_inside_large_slack():
     assert a & ~slack == 0
 
 
+def kept_list_sets(n_sets=400, seed=29):
+    """Random sets of 0 to 12 kept lists of 1 to 3 colors. Half draw from 8
+    colors, so lists often share a lowest color; every third set adds {c}
+    and {c, d} beside a list whose lowest color is c, whose member lists
+    are prefixes of one another."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_sets):
+        q = 8 if i % 2 else 70
+        lists = [
+            mask_from(int(c) for c in rng.choice(q, rng.integers(1, 4), replace=False))
+            for _ in range(rng.integers(0, 13))
+        ]
+        c = (lists[0] & -lists[0]).bit_length() - 1 if lists else q
+        if i % 3 == 0 and c < q - 1:
+            lists += [1 << c, 1 << c | 1 << int(rng.integers(c + 1, q))]
+            rng.shuffle(lists)
+        yield lists
+
+
+def test_member_order_matches_sorting_by_members():
+    shared = distinct = 0
+    for lists in kept_list_sets():
+        assert bd._member_order(list(lists)) == sorted(lists, key=members), lists
+        lows = {m & -m for m in lists}
+        shared += len(lows) < len(lists)
+        distinct += len(lists) > 1 and len(lows) == len(lists)
+    assert shared >= 100 and distinct >= 50
+    # a list before the longer lists it begins, whichever comes first
+    for order in ([[3, 5], [3], [2, 9]], [[3], [3, 5], [2, 9]]):
+        lists = [mask_from(colors) for colors in order]
+        assert [members(m) for m in bd._member_order(lists)] == [[2, 9], [3], [3, 5]]
+
+
 # ---------------------------------------------------------------------------
 # keys and their words
 # ---------------------------------------------------------------------------
@@ -223,49 +258,109 @@ SINGLETON_STARS = [
     ((0, 1), 6, True),
 ]
 
+# (leaf lists of a star, q, an isolated vertex beside it); lists of 1 to 3
+# colors, not all singletons
+MIXED_STARS = [
+    (((1, 2), (3, 4), (5,), (6,)), 10, False),  # two pairs: pair and D slots
+    (((1, 2), (2, 3), (4, 5), (6,)), 10, True),  # entangled 2-lists: E colors
+    (((0, 1, 2), (0, 1, 3), (6, 7), (8,)), 11, False),  # 3-lists beside a pair
+    (((1,), (2,), (1, 2), (2, 3), (3,)), 9, False),  # mixed one-slot
+    (((0, 1), (1, 2), (3, 4), (4, 5)), 8, False),  # slot mass 3/2: infeasible
+    # 32 leaves, so the state takes its keys in batches: 8 pinned colors,
+    # 8 pairs, 8 overlapping 3-lists and 8 2-lists that meet a pinned color
+    (
+        tuple((c,) for c in range(8))
+        + tuple((40 + 2 * i, 41 + 2 * i) for i in range(8))
+        + tuple((60 + i, 61 + i, 62 + i) for i in range(8))
+        + tuple((i, 80 + i) for i in range(8)),
+        105,
+        True,
+    ),
+    # 32 leaves whose 2-lists hold pinned colors only: a batched one-slot layout
+    (tuple((c,) for c in range(16)) + tuple((c, (c + 1) % 16) for c in range(16)), 105, False),
+]
 
-def singleton_star(leaf_colors, q, isolated, seed):
-    """The star's state, its carried coloring, and the vertices to update:
-    the center, and the vertex of degree 0 when there is one."""
-    d = len(leaf_colors)
+
+def star_case(leaves, q, isolated, seed):
+    """The star's state, a carried coloring that gives each leaf one color
+    of its list, and the vertices to update: the center, and the vertex of
+    degree 0 when there is one."""
+    d = len(leaves)
     g = build_graph(d + 1 + isolated, [(0, i + 1) for i in range(d)])
+    rng = np.random.default_rng(seed)
     # an updated vertex's own carried color is never read
-    coloring = [0, *leaf_colors] + [0] * isolated
-    state = make_state(g, q, {i + 1: [c] for i, c in enumerate(leaf_colors)}, seed=seed)
+    coloring = [0, *(int(rng.choice(colors)) for colors in leaves)] + [0] * isolated
+    state = make_state(g, q, {i + 1: colors for i, colors in enumerate(leaves)}, seed=seed)
     return g, state, coloring, [0] + [d + 1] * isolated
 
 
+def singleton_star(leaf_colors, q, isolated, seed):
+    return star_case(tuple((c,) for c in leaf_colors), q, isolated, seed)
+
+
 def full_layout_walk(g, q, lists, v, key, coloring):
-    """v's new list and decoded color with the slot layout built and draws
-    0, 1 and 2 all taken."""
+    """v's new list, decoded color and slot kind with the slot layout built
+    and draws 0, 1 and 2 all taken."""
     params = cp.disjoint_params_from_lists(q, g.max_degree, [lists[u] for u in g.adjacency[v]])
     reserve = cp.outside_color(params.s_mask, q, raw64(key, 2))
-    predicted, draw = cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+    predicted, slot = cp.disjoint_slot(params, unit_uniform(key, 0), reserve)
+    draw_1 = unit_uniform(key, 1)
+    draw = cp.DisjointDraw(*slot, lambda: draw_1, reserve)
     blocked = mask_from(coloring[u] for u in g.adjacency[v])
-    return predicted, cp.disjoint_decode(params, draw, blocked)
+    if not params.total:
+        kind = "one-slot"
+    elif draw.pair:
+        kind = "pair"
+    elif draw.color >= 0:
+        kind = "D" if draw.in_d else "E"
+    else:
+        kind = "leftover"
+    return predicted, cp.disjoint_decode(params, draw, blocked), kind
 
 
-def singleton_star_mismatches(apply_disjoint, n_seeds=25):
-    """(leaf colors, q, v, seed) wherever apply_disjoint's new list or carried
-    color differs from the full layout walk's at the same key."""
-    out = []
-    for leaf_colors, q, isolated in SINGLETON_STARS:
+def star_mismatches(apply_disjoint, cases, n_seeds=25):
+    """(leaves, q, v, seed) wherever apply_disjoint, on a built state and on
+    one carrying a coloring, differs from the full layout walk at the same
+    key: in the new list, the carried color, the update count or the key
+    index. An infeasible layout must raise CouplingRegimeError from both
+    states before any key is taken, leaving every list as it was. Returns
+    the mismatches and a count of the key paths and slot kinds met."""
+    out, kinds = [], Counter()
+    for leaves, q, isolated in cases:
         for seed in range(n_seeds):
-            g, state, coloring, updated = singleton_star(leaf_colors, q, isolated, seed)
+            g, state, coloring, updated = star_case(leaves, q, isolated, seed)
             for v in updated:
                 key = make_state(g, q, seed=seed).next_key()
-                expected = full_layout_walk(g, q, state.lists, v, key, coloring)
                 plain = make_state(g, q, seed=seed)
                 plain.lists = list(state.lists)
                 carried = bd.BoundingState(g, q, SeedStream(seed), block=1, coloring=coloring)
                 carried.lists = list(state.lists)
+                kinds["batched" if plain._lanes else "per-key"] += 1
+                try:
+                    expected = full_layout_walk(g, q, state.lists, v, key, coloring)
+                except CouplingRegimeError:
+                    kinds["infeasible"] += 1
+                    for s in (plain, carried):
+                        try:
+                            apply_disjoint(s, v)
+                        except CouplingRegimeError:
+                            if s.lists == state.lists and s.updates == s._index == 0:
+                                continue
+                        out.append((leaves, q, v, seed))
+                    continue
+                kinds[expected[2]] += 1
                 apply_disjoint(plain, v)
                 apply_disjoint(carried, v)
                 got = (plain.lists[v], carried.coloring[v])
-                if carried.lists[v] != plain.lists[v] or got != expected:
-                    out.append((leaf_colors, q, v, seed))
-                assert plain.updates == 1 and plain._index == 1
-    return out
+                counts = (plain.updates, plain._index, carried.updates, carried._index)
+                if carried.lists[v] != plain.lists[v] or got != expected[:2] or counts != (1,) * 4:
+                    out.append((leaves, q, v, seed))
+    return out, kinds
+
+
+def singleton_star_mismatches(apply_disjoint):
+    cases = [(tuple((c,) for c in colors), q, iso) for colors, q, iso in SINGLETON_STARS]
+    return star_mismatches(apply_disjoint, cases)[0]
 
 
 def test_apply_disjoint_all_singletons_matches_full_layout_walk():
@@ -282,6 +377,27 @@ def test_singleton_star_check_catches_reserve_from_draw_0(monkeypatch):
             bd.apply_disjoint(state, v)
 
     assert singleton_star_mismatches(reserve_from_draw_0)
+
+
+def test_apply_disjoint_mixed_stars_match_full_layout_walk():
+    # a built update computes only the new list, a carried one decodes too;
+    # both must match the walk with every draw taken, on both key paths
+    mismatches, kinds = star_mismatches(bd.apply_disjoint, MIXED_STARS)
+    assert mismatches == []
+    for kind in ("batched", "per-key", "pair", "D", "E", "leftover", "one-slot", "infeasible"):
+        assert kinds[kind] > 0, kind
+
+
+def test_mixed_star_check_catches_slot_variate_from_word_2(monkeypatch):
+    """Negative control: the slot variate read from word 2 in place of word 0."""
+    real = bd.BoundingState.next_key_words
+
+    def slot_from_word_2(self):
+        key, _, w2 = real(self)
+        return key, w2, w2
+
+    monkeypatch.setattr(bd.BoundingState, "next_key_words", slot_from_word_2)
+    assert star_mismatches(bd.apply_disjoint, MIXED_STARS)[0]
 
 
 @pytest.mark.parametrize("leaf_colors", [(0, 1, 2, 3), (0, 1, 1, 2)])

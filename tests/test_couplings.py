@@ -24,9 +24,14 @@ STREAM = SeedStream(99)
 # ---------------------------------------------------------------------------
 
 
+def unread():
+    raise AssertionError("the decode read draw 1")
+
+
 def test_compress_hand_trace_blocked_extra():
-    # x' is blocked, so the decode walks the permutation: 2 blocked, 3 free
-    draw = cp.CompressDraw(pi=(2, 3, 1), x_prime=5, u_prime=0.9)
+    # x' is blocked, so the decode walks the permutation: 2 blocked, 3 free,
+    # and never reads u'
+    draw = cp.CompressDraw(pi=(2, 3, 1), x_prime=5, u_prime=unread)
     out = cp.compress_decode(mask_from([1, 2, 3]), 6, draw, mask_from([2, 5]))
     assert out == 3
 
@@ -34,8 +39,8 @@ def test_compress_hand_trace_blocked_extra():
 def test_compress_hand_trace_accepts_extra():
     # empty blocked set accepts x' exactly when u' < (q - delta) / q
     a = mask_from([1, 2, 3])
-    lo = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=0.49)
-    hi = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=0.51)
+    lo = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=lambda: 0.49)
+    hi = cp.CompressDraw(pi=(1, 2, 3), x_prime=4, u_prime=lambda: 0.51)
     assert cp.compress_decode(a, 6, lo, 0) == 4
     assert cp.compress_decode(a, 6, hi, 0) == 1
 
@@ -43,7 +48,7 @@ def test_compress_hand_trace_accepts_extra():
 def test_compress_rejects_extra_at_the_threshold():
     # u' = alpha = 0.5 rejects: on the k / 2**53 grid of unit_uniform, u' < alpha
     # accepts with chance exactly alpha, as the other decodes compare
-    draw = cp.CompressDraw(pi=(1, 2, 3), x_prime=5, u_prime=0.5)
+    draw = cp.CompressDraw(pi=(1, 2, 3), x_prime=5, u_prime=lambda: 0.5)
     assert cp.compress_accept(6, 3, 0) == 0.5
     assert cp.compress_decode(mask_from([1, 2, 3]), 6, draw, 0) == 1
 
@@ -100,6 +105,8 @@ def test_compress_draw_matches_predict():
         assert draw.x_prime == cp.compress_extra_color(outside, raw64(key, 0))
         assert predicted == a | 1 << draw.x_prime
         assert sorted(draw.pi) == [4, 5, 6]
+        # u' is draw 1, hashed when the decode calls for it
+        assert draw.u_prime() == unit_uniform(key, 1)
 
 
 @pytest.mark.parametrize("a_colors", [[], [7], [4, 5, 6], list(range(0, 64, 2))])
@@ -440,6 +447,23 @@ def test_disjoint_decode_unrealizable_pair_blocked_state_raises():
         cp.disjoint_decode(params, draw, mask_from([5, 6]))
 
 
+def test_disjoint_decode_reads_draw_1_only_on_an_open_color_slot():
+    # lists {1,2}, {2,3}, {4,5}, {6}: E colors 1, 2, 3 beside the pair {4, 5}
+    params = fixture_params("entangled")
+    blocked = mask_from([1, 3, 4, 6])
+    read = Counter()
+    for j in range(400):
+        key = STREAM.subkey(13, j)
+        _, draw = cp.disjoint_predict(params, key, raw64(key, 0), raw64(key, 2))
+        if draw.color < 0 or blocked >> draw.color & 1:
+            cp.disjoint_decode(params, draw._replace(v=unread), blocked)
+            read["unread"] += 1
+        else:
+            assert draw.v() == unit_uniform(key, 1)
+            read["read"] += 1
+    assert read["unread"] > 0 and read["read"] > 0
+
+
 @settings(max_examples=120, deadline=None)
 @given(j=st.integers(0, 20000), pick=st.tuples(st.booleans(), st.booleans()))
 def test_disjoint_containment_on_realizable_sets(j, pick):
@@ -488,7 +512,9 @@ def singleton_layouts(n_cases=90, seed=16):
 def full_walk(params, key):
     """The slot walk with every draw taken: u, v and the reserve."""
     reserve = cp.outside_color(params.s_mask, params.q, raw64(key, 2))
-    return cp.disjoint_slot(params, unit_uniform(key, 0), unit_uniform(key, 1), reserve)
+    predicted, slot = cp.disjoint_slot(params, unit_uniform(key, 0), reserve)
+    v = unit_uniform(key, 1)
+    return predicted, cp.DisjointDraw(*slot, lambda: v, reserve)
 
 
 def apply_mismatches(n_keys=200):

@@ -211,6 +211,57 @@ def test_block_runs_no_lp(monkeypatch):
     assert len(calls) > 0
 
 
+def built_block_hashes(monkeypatch):
+    """Calls to couplings.raw64, couplings.unit_uniform and bounding.raw64
+    while construct_block builds block 1 of a graph with no seeding set and
+    n >= 32, whose state takes its keys in batches; with the number of
+    disjoint updates that built a slot layout."""
+    g = gen_random_regular(64, 8, seed=3)
+    cfg = engine.SamplerConfig(q=31, master_seed=5)
+    stream = SeedStream(5)
+    part = engine.lll_partition(g, stream)
+    assert len(part) == 0 and bd.BoundingState(g, cfg.q, stream, 1)._lanes > 0
+    schedule = engine.schedule_for(g, cfg, part)
+    calls = Counter()
+
+    def counted(label, fn):
+        def counting(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return counting
+
+    for owner, name in ((cp, "raw64"), (cp, "unit_uniform"), (bd, "raw64")):
+        label = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
+    monkeypatch.setattr(cp, "disjoint_new_list", counted("layouts", cp.disjoint_new_list))
+    engine.construct_block(schedule, 1, stream)
+    layouts = calls.pop("layouts", 0)
+    return calls, layouts
+
+
+def test_built_block_reads_every_word_from_the_key_batch(monkeypatch):
+    # a built Phase II update reads words 0 and 2 only, and the batch holds
+    # both; no draw 1, which no batch carries, is hashed
+    calls, layouts = built_block_hashes(monkeypatch)
+    assert layouts > 0
+    assert sum(calls.values()) == 0, calls
+
+
+def test_built_block_hash_check_catches_draw_1(monkeypatch):
+    """Negative control: every layout update hashes draw 1, as a decode would."""
+    real = bd.BoundingState.next_key_words
+
+    def with_draw_1(self):
+        key, w0, w2 = real(self)
+        cp.unit_uniform(key, 1)
+        return key, w0, w2
+
+    monkeypatch.setattr(bd.BoundingState, "next_key_words", with_draw_1)
+    calls, layouts = built_block_hashes(monkeypatch)
+    assert calls["cftp_colorings.couplings.unit_uniform"] == layouts > 0
+
+
 def test_seeding_fallback_block_replays(monkeypatch):
     # at q = 66 on K32,32 the slack of a seeded vertex is often too wide for
     # the size law, so seeding falls back to compress; a carried coloring must

@@ -71,7 +71,7 @@ def compress_marginal(a_colors, q, blocked):
     for x_prime in outside:
         for pi in perms:
             outcomes = _split(alpha, lambda u: cp.compress_decode(
-                a_mask, qf, cp.CompressDraw(pi, x_prime, u), blocked))
+                a_mask, qf, cp.CompressDraw(pi, x_prime, lambda: u), blocked))
             _tally(mass, weight, a_mask | 1 << x_prime, blocked, outcomes)
     return mass
 
@@ -162,9 +162,10 @@ def disjoint_marginal(q, delta, neighbor_lists, blocked):
     for reserve in t_colors:
         u = Fraction(0)
         while u < 1:
-            predicted, draw = cp.disjoint_slot(params, u, 0, reserve)
+            predicted, slot = cp.disjoint_slot(params, u, reserve)
+            draw = cp.DisjointDraw(*slot, None, reserve)
             # the slot spans exactly [u, u + slot_prob)
-            assert cp.disjoint_slot(params, u + draw.slot_prob - EPS, 0, reserve)[1] == draw
+            assert cp.disjoint_slot(params, u + draw.slot_prob - EPS, reserve) == (predicted, slot)
             # and is exactly one kind: a pair, a color, or the leftover
             if draw.pair:
                 assert draw.pair.bit_count() == 2 and draw.color == -1
@@ -175,7 +176,7 @@ def disjoint_marginal(q, delta, neighbor_lists, blocked):
                 assert draw.color == -1 and predicted == 1 << reserve
             alpha = cp.disjoint_needed(params, draw, n_blocked) / draw.slot_prob
             outcomes = _split(alpha, lambda v: cp.disjoint_decode(
-                params, draw._replace(v=v), blocked))
+                params, draw._replace(v=lambda: v), blocked))
             _tally(mass, draw.slot_prob / len(t_colors), predicted, blocked, outcomes)
             u += draw.slot_prob
     return mass
