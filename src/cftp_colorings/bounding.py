@@ -10,7 +10,10 @@ computed, and checks that the decoded color lies in the vertex's new list.
 
 Every compress update, in either phase, takes its reference set from one
 rule, ``greedy_reference_set``, applied to neighbor lists: the preserved
-ones in ``cleanup``, all of v's in a fallback.
+ones in ``cleanup``, all of v's in a fallback. The Phase II drift sweeps
+the vertices in order, one key per step, and ``drift_tail`` runs its
+steps after every list is a singleton in one loop that walks the same
+sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import couplings as cp
 from .colorsets import ColorSet, full_mask, iter_colors, members, nth_outside
 from .errors import EngineError
 from .graphs import Graph
-from .seedstream import SeedStream, randint_below, raw64
+from .seedstream import SeedStream, raw64
 
 MAX_LANES = 32  # the widest key batch (see BoundingState)
 
@@ -32,14 +35,14 @@ class BoundingState:
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index,
     ``next_word(d)`` hands out word d of that key in its place,
-    ``next_key_words`` hands out the key with its words 0 and 2,
-    ``next_words0(k)`` hands out word 0 of the next k keys, and
-    ``drift_words`` hands out the drift tail's words, two keys per step.
+    ``next_key_words`` hands out the key with its words 0 and 2, and
+    ``next_words0(k)`` and ``drift_words(k)`` hand out word 0 and word 2
+    of the next k keys.
     ``updates`` counts the updates applied; the index also advances for the
-    drift's vertex picks, which ``engine.block_steps`` takes, so the two
-    differ. The schedule counts its seeding and disjoint fallbacks here. A
-    built block has no other record: the sampler reads these counts and
-    ``phi`` from its state.
+    Phase I drift's vertex picks, which ``engine.block_steps`` takes, so the
+    two differ when Phase I runs. The schedule counts its seeding and
+    disjoint fallbacks here. A built block has no other record: the sampler
+    reads these counts and ``phi`` from its state.
 
     On a graph of n >= 32 vertices the state takes its keys, with words 0
     and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
@@ -49,17 +52,17 @@ class BoundingState:
     block is short while its peak memory is small enough that fixed 32-lane
     buffers would double it.
 
-    The batch readers are the drift's vertex picks and a fallback's
-    compress extra color (``next_word(0)``), a built cleanup's run of
-    compress extra colors (``next_words0``), an all-singleton disjoint
-    update's reserve (``next_word(2)``), a carried compress update (its
-    extra color and its shuffle's first step) and a disjoint update's slot
-    variate and reserve (``next_key_words``), and the drift tail, each
-    step's pick word 0 and update word 2 (``drift_words``). Every word 0 or
-    2 that an update reads comes from the state; no update in this module
-    hashes one itself. A built block's Phase II reads nothing else: its
-    disjoint updates take no key. Seeding updates and carried decodes hash
-    their other draws (draw 1, a shuffle's later steps) from the key.
+    The batch readers are the Phase I drift's vertex picks and a
+    fallback's compress extra color (``next_word(0)``), a built cleanup's
+    run of compress extra colors (``next_words0``), an all-singleton
+    disjoint update's reserve (``next_word(2)``), a carried compress update
+    (its extra color and its shuffle's first step) and a disjoint update's
+    slot variate and reserve (``next_key_words``), and the drift tail, each
+    step's word 2 (``drift_words``). Every word 0 or 2 that an
+    update reads comes from the state; no update in this module hashes one
+    itself. A built block's Phase II reads nothing else: its disjoint
+    updates take no key. Seeding updates and carried decodes hash their
+    other draws (draw 1, a shuffle's later steps) from the key.
     """
 
     __slots__ = (
@@ -143,33 +146,24 @@ class BoundingState:
             idx = end
         return words
 
-    def drift_words(self, steps: int):
-        """Yield (word 0 of the pick's key, word 2 of the update's key) for
-        each of the next steps drift steps, which take two keys each, the
-        pick's and then the update's. The index advances past all 2 * steps
-        keys at once."""
+    def drift_words(self, k: int):
+        """Yield raw64(key, 2) for the next k keys, the drift tail's words,
+        read from the batch when the state takes its keys in batches. Unlike
+        next_words0 it holds no list, since a tail runs thousands of steps.
+        The index advances past all k when the first word is read."""
         idx = self._index
-        stop = self._index = idx + 2 * steps
+        stop = self._index = idx + k
         if not self._lanes:
             subkey, block = self.stream.subkey, self.block
-            for idx in range(idx, stop, 2):
-                yield raw64(subkey(block, idx), 0), raw64(subkey(block, idx + 1), 2)
+            for idx in range(idx, stop):
+                yield raw64(subkey(block, idx), 2)
             return
         while idx < stop:
             if idx >= self._end:
                 self._refill(idx)
-            base, end = self._base, self._end
-            w0, w2 = self._words[0], self._words[2]
-            i = idx - base
-            # the steps whose two keys both lie in this batch
-            k = 2 * ((min(end, stop) - idx) // 2)
-            yield from zip(w0[i : i + k : 2], w2[i + 1 : i + k : 2])
-            idx += k
-            if idx < stop and idx + 1 == end:
-                # the pick's key is the batch's last; the update's opens the next
-                self._refill(end)
-                yield w0[-1], self._words[2][0]
-                idx += 2
+            end = min(self._end, stop)
+            yield from islice(self._words[2], idx - self._base, end - self._base)
+            idx = end
 
     def all_singletons(self) -> bool:
         """Whether every list is a singleton: the lists are one coloring."""
@@ -358,25 +352,28 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
 
 def drift_tail(state: BoundingState, steps: int) -> None:
     """The last steps of the Phase II drift of a built block, run once every
-    list is a singleton and q > max_degree.
+    list is a singleton and q > max_degree, from the start of a sweep.
 
-    Each step is apply_disjoint's all-singleton update at a picked vertex:
-    the pick is randint_below(word 0, n) of the pick's key, the color is
-    cp.outside_color of the neighbors' colors with word 2 of the update's
-    key, and the lists stay singletons. The steps take the same keys as
-    the same drift steps run one by one (``state.drift_words``) and count
-    as the same updates. A block that reaches the tail coalesces, and the
-    sampler replays only blocks that did not, so the tail never carries a
-    coloring (engine.block_steps).
+    Each step is apply_disjoint's all-singleton update at the sweep's next
+    vertex, 0, 1, ..., n - 1, 0, ...: the color is cp.outside_color of the
+    neighbors' colors with word 2 of the step's key, and the lists stay
+    singletons. The steps take the same keys as the same drift steps run
+    one by one (``state.drift_words``) and count as the same
+    updates. A block that reaches the tail coalesces, and the sampler
+    replays only blocks that did not, so the tail never carries a coloring
+    (engine.block_steps).
     """
     lists, q = state.lists, state.q
     n, adjacency = state.g.n, state.g.adjacency
-    for w0, w2 in state.drift_words(steps):
-        v = randint_below(w0, n)
-        m = 0
-        for u in adjacency[v]:
-            m |= lists[u]
-        lists[v] = 1 << cp.outside_color(m, q, w2)
+    words = state.drift_words(steps)
+    for _ in range(0, steps, n):
+        # zip takes v before its word, so it stops at a sweep's end with
+        # the next sweep's first word untaken
+        for v, nbrs, w2 in zip(range(n), adjacency, words):
+            m = 0
+            for u in nbrs:
+                m |= lists[u]
+            lists[v] = 1 << cp.outside_color(m, q, w2)
     state.updates += steps
 
 

@@ -156,6 +156,14 @@ def default_t1(seed_set_size: int) -> int:
 
 
 def default_t2(n: int, q: int, delta: int) -> int:
+    """The paper's Phase II drift length, 2(q - delta) n ln n / (q - 2.5 delta).
+
+    The paper proves its coalescence bound for that many random-scan
+    updates. The drift here sweeps the vertices in order (block_steps), and
+    for the sweep at this length coalescence is measured, not proven.
+    Exactness rests on neither: any schedule fixed before the draws keeps
+    the output exact, and only how often a block coalesces depends on t2.
+    """
     if n <= 1:
         return 0
     if q <= 2.5 * delta:
@@ -221,17 +229,19 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
     """Yield one block's steps in order, as (phase, v, preserved).
 
     Phase 1 seeds each vertex of schedule.seeded (S), then drifts S for
-    schedule.t1 picks; phase 2 converts the other vertices, then drifts all
-    n for schedule.t2 picks. A step cleans up v against preserved (the
-    vertices already seeded or converted), then runs its phase's update at
-    v; preserved is None in the phase 2 drift, which runs no cleanup. Run
-    each step before asking for the next. Key facts: every update, a
-    fallback included, takes exactly one key; a cleanup with k targets
-    takes k consecutive keys; a drift step takes its pick key first, in
-    this generator. So the key index after each step depends only on the
+    schedule.t1 random picks; phase 2 converts the other vertices, then
+    drifts all n for schedule.t2 steps in sweeps, drift step i updating
+    vertex i mod n. A step cleans up v against preserved (the vertices
+    already seeded or converted), then runs its phase's update at v;
+    preserved is None in the phase 2 drift, which runs no cleanup. Run each
+    step before asking for the next. Key facts: every update, a fallback
+    included, takes exactly one key; a cleanup with k targets takes k
+    consecutive keys; a phase 1 drift step takes its pick key first, in
+    this generator; a phase 2 drift step takes exactly one key, its
+    update's. So the key index after each step depends only on the
     schedule, never on a draw.
 
-    The drift tail: every n phase 2 drift picks of a built block, if every
+    The drift tail: at the start of each sweep of a built block, if every
     list is a singleton (and q > max_degree), every later drift update would
     be apply_disjoint's all-singleton one, so this generator runs all the
     remaining drift steps itself, in bounding.drift_tail, and yields no
@@ -251,15 +261,15 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
         if v not in preserved:
             yield 2, v, preserved
             preserved.add(v)
-    # sweeps of n picks, each after a look for the drift tail (at
-    # q <= max_degree its updates would fall back)
+    # sweeps of n steps, each after a look for the drift tail (at
+    # q <= max_degree its updates would fall back); no vertex, no drift
     tail = state.coloring is None and q > state.g.max_degree
-    for start in range(0, t2, max(n, 1)):
+    for start in range(0, t2 if n else 0, max(n, 1)):
         if tail and state.all_singletons():
             bd.drift_tail(state, t2 - start)
             return
-        for _ in range(min(n, t2 - start)):
-            yield 2, randint_below(state.next_word(0), n), None
+        for v in range(min(n, t2 - start)):
+            yield 2, v, None
 
 
 def run_schedule(state: bd.BoundingState, schedule: Schedule) -> None:

@@ -49,7 +49,7 @@ def test_t_schedules(monkeypatch):
         assert schedule.t1 == engine.default_t1(len(part))
         assert schedule.t2 == (engine.default_t2(g.n, 105, 32) if t2 is None else t2)
     # one schedule per sample, which every block reads: the golden case
-    # forced-d6-q18-s3 builds 3 blocks and replays 2
+    # forced-d6-q18-t60-s19 builds 3 blocks and replays 2
     built, read = [], []
     schedule_for, run_schedule = engine.schedule_for, engine.run_schedule
 
@@ -63,7 +63,7 @@ def test_t_schedules(monkeypatch):
 
     monkeypatch.setattr(engine, "schedule_for", building)
     monkeypatch.setattr(engine, "run_schedule", reading)
-    cfg = engine.SamplerConfig(q=18, master_seed=3, force=True, t2_override=140)
+    cfg = engine.SamplerConfig(q=18, master_seed=19, force=True, t2_override=60)
     assert engine.sample(gen_random_regular(20, 6, seed=5), cfg).blocks_used == 3
     assert len(built) == 1 and len(read) == 5
     assert all(schedule is built[0] for schedule in read)
@@ -342,12 +342,14 @@ def test_block_update_budget():
 # ---------------------------------------------------------------------------
 
 # (graph, q, t2, parity of the tail's first key): 20 vertices take one key
-# at a time; 33 and 34 vertices take batches of 2 keys, so a tail starting
-# at an odd key has every step's pick and update keys in two batches, and
-# one starting at an even key never does
+# at a time; 35 and 34 vertices take batches of 2 keys, which start at even
+# keys, so a tail starting at an odd key (key 175, after two sweeps) reads
+# its first word from the last lane of a batch taken before the tail and
+# its second from a new batch, and one starting at an even key (key 170)
+# starts at a batch's first lane
 TAIL_FIXTURES = [
     (gen_random_regular(20, 4, seed=1), 17, 300, None),
-    (gen_random_regular(33, 4, seed=1), 17, 400, 1),
+    (gen_random_regular(35, 4, seed=1), 17, 400, 1),
     (gen_random_regular(34, 4, seed=1), 17, 400, 0),
 ]
 TAIL_IDS = ["one-key", "batch-odd-start", "batch-even-start"]
@@ -414,6 +416,42 @@ def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, 
     assert tuple(coloring) == engine.construct_block(schedule, 1, stream).phi
 
 
+@pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES, ids=TAIL_IDS)
+def test_phase_2_drift_sweeps_the_vertices_in_order(monkeypatch, graph, q, t2, parity):
+    # a carried run yields every drift step, so apply_disjoint sees drift
+    # step i at vertex i mod n, on both key paths; the seeding set is
+    # empty, so the convert pass before it takes 0 .. n - 1 too
+    n = graph.n
+    cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
+    stream = SeedStream(3)
+    schedule = engine.schedule_for(graph, cfg, engine.lll_partition(graph, stream))
+    assert schedule.seeded == ()
+    omega = engine.construct_block(schedule, 2, stream).phi
+    assert omega is not None
+    updated, apply_disjoint = [], bd.apply_disjoint
+
+    def recorded(state, v):
+        updated.append(v)
+        apply_disjoint(state, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(bd, "apply_disjoint", recorded)
+        starts, (lists, _, updates, index) = tail_run(m, graph, q, t2, omega)
+    assert starts == []
+    assert updated == list(range(n)) + [i % n for i in range(t2)]
+    # a built run takes the tail at a sweep's start and ends where the
+    # carried run does
+    with monkeypatch.context() as m:
+        built_starts, (built_lists, _, built_updates, built_index) = tail_run(
+            m, graph, q, t2, None
+        )
+    assert len(built_starts) == 1
+    # the tail's steps, one key each, are the drift's last ones from a
+    # sweep's start
+    assert (t2 - (built_index - built_starts[0])) % n == 0
+    assert (lists, updates, index) == (built_lists, built_updates, built_index)
+
+
 def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
     # why the tail needs no carried mode: a block's lists stay singletons
     # once they all are, so a block that takes the tail coalesces, and
@@ -425,9 +463,9 @@ def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
         tail(state, steps)
 
     monkeypatch.setattr(bd, "drift_tail", recorded)
-    # the forced-d6 graph of the golden cases, where about one block in
-    # four fails to coalesce, then the tail fixtures
-    fixtures = [(gen_random_regular(20, 6, seed=5), 18, 140, 200)]
+    # the forced-d6 graph of the golden cases with a drift of three sweeps,
+    # where 45 of the 200 blocks fail to coalesce, then the tail fixtures
+    fixtures = [(gen_random_regular(20, 6, seed=5), 18, 60, 200)]
     fixtures += [(graph, q, t2, 40) for graph, q, t2, _ in TAIL_FIXTURES]
     took_tail = failed = 0
     for graph, q, t2, blocks in fixtures:
@@ -444,20 +482,35 @@ def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
     assert took_tail > 100 and failed > 10
 
 
+def sweep_tail(first, draw):
+    """A drift tail that starts its sweep at vertex first and reads word
+    draw of each step's key; first 0 and draw 2 is the shipped rule."""
+
+    def tail(state, steps):
+        lists, g = state.lists, state.g
+        for i in range(steps):
+            v = (first + i) % g.n
+            m = 0
+            for u in g.adjacency[v]:
+                m |= lists[u]
+            lists[v] = 1 << cp.outside_color(m, state.q, raw64(state.next_key(), draw))
+        state.updates += steps
+
+    return tail
+
+
 @pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES[:2], ids=TAIL_IDS[:2])
-def test_tail_check_catches_word_2_read_from_the_pick_key(monkeypatch, graph, q, t2, parity):
-    """Negative control: the tail takes the same keys, but hashes the
-    update's word 2 under the pick's key."""
-
-    def pick_key_words(state, steps):
-        for _ in range(steps):
-            key = state.next_key()
-            state.next_key()
-            yield raw64(key, 0), raw64(key, 2)
-
-    monkeypatch.setattr(bd.BoundingState, "drift_words", pick_key_words)
-    starts, mismatches = tail_mismatches(monkeypatch, graph, q, t2)
-    assert starts and "lists" in mismatches and "_index" not in mismatches
+def test_tail_check_catches_a_misread_sweep(monkeypatch, graph, q, t2, parity):
+    """Negative control: tails that take the same keys but start their
+    sweep at vertex 1 or read word 0 must fail the check; the same loop
+    with the shipped rule passes it."""
+    found = {}
+    for first, draw in [(0, 2), (1, 2), (0, 0)]:
+        with monkeypatch.context() as m:
+            m.setattr(bd, "drift_tail", sweep_tail(first, draw))
+            starts, found[first, draw] = tail_mismatches(m, graph, q, t2)
+        assert len(starts) == 1
+    assert found == {(0, 2): [], (1, 2): ["lists"], (0, 0): ["lists"]}
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +535,14 @@ def test_replay_empty_composition_is_identity():
     schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
     assert engine.construct_block(schedule, 1, stream).updates == 0
     assert engine.replay(schedule, 1, stream, ()) == ()
+
+
+def test_empty_graph_drift_updates_nothing():
+    # a drift length with no vertex to sweep takes no key and no update
+    g = build_graph(0, [])
+    cfg = engine.SamplerConfig(q=13, master_seed=14, t2_override=5)
+    result = engine.sample(g, cfg)
+    assert result.coloring == () and result.updates == 0
 
 
 def test_replay_rejects_improper_input():

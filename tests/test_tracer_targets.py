@@ -48,10 +48,10 @@ def test_every_layer_target_resolves_to_a_library_function():
 def test_traced_sample_counts_every_engine_call():
     # the tracer wraps engine's attributes, so a call that sample() made
     # through an alias bound at import time would read 0 calls; the golden
-    # case forced-d6-q18-s3 builds 3 blocks and replays the older 2
+    # case forced-d6-q18-t60-s19 builds 3 blocks and replays the older 2
     tracer = load_tracer()
     graph = gen_random_regular(20, 6, seed=5)
-    config = engine.SamplerConfig(q=18, master_seed=3, force=True, t2_override=140)
+    config = engine.SamplerConfig(q=18, master_seed=19, force=True, t2_override=60)
     with tracer.LayerTracer(tracer.layer_targets(LIB)) as traced:
         assert engine.sample(graph, config).blocks_used == 3
     calls = [traced.calls[f"engine.{fn}"] for fn in ("lll_partition", "construct_block", "replay")]
@@ -60,7 +60,8 @@ def test_traced_sample_counts_every_engine_call():
 
 def key_index_mismatches(monkeypatch, graph, schedule, stream):
     """Wrap engine.block_steps to predict the key index from the steps alone:
-    +1 for a drift pick, +k for a cleanup's k targets and +1 for the update.
+    +1 for a Phase I drift pick, +k for a cleanup's k targets and +1 for the
+    update; a Phase II drift step takes no pick key.
     Returns the built block's state, the step count, and the steps at whose
     start or end state._index differs from the prediction. The drift tail's
     steps are not yielded, so they are not counted here."""
@@ -71,8 +72,8 @@ def key_index_mismatches(monkeypatch, graph, schedule, stream):
         nonlocal steps
         expected = 0
         for phase, v, preserved in inner(state, schedule):
-            # a drift step updates a vertex already seeded or converted
-            expected += preserved is None or v in preserved
+            # a Phase I drift step picks a vertex already seeded
+            expected += phase == 1 and v in preserved
             if state._index != expected:
                 mismatches.append((steps, "pick"))
             if preserved is not None:
@@ -89,19 +90,20 @@ def key_index_mismatches(monkeypatch, graph, schedule, stream):
 
 
 FIXTURES = [
-    # 20 vertices: keys one at a time through SeedStream.subkey
-    (gen_random_regular(20, 6, seed=5), 18, 140, False, False),
+    # 20 vertices: keys one at a time through SeedStream.subkey; the drift
+    # of two sweeps ends before a sweep could start the tail
+    (gen_random_regular(20, 6, seed=5), 18, 40, False, False),
     # 64 vertices, so keys come in batches; the seeding phase runs, so its
-    # keys are counted too
-    (gen_complete_bipartite(32), 105, 300, False, False),
+    # keys are counted too, and no tail starts in the drift's two sweeps
+    (gen_complete_bipartite(32), 105, 128, False, False),
     # seeding and disjoint updates fall back to compress, so the fallbacks'
     # keys are too
     (gen_complete_bipartite(32), 66, 50, True, False),
-    # every list is a singleton 140 keys in, so the drift's last 260 steps
-    # run in the tail, one key at a time
+    # every list is a singleton 100 keys in, after the convert pass and one
+    # sweep, so the drift's last 260 steps run in the tail, one key at a time
     (gen_random_regular(20, 4, seed=1), 17, 300, False, True),
-    # 33 vertices take batches of 2 keys; the tail starts at key 297, so
-    # every one of its steps has its pick and update keys in two batches
+    # 33 vertices take batches of 2 keys; the tail starts after one sweep,
+    # at key 132, and reads its 367 words across 184 batches
     (gen_random_regular(33, 4, seed=1), 17, 400, False, True),
 ]
 
@@ -179,10 +181,10 @@ def test_every_block_key_goes_through_subkey(
     assert bool(tails) == reaches_tail
     assert key_faults(state, computed, config.master_seed) == []
     # block_steps' key facts: the index after every step follows from the
-    # steps alone, fallbacks included, and every update and every drift
-    # pick took one key, the tail's included
+    # steps alone, fallbacks included, every update took one key, the
+    # tail's included, and only the Phase I drift's picks took one more
     assert mismatches == []
-    assert state._index == state.updates + schedule.t1 + schedule.t2
+    assert state._index == state.updates + schedule.t1
 
 
 def test_key_check_catches_a_batch_one_key_late(monkeypatch):
