@@ -24,30 +24,45 @@ from cftp_colorings.graphs import (
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 # name -> (graph spec, q, master seed, force, t2 override)
-# Seeds 49 and 83 on K4 and 29 and 65 on C5 need a second block.
+# At the default drift no K4 or C5 seed below 20000 needs a second block,
+# so the cases that replay one run two sweeps: K4 at t2 = 8, seeds 16 and
+# 37, and C5 at t2 = 10, seeds 30 and 129, each need a second block.
 CASES = {}
 for _s in (0, 1, 2, 3, 49, 83):
     CASES[f"k4-q13-s{_s}"] = ("complete:4", 13, _s, False, None)
+for _s in (16, 37):
+    CASES[f"k4-q13-t8-s{_s}"] = ("complete:4", 13, _s, False, 8)
 for _s in (0, 1, 29, 65):
     CASES[f"c5-q9-forced-s{_s}"] = ("cycle:5", 9, _s, True, None)
-# the seeding phase runs (|S| about 10)
+for _s in (30, 129):
+    CASES[f"c5-q9-forced-t10-s{_s}"] = ("cycle:5", 9, _s, True, 10)
+# the seeding phase runs (|S| about 10); at t2 = 300, seeds 3, 8 and 29
+# take one block
 for _s in range(2):
     CASES[f"k3232-q105-s{_s}"] = ("bipartite:32", 105, _s, False, None)
-# a short drift leaves older blocks to replay, so Phase I seeding updates are
-# decoded: 152 decodes over 3 blocks at seed 3 (25 of size-1 draws), 219
-# over 2 at seed 8 (51 of size 1), the one whose coloring changes when the
-# seeding acceptance is scaled by 0.7, and 504 over 5 at seed 29 (119 of
-# size 1), the one whose coloring changes when it is scaled by 0.9
 for _s in (3, 8, 29):
     CASES[f"k3232-q105-t300-s{_s}"] = ("bipartite:32", 105, _s, False, 300)
+# a drift of two sweeps leaves older blocks to replay, so Phase I seeding
+# updates are decoded: 324 decodes over 4 blocks at seed 10 (88 of size-1
+# draws), whose coloring changes when the seeding acceptance is scaled by
+# 0.7, and 126 over 2 at seed 57 (24 of size 1) and 252 over 3 at seed 89
+# (73 of size 1), whose colorings change when it is scaled by 0.7 and
+# when it is scaled by 0.9
+for _s in (10, 57, 89):
+    CASES[f"k3232-q105-t128-s{_s}"] = ("bipartite:32", 105, _s, False, 128)
 CASES["regular-d8-n400-q31"] = ("regular:400,8,1", 31, 7, False, None)
 CASES["regular-d32-n400-q105"] = ("regular:400,32,1", 105, 7, False, None)
-# forced below the threshold with a short drift: seeds 3, 10 and 12 need
-# three blocks, so two older blocks are replayed
+# forced below the threshold: at t2 = 140, the forced-d6 workload's drift,
+# each seed takes one block; with a drift of three sweeps, seeds 19, 34
+# and 41 need three blocks, so two older blocks are replayed, and seed 28
+# needs two
 for _s in (0, 3, 10, 12, 16):
     CASES[f"forced-d6-q18-s{_s}"] = ("regular:20,6,5", 18, _s, True, 140)
+for _s in (19, 28, 34, 41):
+    CASES[f"forced-d6-q18-t60-s{_s}"] = ("regular:20,6,5", 18, _s, True, 60)
 # at q = 17 disjoint updates fall back to compress, in built and in
-# replayed blocks alike
+# replayed blocks alike: seed 0 takes one block with a fallback, and
+# seeds 12 and 14 replay an older block that fell back
 for _s in (0, 5, 10, 12, 14):
     CASES[f"forced-d6-q17-s{_s}"] = ("regular:20,6,5", 17, _s, True, 140)
 
