@@ -439,15 +439,13 @@ def test_phase_2_drift_sweeps_the_vertices_in_order(monkeypatch, graph, q, t2, p
         starts, (lists, _, updates, index) = tail_run(m, graph, q, t2, omega)
     assert starts == []
     assert updated == list(range(n)) + [i % n for i in range(t2)]
-    # a built run takes the tail at a sweep's start and ends where the
-    # carried run does
+    # a built run takes the tail once, at a sweep's start (its steps take
+    # one key each), and ends where the carried run does
     with monkeypatch.context() as m:
         built_starts, (built_lists, _, built_updates, built_index) = tail_run(
             m, graph, q, t2, None
         )
     assert len(built_starts) == 1
-    # the tail's steps, one key each, are the drift's last ones from a
-    # sweep's start
     assert (t2 - (built_index - built_starts[0])) % n == 0
     assert (lists, updates, index) == (built_lists, built_updates, built_index)
 
