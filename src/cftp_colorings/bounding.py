@@ -10,8 +10,8 @@ computed, and checks that the decoded color lies in the vertex's new list.
 
 Every compress update, in either phase, takes its reference set from one
 rule, ``greedy_reference_set``, applied to neighbor lists: the preserved
-ones in ``cleanup``, all of v's in a fallback. The Phase II drift sweeps
-the vertices in order, one key per step, and ``drift_tail`` runs its
+ones in ``cleanup``, all of v's in a fallback. Both drifts sweep their
+vertices in order, one key per step, and ``drift_tail`` runs the Phase II
 steps after every list is a singleton in one loop that walks the same
 sweep.
 """
@@ -37,12 +37,12 @@ class BoundingState:
     ``next_word(d)`` hands out word d of that key in its place,
     ``next_key_words`` hands out the key with its words 0 and 2, and
     ``next_words0(k)`` and ``drift_words(k)`` hand out word 0 and word 2
-    of the next k keys.
-    ``updates`` counts the updates applied; the index also advances for the
-    Phase I drift's vertex picks, which ``engine.block_steps`` takes, so the
-    two differ when Phase I runs. The schedule counts its seeding and
-    disjoint fallbacks here. A built block has no other record: the sampler
-    reads these counts and ``phi`` from its state.
+    of the next k keys. Every update takes exactly one key, and nothing
+    else takes one, so one counter, ``updates``, is both the index of the
+    next key and the number of updates applied; only these readers advance
+    it. The schedule counts its seeding and disjoint fallbacks here. A
+    built block has no other record: the sampler reads these counts and
+    ``phi`` from its state.
 
     On a graph of n >= 32 vertices the state takes its keys, with words 0
     and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
@@ -52,22 +52,22 @@ class BoundingState:
     block is short while its peak memory is small enough that fixed 32-lane
     buffers would double it.
 
-    The batch readers are the Phase I drift's vertex picks and a
-    fallback's compress extra color (``next_word(0)``), a built cleanup's
-    run of compress extra colors (``next_words0``), an all-singleton
-    disjoint update's reserve (``next_word(2)``), a carried compress update
-    (its extra color and its shuffle's first step) and a disjoint update's
-    slot variate and reserve (``next_key_words``), and the drift tail, each
-    step's word 2 (``drift_words``). Every word 0 or 2 that an
-    update reads comes from the state; no update in this module hashes one
-    itself. A built block's Phase II reads nothing else: its disjoint
-    updates take no key. Seeding updates and carried decodes hash their
-    other draws (draw 1, a shuffle's later steps) from the key.
+    The batch readers are a fallback's compress extra color
+    (``next_word(0)``), a built cleanup's run of compress extra colors
+    (``next_words0``), an all-singleton disjoint update's reserve
+    (``next_word(2)``), a carried compress update (its extra color and its
+    shuffle's first step) and a disjoint update's slot variate and reserve
+    (``next_key_words``), and the drift tail, each step's word 2
+    (``drift_words``). Every word 0 or 2 that an update reads comes from
+    the state; no update in this module hashes one itself. A built block's
+    Phase II reads nothing else: its disjoint updates read words, never the
+    key. Seeding updates and carried decodes hash their other draws (draw
+    1, a shuffle's later steps) from the key.
     """
 
     __slots__ = (
         "g", "q", "stream", "block", "lists", "coloring", "updates",
-        "seeding_fallbacks", "disjoint_fallbacks", "_index",
+        "seeding_fallbacks", "disjoint_fallbacks",
         "_lanes", "_base", "_end", "_keys", "_words",
     )
 
@@ -81,7 +81,6 @@ class BoundingState:
         self.updates = 0
         self.seeding_fallbacks = 0
         self.disjoint_fallbacks = 0
-        self._index = 0
         lanes = min(MAX_LANES, g.n // 16)
         self._lanes = lanes if lanes >= 2 else 0
         # the batch holds keys _base .. _end - 1
@@ -95,8 +94,8 @@ class BoundingState:
         self._base, self._end = idx, idx + self._lanes
 
     def next_key(self) -> int:
-        idx = self._index
-        self._index = idx + 1
+        idx = self.updates
+        self.updates = idx + 1
         if not self._lanes:
             return self.stream.subkey(self.block, idx)
         if idx >= self._end:
@@ -106,8 +105,8 @@ class BoundingState:
     def next_word(self, draw: int) -> int:
         """raw64(self.next_key(), draw) for draw 0 or 2, read from the batch
         when the state takes its keys in batches."""
-        idx = self._index
-        self._index = idx + 1
+        idx = self.updates
+        self.updates = idx + 1
         if not self._lanes:
             return raw64(self.stream.subkey(self.block, idx), draw)
         if idx >= self._end:
@@ -118,8 +117,8 @@ class BoundingState:
         """(key, raw64(key, 0), raw64(key, 2)) for key = self.next_key(),
         the words read from the batch when the state takes its keys in
         batches."""
-        idx = self._index
-        self._index = idx + 1
+        idx = self.updates
+        self.updates = idx + 1
         if not self._lanes:
             key = self.stream.subkey(self.block, idx)
             return key, raw64(key, 0), raw64(key, 2)
@@ -134,8 +133,8 @@ class BoundingState:
         state takes its keys in batches. The index advances past all k."""
         if not self._lanes:
             return [self.next_word(0) for _ in range(k)]
-        idx = self._index
-        stop = self._index = idx + k
+        idx = self.updates
+        stop = self.updates = idx + k
         words: list[int] = []
         while idx < stop:
             if idx >= self._end:
@@ -150,9 +149,10 @@ class BoundingState:
         """Yield raw64(key, 2) for the next k keys, the drift tail's words,
         read from the batch when the state takes its keys in batches. Unlike
         next_words0 it holds no list, since a tail runs thousands of steps.
-        The index advances past all k when the first word is read."""
-        idx = self._index
-        stop = self._index = idx + k
+        The index, and so the update count, advances past all k when the
+        first word is read."""
+        idx = self.updates
+        stop = self.updates = idx + k
         if not self._lanes:
             subkey, block = self.stream.subkey, self.block
             for idx in range(idx, stop):
@@ -292,7 +292,6 @@ def apply_compress(
         state.lists[v] = cp.compress_predict(a_mask, outside, w0)
         draw = cp.compress_draw(a_mask, outside, key, w0, w2)
         state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
-    state.updates += 1
 
 
 def apply_seeding(state: BoundingState, v: int) -> None:
@@ -305,7 +304,6 @@ def apply_seeding(state: BoundingState, v: int) -> None:
     law = cp.seeding_size_law(s_mask.bit_count(), state.g.max_degree, state.q)
     key = state.next_key()
     state.lists[v], draw = cp.seeding_predict(s_mask, law, state.q, key)
-    state.updates += 1
     if state.coloring is not None:
         state.carry(v, cp.seeding_decode(s_mask, law, state.q, draw, state.blocked(v)))
 
@@ -334,7 +332,6 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
         if q > g.max_degree:  # else the layout below raises CouplingRegimeError
             color = cp.outside_color(s_mask, q, state.next_word(2))
             lists[v] = 1 << color
-            state.updates += 1
             if state.coloring is not None:
                 state.carry(v, color)
             return
@@ -342,11 +339,9 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
     if state.coloring is None:
         _, w0, w2 = state.next_key_words()
         lists[v] = cp.disjoint_new_list(params, w0, w2)
-        state.updates += 1
         return
     key, w0, w2 = state.next_key_words()
     lists[v], draw = cp.disjoint_predict(params, key, w0, w2)
-    state.updates += 1
     state.carry(v, cp.disjoint_decode(params, draw, state.blocked(v)))
 
 
@@ -358,7 +353,7 @@ def drift_tail(state: BoundingState, steps: int) -> None:
     vertex, 0, 1, ..., n - 1, 0, ...: the color is cp.outside_color of the
     neighbors' colors with word 2 of the step's key, and the lists stay
     singletons. The steps take the same keys as the same drift steps run
-    one by one (``state.drift_words``) and count as the same
+    one by one (``state.drift_words``), which counts them as the same
     updates. A block that reaches the tail coalesces, and the sampler
     replays only blocks that did not, so the tail never carries a coloring
     (engine.block_steps).
@@ -374,7 +369,6 @@ def drift_tail(state: BoundingState, steps: int) -> None:
             for u in nbrs:
                 m |= lists[u]
             lists[v] = 1 << cp.outside_color(m, q, w2)
-    state.updates += steps
 
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:
@@ -401,7 +395,6 @@ def cleanup(state: BoundingState, v: int, preserved) -> None:
         predict = cp.compress_predict
         for w, word in zip(targets, state.next_words0(len(targets))):
             lists[w] = predict(a_mask, outside, word)
-        state.updates += len(targets)
     else:
         for w in targets:
             apply_compress(state, w, a_mask, outside)

@@ -17,13 +17,14 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from . import bounding as bd
 from . import couplings as cp
 from .errors import CouplingRegimeError, EngineError, NoCoalescenceError
 from .graphs import Graph
-from .seedstream import SeedStream, randint_below, unit_uniform
+from .seedstream import SeedStream, unit_uniform
 
 PARTITION_BLOCK = 0  # block index reserved for the vertex-partition randomness
 
@@ -228,18 +229,18 @@ def schedule_for(g: Graph, config: SamplerConfig, seed_set: SeedVertexSet) -> Sc
 def block_steps(state: bd.BoundingState, schedule: Schedule):
     """Yield one block's steps in order, as (phase, v, preserved).
 
-    Phase 1 seeds each vertex of schedule.seeded (S), then drifts S for
-    schedule.t1 random picks; phase 2 converts the other vertices, then
-    drifts all n for schedule.t2 steps in sweeps, drift step i updating
-    vertex i mod n. A step cleans up v against preserved (the vertices
-    already seeded or converted), then runs its phase's update at v;
-    preserved is None in the phase 2 drift, which runs no cleanup. Run each
-    step before asking for the next. Key facts: every update, a fallback
-    included, takes exactly one key; a cleanup with k targets takes k
-    consecutive keys; a phase 1 drift step takes its pick key first, in
-    this generator; a phase 2 drift step takes exactly one key, its
-    update's. So the key index after each step depends only on the
-    schedule, never on a draw.
+    Both drifts are sweeps in order. Phase 1 seeds each vertex of
+    schedule.seeded (S), then drifts S for schedule.t1 steps, drift step i
+    updating S[i mod |S|]; phase 2 converts the other vertices, then drifts
+    all n for schedule.t2 steps, drift step i updating vertex i mod n. An
+    empty S or an empty graph runs no drift. A step cleans up v against
+    preserved (the vertices already seeded or converted), then runs its
+    phase's update at v; preserved is None in the phase 2 drift, which runs
+    no cleanup. Run each step before asking for the next. Key facts: every
+    update, a fallback included, takes exactly one key, and nothing else
+    takes one; a cleanup with k targets takes k consecutive keys. So
+    state.updates is both the update count and the key index, and after
+    each step it depends only on the schedule, never on a draw.
 
     The drift tail: at the start of each sweep of a built block, if every
     list is a singleton (and q > max_degree), every later drift update would
@@ -255,8 +256,8 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
     for v in seeded:
         yield 1, v, preserved
         preserved.add(v)
-    for _ in range(schedule.t1):
-        yield 1, seeded[randint_below(state.next_word(0), len(seeded))], preserved
+    for v in islice(cycle(seeded), schedule.t1):
+        yield 1, v, preserved
     for v in range(n):
         if v not in preserved:
             yield 2, v, preserved

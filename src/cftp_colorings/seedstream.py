@@ -18,13 +18,14 @@ bleeds into the next: a 64x64-bit product fits its 128-bit lane. The lanes
 are read back through ``to_bytes`` and one ``struct`` unpack. The results
 equal ``raw64`` lane for lane, so a batched key is the same key. The lane
 rule, which graphs take batches and how wide, is ``bounding.BoundingState``'s.
-The batch readers are the Phase I drift's vertex picks (word 0), compress's
-extra color (word 0), which a built cleanup reads for its k targets as one
-run of k keys, a carried compress update's first shuffle step (word 2),
-an all-singleton disjoint update's reserve (word 2), a disjoint update's
-slot layout, whose slot variate and reserve are words 0 and 2, and the
-drift tail, which reads word 2 of each step's one key straight from the
-batch; every other draw is hashed from its key with ``raw64``.
+The batch readers are compress's extra color (word 0), which a built
+cleanup reads for its k targets as one run of k keys, a carried compress
+update's first shuffle step (word 2), an all-singleton disjoint update's
+reserve (word 2), a disjoint update's slot layout, whose slot variate and
+reserve are words 0 and 2, and the drift tail, which reads word 2 of each
+step's one key straight from the batch; every other draw is hashed from
+its key with ``raw64``. Every update takes exactly one key, so an update's
+index is the number of updates its block applied before it.
 
 Couplings agree on a fixed draw layout per update (documented where each
 coupling is implemented), so predict and decode regenerate identical values.

@@ -195,7 +195,7 @@ def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, bl
     state = bd.BoundingState(gen_cycle(n), 5, SeedStream(master), block)
     assert state._lanes == lanes
     assert state.next_key_words() == FIRST_KEY_WORDS[master, block]
-    assert state._index == 1
+    assert state.updates == 1
     fresh = SeedStream(master)
     for idx in range(1, 60):
         key = fresh.subkey(block, idx)
@@ -205,7 +205,7 @@ def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, bl
             assert state.next_word(2) == raw64(key, 2)
         else:
             assert state.next_key_words() == (key, raw64(key, 0), raw64(key, 2))
-        assert state._index == idx + 1
+        assert state.updates == idx + 1
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,8 @@ def full_layout_walk(g, q, lists, v, key, coloring):
 def star_mismatches(apply_disjoint, cases, n_seeds=25):
     """(leaves, q, v, seed) wherever apply_disjoint, on a built state and on
     one carrying a coloring, differs from the full layout walk at the same
-    key: in the new list, the carried color, the update count or the key
-    index. An infeasible layout must raise CouplingRegimeError from both
+    key: in the new list, the carried color or the update count, which is
+    the key index. An infeasible layout must raise CouplingRegimeError from both
     states before any key is taken, leaving every list as it was. Returns
     the mismatches and a count of the key paths and slot kinds met."""
     out, kinds = [], Counter()
@@ -344,7 +344,7 @@ def star_mismatches(apply_disjoint, cases, n_seeds=25):
                         try:
                             apply_disjoint(s, v)
                         except CouplingRegimeError:
-                            if s.lists == state.lists and s.updates == s._index == 0:
+                            if s.lists == state.lists and s.updates == 0:
                                 continue
                         out.append((leaves, q, v, seed))
                     continue
@@ -352,8 +352,8 @@ def star_mismatches(apply_disjoint, cases, n_seeds=25):
                 apply_disjoint(plain, v)
                 apply_disjoint(carried, v)
                 got = (plain.lists[v], carried.coloring[v])
-                counts = (plain.updates, plain._index, carried.updates, carried._index)
-                if carried.lists[v] != plain.lists[v] or got != expected[:2] or counts != (1,) * 4:
+                counts = (plain.updates, carried.updates)
+                if carried.lists[v] != plain.lists[v] or got != expected[:2] or counts != (1, 1):
                     out.append((leaves, q, v, seed))
     return out, kinds
 
@@ -408,7 +408,7 @@ def test_apply_disjoint_all_singletons_raises_at_q_delta(leaf_colors):
     with pytest.raises(CouplingRegimeError, match="q > delta"):
         bd.apply_disjoint(state, 0)
     assert state.lists[0] == full_mask(4)
-    assert state.updates == 0 and state._index == 0
+    assert state.updates == 0
 
 
 def test_cleanup_noop_when_neighbors_preserved():
@@ -489,10 +489,11 @@ def cleanup_mismatches(lanes, n, delta, n_preserved, start):
     for w in g.adjacency[0]:
         if w not in preserved:
             bd.apply_compress(one_by_one, w, a, outside)
-    assert one_by_one.updates == delta - n_preserved
+    # the keys taken before the cleanup count as updates too
+    assert one_by_one.updates == start + delta - n_preserved
     return [
         field
-        for field in ("lists", "updates", "_index")
+        for field in ("lists", "updates")
         if getattr(batched, field) != getattr(one_by_one, field)
     ]
 
@@ -510,7 +511,7 @@ def test_cleanup_check_catches_words_read_one_key_late(monkeypatch):
 
     def one_late(self, k):
         words = real(self, k + 1)[1:]
-        self._index -= 1
+        self.updates -= 1
         return words
 
     monkeypatch.setattr(bd.BoundingState, "next_words0", one_late)

@@ -323,6 +323,20 @@ def test_seeding_fallback_compresses_against_all_neighbor_lists(monkeypatch):
     assert checked == block.seeding_fallbacks > 0
 
 
+def schedule_updates(schedule):
+    """The updates one block of schedule makes, from the schedule alone: a
+    seeding, Phase I drift or conversion step at v makes one update per
+    neighbor of v not yet preserved (its cleanup), then v's own; a Phase II
+    drift step makes one."""
+    g, seeded = schedule.g, schedule.seeded
+    drift = [seeded[i % len(seeded)] for i in range(schedule.t1)] if seeded else []
+    preserved, total = set(), 0
+    for v in [*seeded, *drift, *(v for v in range(g.n) if v not in seeded)]:
+        total += 1 + sum(u not in preserved for u in g.adjacency[v])
+        preserved.add(v)
+    return total + (schedule.t2 if g.n else 0)
+
+
 def test_block_update_budget():
     g = gen_random_regular(60, 6, seed=2)
     q = math.ceil(engine.regime_threshold(6)) + 1
@@ -330,11 +344,65 @@ def test_block_update_budget():
     stream = SeedStream(12)
     schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
     block = engine.construct_block(schedule, 1, stream)
-    # each of the n seeding or conversion steps and the t1 Phase I drift
-    # steps makes at most delta + 1 updates (cleanup compresses the
-    # neighbors, then the vertex itself); a Phase II drift step makes one
-    per = 6 + 1
-    assert block.updates <= (g.n + schedule.t1) * per + schedule.t2
+    # each conversion step makes at most delta + 1 updates (cleanup
+    # compresses the neighbors, then the vertex itself), and exactly the
+    # count its preserved neighbors give; a Phase II drift step makes one
+    assert schedule_updates(schedule) <= g.n * (6 + 1) + schedule.t2
+    assert block.updates == schedule_updates(schedule)
+
+
+# K32,32 with its partition's seeding set: at q = 66 seeding and disjoint
+# updates fall back to compress
+K3232_SCHEDULES = [(105, 128, 10), (66, 50, 3)]
+
+
+@pytest.mark.parametrize("q, t2, master", K3232_SCHEDULES, ids=["q105", "q66-fallbacks"])
+def test_every_block_of_a_schedule_makes_the_same_updates(q, t2, master):
+    # every update takes one key and nothing else does, and a step's
+    # updates follow from the schedule, so no draw, fallback or drift tail
+    # moves the count: built blocks 1-4 and a carried run of block 1 agree
+    g = gen_complete_bipartite(32)
+    cfg = engine.SamplerConfig(q=q, master_seed=master, force=True, t2_override=t2)
+    stream = SeedStream(master)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    assert schedule.seeded and schedule.t1 > 0
+    blocks = [engine.construct_block(schedule, t, stream) for t in range(1, 5)]
+    start = tuple(v % 3 if v < 32 else 3 + v % 5 for v in range(g.n))
+    carried = bd.BoundingState(g, q, stream, 1, coloring=start)
+    engine.run_schedule(carried, schedule)
+    assert any(b.seeding_fallbacks for b in blocks) == (q == 66)
+    assert [s.updates for s in [*blocks, carried]] == [schedule_updates(schedule)] * 5
+
+
+def test_phase_1_drift_sweeps_the_seeding_set_in_order(monkeypatch):
+    # seeding updates visit S in order, then drift step i visits S[i mod |S|]
+    g = gen_complete_bipartite(32)
+    cfg = engine.SamplerConfig(q=105, master_seed=10, t2_override=128)
+    stream = SeedStream(10)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    seeded = schedule.seeded
+    assert 1 < len(seeded) < schedule.t1
+    updated, apply_seeding = [], bd.apply_seeding
+
+    def recorded(state, v):
+        updated.append(v)
+        apply_seeding(state, v)
+
+    monkeypatch.setattr(bd, "apply_seeding", recorded)
+    engine.construct_block(schedule, 1, stream)
+    assert updated == [*seeded, *(seeded[i % len(seeded)] for i in range(schedule.t1))]
+
+
+def test_empty_seeding_set_runs_no_phase_1_drift():
+    # a schedule built directly with t1 > 0 and no seeded vertex drifts
+    # nothing in Phase I, as a graph with no vertex drifts nothing in Phase II
+    g = gen_complete(4)
+    stream = SeedStream(17)
+    built = [
+        engine.construct_block(engine.Schedule(g, 13, (), t1, 8), 1, stream) for t1 in (0, 5)
+    ]
+    assert built[0].lists == built[1].lists
+    assert built[0].updates == built[1].updates == 4 + 3 + 2 + 1 + 8
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +426,20 @@ TAIL_IDS = ["one-key", "batch-odd-start", "batch-even-start"]
 def tail_run(monkeypatch, graph, q, t2, omega):
     """Block 1 at master seed 3, built, or replayed from the proper coloring
     omega: the keys at which the tail started, and the state's lists,
-    coloring, update count and key index at the end."""
+    coloring and update count (the key index) at the end."""
     cfg = engine.SamplerConfig(q=q, master_seed=3, t2_override=t2)
     stream = SeedStream(3)
     schedule = engine.schedule_for(graph, cfg, engine.lll_partition(graph, stream))
     starts, tail = [], bd.drift_tail
 
     def recorded(state, steps):
-        starts.append(state._index)
+        starts.append(state.updates)
         tail(state, steps)
 
     monkeypatch.setattr(bd, "drift_tail", recorded)
     state = bd.BoundingState(graph, q, stream, 1, coloring=omega)
     engine.run_schedule(state, schedule)
-    return starts, (state.lists, state.coloring, state.updates, state._index)
+    return starts, (state.lists, state.coloring, state.updates)
 
 
 def tail_mismatches(monkeypatch, graph, q, t2):
@@ -384,7 +452,7 @@ def tail_mismatches(monkeypatch, graph, q, t2):
         m.setattr(bd.BoundingState, "all_singletons", lambda self: False)
         no_starts, off = tail_run(m, graph, q, t2, None)
     assert no_starts == []
-    names = ("lists", "coloring", "updates", "_index")
+    names = ("lists", "coloring", "updates")
     return starts, [name for name, a, b in zip(names, on, off) if a != b]
 
 
@@ -406,13 +474,11 @@ def test_drift_tail_matches_the_steps_run_one_by_one(monkeypatch, graph, q, t2, 
     omega = engine.construct_block(schedule, 2, stream).phi
     assert omega is not None
     with monkeypatch.context() as m:
-        starts, (lists, coloring, updates, index) = tail_run(m, graph, q, t2, omega)
+        starts, (lists, coloring, updates) = tail_run(m, graph, q, t2, omega)
     with monkeypatch.context() as m:
-        built_starts, (built_lists, _, built_updates, built_index) = tail_run(
-            m, graph, q, t2, None
-        )
+        built_starts, (built_lists, _, built_updates) = tail_run(m, graph, q, t2, None)
     assert starts == [] and len(built_starts) == 1
-    assert (lists, updates, index) == (built_lists, built_updates, built_index)
+    assert (lists, updates) == (built_lists, built_updates)
     assert tuple(coloring) == engine.construct_block(schedule, 1, stream).phi
 
 
@@ -436,18 +502,16 @@ def test_phase_2_drift_sweeps_the_vertices_in_order(monkeypatch, graph, q, t2, p
 
     with monkeypatch.context() as m:
         m.setattr(bd, "apply_disjoint", recorded)
-        starts, (lists, _, updates, index) = tail_run(m, graph, q, t2, omega)
+        starts, (lists, _, updates) = tail_run(m, graph, q, t2, omega)
     assert starts == []
     assert updated == list(range(n)) + [i % n for i in range(t2)]
     # a built run takes the tail once, at a sweep's start (its steps take
     # one key each), and ends where the carried run does
     with monkeypatch.context() as m:
-        built_starts, (built_lists, _, built_updates, built_index) = tail_run(
-            m, graph, q, t2, None
-        )
+        built_starts, (built_lists, _, built_updates) = tail_run(m, graph, q, t2, None)
     assert len(built_starts) == 1
-    assert (t2 - (built_index - built_starts[0])) % n == 0
-    assert (lists, updates, index) == (built_lists, built_updates, built_index)
+    assert (t2 - (built_updates - built_starts[0])) % n == 0
+    assert (lists, updates) == (built_lists, built_updates)
 
 
 def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
@@ -492,7 +556,6 @@ def sweep_tail(first, draw):
             for u in g.adjacency[v]:
                 m |= lists[u]
             lists[v] = 1 << cp.outside_color(m, state.q, raw64(state.next_key(), draw))
-        state.updates += steps
 
     return tail
 

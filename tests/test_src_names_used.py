@@ -25,7 +25,10 @@ Outside the methods of ``bounding.BoundingState``, nothing in
 comes from the state, which reads its key batch when it has one. Nor does
 anything in ``bounding.py`` or ``engine.py`` outside that class name the
 batch's internals (BATCH_INTERNALS), so the drift tail, too, reads its
-words through the state.
+words through the state. Nor does anything in ``bounding.py`` outside that
+class name ``updates``: the readers that hand out keys are the only
+writers of the one counter that is both the key index and the update
+count, so no update can count itself apart from the keys it takes.
 
 In ``engine.py`` only ``schedule_for``, and ``check_config`` as the input
 check, name the drift-length rules (SCHEDULE_RULES), so block_steps,
@@ -290,6 +293,29 @@ def test_word_reads_outside_the_state_are_flagged(tmp_path):
     assert names_outside(mod, "raw64", "BoundingState") == [10, 15]
 
 
+def test_only_the_state_counts_updates():
+    bounding = ROOT / "src" / "cftp_colorings" / "bounding.py"
+    assert names_outside(bounding, "updates", "BoundingState") == []
+
+
+def test_update_counts_outside_the_state_are_flagged(tmp_path):
+    # the last function is an update counting itself beside its key
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class BoundingState:\n"
+        "    def next_key(self):\n"
+        "        self.updates += 1\n"
+        "        return self.updates\n"
+        "\n"
+        "\n"
+        "def apply_seeding(state, v):\n"
+        "    key = state.next_key()\n"
+        "    state.updates += 1\n"
+        "    return key\n"
+    )
+    assert names_outside(mod, "updates", "BoundingState") == [9]
+
+
 def test_batch_internals_are_read_only_inside_the_state():
     src = ROOT / "src" / "cftp_colorings"
     found = [
@@ -311,7 +337,7 @@ def test_batch_reads_outside_the_state_are_flagged(tmp_path):
         "\n"
         "\n"
         "def drift_tail(state, steps):\n"
-        "    state._refill(state._index)\n"
+        "    state._refill(state.updates)\n"
         "    return state._words[0][:steps]\n"
     )
     found = {name: names_outside(mod, name, "BoundingState") for name in BATCH_INTERNALS}

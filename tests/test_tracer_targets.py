@@ -60,33 +60,30 @@ def test_traced_sample_counts_every_engine_call():
 
 def key_index_mismatches(monkeypatch, graph, schedule, stream):
     """Wrap engine.block_steps to predict the key index from the steps alone:
-    +1 for a Phase I drift pick, +k for a cleanup's k targets and +1 for the
-    update; a Phase II drift step takes no pick key.
-    Returns the built block's state, the step count, and the steps at whose
-    start or end state._index differs from the prediction. The drift tail's
-    steps are not yielded, so they are not counted here."""
+    +k for a cleanup's k targets and +1 for the update.
+    Returns the built block's state, the step count, the predicted index
+    after the last yielded step, and the steps at whose start or end
+    state.updates differs from the prediction. The drift tail's steps are
+    not yielded, so they are not counted here."""
     inner = engine.block_steps
-    steps, mismatches = 0, []
+    steps, expected, mismatches = 0, 0, []
 
     def checked(state, schedule):
-        nonlocal steps
-        expected = 0
+        nonlocal steps, expected
         for phase, v, preserved in inner(state, schedule):
-            # a Phase I drift step picks a vertex already seeded
-            expected += phase == 1 and v in preserved
-            if state._index != expected:
-                mismatches.append((steps, "pick"))
+            if state.updates != expected:
+                mismatches.append((steps, "start"))
             if preserved is not None:
                 expected += sum(u not in preserved for u in graph.adjacency[v])
             expected += 1
             yield phase, v, preserved
-            if state._index != expected:
+            if state.updates != expected:
                 mismatches.append((steps, "update"))
             steps += 1
 
     monkeypatch.setattr(engine, "block_steps", checked)
     state = engine.construct_block(schedule, 1, stream)
-    return state, steps, mismatches
+    return state, steps, expected, mismatches
 
 
 FIXTURES = [
@@ -133,15 +130,15 @@ def record_stream_keys(monkeypatch, stream, block):
 
 
 def key_faults(state, computed, master):
-    """Ways the computed keys fail to be the block's keys 0 .. state._index - 1,
+    """Ways the computed keys fail to be the block's keys 0 .. state.updates - 1,
     each computed once, in order, at its own address. A batch may run past
     the block's last key, by less than one batch."""
     faults = []
     indices = [idx for idx, _ in computed]
     if indices != list(range(len(indices))):
         faults.append("indices out of order or repeated")
-    if not state._index <= len(indices) < state._index + max(state._lanes, 1):
-        faults.append(f"{len(indices)} keys computed for index {state._index}")
+    if not state.updates <= len(indices) < state.updates + max(state._lanes, 1):
+        faults.append(f"{len(indices)} keys computed for index {state.updates}")
     fresh = seedstream.SeedStream(master)
     faults += [idx for idx, key in computed if key != fresh.subkey(state.block, idx)]
     return faults
@@ -175,16 +172,17 @@ def test_every_block_key_goes_through_subkey(
         tail(state, steps)
 
     monkeypatch.setattr(bounding, "drift_tail", counted_tail)
-    state, steps, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
+    state, steps, expected, mismatches = key_index_mismatches(
+        monkeypatch, graph, schedule, stream
+    )
     assert state.updates > 0 and steps > 0
     assert (state.seeding_fallbacks > 0) == seeding_falls_back
     assert bool(tails) == reaches_tail
     assert key_faults(state, computed, config.master_seed) == []
     # block_steps' key facts: the index after every step follows from the
-    # steps alone, fallbacks included, every update took one key, the
-    # tail's included, and only the Phase I drift's picks took one more
+    # steps alone, fallbacks included, and the tail took one key per step
     assert mismatches == []
-    assert state._index == state.updates + schedule.t1
+    assert state.updates == expected + sum(tails)
 
 
 def test_key_check_catches_a_batch_one_key_late(monkeypatch):
@@ -221,6 +219,6 @@ def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch)
                 raise
 
         monkeypatch.setattr(bounding, name, keyed_then_raises)
-    state, _, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
+    state, _, _, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
     assert state.seeding_fallbacks > 0 and state.disjoint_fallbacks > 0
     assert mismatches
