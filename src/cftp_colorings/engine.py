@@ -233,10 +233,10 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
     schedule.seeded (S), then drifts S for schedule.t1 steps, drift step i
     updating S[i mod |S|]; phase 2 converts the other vertices, then drifts
     all n for schedule.t2 steps, drift step i updating vertex i mod n. An
-    empty S or an empty graph runs no drift. A step cleans up v against
-    preserved (the vertices already seeded or converted), then runs its
-    phase's update at v; preserved is None in the phase 2 drift, which runs
-    no cleanup. Run each step before asking for the next. Key facts: every
+    empty S runs no phase 1 drift, and an empty graph no drift at all. A
+    step cleans up v against preserved (the vertices already seeded or
+    converted), then runs its phase's update at v; preserved is None in the
+    phase 2 drift, which runs no cleanup. Run each step before asking for the next. Key facts: every
     update, a fallback included, takes exactly one key, and nothing else
     takes one; a cleanup with k targets takes k consecutive keys. So
     state.updates is both the update count and the key index, and after
