@@ -24,7 +24,7 @@ from . import couplings as cp
 from .colorsets import ColorSet, full_mask, iter_colors, members, nth_outside
 from .errors import EngineError
 from .graphs import Graph
-from .seedstream import SeedStream, raw64
+from .seedstream import SeedStream, lane_row, raw64
 
 MAX_LANES = 32  # the widest key batch (see BoundingState)
 
@@ -35,40 +35,44 @@ class BoundingState:
     A block is a pure function of (master seed, block index): ``next_key``
     hands out the key at (block, update index) and advances the index,
     ``next_word(d)`` hands out word d of that key in its place,
-    ``next_key_words`` hands out the key with its words 0 and 2, and
-    ``next_words0(k)`` and ``drift_words(k)`` hand out word 0 and word 2
-    of the next k keys. Every update takes exactly one key, and nothing
-    else takes one, so one counter, ``updates``, is both the index of the
-    next key and the number of updates applied; only these readers advance
-    it. The schedule counts its seeding and disjoint fallbacks here. A
-    built block has no other record: the sampler reads these counts and
-    ``phi`` from its state.
+    ``next_key_words`` hands out the key with its words 0 and 2,
+    ``next_words02`` its words 0 and 2 alone, and ``next_words0(k)`` and
+    ``drift_words(k)`` hand out word 0 and word 2 of the next k keys.
+    Every update takes exactly one key, and nothing else takes one, so one
+    counter, ``updates``, is both the index of the next key and the number
+    of updates applied; only these readers advance it. The schedule counts
+    its seeding and disjoint fallbacks here. A built block has no other
+    record: the sampler reads these counts and ``phi`` from its state.
 
-    On a graph of n >= 32 vertices the state takes its keys, with words 0
-    and 2 under each, in batches of min(MAX_LANES, n // 16) consecutive keys
+    On a graph of n >= 32 vertices the state takes its keys in batches of
+    min(MAX_LANES, n // 16) consecutive keys, packed in one int
     (``SeedStream.subkeys``); below that it asks ``SeedStream.subkey`` for
     one key at a time and hashes each word on demand. Both give the same
     keys and words. Batches pay only on long blocks, and a small graph's
     block is short while its peak memory is small enough that fixed 32-lane
     buffers would double it.
 
-    The batch readers are a fallback's compress extra color
-    (``next_word(0)``), a built cleanup's run of compress extra colors
-    (``next_words0``), an all-singleton disjoint update's reserve
-    (``next_word(2)``), a carried compress update (its extra color and its
-    shuffle's first step) and a disjoint update's slot variate and reserve
-    (``next_key_words``), and the drift tail, each step's word 2
-    (``drift_words``). Every word 0 or 2 that an update reads comes from
-    the state; no update in this module hashes one itself. A built block's
-    Phase II reads nothing else: its disjoint updates read words, never the
-    key. Seeding updates and carried decodes hash their other draws (draw
-    1, a shuffle's later steps) from the key.
+    A batch computes each of its rows, the unpacked keys, word 0 or word
+    2 (``seedstream.lane_row``), only when a reader first asks for it, and
+    keeps it until the next batch. Each reader asks for the rows it reads:
+    a built cleanup's run of compress extra colors (``next_words0``) and a
+    fallback's compress extra color (``next_word(0)``) take word 0; an
+    all-singleton disjoint update's reserve (``next_word(2)``) and the drift
+    tail (``drift_words``) take word 2; a built disjoint update's slot
+    variate and reserve (``next_words02``) take words 0 and 2; only seeding
+    updates (``next_key``) and carried compress and disjoint updates
+    (``next_key_words``) take the key row. So a batch read only by the tail
+    hashes its keys and word 2, and a built block's Phase II never unpacks
+    a key. Every word 0 or 2 that an update reads comes from the state; no
+    update in this module hashes one itself. Seeding updates and carried
+    decodes hash their other draws (draw 1, a shuffle's later steps) from
+    the key.
     """
 
     __slots__ = (
         "g", "q", "stream", "block", "lists", "coloring", "updates",
         "seeding_fallbacks", "disjoint_fallbacks",
-        "_lanes", "_base", "_end", "_keys", "_words",
+        "_lanes", "_base", "_end", "_packed", "_rows",
     )
 
     def __init__(self, g: Graph, q: int, stream: SeedStream, block: int, coloring=None):
@@ -83,15 +87,23 @@ class BoundingState:
         self.disjoint_fallbacks = 0
         lanes = min(MAX_LANES, g.n // 16)
         self._lanes = lanes if lanes >= 2 else 0
-        # the batch holds keys _base .. _end - 1
+        # the batch holds keys _base .. _end - 1, packed in _packed, and
+        # the rows computed from them so far, by draw (None: the keys)
         self._base = self._end = 0
-        self._keys: tuple = ()
-        self._words: dict[int, tuple] = {}
+        self._packed = 0
+        self._rows: dict[int | None, tuple] = {}
 
     def _refill(self, idx: int) -> None:
-        self._keys, w0, w2 = self.stream.subkeys(self.block, idx, self._lanes)
-        self._words = {0: w0, 2: w2}
+        self._packed = self.stream.subkeys(self.block, idx, self._lanes)
+        self._rows = {}
         self._base, self._end = idx, idx + self._lanes
+
+    def _row(self, draw: int | None) -> tuple:
+        """Row draw of the batch (None: the keys), computed on first ask."""
+        row = self._rows.get(draw)
+        if row is None:
+            row = self._rows[draw] = lane_row(self._packed, self._lanes, draw)
+        return row
 
     def next_key(self) -> int:
         idx = self.updates
@@ -100,7 +112,7 @@ class BoundingState:
             return self.stream.subkey(self.block, idx)
         if idx >= self._end:
             self._refill(idx)
-        return self._keys[idx - self._base]
+        return self._row(None)[idx - self._base]
 
     def next_word(self, draw: int) -> int:
         """raw64(self.next_key(), draw) for draw 0 or 2, read from the batch
@@ -111,12 +123,11 @@ class BoundingState:
             return raw64(self.stream.subkey(self.block, idx), draw)
         if idx >= self._end:
             self._refill(idx)
-        return self._words[draw][idx - self._base]
+        return self._row(draw)[idx - self._base]
 
     def next_key_words(self) -> tuple[int, int, int]:
         """(key, raw64(key, 0), raw64(key, 2)) for key = self.next_key(),
-        the words read from the batch when the state takes its keys in
-        batches."""
+        read from the batch when the state takes its keys in batches."""
         idx = self.updates
         self.updates = idx + 1
         if not self._lanes:
@@ -125,8 +136,21 @@ class BoundingState:
         if idx >= self._end:
             self._refill(idx)
         i = idx - self._base
-        words = self._words
-        return self._keys[i], words[0][i], words[2][i]
+        row = self._row
+        return row(None)[i], row(0)[i], row(2)[i]
+
+    def next_words02(self) -> tuple[int, int]:
+        """next_key_words() without the key: a batch unpacks no key row."""
+        idx = self.updates
+        self.updates = idx + 1
+        if not self._lanes:
+            key = self.stream.subkey(self.block, idx)
+            return raw64(key, 0), raw64(key, 2)
+        if idx >= self._end:
+            self._refill(idx)
+        i = idx - self._base
+        row = self._row
+        return row(0)[i], row(2)[i]
 
     def next_words0(self, k: int) -> list[int]:
         """[raw64(key, 0) for the next k keys], read from the batch when the
@@ -141,7 +165,7 @@ class BoundingState:
                 self._refill(idx)
             # islice, not a tuple slice, which would build one more tuple
             end = min(self._end, stop)
-            words.extend(islice(self._words[0], idx - self._base, end - self._base))
+            words.extend(islice(self._row(0), idx - self._base, end - self._base))
             idx = end
         return words
 
@@ -162,7 +186,7 @@ class BoundingState:
             if idx >= self._end:
                 self._refill(idx)
             end = min(self._end, stop)
-            yield from islice(self._words[2], idx - self._base, end - self._base)
+            yield from islice(self._row(2), idx - self._base, end - self._base)
             idx = end
 
     def all_singletons(self) -> bool:
@@ -316,8 +340,8 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
     the leftover, so the new list is the reserve color (draw 2) and the
     carried color is that color; no layout is built. Otherwise the layout
     reads the key's words 0 and 2 from the state: a built block computes
-    only the new list from them, and a carried coloring's decode also
-    takes the key, for draw 1.
+    only the new list from them (``next_words02``, which unpacks no key),
+    and a carried coloring's decode also takes the key, for draw 1.
     """
     lists = state.lists
     g = state.g
@@ -337,8 +361,7 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
             return
     params = cp.disjoint_params_from_lists(q, g.max_degree, map(lists.__getitem__, g.adjacency[v]))
     if state.coloring is None:
-        _, w0, w2 = state.next_key_words()
-        lists[v] = cp.disjoint_new_list(params, w0, w2)
+        lists[v] = cp.disjoint_new_list(params, *state.next_words02())
         return
     key, w0, w2 = state.next_key_words()
     lists[v], draw = cp.disjoint_predict(params, key, w0, w2)
@@ -351,10 +374,13 @@ def drift_tail(state: BoundingState, steps: int) -> None:
 
     Each step is apply_disjoint's all-singleton update at the sweep's next
     vertex, 0, 1, ..., n - 1, 0, ...: the color is cp.outside_color of the
-    neighbors' colors with word 2 of the step's key, and the lists stay
-    singletons. The steps take the same keys as the same drift steps run
-    one by one (``state.drift_words``), which counts them as the same
-    updates. A block that reaches the tail coalesces, and the sampler
+    neighbors' colors m with word 2 of the step's key, and the lists stay
+    singletons. A step writes that rule out, as the one select rule
+    nth_outside at the multiply-shift index (w2 * (q - |m|)) >> 64;
+    q - |m| >= q - max_degree > 0, so the index is never drawn from an
+    empty range. The steps take the same keys as the same drift steps run
+    one by one (``state.drift_words``, which reads only word 2 of each
+    batch), which counts them as the same updates. A block that reaches the tail coalesces, and the sampler
     replays only blocks that did not, so the tail never carries a coloring
     (engine.block_steps).
     """
@@ -368,7 +394,7 @@ def drift_tail(state: BoundingState, steps: int) -> None:
             m = 0
             for u in nbrs:
                 m |= lists[u]
-            lists[v] = 1 << cp.outside_color(m, q, w2)
+            lists[v] = 1 << nth_outside(m, (w2 * (q - m.bit_count())) >> 64)
 
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:

@@ -9,23 +9,21 @@ of an update is word j under the update's key. ``subkey`` computes each
 block key once and reuses it for a run of the block's updates. Replaying an
 update therefore needs only its address, never stored random bytes.
 
-``lane_words`` computes a run of consecutive keys under one block key, and
-word 0 and word 2 under each, all at once: lane i of one packed int holds
-the 64-bit value for key ``start + i`` in bits 128i to 128i+63, and every
-splitmix64 step runs on the whole int. Each shift's result and each
-product are masked back to the low 64 bits of every lane, so no lane
-bleeds into the next: a 64x64-bit product fits its 128-bit lane. The lanes
-are read back through ``to_bytes`` and one ``struct`` unpack. The results
-equal ``raw64`` lane for lane, so a batched key is the same key. The lane
-rule, which graphs take batches and how wide, is ``bounding.BoundingState``'s.
-The batch readers are compress's extra color (word 0), which a built
-cleanup reads for its k targets as one run of k keys, a carried compress
-update's first shuffle step (word 2), an all-singleton disjoint update's
-reserve (word 2), a disjoint update's slot layout, whose slot variate and
-reserve are words 0 and 2, and the drift tail, which reads word 2 of each
-step's one key straight from the batch; every other draw is hashed from
-its key with ``raw64``. Every update takes exactly one key, so an update's
-index is the number of updates its block applied before it.
+A key batch is two pieces. ``lane_keys`` computes a run of consecutive
+keys under one block key at once, packed: lane i of one int holds the
+64-bit key ``start + i`` in bits 128i to 128i+63, and every splitmix64 step
+runs on the whole int. Each shift's result and each product are masked
+back to the low 64 bits of every lane, so no lane bleeds into the next: a
+64x64-bit product fits its 128-bit lane. ``lane_row`` then reads one row
+from the packed keys, as a tuple through ``to_bytes`` and one ``struct``
+unpack: the keys themselves, or word d under each key, finalized lane-wise
+the same way. Rows are independent of each other, so a caller computes
+only the rows it reads, in any order. The results equal ``raw64`` lane for
+lane, so a batched key is the same key. The lane rule, which graphs take
+batches and how wide, and which reader takes which row, is
+``bounding.BoundingState``'s; every other draw is hashed from its key with
+``raw64``. Every update takes exactly one key, so an update's index is the
+number of updates its block applied before it.
 
 Couplings agree on a fixed draw layout per update (documented where each
 coupling is implemented), so predict and decode regenerate identical values.
@@ -77,11 +75,11 @@ class SeedStream:
             self._last_block = (block, key)
         return raw64(key, update)
 
-    def subkeys(self, block: int, start: int, lanes: int) -> tuple[tuple, tuple, tuple]:
-        """subkey(block, start + i) for i < lanes, with word 0 and word 2
-        under each key: three tuples from one lane_words batch. The block key
-        is hashed afresh, one word per batch, and the cache is left alone."""
-        return lane_words(raw64(self._root, block), start, lanes)
+    def subkeys(self, block: int, start: int, lanes: int) -> int:
+        """subkey(block, start + i) for i < lanes, packed by lane_keys; read
+        them, or the words under them, with lane_row. The block key is
+        hashed afresh, one word per batch, and the cache is left alone."""
+        return lane_keys(raw64(self._root, block), start, lanes)
 
 
 def _finalize_lanes(z: int, mr: int) -> int:
@@ -96,30 +94,38 @@ def _finalize_lanes(z: int, mr: int) -> int:
 @lru_cache(maxsize=32)
 def _lane_constants(lanes: int) -> tuple:
     """Per-lane-count constants: the lane mask, the counter ramp (i+1)*GOLDEN
-    in lane i, the offsets of word 0 and word 2 in every lane, and the unpack."""
+    in lane i, a 1 in every lane, and the unpack."""
     ones = sum(1 << 128 * i for i in range(lanes))
     ramp = sum(((i + 1) * _GOLDEN & _M64) << 128 * i for i in range(lanes))
-    return (
-        _M64 * ones, ramp, ones, _GOLDEN * ones, (3 * _GOLDEN & _M64) * ones,
-        struct.Struct("<" + "Q8x" * lanes).unpack,
-    )
+    return _M64 * ones, ramp, ones, struct.Struct("<" + "Q8x" * lanes).unpack
 
 
-def lane_words(block_key: int, start: int, lanes: int) -> tuple[tuple, tuple, tuple]:
-    """Keys raw64(block_key, start + i) for i < lanes, and raw64(key, 0) and
-    raw64(key, 2) under each, as three tuples.
+@lru_cache(maxsize=64)
+def _word_offset(lanes: int, draw: int) -> int:
+    """(draw+1)*GOLDEN mod 2**64 in every lane: word draw's counter."""
+    return ((draw + 1) * _GOLDEN & _M64) * _lane_constants(lanes)[2]
+
+
+def lane_keys(block_key: int, start: int, lanes: int) -> int:
+    """Keys raw64(block_key, start + i) for i < lanes, packed: key i in
+    bits 128i to 128i+63 of one int.
 
     Lane i's input is (block_key + (start+i+1)*GOLDEN) mod 2**64: the block's
     base (block_key + start*GOLDEN) mod 2**64, copied into every lane, plus
     the ramp.
     """
-    mr, ramp, ones, word0, word2, unpack = _lane_constants(lanes)
-    size = 16 * lanes
+    mr, ramp, ones, _ = _lane_constants(lanes)
     base = (block_key + start * _GOLDEN) & _M64
-    keys = _finalize_lanes((ramp + base * ones) & mr, mr)
-    w0 = _finalize_lanes((keys + word0) & mr, mr)
-    w2 = _finalize_lanes((keys + word2) & mr, mr)
-    return tuple(unpack(z.to_bytes(size, "little")) for z in (keys, w0, w2))
+    return _finalize_lanes((ramp + base * ones) & mr, mr)
+
+
+def lane_row(keys: int, lanes: int, draw: int | None) -> tuple:
+    """One row of lanes packed keys (lane_keys) as a tuple: the keys when
+    draw is None, else raw64(key, draw) under each key."""
+    mr, _, _, unpack = _lane_constants(lanes)
+    if draw is not None:
+        keys = _finalize_lanes((keys + _word_offset(lanes, draw)) & mr, mr)
+    return unpack(keys.to_bytes(16 * lanes, "little"))
 
 
 def unit_from_word(word: int) -> float:
@@ -135,7 +141,7 @@ def unit_uniform(key: int, draw: int) -> float:
 def randint_below(word: int, n: int) -> int:
     """Uniform integer in [0, n) from one 64-bit word via multiply-shift.
 
-    Callers pass raw64(key, draw), or the same word from a lane_words batch.
+    Callers pass raw64(key, draw), or the same word from a lane_row.
     Bias is at most n / 2**64, far below anything resolvable by the
     statistical tests this package runs.
     """

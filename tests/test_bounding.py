@@ -191,7 +191,8 @@ FIRST_KEY_WORDS = {
 def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, block):
     # n = 20 takes one key at a time; n = 400 takes batches of 25 keys, and
     # 60 indices cross two batch boundaries (idx 25 and idx 50 are taken
-    # here), with next_key and next_word taking some indices in between
+    # here), with next_key, next_word and next_words02 taking some indices
+    # in between
     state = bd.BoundingState(gen_cycle(n), 5, SeedStream(master), block)
     assert state._lanes == lanes
     assert state.next_key_words() == FIRST_KEY_WORDS[master, block]
@@ -203,6 +204,8 @@ def test_next_key_words_gives_the_key_and_its_words_0_and_2(n, lanes, master, bl
             assert state.next_key() == key
         elif idx % 7 == 5:
             assert state.next_word(2) == raw64(key, 2)
+        elif idx % 7 == 6:
+            assert state.next_words02() == (raw64(key, 0), raw64(key, 2))
         else:
             assert state.next_key_words() == (key, raw64(key, 0), raw64(key, 2))
         assert state.updates == idx + 1
@@ -389,15 +392,24 @@ def test_apply_disjoint_mixed_stars_match_full_layout_walk():
 
 
 def test_mixed_star_check_catches_slot_variate_from_word_2(monkeypatch):
-    """Negative control: the slot variate read from word 2 in place of word 0."""
-    real = bd.BoundingState.next_key_words
+    """Negative control: the slot variate read from word 2 in place of word 0,
+    by a built update (next_words02) or by a carried one (next_key_words)."""
+    real_built, real_carried = bd.BoundingState.next_words02, bd.BoundingState.next_key_words
 
-    def slot_from_word_2(self):
-        key, _, w2 = real(self)
+    def built_slot_from_word_2(self):
+        _, w2 = real_built(self)
+        return w2, w2
+
+    def carried_slot_from_word_2(self):
+        key, _, w2 = real_carried(self)
         return key, w2, w2
 
-    monkeypatch.setattr(bd.BoundingState, "next_key_words", slot_from_word_2)
-    assert star_mismatches(bd.apply_disjoint, MIXED_STARS)[0]
+    for name, fn in [
+        ("next_words02", built_slot_from_word_2), ("next_key_words", carried_slot_from_word_2)
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(bd.BoundingState, name, fn)
+            assert star_mismatches(bd.apply_disjoint, MIXED_STARS)[0], name
 
 
 @pytest.mark.parametrize("leaf_colors", [(0, 1, 2, 3), (0, 1, 1, 2)])

@@ -10,6 +10,7 @@ import pytest
 from cftp_colorings import bounding as bd
 from cftp_colorings import couplings as cp
 from cftp_colorings import engine
+from cftp_colorings.colorsets import nth_outside
 from cftp_colorings.errors import CouplingRegimeError, NoCoalescenceError
 from cftp_colorings.graphs import (
     build_graph,
@@ -250,14 +251,15 @@ def test_built_block_reads_every_word_from_the_key_batch(monkeypatch):
 
 def test_built_block_hash_check_catches_draw_1(monkeypatch):
     """Negative control: every layout update hashes draw 1, as a decode would."""
-    real = bd.BoundingState.next_key_words
+    real = bd.BoundingState.next_words02
 
     def with_draw_1(self):
-        key, w0, w2 = real(self)
+        key = self.stream.subkey(self.block, self.updates)
+        words = real(self)
         cp.unit_uniform(key, 1)
-        return key, w0, w2
+        return words
 
-    monkeypatch.setattr(bd.BoundingState, "next_key_words", with_draw_1)
+    monkeypatch.setattr(bd.BoundingState, "next_words02", with_draw_1)
     calls, layouts = built_block_hashes(monkeypatch)
     assert calls["cftp_colorings.couplings.unit_uniform"] == layouts > 0
 
@@ -414,13 +416,15 @@ def test_empty_seeding_set_runs_no_phase_1_drift():
 # keys, so a tail starting at an odd key (key 175, after two sweeps) reads
 # its first word from the last lane of a batch taken before the tail and
 # its second from a new batch, and one starting at an even key (key 170)
-# starts at a batch's first lane
+# starts at a batch's first lane; 40 vertices at q = 70 take batches of 2
+# keys too, and their neighbor masks and draw ranges pass 64 bits
 TAIL_FIXTURES = [
     (gen_random_regular(20, 4, seed=1), 17, 300, None),
     (gen_random_regular(35, 4, seed=1), 17, 400, 1),
     (gen_random_regular(34, 4, seed=1), 17, 400, 0),
+    (gen_random_regular(40, 6, seed=1), 70, 400, 0),
 ]
-TAIL_IDS = ["one-key", "batch-odd-start", "batch-even-start"]
+TAIL_IDS = ["one-key", "batch-odd-start", "batch-even-start", "batch-wide-palette"]
 
 
 def tail_run(monkeypatch, graph, q, t2, omega):
@@ -544,9 +548,11 @@ def test_every_block_that_takes_the_tail_coalesces(monkeypatch):
     assert took_tail > 100 and failed > 10
 
 
-def sweep_tail(first, draw):
-    """A drift tail that starts its sweep at vertex first and reads word
-    draw of each step's key; first 0 and draw 2 is the shipped rule."""
+def sweep_tail(first, draw, short):
+    """A drift tail that starts its sweep at vertex first, reads word draw
+    of each step's key and draws its color's index below q - |m| - short,
+    for the neighbor colors m; first 0, draw 2 and short 0 is the shipped
+    rule."""
 
     def tail(state, steps):
         lists, g = state.lists, state.g
@@ -555,23 +561,33 @@ def sweep_tail(first, draw):
             m = 0
             for u in g.adjacency[v]:
                 m |= lists[u]
-            lists[v] = 1 << cp.outside_color(m, state.q, raw64(state.next_key(), draw))
+            word = raw64(state.next_key(), draw)
+            lists[v] = 1 << nth_outside(m, (word * (state.q - m.bit_count() - short)) >> 64)
 
     return tail
 
 
-@pytest.mark.parametrize("graph, q, t2, parity", TAIL_FIXTURES[:2], ids=TAIL_IDS[:2])
+MISREAD = (0, 1, 3)  # one key at a time, a batch, a wide palette
+
+
+@pytest.mark.parametrize(
+    "graph, q, t2, parity",
+    [TAIL_FIXTURES[i] for i in MISREAD],
+    ids=[TAIL_IDS[i] for i in MISREAD],
+)
 def test_tail_check_catches_a_misread_sweep(monkeypatch, graph, q, t2, parity):
     """Negative control: tails that take the same keys but start their
-    sweep at vertex 1 or read word 0 must fail the check; the same loop
-    with the shipped rule passes it."""
+    sweep at vertex 1, read word 0 or draw below q - |m| - 1 must fail the
+    check; the same loop with the shipped rule passes it."""
     found = {}
-    for first, draw in [(0, 2), (1, 2), (0, 0)]:
+    for first, draw, short in [(0, 2, 0), (1, 2, 0), (0, 0, 0), (0, 2, 1)]:
         with monkeypatch.context() as m:
-            m.setattr(bd, "drift_tail", sweep_tail(first, draw))
-            starts, found[first, draw] = tail_mismatches(m, graph, q, t2)
+            m.setattr(bd, "drift_tail", sweep_tail(first, draw, short))
+            starts, found[first, draw, short] = tail_mismatches(m, graph, q, t2)
         assert len(starts) == 1
-    assert found == {(0, 2): [], (1, 2): ["lists"], (0, 0): ["lists"]}
+    assert found == {
+        (0, 2, 0): [], (1, 2, 0): ["lists"], (0, 0, 0): ["lists"], (0, 2, 1): ["lists"]
+    }
 
 
 # ---------------------------------------------------------------------------

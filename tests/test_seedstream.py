@@ -184,17 +184,32 @@ def test_permutation_is_permutation(colors, j):
 # ---------------------------------------------------------------------------
 
 
+ROWS = (None, 0, 2)  # the rows a key batch has: the keys, word 0, word 2
+
+
 def lane_mismatches(master, block, start, lanes):
-    """Lanes where SeedStream.subkeys differs from subkey and raw64 at the
-    same address, in the key, word 0 or word 2."""
-    keys, w0, w2 = ss.SeedStream(master).subkeys(block, start, lanes)
-    assert len(keys) == len(w0) == len(w2) == lanes
+    """(order, lane) wherever a row of SeedStream.subkeys' packed keys
+    differs from subkey and raw64 at the same address, in the key, word 0
+    or word 2, with each row computed on its own from the packed keys, the
+    rows taken in every order."""
+    packed = ss.SeedStream(master).subkeys(block, start, lanes)
+    assert isinstance(packed, int)
     fresh = ss.SeedStream(master)
-    out = []
+    expected = {None: [], 0: [], 2: []}
     for i in range(lanes):
         key = fresh.subkey(block, start + i)
-        if (keys[i], w0[i], w2[i]) != (key, ss.raw64(key, 0), ss.raw64(key, 2)):
-            out.append(i)
+        expected[None].append(key)
+        expected[0].append(ss.raw64(key, 0))
+        expected[2].append(ss.raw64(key, 2))
+    out = []
+    for order in permutations(ROWS):
+        rows = {draw: ss.lane_row(packed, lanes, draw) for draw in order}
+        assert all(len(row) == lanes for row in rows.values())
+        out += [
+            (order, i)
+            for i in range(lanes)
+            if any(rows[draw][i] != expected[draw][i] for draw in ROWS)
+        ]
     return out
 
 

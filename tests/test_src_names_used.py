@@ -24,8 +24,9 @@ Outside the methods of ``bounding.BoundingState``, nothing in
 ``bounding.py`` names ``raw64``, so every word 0 or 2 that an update reads
 comes from the state, which reads its key batch when it has one. Nor does
 anything in ``bounding.py`` or ``engine.py`` outside that class name the
-batch's internals (BATCH_INTERNALS), so the drift tail, too, reads its
-words through the state. Nor does anything in ``bounding.py`` outside that
+batch's internals (BATCH_INTERNALS: its packed keys, its cache of rows
+and the methods that fill them), so the drift tail, too, reads its words
+through the state. Nor does anything in ``bounding.py`` outside that
 class name ``updates``: the readers that hand out keys are the only
 writers of the one counter that is both the key index and the update
 count, so no update can count itself apart from the keys it takes.
@@ -44,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # a public result field: the golden runs pin it and NoCoalescenceError.stats carries it
 FIELD_EXEMPT = {"SampleResult.degraded_blocks"}
 SAMPLER_MODULES = ("engine", "bounding", "couplings", "seedstream", "colorsets", "graphs")
-BATCH_INTERNALS = ("_keys", "_words", "_refill")
+BATCH_INTERNALS = ("_packed", "_rows", "_row", "_refill")
 SCHEDULE_RULES = ("default_t1", "default_t2", "t2_override")
 # the definitions that may name SCHEDULE_RULES; SamplerConfig declares t2_override
 SCHEDULE_OWNERS = ("schedule_for", "check_config", "SamplerConfig")
@@ -328,20 +329,25 @@ def test_batch_internals_are_read_only_inside_the_state():
 
 
 def test_batch_reads_outside_the_state_are_flagged(tmp_path):
-    # the last function is a tail reading the pick words from the batch itself
+    # the last function is a tail reading its words from the batch itself,
+    # one row through the cache and one hashed from the packed keys
     mod = tmp_path / "mod.py"
     mod.write_text(
         "class BoundingState:\n"
         "    def _refill(self, idx):\n"
-        "        self._keys, self._words = (), {}\n"
+        "        self._packed, self._rows = 0, {}\n"
+        "\n"
+        "    def _row(self, draw):\n"
+        "        return self._rows[draw]\n"
         "\n"
         "\n"
         "def drift_tail(state, steps):\n"
         "    state._refill(state.updates)\n"
-        "    return state._words[0][:steps]\n"
+        "    words = state._row(2)[:steps]\n"
+        "    return words, lane_row(state._packed, steps, 0)\n"
     )
     found = {name: names_outside(mod, name, "BoundingState") for name in BATCH_INTERNALS}
-    assert found == {"_keys": [], "_words": [8], "_refill": [7]}
+    assert found == {"_packed": [12], "_rows": [], "_row": [11], "_refill": [10]}
 
 
 def test_only_schedule_for_picks_the_drift_lengths():

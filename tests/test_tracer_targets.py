@@ -105,10 +105,17 @@ FIXTURES = [
 ]
 
 
+def unpacked_keys(packed, lanes):
+    """The keys of a batch packed by SeedStream.subkeys: key i is bits
+    128i to 128i+63."""
+    return [packed >> 128 * i & (2**64 - 1) for i in range(lanes)]
+
+
 def record_stream_keys(monkeypatch, stream, block):
     """Wrap SeedStream.subkey and its batch, SeedStream.subkeys; returns the
     list of (update index, key) that they compute on stream for block, in
-    order."""
+    order. A batch's keys are unpacked here, whichever rows its state
+    reads."""
     computed = []
     one, batch = seedstream.SeedStream.subkey, seedstream.SeedStream.subkeys
 
@@ -121,7 +128,7 @@ def record_stream_keys(monkeypatch, stream, block):
     def counted_batch(self, b, start, lanes):
         out = batch(self, b, start, lanes)
         if self is stream and b == block:
-            computed.extend(zip(range(start, start + lanes), out[0]))
+            computed.extend(zip(range(start, start + lanes), unpacked_keys(out, lanes)))
         return out
 
     monkeypatch.setattr(seedstream.SeedStream, "subkey", counted)
@@ -222,3 +229,92 @@ def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch)
     state, _, _, mismatches = key_index_mismatches(monkeypatch, graph, schedule, stream)
     assert state.seeding_fallbacks > 0 and state.disjoint_fallbacks > 0
     assert mismatches
+
+
+# (graph, q, force, t2): blocks with no seeding set that take their keys in
+# batches and reach the drift tail; the first is regular-d4-batch-tail's
+ROW_FIXTURES = [
+    FIXTURES[4][:2] + (True, FIXTURES[4][2]),
+    (gen_random_regular(400, 8, seed=1), 31, False, None),
+]
+
+
+def rows_by_batch(monkeypatch, graph, q, force, t2):
+    """Build block 1 at master seed 3 and record the rows computed from each
+    key batch. Returns the key at which the drift tail started and
+    {batch start: draws of the rows computed from its keys, in order}, the
+    keys row as None."""
+    config = engine.SamplerConfig(q=q, master_seed=3, force=force, t2_override=t2)
+    stream = seedstream.SeedStream(config.master_seed)
+    schedule = engine.schedule_for(graph, config, engine.lll_partition(graph, stream))
+    assert schedule.seeded == ()
+    starts, rows, tail_starts = {}, {}, []
+    batch, row, tail = seedstream.SeedStream.subkeys, bounding.lane_row, bounding.drift_tail
+
+    def counted_batch(self, b, start, lanes):
+        packed = batch(self, b, start, lanes)
+        starts[packed] = start
+        rows[start] = []
+        return packed
+
+    def counted_row(packed, lanes, draw):
+        rows[starts[packed]].append(draw)
+        return row(packed, lanes, draw)
+
+    def counted_tail(state, steps):
+        tail_starts.append(state.updates)
+        tail(state, steps)
+
+    monkeypatch.setattr(seedstream.SeedStream, "subkeys", counted_batch)
+    monkeypatch.setattr(bounding, "lane_row", counted_row)
+    monkeypatch.setattr(bounding, "drift_tail", counted_tail)
+    state = engine.construct_block(schedule, 1, stream)
+    assert state._lanes > 1 and len(tail_starts) == 1
+    return tail_starts[0], rows
+
+
+def row_faults(tail_start, rows):
+    """Ways the rows computed fail the rule that each reader computes only
+    the rows it reads: a row computed twice from one batch, a keys row in a
+    built Phase II, or a batch taken after the tail started (read by the
+    tail alone) that computed any row but word 2."""
+    faults = []
+    for start, draws in rows.items():
+        if len(set(draws)) != len(draws):
+            faults.append((start, "row computed twice"))
+        if None in draws:
+            faults.append((start, "keys row"))
+        if start >= tail_start and draws != [2]:
+            faults.append((start, "tail batch read other rows"))
+    return faults
+
+
+@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=["regular-d4-batch-tail", "regular-d8"])
+def test_each_key_batch_computes_only_the_rows_its_readers_take(monkeypatch, graph, q, force, t2):
+    tail_start, rows = rows_by_batch(monkeypatch, graph, q, force, t2)
+    assert row_faults(tail_start, rows) == []
+    # the rule is not met vacuously: batches before the tail computed word
+    # 0 (cleanups and layouts), and some batches were the tail's alone
+    assert any(0 in draws for start, draws in rows.items() if start < tail_start)
+    assert sum(start >= tail_start for start in rows) > 1
+
+
+def keyed_tail(state, steps):
+    """The drift tail with each step's word 2 read through next_key_words,
+    which takes the key row and word 0 as well."""
+    lists, adjacency, n = state.lists, state.g.adjacency, state.g.n
+    for i in range(steps):
+        m = 0
+        for u in adjacency[i % n]:
+            m |= lists[u]
+        lists[i % n] = 1 << couplings.outside_color(m, state.q, state.next_key_words()[2])
+
+
+@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=["regular-d4-batch-tail", "regular-d8"])
+def test_row_check_catches_a_tail_that_reads_the_keys(monkeypatch, graph, q, force, t2):
+    """Negative control: a tail reading next_key_words computes the keys
+    row and word 0 of each batch it takes."""
+    monkeypatch.setattr(bounding, "drift_tail", keyed_tail)
+    tail_start, rows = rows_by_batch(monkeypatch, graph, q, force, t2)
+    faults = row_faults(tail_start, rows)
+    assert faults and {kind for _, kind in faults} == {"keys row", "tail batch read other rows"}
