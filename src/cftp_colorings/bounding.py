@@ -380,9 +380,9 @@ def drift_tail(state: BoundingState, steps: int) -> None:
     q - |m| >= q - max_degree > 0, so the index is never drawn from an
     empty range. The steps take the same keys as the same drift steps run
     one by one (``state.drift_words``, which reads only word 2 of each
-    batch), which counts them as the same updates. A block that reaches the tail coalesces, and the sampler
-    replays only blocks that did not, so the tail never carries a coloring
-    (engine.block_steps).
+    batch), which counts them as the same updates. A block that reaches
+    the tail coalesces, and the sampler replays only blocks that did not,
+    so the tail never carries a coloring (engine.block_steps).
     """
     lists, q = state.lists, state.q
     n, adjacency = state.g.n, state.g.adjacency

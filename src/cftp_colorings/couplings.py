@@ -382,11 +382,11 @@ def seeding_decode(
 # Draw layout: draw 0 selects the slot, draw 1 is the acceptance variate,
 # draw 2 picks the reserve color. The caller supplies words 0 and 2
 # (bounding.BoundingState.next_words02, or next_key_words with the key,
-# reads them from its key batch when it has one). Draw 1, which no batch carries, is read only by the
-# decode of a color slot whose color is unblocked: disjoint_predict puts it
-# in the draw as a callable that hashes it from the key, and an update that
-# carries no coloring calls disjoint_new_list, which takes no key and
-# builds no draw. disjoint_slot is the one walk over the layout for both.
+# reads them from its key batch when it has one). Draw 1, which no batch
+# carries, is read only by the decode of a color slot whose color is
+# unblocked: disjoint_predict puts it in the draw as a callable that
+# hashes it from the key, and an update that carries no coloring calls
+# disjoint_new_list, which takes no key and builds no draw. disjoint_slot is the one walk over the layout for both.
 # The layout (disjoint_params_from_lists) holds the walk's running sum at
 # the end of each section, added slot by slot as the walk adds them, so
 # the walk returns the leftover as soon as u >= total, starts each section

@@ -234,9 +234,10 @@ def test_key_index_check_catches_a_fallback_that_takes_an_extra_key(monkeypatch)
 # (graph, q, force, t2): blocks with no seeding set that take their keys in
 # batches and reach the drift tail; the first is regular-d4-batch-tail's
 ROW_FIXTURES = [
-    FIXTURES[4][:2] + (True, FIXTURES[4][2]),
+    (FIXTURES[4][0], FIXTURES[4][1], True, FIXTURES[4][2]),
     (gen_random_regular(400, 8, seed=1), 31, False, None),
 ]
+ROW_IDS = ["regular-d4-batch-tail", "regular-d8"]
 
 
 def rows_by_batch(monkeypatch, graph, q, force, t2):
@@ -289,7 +290,7 @@ def row_faults(tail_start, rows):
     return faults
 
 
-@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=["regular-d4-batch-tail", "regular-d8"])
+@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=ROW_IDS)
 def test_each_key_batch_computes_only_the_rows_its_readers_take(monkeypatch, graph, q, force, t2):
     tail_start, rows = rows_by_batch(monkeypatch, graph, q, force, t2)
     assert row_faults(tail_start, rows) == []
@@ -310,7 +311,7 @@ def keyed_tail(state, steps):
         lists[i % n] = 1 << couplings.outside_color(m, state.q, state.next_key_words()[2])
 
 
-@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=["regular-d4-batch-tail", "regular-d8"])
+@pytest.mark.parametrize("graph, q, force, t2", ROW_FIXTURES, ids=ROW_IDS)
 def test_row_check_catches_a_tail_that_reads_the_keys(monkeypatch, graph, q, force, t2):
     """Negative control: a tail reading next_key_words computes the keys
     row and word 0 of each batch it takes."""
