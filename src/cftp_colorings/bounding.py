@@ -10,10 +10,14 @@ computed, and checks that the decoded color lies in the vertex's new list.
 
 Every compress update, in either phase, takes its reference set from one
 rule, ``greedy_reference_set``, applied to neighbor lists: the preserved
-ones in ``cleanup``, all of v's in a fallback. Both drifts sweep their
-vertices in order, one key per step, and ``drift_tail`` runs the Phase II
-steps after every list is a singleton in one loop that walks the same
-sweep.
+ones in ``cleanup``, all of v's in a fallback. When those lists' union has
+at most max-degree colors, the rule's answer is that union plus the lowest
+colors outside it, found without running its fills. A built cleanup gets
+all its targets' new lists from one couplings call
+(``compress_new_lists``); fallbacks and carried cleanups run
+``apply_compress`` per update. Both drifts sweep their vertices in order,
+one key per step, and ``drift_tail`` runs the Phase II steps after every
+list is a singleton in one loop that walks the same sweep.
 """
 
 from __future__ import annotations
@@ -267,28 +271,46 @@ def _fill_singles(a: ColorSet, cap: int, pool: ColorSet) -> ColorSet:
     return a
 
 
-def greedy_reference_set(q: int, delta: int, kept) -> ColorSet:
+def greedy_reference_set(q: int, delta: int, kept: list[ColorSet]) -> ColorSet:
     """Reference set of exactly delta colors for compress updates.
 
-    One rule for both phases, read from the kept neighbor lists alone.
-    Colors outside the disjoint pairs go in first: whole non-pair lists
-    when they fit, then their single colors ascending. Pairs come next,
-    whole then color by color, and palette order fills the rest. Pairs are
-    held back because the compressed neighbors' lists are A plus one extra
-    color each: a kept 2-list inside A meets every one of them, so it stops
-    being a disjoint pair for the update at v. The palette fill is the
-    lowest delta - |A| colors not in A, that is every color up to the
-    (delta - |A| - 1)-th one not in A (nth_outside).
+    When the kept lists' union has at most delta colors, A is that union
+    plus the palette fill. The rule below only ever adds colors, and only
+    while |A| <= delta, so on such lists every whole-list merge succeeds:
+    it would take every list whole, reach the union, and leave the rest to
+    the palette fill. One OR loop and one popcount decide this case, with
+    no pair scan and no sort.
+
+    Otherwise the rule runs, one rule for both phases, read from the kept
+    neighbor lists alone. Colors outside the disjoint pairs go in first:
+    whole non-pair lists when they fit, then their single colors ascending.
+    Pairs come next, whole then color by color. The same argument holds per
+    stage: when the non-pair colors fit, every non-pair list merges whole;
+    when they do not, their single colors fill A and no pair is reached.
+    Pairs are held back because the compressed neighbors' lists are A plus
+    one extra color each: a kept 2-list inside A meets every one of them,
+    so it stops being a disjoint pair for the update at v. The palette
+    fill is the lowest delta - |A| colors not in A, that is every color up
+    to the (delta - |A| - 1)-th one not in A (nth_outside); only a union
+    of fewer than delta colors leaves it any.
     """
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
-    sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
-    # pair colors live only in their own list, so non-pair lists are
-    # exactly the ones disjoint from dp_mask
-    a = _fill_atomic(0, delta, [m for m in kept if not (m & dp_mask)])
-    a = _fill_singles(a, delta, sp_mask & ~dp_mask)
-    a = _fill_atomic(a, delta, dp_pairs)
-    a = _fill_singles(a, delta, dp_mask)
+    a = 0
+    for m in kept:
+        a |= m
+    if a.bit_count() > delta:
+        sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
+        non_pair = sp_mask & ~dp_mask
+        if non_pair.bit_count() > delta:
+            # pair colors live only in their own list, so non-pair lists
+            # are exactly the ones disjoint from dp_mask
+            a = _fill_atomic(0, delta, [m for m in kept if not (m & dp_mask)])
+            a = _fill_singles(a, delta, non_pair)
+        else:
+            # every non-pair list merges whole, and together they are non_pair
+            a = _fill_atomic(non_pair, delta, dp_pairs)
+            a = _fill_singles(a, delta, dp_mask)
     need = delta - a.bit_count()
     return a | ((2 << nth_outside(a, need - 1)) - 1) if need else a
 
@@ -338,10 +360,14 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
 
     When every neighbor list is a singleton, the slot layout has one slot,
     the leftover, so the new list is the reserve color (draw 2) and the
-    carried color is that color; no layout is built. Otherwise the layout
-    reads the key's words 0 and 2 from the state: a built block computes
-    only the new list from them (``next_words02``, which unpacks no key),
-    and a carried coloring's decode also takes the key, for draw 1.
+    carried color is that color; no layout is built. The reserve is
+    cp.outside_color's select written out, as in drift_tail: nth_outside
+    at (w2 * (q - |S|)) >> 64, where q > max_degree >= |S|.
+
+    Otherwise the layout reads the key's words 0 and 2 from the state: a
+    built block computes only the new list from them (``next_words02``,
+    which unpacks no key), and a carried coloring's decode also takes the
+    key, for draw 1.
     """
     lists = state.lists
     g = state.g
@@ -354,7 +380,8 @@ def apply_disjoint(state: BoundingState, v: int) -> None:
         s_mask |= m
     else:
         if q > g.max_degree:  # else the layout below raises CouplingRegimeError
-            color = cp.outside_color(s_mask, q, state.next_word(2))
+            w2 = state.next_word(2)
+            color = nth_outside(s_mask, (w2 * (q - s_mask.bit_count())) >> 64)
             lists[v] = 1 << color
             if state.coloring is not None:
                 state.carry(v, color)
@@ -375,14 +402,15 @@ def drift_tail(state: BoundingState, steps: int) -> None:
     Each step is apply_disjoint's all-singleton update at the sweep's next
     vertex, 0, 1, ..., n - 1, 0, ...: the color is cp.outside_color of the
     neighbors' colors m with word 2 of the step's key, and the lists stay
-    singletons. A step writes that rule out, as the one select rule
-    nth_outside at the multiply-shift index (w2 * (q - |m|)) >> 64;
-    q - |m| >= q - max_degree > 0, so the index is never drawn from an
-    empty range. The steps take the same keys as the same drift steps run
-    one by one (``state.drift_words``, which reads only word 2 of each
-    batch), which counts them as the same updates. A block that reaches
-    the tail coalesces, and the sampler replays only blocks that did not,
-    so the tail never carries a coloring (engine.block_steps).
+    singletons. A step writes that rule out, as apply_disjoint does, as
+    the one select rule nth_outside at the multiply-shift index
+    (w2 * (q - |m|)) >> 64; q - |m| >= q - max_degree > 0, so the index is
+    never drawn from an empty range. The steps take the same keys as the
+    same drift steps run one by one (``state.drift_words``, which reads
+    only word 2 of each batch), which counts them as the same updates. A
+    block that reaches the tail coalesces, and the sampler replays only
+    blocks that did not, so the tail never carries a coloring
+    (engine.block_steps).
     """
     lists, q = state.lists, state.q
     n, adjacency = state.g.n, state.g.adjacency
@@ -402,7 +430,8 @@ def cleanup(state: BoundingState, v: int, preserved) -> None:
     the one the preserved neighbors' lists give.
 
     A built block's k targets take word 0 of k consecutive keys in one
-    state.next_words0(k) and get the lists that apply_compress would give
+    state.next_words0(k) and their new lists from one
+    cp.compress_new_lists call, the lists that apply_compress would give
     them one by one. A carried block runs apply_compress per target, since
     each decode reads the colors of neighbors that earlier targets took.
     """
@@ -418,9 +447,9 @@ def cleanup(state: BoundingState, v: int, preserved) -> None:
     a_mask = greedy_reference_set(state.q, state.g.max_degree, kept)
     outside = cp.compress_outside(a_mask, state.q)
     if state.coloring is None:
-        predict = cp.compress_predict
-        for w, word in zip(targets, state.next_words0(len(targets))):
-            lists[w] = predict(a_mask, outside, word)
+        words = state.next_words0(len(targets))
+        for w, m in zip(targets, cp.compress_new_lists(a_mask, outside, words)):
+            lists[w] = m
     else:
         for w in targets:
             apply_compress(state, w, a_mask, outside)

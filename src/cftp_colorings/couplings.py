@@ -193,7 +193,8 @@ def relaxed_lp_vertices(inst: LPInstance):
 # one). The shuffle is a walk: step i >= 1 hashes word 2 + i from the key
 # only when the decode asks for color i.
 # Every compress update of one cleanup shares A, so the caller builds
-# [q] \ A once (compress_outside) and each update indexes it.
+# [q] \ A once (compress_outside) and each update indexes it; a built
+# cleanup indexes it for all its words in one compress_new_lists call.
 
 
 class CompressDraw(NamedTuple):
@@ -234,6 +235,15 @@ def compress_draw(
 def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:
     """Predicted bounding set A + {x'} from word 0, without the permutation."""
     return a_mask | 1 << compress_extra_color(outside, word)
+
+
+def compress_new_lists(a_mask: ColorSet, outside: list[int], words: list[int]) -> list[ColorSet]:
+    """[compress_predict(a_mask, outside, w) for w in words] in one call: a
+    built cleanup's new lists, one per word 0. The multiply-shift is
+    randint_below's, written out; outside is never empty
+    (compress_outside)."""
+    n = len(outside)
+    return [a_mask | 1 << outside[(w * n) >> 64] for w in words]
 
 
 def compress_accept(q, delta: int, n_blocked: int):

@@ -173,6 +173,140 @@ def test_member_order_matches_sorting_by_members():
         assert [members(m) for m in bd._member_order(lists)] == [[2, 9], [3], [3, 5]]
 
 
+def union_of(lists):
+    union = 0
+    for m in lists:
+        union |= m
+    return union
+
+
+def greedy_spec(q, delta, kept):
+    """greedy_reference_set's rule as its four fills and the palette fill,
+    with no short cut: whole non-pair lists in member order, their single
+    colors ascending, whole disjoint pairs, their single colors, and then
+    the lowest colors not yet in A. A disjoint pair is a 2-list that meets
+    no other kept list."""
+    pairs = [
+        m
+        for i, m in enumerate(kept)
+        if m.bit_count() == 2 and not any(m & o for j, o in enumerate(kept) if j != i)
+    ]
+    others = [m for m in kept if m not in pairs]
+    a = 0
+    for lists in (others, pairs):
+        for m in sorted(lists, key=members):
+            if (a | m).bit_count() <= delta:
+                a |= m
+        for c in members(union_of(lists) & ~a):
+            if a.bit_count() == delta:
+                break
+            a |= 1 << c
+    for c in range(q):
+        if a.bit_count() == delta:
+            break
+        a |= 1 << c
+    return a
+
+
+def split_lists(colors, rng, sizes=(1, 2, 3)):
+    """colors cut into consecutive lists of the given sizes, shuffled; a
+    2-list is repeated when 2 is not among the sizes, so it is no pair."""
+    lists, i = [], 0
+    while i < len(colors):
+        k = int(rng.choice(sizes))
+        m = mask_from(colors[i : i + k])
+        lists += [m, m] if m.bit_count() == 2 and 2 not in sizes else [m]
+        i += k
+    rng.shuffle(lists)
+    return lists
+
+
+def edge_kept_sets(seed=31):
+    """(q, delta, kept) at the short cut's edges, at delta 3, 8 and 32 (q
+    = 105 there, so masks pass 64 bits): unions of exactly delta and
+    delta + 1 colors, and non-pair colors that fit beside disjoint pairs
+    that take the union past delta."""
+    rng = np.random.default_rng(seed)
+    for delta in (3, 8, 32):
+        q = 3 * delta + 9
+        for _ in range(10):
+            for size in (delta, delta + 1):
+                colors = [int(c) for c in rng.permutation(q)[:size]]
+                yield q, delta, split_lists(colors, rng)
+            colors = [int(c) for c in rng.permutation(q)]
+            n_other = int(rng.integers(0, delta + 1))
+            n_pairs = (delta - n_other) // 2 + 1 + int(rng.integers(0, 3))
+            pair_colors = colors[n_other : n_other + 2 * n_pairs]
+            kept = split_lists(colors[:n_other], rng, sizes=(1, 3))
+            kept += [mask_from(pair_colors[i : i + 2]) for i in range(0, 2 * n_pairs, 2)]
+            rng.shuffle(kept)
+            yield q, delta, kept
+
+
+GREEDY_CASES = [(70, delta, lists) for lists in kept_list_sets() for delta in (1, 2, 3, 5, 8)]
+GREEDY_CASES += list(edge_kept_sets())
+
+
+def greedy_branch(q, delta, kept):
+    """The branch of greedy_reference_set an input takes: the union fits,
+    the non-pair colors overflow A, or they fit and the pairs fill it."""
+    if union_of(kept).bit_count() <= delta:
+        return "union"
+    pair_colors = cp.disjoint_pair_scan(kept)[2]
+    if (union_of(kept) & ~pair_colors).bit_count() > delta:
+        return "non-pair"
+    return "pairs"
+
+
+def greedy_mismatches(reference_set):
+    return [
+        (q, delta, kept)
+        for q, delta, kept in GREEDY_CASES
+        if reference_set(q, delta, kept) != greedy_spec(q, delta, kept)
+    ]
+
+
+def test_greedy_union_shortcut_matches_the_fill_order(monkeypatch):
+    branches = Counter(greedy_branch(*case) for case in GREEDY_CASES)
+    assert branches == {"union": 631, "non-pair": 1312, "pairs": 147}
+    edge_sizes = Counter(
+        union_of(kept).bit_count() - delta for _, delta, kept in edge_kept_sets()
+    )
+    assert edge_sizes[0] == 30 and edge_sizes[1] == 33
+    # the short cut runs no pair scan, the rule exactly one
+    scans = []
+    real_scan = cp.disjoint_pair_scan
+
+    def counted_scan(kept):
+        scans.append(kept)
+        return real_scan(kept)
+
+    monkeypatch.setattr(cp, "disjoint_pair_scan", counted_scan)
+    for case in GREEDY_CASES:
+        scans.clear()
+        bd.greedy_reference_set(*case)
+        assert len(scans) == (greedy_branch(*case) != "union"), case
+    monkeypatch.undo()
+    assert greedy_mismatches(bd.greedy_reference_set) == []
+
+
+def test_greedy_check_catches_a_shortcut_one_color_wide():
+    """Negative control: the short cut taken at a union of delta + 1 colors."""
+
+    def one_wide(q, delta, kept):
+        a = union_of(kept)
+        if a.bit_count() <= delta + 1:
+            for c in range(q):
+                if a.bit_count() >= delta:
+                    break
+                a |= 1 << c
+            return a
+        return bd.greedy_reference_set(q, delta, kept)
+
+    caught = greedy_mismatches(one_wide)
+    assert caught and all(union_of(k).bit_count() == d + 1 for _, d, k in caught)
+
+
 # ---------------------------------------------------------------------------
 # keys and their words
 # ---------------------------------------------------------------------------

@@ -235,6 +235,23 @@ def test_compress_extra_color_is_outside_color_at_every_index(q, a_size):
                 assert cp.compress_extra_color(outside, word) == color
 
 
+@pytest.mark.parametrize("q", [13, 70, 105])
+def test_compress_new_lists_is_compress_predict_word_by_word(q):
+    # a built cleanup takes its k new lists from one call: each must be the
+    # list compress_predict gives at its word, at the ends of the word
+    # range, at both ends of every index's words, and at random words
+    rng = random.Random(q)
+    words = [0, 2**64 - 1] + [rng.getrandbits(64) for _ in range(500)]
+    for a_size in (3, q // 2, q - 1):
+        a = mask_from(rng.sample(range(q), a_size))
+        outside = cp.compress_outside(a, q)
+        edges = [w for i in range(len(outside)) for w in index_words(len(outside), i)]
+        for ws in (words, edges):
+            expected = [cp.compress_predict(a, outside, w) for w in ws]
+            assert cp.compress_new_lists(a, outside, ws) == expected
+    assert cp.compress_new_lists(a, outside, []) == []
+
+
 @pytest.mark.parametrize("q", [1, 13, 31, 64, 65, 105, 130])
 def test_outside_color_raises_on_a_mask_covering_the_palette(q):
     for word in (0, raw64(STREAM.subkey(21, q), 0), 2**64 - 1):
