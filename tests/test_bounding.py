@@ -250,10 +250,10 @@ GREEDY_CASES += list(edge_kept_sets())
 def greedy_branch(q, delta, kept):
     """The branch of greedy_reference_set an input takes: the union fits,
     the non-pair colors overflow A, or they fit and the pairs fill it."""
-    if union_of(kept).bit_count() <= delta:
+    union = union_of(kept)
+    if union.bit_count() <= delta:
         return "union"
-    pair_colors = cp.disjoint_pair_scan(kept)[2]
-    if (union_of(kept) & ~pair_colors).bit_count() > delta:
+    if (union & ~cp.disjoint_pair_scan(kept)[2]).bit_count() > delta:
         return "non-pair"
     return "pairs"
 
