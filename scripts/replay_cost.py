@@ -64,9 +64,12 @@ def main() -> int:
     ap.add_argument("--block", type=int, default=2, help="block index (>= 1)")
     ap.add_argument("--seeds", default="1,2", help="comma-separated master seeds")
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        seeds = []
     if args.block < 1 or not seeds:
-        ap.error("need --block >= 1 and at least one seed in --seeds")
+        ap.error("need --block >= 1 and at least one integer seed in --seeds")
     try:
         g = parse_gen_spec(args.gen)
         engine.check_config(g, engine.SamplerConfig(args.q, 0, force=True, t2_override=args.t2))

@@ -8,16 +8,16 @@ lists exactly. A state may also carry one proper coloring: each update then
 decodes it with the parameters and draw its bounding update has just
 computed, and checks that the decoded color lies in the vertex's new list.
 
-Every compress update, in either phase, takes its reference set from one
-rule, ``greedy_reference_set``, applied to neighbor lists: the preserved
-ones in ``cleanup``, all of v's in a fallback. When those lists' union has
-at most max-degree colors, the rule's answer is that union plus the lowest
-colors outside it, found without running its fills. A built cleanup gets
-all its targets' new lists from one couplings call
-(``compress_new_lists``); fallbacks and carried cleanups run
-``apply_compress`` per update. Both drifts sweep their vertices in order,
-one key per step, and ``drift_tail`` runs the Phase II steps after every
-list is a singleton in one loop that walks the same sweep.
+Every compress update, in either phase, runs in ``apply_compress``: a
+cleanup's targets against the preserved neighbors' lists, and a
+fallback's v against all of v's. It takes the reference set from one
+rule, ``greedy_reference_set``; when the lists' union has at most
+max-degree colors, the rule's answer is that union plus the lowest colors
+outside it, found without running its fills. A built block gets all the
+targets' new lists from one couplings call (``compress_predict``), and a
+carried block decodes them one by one. Both drifts sweep their vertices
+in order, one key per step, and ``drift_tail`` runs the Phase II steps
+after every list is a singleton in one loop that walks the same sweep.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ class BoundingState:
     A batch computes each of its rows, the unpacked keys, word 0 or word
     2 (``seedstream.lane_row``), only when a reader first asks for it, and
     keeps it until the next batch. Each reader asks for the rows it reads:
-    a built cleanup's run of compress extra colors (``next_words0``) and a
-    fallback's compress extra color (``next_word(0)``) take word 0; an
-    all-singleton disjoint update's reserve (``next_word(2)``) and the drift
-    tail (``drift_words``) take word 2; a built disjoint update's slot
-    variate and reserve (``next_words02``) take words 0 and 2; only seeding
-    updates (``next_key``) and carried compress and disjoint updates
+    a built compress batch's extra colors (``next_words0``: k for a
+    cleanup's k targets, 1 for a fallback) take word 0; an all-singleton
+    disjoint update's reserve (``next_word(2)``) and the drift tail
+    (``drift_words``) take word 2; a built disjoint update's slot variate
+    and reserve (``next_words02``) take words 0 and 2; only seeding updates
+    (``next_key``) and carried compress and disjoint updates
     (``next_key_words``) take the key row. So a batch read only by the tail
     hashes its keys and word 2, and a built block's Phase II never unpacks
     a key. Every word 0 or 2 that an update reads comes from the state; no
@@ -320,24 +320,30 @@ def greedy_reference_set(q: int, delta: int, kept: list[ColorSet]) -> ColorSet:
 # ---------------------------------------------------------------------------
 
 
-def apply_compress(
-    state: BoundingState, v: int, a_mask: ColorSet, outside: list[int]
-) -> None:
-    """Compress update at v against A; outside is cp.compress_outside(A, q).
-    A fallback and a carried cleanup call it; a built cleanup runs its
-    compress updates in one loop (cleanup).
+def apply_compress(state: BoundingState, kept: list[ColorSet], targets: list[int]) -> None:
+    """Compress every vertex of targets, in order, against one reference set
+    A, the one greedy_reference_set gives for the kept lists: the one
+    compress update, for a cleanup's targets and a fallback's v alike.
 
-    The bounding update reads only word 0; a carried coloring's decode
-    needs the key itself for the rest of the draw, and takes the same
-    word 0 for its extra color and word 2 for its shuffle's first step.
+    Each target takes one key. A built block takes word 0 of its k keys in
+    one state.next_words0(k) and the k new lists A + {x'} from one
+    cp.compress_predict call. A carried block decodes the targets one by
+    one, since each decode reads the colors of neighbors that earlier
+    targets took: it takes each key with its words 0 and 2, and the new
+    list is A plus the draw's x'.
     """
+    q, lists = state.q, state.lists
+    a_mask = greedy_reference_set(q, state.g.max_degree, kept)
+    outside = cp.compress_outside(a_mask, q)
     if state.coloring is None:
-        state.lists[v] = cp.compress_predict(a_mask, outside, state.next_word(0))
-    else:
-        key, w0, w2 = state.next_key_words()
-        state.lists[v] = cp.compress_predict(a_mask, outside, w0)
-        draw = cp.compress_draw(a_mask, outside, key, w0, w2)
-        state.carry(v, cp.compress_decode(a_mask, state.q, draw, state.blocked(v)))
+        words = state.next_words0(len(targets))
+        for w, m in zip(targets, cp.compress_predict(a_mask, outside, words)):
+            lists[w] = m
+        return
+    for w in targets:
+        draw = cp.compress_draw(a_mask, outside, *state.next_key_words())
+        lists[w] = a_mask | 1 << draw.x_prime
+        state.carry(w, cp.compress_decode(a_mask, q, draw, state.blocked(w)))
 
 
 def apply_seeding(state: BoundingState, v: int) -> None:
@@ -426,15 +432,8 @@ def drift_tail(state: BoundingState, steps: int) -> None:
 
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:
-    """Compress every non-preserved neighbor of v against one reference set,
-    the one the preserved neighbors' lists give.
-
-    A built block's k targets take word 0 of k consecutive keys in one
-    state.next_words0(k) and their new lists from one
-    cp.compress_new_lists call, the lists that apply_compress would give
-    them one by one. A carried block runs apply_compress per target, since
-    each decode reads the colors of neighbors that earlier targets took.
-    """
+    """Compress every non-preserved neighbor of v (apply_compress) against
+    the reference set the preserved neighbors' lists give."""
     lists = state.lists
     kept, targets = [], []
     for u in state.g.adjacency[v]:
@@ -442,14 +441,5 @@ def cleanup(state: BoundingState, v: int, preserved) -> None:
             kept.append(lists[u])
         else:
             targets.append(u)
-    if not targets:
-        return
-    a_mask = greedy_reference_set(state.q, state.g.max_degree, kept)
-    outside = cp.compress_outside(a_mask, state.q)
-    if state.coloring is None:
-        words = state.next_words0(len(targets))
-        for w, m in zip(targets, cp.compress_new_lists(a_mask, outside, words)):
-            lists[w] = m
-    else:
-        for w in targets:
-            apply_compress(state, w, a_mask, outside)
+    if targets:
+        apply_compress(state, kept, targets)

@@ -9,7 +9,8 @@ Three constructions are provided:
 
 * compress: predicted set is a fixed reference set A (|A| = max degree)
   plus one uniform extra color; always available, never shrinks lists
-  below |A| + 1.
+  below |A| + 1. compress_predict gives a whole batch's predicted sets,
+  one per word 0; a carried update reads its set from compress_draw.
 * seeding: predicted set is a short random prefix of a permutation of the
   neighborhood slack plus one free color; its size law is two-point
   (SizeLaw(lo, hi, p_lo)), the closed-form optimum of a small linear
@@ -28,7 +29,8 @@ disjoint pairs included; only a drawn permutation or prefix is ordered,
 since its order is the draw. Each coupling draws one color uniformly outside
 a mask (compress's extra color, seeding's free color, disjoint's reserve),
 and outside_color is the one rule for it; compress applies the same rule to
-the member list of [q] \\ A that one cleanup builds for all its updates.
+the member list of [q] \\ A that one batch of compress updates builds for
+all of them.
 
 A kernel may leave out a draw that cannot change its output: draws are
 addressed by index under the update's key, so a draw left untaken moves no
@@ -192,9 +194,11 @@ def relaxed_lp_vertices(inst: LPInstance):
 # and 2 (bounding.BoundingState reads them from its key batch when it has
 # one). The shuffle is a walk: step i >= 1 hashes word 2 + i from the key
 # only when the decode asks for color i.
-# Every compress update of one cleanup shares A, so the caller builds
-# [q] \ A once (compress_outside) and each update indexes it; a built
-# cleanup indexes it for all its words in one compress_new_lists call.
+# Every compress update of one batch (a cleanup's targets, or a fallback's
+# v) shares A, so bounding.apply_compress builds [q] \ A once
+# (compress_outside) and each update indexes it: a built batch for all its
+# words in one compress_predict call, a carried one draw by draw
+# (compress_draw), whose x' gives the new list.
 
 
 class CompressDraw(NamedTuple):
@@ -222,7 +226,7 @@ def compress_draw(
     a_mask: ColorSet, outside: list[int], key: int, w0: int, w2: int
 ) -> CompressDraw:
     """The whole draw at key, given its words 0 and 2 (raw64(key, 0) and
-    raw64(key, 2)); the caller has already taken w0 for compress_predict.
+    raw64(key, 2)); a carried update's new list is A + {draw.x_prime}.
 
     pi walks shuffled(key, 2, A): step 0 reads w2, step i >= 1 hashes word
     2 + i when color i is asked for. To decode a draw twice, tuple pi first.
@@ -232,16 +236,11 @@ def compress_draw(
     return CompressDraw(pi=pi, x_prime=x_prime, u_prime=partial(unit_uniform, key, 1))
 
 
-def compress_predict(a_mask: ColorSet, outside: list[int], word: int) -> ColorSet:
-    """Predicted bounding set A + {x'} from word 0, without the permutation."""
-    return a_mask | 1 << compress_extra_color(outside, word)
-
-
-def compress_new_lists(a_mask: ColorSet, outside: list[int], words: list[int]) -> list[ColorSet]:
-    """[compress_predict(a_mask, outside, w) for w in words] in one call: a
-    built cleanup's new lists, one per word 0. The multiply-shift is
-    randint_below's, written out; outside is never empty
-    (compress_outside)."""
+def compress_predict(a_mask: ColorSet, outside: list[int], words: list[int]) -> list[ColorSet]:
+    """Predicted bounding sets A + {x'}, one per word 0 (raw64(key, 0)),
+    without the permutation: a built compress batch's new lists in one call.
+    x' is compress_extra_color's, its multiply-shift (randint_below's)
+    written out; outside is never empty (compress_outside)."""
     n = len(outside)
     return [a_mask | 1 << outside[(w * n) >> 64] for w in words]
 

@@ -21,7 +21,6 @@ from itertools import cycle, islice
 from typing import NamedTuple
 
 from . import bounding as bd
-from . import couplings as cp
 from .errors import CouplingRegimeError, EngineError, NoCoalescenceError
 from .graphs import Graph
 from .seedstream import SeedStream, unit_uniform
@@ -280,8 +279,8 @@ def run_schedule(state: bd.BoundingState, schedule: Schedule) -> None:
 
     A seeding or disjoint update whose parameter regime is infeasible falls
     back, by one rule in both phases, to compressing v against the
-    reference set of all v's neighbor lists, and state counts the fallback
-    under the update it replaced.
+    reference set of all v's neighbor lists (bd.apply_compress), and state
+    counts the fallback under the update it replaced.
     Swapping the coupling is safe because the choice depends only on the
     bounding lists, never on any trajectory, so every composed step still
     applies an exact single-site kernel; cutting the schedule short would
@@ -295,9 +294,7 @@ def run_schedule(state: bd.BoundingState, schedule: Schedule) -> None:
         try:
             (bd.apply_seeding if phase == 1 else bd.apply_disjoint)(state, v)
         except CouplingRegimeError:
-            kept = [state.lists[u] for u in state.g.adjacency[v]]
-            a_mask = bd.greedy_reference_set(state.q, state.g.max_degree, kept)
-            bd.apply_compress(state, v, a_mask, cp.compress_outside(a_mask, state.q))
+            bd.apply_compress(state, [state.lists[u] for u in state.g.adjacency[v]], [v])
             state.seeding_fallbacks += phase == 1
             state.disjoint_fallbacks += phase == 2
 

@@ -355,7 +355,8 @@ def test_apply_compress_postcondition():
     q = 9
     state = make_state(g, q, seed=5)
     a = mask_from([0, 1, 2])
-    bd.apply_compress(state, 1, a, cp.compress_outside(a, q))
+    # a kept list of max-degree colors is the reference set itself
+    bd.apply_compress(state, [a], [1])
     assert state.lists[1].bit_count() == 4
     assert a & state.lists[1] == a
     assert state.updates == 1
@@ -611,9 +612,10 @@ CLEANUP_CASES = [
 
 
 def cleanup_mismatches(lanes, n, delta, n_preserved, start):
-    """Run cleanup at a star's center on a built state, and its targets one
-    by one through apply_compress on a second state; returns the fields of
-    the two states that differ."""
+    """Run cleanup at a star's center, after start keys were taken, and
+    check it against a test-side spec: the i-th key's target gets A plus
+    cp.outside_color(A, q, word 0 of key i), and the cleanup takes one key
+    per target. Returns the fields of the state that differ from the spec."""
     g = build_graph(n, [(0, i + 1) for i in range(delta)])
     q = 3 * delta + 2
     rng = np.random.default_rng(n + start)
@@ -621,27 +623,24 @@ def cleanup_mismatches(lanes, n, delta, n_preserved, start):
     kept = {
         u: mask_from(int(c) for c in rng.choice(q, 1 + u % 3, replace=False)) for u in preserved
     }
-    states = [bd.BoundingState(g, q, SeedStream(start), block=3) for _ in range(2)]
-    for state in states:
-        assert state._lanes == lanes
-        for u, m in kept.items():
-            state.lists[u] = m
-        for _ in range(start):
-            state.next_word(0)
-    batched, one_by_one = states
-    bd.cleanup(batched, 0, preserved)
+    state = bd.BoundingState(g, q, SeedStream(start), block=3)
+    assert state._lanes == lanes
+    for u, m in kept.items():
+        state.lists[u] = m
+    for _ in range(start):
+        state.next_word(0)
+    bd.cleanup(state, 0, preserved)
     a = bd.greedy_reference_set(q, delta, [kept[u] for u in g.adjacency[0] if u in preserved])
-    outside = cp.compress_outside(a, q)
-    for w in g.adjacency[0]:
-        if w not in preserved:
-            bd.apply_compress(one_by_one, w, a, outside)
+    lists = [full_mask(q)] * n
+    for u, m in kept.items():
+        lists[u] = m
+    fresh = SeedStream(start)
+    targets = [w for w in g.adjacency[0] if w not in preserved]
+    for i, w in enumerate(targets, start):
+        lists[w] = a | 1 << cp.outside_color(a, q, raw64(fresh.subkey(3, i), 0))
     # the keys taken before the cleanup count as updates too
-    assert one_by_one.updates == start + delta - n_preserved
-    return [
-        field
-        for field in ("lists", "updates")
-        if getattr(batched, field) != getattr(one_by_one, field)
-    ]
+    spec = {"lists": lists, "updates": start + len(targets)}
+    return [field for field, want in spec.items() if getattr(state, field) != want]
 
 
 @pytest.mark.parametrize(
@@ -711,26 +710,42 @@ def test_containment_co_simulation_bipartite():
     co_simulate(gen_complete_bipartite(3), 16, master_seed=22)
 
 
+# (graph, q, master seed, t2, proper start, whether block 1 falls back)
+K3232_START = tuple(v % 3 if v < 32 else 3 + v % 5 for v in range(64))
+REPLAY_CASES = [
+    # keys one at a time
+    (gen_complete(4), 13, 33, None, (0, 1, 2, 3), False),
+    # keys in batches of 4, and Phase I runs
+    (gen_complete_bipartite(32), 105, 10, 128, K3232_START, False),
+    # seeding and disjoint updates fall back to compress
+    (gen_complete_bipartite(32), 66, 0, 50, K3232_START, True),
+    (gen_complete_bipartite(32), 66, 3, 50, K3232_START, True),
+]
+
+
 def test_replay_reconstructs_final_lists():
-    g = gen_complete(4)
-    q = 13
-    cfg = engine.SamplerConfig(q=q, master_seed=33)
-    stream = SeedStream(33)
-    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
-    block = engine.construct_block(schedule, 1, stream)
-    plain = bd.BoundingState(g, q, stream, 1)
-    engine.run_schedule(plain, schedule)
-    assert plain.updates == block.updates
-    assert plain.seeding_fallbacks == block.seeding_fallbacks
-    assert plain.disjoint_fallbacks == block.disjoint_fallbacks
-    # carrying a coloring leaves the bounding chain exactly as built
-    carried = bd.BoundingState(g, q, stream, 1, coloring=(0, 1, 2, 3))
-    engine.run_schedule(carried, schedule)
-    assert carried.lists == plain.lists
-    assert carried.updates == plain.updates
-    assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
-    if block.phi is not None:
-        assert plain.phi == block.phi == tuple(carried.coloring)
+    for g, q, seed, t2, start, falls_back in REPLAY_CASES:
+        cfg = engine.SamplerConfig(q=q, master_seed=seed, force=True, t2_override=t2)
+        stream = SeedStream(seed)
+        schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+        block = engine.construct_block(schedule, 1, stream)
+        plain = bd.BoundingState(g, q, stream, 1)
+        engine.run_schedule(plain, schedule)
+        assert plain.updates == block.updates
+        assert plain.seeding_fallbacks == block.seeding_fallbacks
+        assert plain.disjoint_fallbacks == block.disjoint_fallbacks
+        assert (plain.seeding_fallbacks > 0 and plain.disjoint_fallbacks > 0) == falls_back
+        # carrying a coloring leaves the bounding chain exactly as built,
+        # through every compress batch and fallback
+        carried = bd.BoundingState(g, q, stream, 1, coloring=start)
+        engine.run_schedule(carried, schedule)
+        assert carried.lists == plain.lists
+        assert carried.updates == plain.updates
+        assert carried.seeding_fallbacks == plain.seeding_fallbacks
+        assert carried.disjoint_fallbacks == plain.disjoint_fallbacks
+        assert all((m >> c) & 1 for m, c in zip(carried.lists, carried.coloring))
+        if block.phi is not None:
+            assert plain.phi == block.phi == tuple(carried.coloring)
 
 
 class RecordingState(bd.BoundingState):

@@ -56,18 +56,19 @@ def test_compress_rejects_extra_at_the_threshold():
 def test_compress_predicted_size_is_delta_plus_one():
     a = mask_from([0, 2, 4])
     outside = cp.compress_outside(a, 9)
-    for j in range(200):
-        key = STREAM.subkey(1, j)
-        assert cp.compress_predict(a, outside, raw64(key, 0)).bit_count() == 4
-        assert not a >> cp.compress_extra_color(outside, raw64(key, 0)) & 1
+    words = [raw64(STREAM.subkey(1, j), 0) for j in range(200)]
+    predicted = cp.compress_predict(a, outside, words)
+    assert len(predicted) == len(words)
+    for w, m in zip(words, predicted):
+        assert m.bit_count() == 4
+        assert not a >> cp.compress_extra_color(outside, w) & 1
 
 
 def test_compress_q_delta_plus_one_forces_full_palette():
     a = mask_from([0, 1, 2])
     outside = cp.compress_outside(a, 4)
-    for j in range(50):
-        predicted = cp.compress_predict(a, outside, raw64(STREAM.subkey(2, j), 0))
-        assert predicted == mask_from([0, 1, 2, 3])
+    words = [raw64(STREAM.subkey(2, j), 0) for j in range(50)]
+    assert cp.compress_predict(a, outside, words) == [mask_from([0, 1, 2, 3])] * 50
 
 
 def test_compress_extra_color_uniform():
@@ -100,10 +101,10 @@ def test_compress_draw_matches_predict():
     outside = cp.compress_outside(a, 11)
     for j in range(100):
         key = STREAM.subkey(4, j)
-        predicted = cp.compress_predict(a, outside, raw64(key, 0))
+        predicted = cp.compress_predict(a, outside, [raw64(key, 0)])
         draw = cp.compress_draw(a, outside, key, raw64(key, 0), raw64(key, 2))
         assert draw.x_prime == cp.compress_extra_color(outside, raw64(key, 0))
-        assert predicted == a | 1 << draw.x_prime
+        assert predicted == [a | 1 << draw.x_prime]
         assert sorted(draw.pi) == [4, 5, 6]
         # u' is draw 1, hashed when the decode calls for it
         assert draw.u_prime() == unit_uniform(key, 1)
@@ -212,7 +213,7 @@ def test_compress_outside_list_gives_outside_color(q, a_size):
         key = STREAM.subkey(20, j)
         color = cp.outside_color(a, q, raw64(key, 0))
         assert cp.compress_extra_color(outside, raw64(key, 0)) == color
-        assert cp.compress_predict(a, outside, raw64(key, 0)) == a | 1 << color
+        assert cp.compress_predict(a, outside, [raw64(key, 0)]) == [a | 1 << color]
 
 
 def index_words(m, i):
@@ -236,10 +237,11 @@ def test_compress_extra_color_is_outside_color_at_every_index(q, a_size):
 
 
 @pytest.mark.parametrize("q", [13, 70, 105])
-def test_compress_new_lists_is_compress_predict_word_by_word(q):
-    # a built cleanup takes its k new lists from one call: each must be the
-    # list compress_predict gives at its word, at the ends of the word
-    # range, at both ends of every index's words, and at random words
+def test_compress_predict_is_compress_extra_color_word_by_word(q):
+    # a built compress batch takes its k new lists from one call: each must
+    # be A plus the color compress_extra_color gives at its word, at the
+    # ends of the word range, at both ends of every index's words, and at
+    # random words
     rng = random.Random(q)
     words = [0, 2**64 - 1] + [rng.getrandbits(64) for _ in range(500)]
     for a_size in (3, q // 2, q - 1):
@@ -247,9 +249,9 @@ def test_compress_new_lists_is_compress_predict_word_by_word(q):
         outside = cp.compress_outside(a, q)
         edges = [w for i in range(len(outside)) for w in index_words(len(outside), i)]
         for ws in (words, edges):
-            expected = [cp.compress_predict(a, outside, w) for w in ws]
-            assert cp.compress_new_lists(a, outside, ws) == expected
-    assert cp.compress_new_lists(a, outside, []) == []
+            expected = [a | 1 << cp.compress_extra_color(outside, w) for w in ws]
+            assert cp.compress_predict(a, outside, ws) == expected
+    assert cp.compress_predict(a, outside, []) == []
 
 
 @pytest.mark.parametrize("q", [1, 13, 31, 64, 65, 105, 130])

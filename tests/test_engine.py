@@ -307,17 +307,17 @@ def test_seeding_fallback_compresses_against_all_neighbor_lists(monkeypatch):
         try:
             apply_seeding(state, v)
         except CouplingRegimeError:
-            kept = [state.lists[u] for u in g.adjacency[v]]
-            pending.append((v, bd.greedy_reference_set(66, g.max_degree, kept)))
+            pending.append(([v], [state.lists[u] for u in g.adjacency[v]]))
             raise
 
-    def compress(state, v, a_mask, outside):
+    def compress(state, kept, targets):
         nonlocal checked
         if pending:
-            # the update right after a failed seeding update is its fallback
-            assert (v, a_mask) == pending.pop()
+            # the compress batch right after a failed seeding update is its
+            # fallback: v alone, against every neighbor list of v
+            assert (targets, kept) == pending.pop()
             checked += 1
-        apply_compress(state, v, a_mask, outside)
+        apply_compress(state, kept, targets)
 
     monkeypatch.setattr(bd, "apply_seeding", seeding)
     monkeypatch.setattr(bd, "apply_compress", compress)

@@ -34,6 +34,14 @@ def test_uniformity_demo_rejects_no_samples():
         assert "--samples" in r.stderr
 
 
+def test_replay_cost_rejects_seeds_that_are_not_integers():
+    for seeds in ("1,x", "", "2.5"):
+        r = run_script("replay_cost.py", "--gen", "complete:4", "--q", "13", "--seeds", seeds)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "--seeds" in r.stderr
+
+
 def test_replay_cost_runs():
     r = run_script(
         "replay_cost.py", "--gen", "regular:20,6,5", "--q", "18", "--t2", "140", "--seeds", "1,3"

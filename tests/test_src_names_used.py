@@ -35,6 +35,11 @@ In ``engine.py`` only ``schedule_for``, and ``check_config`` as the input
 check, name the drift-length rules (SCHEDULE_RULES), so block_steps,
 construction and replay read t1 and t2 from the one Schedule a sample
 builds.
+
+In ``bounding.py`` only ``apply_compress`` names the compress rules
+(COMPRESS_RULES: the reference set, the complement, the predict, the draw
+and the decode), each definition aside, and ``engine.py`` names none of
+them, so a cleanup and a fallback run the one compress update.
 """
 
 import ast
@@ -49,6 +54,10 @@ BATCH_INTERNALS = ("_packed", "_rows", "_row", "_refill")
 SCHEDULE_RULES = ("default_t1", "default_t2", "t2_override")
 # the definitions that may name SCHEDULE_RULES; SamplerConfig declares t2_override
 SCHEDULE_OWNERS = ("schedule_for", "check_config", "SamplerConfig")
+COMPRESS_RULES = (
+    "compress_outside", "compress_predict", "compress_draw", "compress_decode",
+    "greedy_reference_set",
+)
 
 
 def name_lines(path: Path) -> dict[str, list[int]]:
@@ -382,3 +391,50 @@ def test_drift_lengths_picked_outside_schedule_for_are_flagged(tmp_path):
     )
     found = {name: names_outside(mod, name, *SCHEDULE_OWNERS) for name in SCHEDULE_RULES}
     assert found == {"default_t1": [14], "default_t2": [15], "t2_override": [15]}
+
+
+def test_only_apply_compress_runs_the_compress_rules():
+    src = ROOT / "src" / "cftp_colorings"
+    found = [
+        (path, name, line)
+        for path, owners in (("bounding.py", ("apply_compress",)), ("engine.py", ()))
+        for name in COMPRESS_RULES
+        for line in names_outside(src / path, name, *owners)
+    ]
+    assert found == []
+
+
+def test_compress_rules_named_outside_apply_compress_are_flagged(tmp_path):
+    # the last two functions are a cleanup predicting its own batch and a
+    # fallback building its own reference set
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from . import couplings as cp\n"
+        "\n"
+        "\n"
+        "def greedy_reference_set(q, delta, kept):\n"
+        "    return 0\n"
+        "\n"
+        "\n"
+        "def apply_compress(state, kept, targets):\n"
+        "    a = greedy_reference_set(state.q, 3, kept)\n"
+        "    return cp.compress_predict(a, cp.compress_outside(a, state.q), targets)\n"
+        "\n"
+        "\n"
+        "def cleanup(state, v, preserved):\n"
+        "    outside = cp.compress_outside(0, state.q)\n"
+        "    return cp.compress_predict(0, outside, state.next_words0(2))\n"
+        "\n"
+        "\n"
+        "def fallback(state, v):\n"
+        "    a = greedy_reference_set(state.q, 3, [])\n"
+        "    return cp.compress_draw(a, [], *state.next_key_words())\n"
+    )
+    found = {name: names_outside(mod, name, "apply_compress") for name in COMPRESS_RULES}
+    assert found == {
+        "compress_outside": [14],
+        "compress_predict": [15],
+        "compress_draw": [20],
+        "compress_decode": [],
+        "greedy_reference_set": [19],
+    }

@@ -58,6 +58,23 @@ def test_traced_sample_counts_every_engine_call():
     assert calls == [1, 3, 2]
 
 
+def test_traced_built_block_predicts_each_compress_batch_in_one_call():
+    # every compress update runs in bounding.apply_compress, and a built
+    # block predicts each batch's lists in one couplings.compress_predict
+    # call, so the compress layer counts every built batch and no draw;
+    # block 1 of forced-d6-q18-t60-s19 has cleanups and no fallback
+    tracer = load_tracer()
+    graph = gen_random_regular(20, 6, seed=5)
+    config = engine.SamplerConfig(q=18, master_seed=19, force=True, t2_override=60)
+    stream = seedstream.SeedStream(config.master_seed)
+    schedule = engine.schedule_for(graph, config, engine.lll_partition(graph, stream))
+    with tracer.LayerTracer(tracer.layer_targets(LIB)) as traced:
+        engine.construct_block(schedule, 1, stream)
+    calls = traced.calls
+    assert calls["couplings.compress_predict"] == calls["bounding.apply_compress"] > 0
+    assert calls["couplings.compress_draw"] == 0
+
+
 def key_index_mismatches(monkeypatch, graph, schedule, stream):
     """Wrap engine.block_steps to predict the key index from the steps alone:
     +k for a cleanup's k targets and +1 for the update.
