@@ -54,7 +54,7 @@ class BoundingState:
     one key at a time and hashes each word on demand. Both give the same
     keys and words. Batches pay only on long blocks, and a small graph's
     block is short while its peak memory is small enough that fixed 32-lane
-    buffers would double it.
+    buffers would about triple it.
 
     A batch computes each of its rows, the unpacked keys, word 0 or word
     2 (``seedstream.lane_row``), only when a reader first asks for it, and
@@ -433,11 +433,13 @@ def drift_tail(state: BoundingState, steps: int) -> None:
 
 def cleanup(state: BoundingState, v: int, preserved) -> None:
     """Compress every non-preserved neighbor of v (apply_compress) against
-    the reference set the preserved neighbors' lists give."""
+    the reference set the preserved neighbors' lists give; preserved holds
+    one flag per vertex, nonzero where the vertex is seeded or converted
+    (engine.block_steps)."""
     lists = state.lists
     kept, targets = [], []
     for u in state.g.adjacency[v]:
-        if u in preserved:
+        if preserved[u]:
             kept.append(lists[u])
         else:
             targets.append(u)

@@ -335,9 +335,11 @@ def seeding_predict(
         raise CouplingRegimeError("seeding needs a free color outside the slack set")
     c0 = outside_color(s_mask, q, raw64(key, 1))
     u_prime = unit_uniform(key, 2)
-    if s_size == 0:
+    # a size of 1 emits no slack color, so the slack set's member list,
+    # which shuffle_walk takes eagerly, is built only for a longer prefix
+    k = _draw_size(law, key) if s_size else 1
+    if k == 1:
         return 1 << c0, SeedingDraw(prefix=(), c0=c0, u_prime=u_prime)
-    k = _draw_size(law, key)
     if k - 1 > s_size:
         raise EngineError(f"size law asks for {k - 1} slack colors, only {s_size} exist")
     words = map(raw64, repeat(key), count(3))

@@ -233,9 +233,13 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
     updating S[i mod |S|]; phase 2 converts the other vertices, then drifts
     all n for schedule.t2 steps, drift step i updating vertex i mod n. An
     empty S runs no phase 1 drift, and an empty graph no drift at all. A
-    step cleans up v against preserved (the vertices already seeded or
-    converted), then runs its phase's update at v; preserved is None in the
-    phase 2 drift, which runs no cleanup. Run each step before asking for the next. Key facts: every
+    step cleans up v against preserved, then runs its phase's update at v;
+    preserved is None in the phase 2 drift, which runs no cleanup.
+    preserved is one flag per vertex, a bytearray(n) whose byte v is 1 once
+    v is seeded or converted: the generator holds it through the whole
+    block, and at n = 400 it takes under 0.5 KB where a set of the same
+    vertices takes about 33 KB, over half a built block's peak memory.
+    Run each step before asking for the next. Key facts: every
     update, a fallback included, takes exactly one key, and nothing else
     takes one; a cleanup with k targets takes k consecutive keys. So
     state.updates is both the update count and the key index, and after
@@ -251,16 +255,16 @@ def block_steps(state: bd.BoundingState, schedule: Schedule):
     """
     n, q = state.g.n, state.q
     seeded, t2 = schedule.seeded, schedule.t2
-    preserved: set[int] = set()
+    preserved = bytearray(n)
     for v in seeded:
         yield 1, v, preserved
-        preserved.add(v)
+        preserved[v] = 1
     for v in islice(cycle(seeded), schedule.t1):
         yield 1, v, preserved
     for v in range(n):
-        if v not in preserved:
+        if not preserved[v]:
             yield 2, v, preserved
-            preserved.add(v)
+            preserved[v] = 1
     # sweeps of n steps, each after a look for the drift tail (at
     # q <= max_degree its updates would fall back); no vertex, no drift
     tail = state.coloring is None and q > state.g.max_degree

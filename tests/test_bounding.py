@@ -17,6 +17,14 @@ def star(center_degree):
     return build_graph(center_degree + 1, [(0, i + 1) for i in range(center_degree)])
 
 
+def flags(n, vertices=()):
+    """The per-vertex preserved flags cleanup reads: byte v is 1 for v in vertices."""
+    preserved = bytearray(n)
+    for v in vertices:
+        preserved[v] = 1
+    return preserved
+
+
 def make_state(g, q, lists=None, seed=0):
     state = bd.BoundingState(g, q, SeedStream(seed), block=1)
     if lists:
@@ -561,7 +569,7 @@ def test_apply_disjoint_all_singletons_raises_at_q_delta(leaf_colors):
 def test_cleanup_noop_when_neighbors_preserved():
     g = star(3)
     state = make_state(g, 9, seed=8)
-    bd.cleanup(state, 0, preserved={1, 2, 3})
+    bd.cleanup(state, 0, flags(g.n, {1, 2, 3}))
     assert state.updates == 0
     assert state.lists == [full_mask(9)] * g.n
 
@@ -569,7 +577,7 @@ def test_cleanup_noop_when_neighbors_preserved():
 def test_cleanup_single_target_trace():
     g = gen_complete(4)
     state = make_state(g, 9, seed=9)
-    bd.cleanup(state, 0, preserved={1, 2})
+    bd.cleanup(state, 0, flags(g.n, {1, 2}))
     assert state.updates == 1
     assert [v for v in range(g.n) if state.lists[v] != full_mask(9)] == [3]
     assert state.lists[3].bit_count() == 4
@@ -579,7 +587,7 @@ def test_cleanup_reference_set_shared():
     g = star(3)
     state = make_state(g, 9, seed=10)
     a = bd.greedy_reference_set(9, 3, [])
-    bd.cleanup(state, 0, preserved=set())
+    bd.cleanup(state, 0, flags(g.n))
     assert state.updates == 3
     for w in (1, 2, 3):
         # one shared reference set plus one extra color each
@@ -594,7 +602,7 @@ def test_cleanup_complement_gives_outside_color(q, delta):
     g = star(delta)
     state = make_state(g, q, seed=q)
     a = bd.greedy_reference_set(q, delta, [])
-    bd.cleanup(state, 0, preserved=set())
+    bd.cleanup(state, 0, flags(g.n))
     for i, w in enumerate(g.adjacency[0]):
         key = state.stream.subkey(state.block, i)
         assert state.lists[w] == a | 1 << cp.outside_color(a, q, raw64(key, 0))
@@ -629,7 +637,7 @@ def cleanup_mismatches(lanes, n, delta, n_preserved, start):
         state.lists[u] = m
     for _ in range(start):
         state.next_word(0)
-    bd.cleanup(state, 0, preserved)
+    bd.cleanup(state, 0, flags(n, preserved))
     a = bd.greedy_reference_set(q, delta, [kept[u] for u in g.adjacency[0] if u in preserved])
     lists = [full_mask(q)] * n
     for u, m in kept.items():

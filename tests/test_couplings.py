@@ -336,6 +336,16 @@ def test_seeding_predict_structure():
         assert all(s_mask >> c & 1 for c in draw.prefix)
 
 
+def test_seeding_predict_lists_the_slack_set_only_for_a_slack_color(monkeypatch):
+    # a drawn size of 1 emits no slack color, so no member list of S is built
+    s_mask = mask_from((1, 2, 3, 4, 5))
+    law = cp.SizeLaw(1, 2, 0.5)
+    listed = []
+    monkeypatch.setattr(cp, "members", lambda m: listed.append(m) or members(m))
+    draws = [cp.seeding_predict(s_mask, law, 8, STREAM.subkey(10, j))[1] for j in range(200)]
+    assert 0 < len(listed) == sum(len(d.prefix) for d in draws) < 200
+
+
 def test_seeding_rejects_full_palette_slack():
     with pytest.raises(CouplingRegimeError):
         cp.seeding_predict(mask_from(range(8)), TRACE_LAW, 8, STREAM.subkey(8, 0))

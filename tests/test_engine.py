@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -405,6 +406,54 @@ def test_empty_seeding_set_runs_no_phase_1_drift():
     ]
     assert built[0].lists == built[1].lists
     assert built[0].updates == built[1].updates == 4 + 3 + 2 + 1 + 8
+
+
+# ---------------------------------------------------------------------------
+# a built block's peak memory
+# ---------------------------------------------------------------------------
+
+MEMORY_BOUND = 3  # peak traced bytes over the bytes the final lists hold
+
+
+def block_peak_over_lists(master_seed):
+    """tracemalloc's peak while block 1 of a random 8-regular graph (n = 400,
+    q = 31, graph seed 11) builds, over the bytes its final lists hold: the
+    list and each distinct mask object. A warm-up block is built first, so
+    lazy set-up is not counted."""
+    g = gen_random_regular(400, 8, seed=11)
+    stream = SeedStream(master_seed)
+    cfg = engine.SamplerConfig(q=31, master_seed=master_seed)
+    schedule = engine.schedule_for(g, cfg, engine.lll_partition(g, stream))
+    engine.construct_block(schedule, 1, stream)
+    tracemalloc.start()
+    try:
+        state = engine.construct_block(schedule, 1, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    masks = {id(m): m for m in state.lists}.values()
+    return peak / (sys.getsizeof(state.lists) + sum(map(sys.getsizeof, masks)))
+
+
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+def test_built_block_peak_memory_stays_near_its_lists(master_seed):
+    # a block holds one flag per vertex beyond its lists (block_steps), so
+    # its peak is about 1.9 times what the lists hold; a per-vertex set
+    # held through the block reads over 5 times
+    assert block_peak_over_lists(master_seed) <= MEMORY_BOUND
+
+
+def test_block_memory_check_catches_a_vertex_set_held_through_the_block(monkeypatch):
+    """Negative control: a set of all n vertices lives as long as the steps."""
+    inner = engine.block_steps
+
+    def holding(state, schedule):
+        held = set(range(state.g.n))
+        yield from inner(state, schedule)
+        del held
+
+    monkeypatch.setattr(engine, "block_steps", holding)
+    assert block_peak_over_lists(1) > MEMORY_BOUND
 
 
 # ---------------------------------------------------------------------------

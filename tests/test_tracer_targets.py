@@ -91,7 +91,7 @@ def key_index_mismatches(monkeypatch, graph, schedule, stream):
             if state.updates != expected:
                 mismatches.append((steps, "start"))
             if preserved is not None:
-                expected += sum(u not in preserved for u in graph.adjacency[v])
+                expected += sum(not preserved[u] for u in graph.adjacency[v])
             expected += 1
             yield phase, v, preserved
             if state.updates != expected:
