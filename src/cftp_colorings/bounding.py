@@ -431,7 +431,7 @@ def drift_tail(state: BoundingState, steps: int) -> None:
             lists[v] = 1 << nth_outside(m, (w2 * (q - m.bit_count())) >> 64)
 
 
-def cleanup(state: BoundingState, v: int, preserved) -> None:
+def cleanup(state: BoundingState, v: int, preserved: bytearray) -> None:
     """Compress every non-preserved neighbor of v (apply_compress) against
     the reference set the preserved neighbors' lists give; preserved holds
     one flag per vertex, nonzero where the vertex is seeded or converted
