@@ -1,7 +1,8 @@
-"""Command-line surface: sample, verify, bench, partition, lowerbound.
+"""Command-line surface: sample, verify, bench, partition, lowerbound, lpaudit.
 
-Exit codes: 0 success, 1 verification/audit failure, 2 no coalescence
-within the block budget, 64 usage error.
+Exit codes: 0 success, 1 verification failure, 2 no coalescence within the
+block budget, 64 usage error. For lowerbound, exit 1 means that an expected
+list size on the worst-case instance fell below the analytic floor.
 """
 
 from __future__ import annotations
@@ -403,13 +404,12 @@ def cmd_partition(graph_file, gen_spec, seed):
 @cli.command("lowerbound")
 @click.option("--delta-range", default="4:20", show_default=True, callback=degree_range(),
               help="even degrees LO:HI")
-@click.option("--audit", is_flag=True, help="Monte Carlo audit of the seeding coupling")
-@click.option("--trials", type=click.IntRange(min=1), default=20000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", "out_path", type=click.Path(), callback=resolve_out)
-def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
-    """Tabulate the two-to-one obstruction floor over the sub-threshold range."""
+def cmd_lowerbound(delta_range, fmt, out_path):
+    """Tabulate the two-to-one obstruction floor beside the seeding and
+    disjoint couplings' expected list sizes on the worst-case instance,
+    computed, not sampled."""
     lo, hi = delta_range
     # degree 0 has no sub-threshold q, so the table needs an even degree >= 2
     degrees = range(max(2, lo + lo % 2), hi + 1, 2)
@@ -420,21 +420,20 @@ def cmd_lowerbound(delta_range, audit, trials, seed, fmt, out_path):
     failed = False
     for delta in degrees:
         m = delta // 2
-        for q in range(3 * m, math.ceil(2.5 * delta - 1)):
+        for q in range(3 * m, 3 * delta + 1):
             bound = oracle.lower_bound_value(delta, q)
-            row = {"delta": delta, "q": q, "m": m, "r": q - 3 * m,
-                   "bound": round(bound, 6)}
-            if audit:
-                inst = oracle.build_worst_case(delta, q)
-                res = oracle.audit_seeding_at_worst_case(inst, trials=trials, master_seed=seed)
-                row["measured"] = round(res.mean, 6) if res.compatible else ""
-                row["ci_lo"] = round(res.ci_lo, 6) if res.compatible else ""
-                row["ci_hi"] = round(res.ci_hi, 6) if res.compatible else ""
-                if res.compatible and res.ci_hi < bound:
-                    failed = True
+            inst = oracle.build_worst_case(delta, q)
+            law = oracle.worst_case_seeding_law(inst)[1]
+            sizes = {
+                "seeding": None if law is None else law.expected_size,
+                "disjoint": oracle.worst_case_disjoint_size(inst),
+            }
+            row = {"delta": delta, "q": q, "m": m, "r": q - 3 * m, "bound": round(bound, 6)}
+            for name, size in sizes.items():
+                row[name] = "" if size is None else round(float(size), 6)
+                failed |= size is not None and size < bound
             rows.append(row)
-    meta = run_meta(seed, command="lowerbound", delta_range=[lo, hi],
-                    audit=audit, trials=trials)
+    meta = run_meta(0, command="lowerbound", delta_range=[lo, hi])
     if fmt == "json":
         emit(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n", out_path)
     else:

@@ -10,7 +10,6 @@ from . import couplings as cp
 from .colorsets import ColorSet, mask_from
 from .errors import CouplingRegimeError, EnumerationBudgetError
 from .graphs import Graph, build_graph, gen_complete_bipartite
-from .seedstream import SeedStream
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -194,21 +193,15 @@ def _triangle_matching(lists) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CouplingAudit:
-    mean: float
-    ci_lo: float
-    ci_hi: float
-    compatible: bool
-
-
 def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeLaw | None]:
-    """Vertex 0's slack set, and the size law the seeding audit draws from.
+    """Vertex 0's slack set, and the seeding size law of least expected size there.
 
-    The law is the least-expected-size vertex of relaxed_lp_vertices, not
-    seeding_size_law: the worst case can need sizes above 3, where the
-    sampler's law raises. It is None when the relaxed program has no vertex
-    or its optimum breaks a row of the full LP.
+    A seeding prediction holds exactly as many colors as its drawn size, so
+    the law's expected_size is the coupling's expected new list size at
+    vertex 0. The law is the least-expected-size vertex of
+    relaxed_lp_vertices, not seeding_size_law: the worst case can need sizes
+    above 3, where the sampler's law raises. It is None when the relaxed
+    program has no vertex or its optimum breaks a row of the full LP.
     """
     s_mask = cp.disjoint_pair_scan([inst.lists[u] for u in inst.graph.adjacency[0]])[0]
     try:
@@ -221,30 +214,20 @@ def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeL
     return s_mask, law
 
 
-def audit_seeding_at_worst_case(
-    inst: LowerBoundInstance,
-    trials: int = 100_000,
-    master_seed: int = 0,
-) -> CouplingAudit:
-    """Monte Carlo estimate of the seeding coupling's predicted-set size at a
-    worst-case vertex, under worst_case_seeding_law.
+def worst_case_disjoint_size(inst: LowerBoundInstance) -> Fraction | None:
+    """Vertex 0's exact expected new list size under the shipped disjoint
+    coupling, or None where its layout raises CouplingRegimeError.
 
-    A slack set with no such law is reported as incompatible rather than
-    failing.
+    A pair slot and a color slot each predict two colors and the leftover
+    one, so the mean is 2 - leftover; a Fraction q keeps the layout exact.
+    fractions loads here, not on import: ``verification.sample_many``
+    imports this module and runs without it.
     """
-    s_mask, law = worst_case_seeding_law(inst)
-    if law is None:
-        return CouplingAudit(math.nan, math.nan, math.nan, False)
+    from fractions import Fraction
 
-    stream = SeedStream(master_seed)
-    total = 0
-    total_sq = 0
-    for i in range(trials):
-        predicted, _ = cp.seeding_predict(s_mask, law, inst.q, stream.subkey(1, i))
-        s = predicted.bit_count()
-        total += s
-        total_sq += s * s
-    mean = total / trials
-    var = max(0.0, total_sq / trials - mean * mean)
-    half = 1.96 * math.sqrt(var / trials)
-    return CouplingAudit(mean, mean - half, mean + half, True)
+    nbr_lists = [inst.lists[u] for u in inst.graph.adjacency[0]]
+    try:
+        params = cp.disjoint_params_from_lists(Fraction(inst.q), inst.delta, nbr_lists)
+    except CouplingRegimeError:
+        return None
+    return 2 - params.leftover

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cftp_colorings import cli, engine
+from cftp_colorings import couplings as cp
 from cftp_colorings.errors import NoCoalescenceError
 
 
@@ -105,10 +106,29 @@ def test_lowerbound_table():
     assert r.returncode == 0, r.stderr
     lines = [ln for ln in r.stdout.splitlines() if ln and not ln.startswith("#")]
     header, *rows = lines
-    assert header.split(",")[:5] == ["delta", "q", "m", "r", "bound"]
-    table = {(int(x[0]), int(x[1])): float(x[4]) for x in (r.split(",") for r in rows)}
-    assert table[(4, 8)] == 2.3
-    assert all(v > 2 for v in table.values())
+    assert header.split(",") == ["delta", "q", "m", "r", "bound", "seeding", "disjoint"]
+    table = {(int(x[0]), int(x[1])): x for x in (r.split(",") for r in rows)}
+    assert float(table[(4, 8)][4]) == 2.3
+    # the theorem's range: two-to-one contraction is impossible below 2.5 delta - 1
+    assert all(float(x[4]) > 2 for (d, q), x in table.items() if q < 2.5 * d - 1)
+    # the disjoint layout first fits at 2.5 delta
+    assert table[(4, 9)][6] == ""
+    assert float(table[(4, 10)][6]) == 2.0
+
+
+def test_lowerbound_exits_1_when_an_exact_size_falls_below_the_floor(monkeypatch):
+    # every E color's slot mass cut by 0.9 leaves the disjoint size at
+    # q = 2.5 delta at 1.9, below the floor there (1.905 at delta = 4)
+    args = ["lowerbound", "--delta-range", "4:8"]
+    assert cli.main(args) == 0
+    real = cp._pair_masses
+
+    def cut_e_mass(*counts):
+        p_pair, s_d, s_e, *rest = real(*counts)
+        return (p_pair, s_d, 0.9 * s_e, *rest)
+
+    monkeypatch.setattr(cp, "_pair_masses", cut_e_mass)
+    assert cli.main(args) == 1
 
 
 def test_sample_no_coalescence_exits_2():
@@ -232,7 +252,7 @@ K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
         (("lowerbound", "--delta-range", "3:3"), "'--delta-range'"),
         (("bench", "--delta", "4", "--n-list", "10", "--runs", "0", "--seed", "1"), "'--runs'"),
         (("bench", "--delta", "4", "--n-list", "", "--runs", "1", "--seed", "1"), "'--n-list'"),
-        (("lowerbound", "--delta-range", "4:4", "--audit", "--trials", "0"), "'--trials'"),
+        (("lowerbound", "--delta-range", "4:4", "--audit"), "'--audit'"),
         (("bench", "--delta", "4", "--n-list", "10,10", "--runs", "1", "--seed", "1",
           "--q", "12"), "'--n-list'"),
         (("bench", "--delta", "4", "--n-list", "10", "--runs", "1", "--seed", "1",

@@ -215,12 +215,12 @@ def test_build_worst_case_copies():
 
 
 def test_audit_coupling_seeding_exceeds_two():
-    inst = oracle.build_worst_case(4, 8)
-    res = oracle.audit_seeding_at_worst_case(inst, trials=20_000)
-    assert res.compatible
-    assert res.ci_lo > 2.0
-    # never measurably below the analytic floor
-    assert res.ci_hi >= oracle.lower_bound_value(4, 8) - 3 * (res.ci_hi - res.ci_lo)
+    # a seeding prediction holds exactly its drawn size of colors, so the
+    # law's expected size is the coupling's expected new list size
+    law = oracle.worst_case_seeding_law(oracle.build_worst_case(4, 8))[1]
+    assert law is not None
+    assert law.expected_size == 2.625
+    assert law.expected_size >= oracle.lower_bound_value(4, 8)
 
 
 def test_audit_coupling_disjoint_incompatible_below_threshold():
@@ -274,19 +274,34 @@ def test_tv_pvalue_rejects_concentrated_bias_at_criterion_size():
 
 
 def test_worst_case_law_meets_the_lower_bound():
-    # the audit's law, checked without sampling: at every compatible row of
-    # lowerbound's table for even delta 4-40 it holds the full LP, and its
-    # expected size is at least the analytic floor
-    rows = []
+    # both exact columns of lowerbound's table for even delta 4-40, q from
+    # 1.5 delta to 3 delta: the seeding law holds the full LP wherever it
+    # exists, and neither expected size is below the analytic floor
+    seeding, disjoint = [], []
     for delta in range(4, 41, 2):
-        for q in range(3 * delta // 2, math.ceil(2.5 * delta - 1)):
-            s_mask, law = oracle.worst_case_seeding_law(oracle.build_worst_case(delta, q))
-            if law is None:
-                continue
-            assert not cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
-            rows.append(law.expected_size - oracle.lower_bound_value(delta, q))
-    assert len(rows) == 380
-    assert min(rows) >= 0
+        for q in range(3 * delta // 2, 3 * delta + 1):
+            inst = oracle.build_worst_case(delta, q)
+            bound = oracle.lower_bound_value(delta, q)
+            s_mask, law = oracle.worst_case_seeding_law(inst)
+            if law is not None:
+                assert not cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
+                seeding.append(law.expected_size - bound)
+            size = oracle.worst_case_disjoint_size(inst)
+            if size is not None:
+                disjoint.append(size - bound)
+    assert (len(seeding), len(disjoint)) == (627, 228)
+    assert min(seeding) >= 0
+    assert min(disjoint) >= 0
+
+
+def test_worst_case_disjoint_size_is_two_at_the_threshold():
+    # every slack color of the worst case is an E color, so the layout first
+    # fits at q = 2.5 delta, where it fills its mass exactly
+    for delta in range(4, 41, 2):
+        at = oracle.build_worst_case(delta, 5 * delta // 2)
+        below = oracle.build_worst_case(delta, 5 * delta // 2 - 1)
+        assert oracle.worst_case_disjoint_size(at) == 2
+        assert oracle.worst_case_disjoint_size(below) is None
 
 
 def test_worst_case_with_no_relaxed_vertex_is_incompatible():
@@ -300,4 +315,3 @@ def test_worst_case_with_no_relaxed_vertex_is_incompatible():
     )
     assert cp.relaxed_lp_vertices(cp.LPInstance(4, 2, 5)) == []
     assert oracle.worst_case_seeding_law(inst) == (0b1111, None)
-    assert not oracle.audit_seeding_at_worst_case(inst, trials=10).compatible

@@ -36,6 +36,12 @@ check, name the drift-length rules (SCHEDULE_RULES), so block_steps,
 construction and replay read t1 and t2 from the one Schedule a sample
 builds.
 
+Every name a module of the package imports must be used as a name in that
+module, so no import outlives the code that used it. Uses are read in the
+syntax tree, so a comment or a string does not count but an f-string does.
+``__init__.py``, whose imports are the package's public re-exports, is
+exempt, and ``from __future__`` imports are skipped.
+
 In ``bounding.py`` only ``apply_compress`` names the compress rules
 (COMPRESS_RULES: the reference set, the complement, the predict, the draw
 and the decode), each definition aside, and ``engine.py`` names none of
@@ -174,6 +180,29 @@ def unnamed_defaults(modules, callers) -> list[str]:
     ]
 
 
+def imports(path: Path):
+    """Each name an import statement binds, at any depth; ``from
+    __future__`` imports bind nothing here."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def unused_imports(modules) -> list[str]:
+    """Imported names that their own module never uses as a name.
+
+    Uses are read in the syntax tree, where an import binds names but holds
+    no ast.Name node, and a name read inside an f-string counts.
+    """
+    out = []
+    for path in modules:
+        used = {n.id for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Name)}
+        out += [f"{path.name}:{name}" for name in imports(path) if name not in used]
+    return out
+
+
 def names_outside(path: Path, name: str, *owners: str) -> list[int]:
     """Line numbers where path names name, as a bare name or an attribute,
     outside the module-level classes and functions owners; an import or a
@@ -218,6 +247,32 @@ def test_every_sampler_default_is_set_outside_tests():
     sampler = [p for p in modules if p.stem in SAMPLER_MODULES]
     assert len(sampler) == len(SAMPLER_MODULES)
     assert unnamed_defaults(sampler, callers) == []
+
+
+def test_every_src_import_is_used():
+    modules = [p for p in src_modules_and_callers()[0] if p.name != "__init__.py"]
+    assert unused_imports(modules) == []
+
+
+def test_imports_named_only_in_comments_or_strings_are_flagged(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "import math\n"
+        "import os.path\n"
+        "from . import couplings as cp\n"
+        "from .seedstream import (\n"
+        "    SeedStream,\n"
+        "    raw64,\n"
+        ")\n"
+        "\n"
+        "\n"
+        "def draw(key):\n"
+        "    import json  # math\n"
+        "    return raw64(key, 0), os.sep, f'{cp.q}', 'SeedStream'\n"
+    )
+    assert unused_imports([mod]) == ["mod.py:math", "mod.py:SeedStream", "mod.py:json"]
 
 
 def test_self_reference_and_comments_do_not_count(tmp_path):
