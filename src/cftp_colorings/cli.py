@@ -411,7 +411,7 @@ def cmd_lowerbound(delta_range, fmt, out_path):
     disjoint couplings' expected list sizes on the worst-case instance,
     computed, not sampled."""
     lo, hi = delta_range
-    # degree 0 has no sub-threshold q, so the table needs an even degree >= 2
+    # the worst-case construction needs an even degree >= 2
     degrees = range(max(2, lo + lo % 2), hi + 1, 2)
     if not degrees:
         msg = f"{lo}:{hi} holds no even degree >= 2"
