@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,20 @@ def test_lowerbound_table():
     # the disjoint layout first fits at 2.5 delta
     assert table[(4, 9)][6] == ""
     assert float(table[(4, 10)][6]) == 2.0
+
+
+# sha256 of `lowerbound --delta-range 4:40`'s stdout after its `# {meta}`
+# line: the header and 646 rows, each ending in LF
+LOWERBOUND_4_40_SHA256 = "79fabc61609ee04f1c756dd13307870de7f8fca8004181cfc210f9301e6cffec"
+
+
+def test_lowerbound_table_matches_its_recorded_digest():
+    r = run_cli("lowerbound", "--delta-range", "4:40")
+    assert r.returncode == 0, r.stderr
+    meta, body = r.stdout.split("\n", 1)
+    assert meta.startswith("# {")
+    assert body.count("\n") == 647 and body.endswith("\n")
+    assert hashlib.sha256(body.encode()).hexdigest() == LOWERBOUND_4_40_SHA256
 
 
 def test_lowerbound_exits_1_when_an_exact_size_falls_below_the_floor(monkeypatch):
