@@ -67,10 +67,14 @@ class BoundingState:
     (``next_key``) and carried compress and disjoint updates
     (``next_key_words``) take the key row. So a batch read only by the tail
     hashes its keys and word 2, and a built block's Phase II never unpacks
-    a key. Every word 0 or 2 that an update reads comes from the state; no
-    update in this module hashes one itself. Seeding updates and carried
-    decodes hash their other draws (draw 1, a shuffle's later steps) from
-    the key.
+    a key. Every word 0 or 2 that a compress or disjoint update reads comes
+    from the state, and nothing in this module hashes one. A seeding update
+    is the exception: ``couplings.seeding_predict`` hashes its size variate
+    (word 0) and u' (word 2) from the key, because taking them from
+    ``next_key_words`` makes Phase I's batches compute word 2's row too,
+    which ran slower on a random 32-regular graph and used more memory.
+    Carried decodes hash their other draws (draw 1, a shuffle's later
+    steps) from the key.
     """
 
     __slots__ = (

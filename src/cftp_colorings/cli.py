@@ -30,6 +30,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    build_graph,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
@@ -79,8 +80,15 @@ def parse_gen_spec(spec: str) -> Graph:
             seed = int(args[2]) if len(args) == 3 else 0
             return gen_random_regular(int(args[0]), int(args[1]), seed)
         if name == "worstcase" and len(args) in (2, 3):
+            # copies of the worst case's host K_{delta,delta}, 2 delta vertices apart
+            delta, q = int(args[0]), int(args[1])
             copies = int(args[2]) if len(args) == 3 else 1
-            return oracle.build_worst_case(int(args[0]), int(args[1]), copies).graph
+            oracle.lower_bound_value(delta, q)  # validates delta and q
+            if copies < 1:
+                raise ValueError("need at least one copy")
+            base = gen_complete_bipartite(delta).edges
+            off = range(0, 2 * delta * copies, 2 * delta)
+            return build_graph(2 * delta * copies, [(u + o, v + o) for o in off for u, v in base])
     except (ValueError, GenerationFailedError) as exc:
         raise click.UsageError(f"bad generator spec {spec!r}: {exc}") from None
     raise click.UsageError(f"unknown generator spec {spec!r}")
@@ -420,13 +428,13 @@ def cmd_lowerbound(delta_range, fmt, out_path):
     failed = False
     for delta in degrees:
         m = delta // 2
+        lists = oracle.worst_case_lists(delta)
         for q in range(3 * m, 3 * delta + 1):
             bound = oracle.lower_bound_value(delta, q)
-            inst = oracle.build_worst_case(delta, q)
-            law = oracle.worst_case_seeding_law(inst)[1]
+            law = oracle.worst_case_seeding_law(lists, delta, q)[1]
             sizes = {
                 "seeding": None if law is None else law.expected_size,
-                "disjoint": oracle.worst_case_disjoint_size(inst),
+                "disjoint": oracle.worst_case_disjoint_size(lists, delta, q),
             }
             row = {"delta": delta, "q": q, "m": m, "r": q - 3 * m, "bound": round(bound, 6)}
             for name, size in sizes.items():

@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import couplings as cp
-from .colorsets import ColorSet, mask_from
+from .colorsets import ColorSet
 from .errors import CouplingRegimeError, EnumerationBudgetError
-from .graphs import Graph, build_graph, gen_complete_bipartite
+from .graphs import Graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -115,12 +119,17 @@ def null_tv_moments(n_samples: int, n_cells: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundInstance:
-    graph: Graph
-    lists: tuple[ColorSet, ...]
-    delta: int
-    q: int
+def worst_case_lists(delta: int) -> tuple[ColorSet, ...]:
+    """The lists on vertex 0's delta neighbors in the worst case, for any q.
+
+    Neighbors 2k and 2k+1 form pair k+1 and hold the 0-indexed lists
+    {3k, 3k+1} and {3k+1, 3k+2}, so the neighborhood splits into pairs whose
+    lists share exactly one color, and lists of different pairs are disjoint.
+    The host is K_{delta,delta}, each side holding these lists in this order.
+    """
+    if delta < 2 or delta % 2 != 0:
+        raise ValueError(f"construction needs an even degree >= 2; try {delta + 1}")
+    return tuple(pair << 3 * k for k in range(delta // 2) for pair in (0b011, 0b110))
 
 
 def lower_bound_value(delta: int, q: int) -> float:
@@ -130,8 +139,7 @@ def lower_bound_value(delta: int, q: int) -> float:
     it exceeds 2 exactly in the color range where two-to-one contraction is
     impossible.
     """
-    if delta < 2 or delta % 2 != 0:
-        raise ValueError(f"construction needs an even degree >= 2; try {delta + 1}")
+    worst_case_lists(delta)  # validates delta
     m = delta // 2
     r = q - 3 * m
     if r < 0:
@@ -139,73 +147,22 @@ def lower_bound_value(delta: int, q: int) -> float:
     return 2.0 * m / (m + r + 1) + 1.0 * m / (m + r) + 1.0
 
 
-def build_worst_case(delta: int, q: int, copies: int = 1) -> LowerBoundInstance:
-    """Disjoint copies of the complete bipartite host with triangle lists.
-
-    Vertices 2k, 2k+1 of each side form pair k+1 and receive the 0-indexed
-    lists {3k, 3k+1} and {3k+1, 3k+2}, so every vertex's neighborhood splits
-    into pairs whose lists overlap in exactly one color.
-    """
-    lower_bound_value(delta, q)  # validates delta and q
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    m = delta // 2
-    base = gen_complete_bipartite(delta)
-    edges = []
-    for c in range(copies):
-        off = 2 * delta * c
-        edges.extend((u + off, v + off) for u, v in base.edges)
-    graph = build_graph(2 * delta * copies, edges)
-    side_lists = []
-    for k in range(m):
-        side_lists.append(mask_from((3 * k, 3 * k + 1)))
-        side_lists.append(mask_from((3 * k + 1, 3 * k + 2)))
-    lists = tuple(side_lists[i % delta] for i in range(graph.n))
-    inst = LowerBoundInstance(graph=graph, lists=lists, delta=delta, q=q)
-    if not audit_worst_case(inst):
-        raise AssertionError("worst-case instance failed its triangle audit")
-    return inst
-
-
-def audit_worst_case(inst: LowerBoundInstance) -> bool:
-    """Every vertex's neighborhood must split into triangle pairs."""
-    g = inst.graph
-    for v in range(g.n):
-        lists = [inst.lists[u] for u in g.adjacency[v]]
-        if any(m_.bit_count() != 2 for m_ in lists):
-            return False
-        if not _triangle_matching(lists):
-            return False
-    return True
-
-
-def _triangle_matching(lists) -> bool:
-    if len(lists) % 2 != 0:
-        return False
-    if not lists:
-        return True
-    first = lists[0]
-    rest = lists[1:]
-    for i, other in enumerate(rest):
-        if (first | other).bit_count() == 3:
-            if _triangle_matching(rest[:i] + rest[i + 1 :]):
-                return True
-    return False
-
-
-def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeLaw | None]:
-    """Vertex 0's slack set, and the seeding size law of least expected size there.
+def worst_case_seeding_law(
+    lists: tuple[ColorSet, ...], delta: int, q: int
+) -> tuple[ColorSet, cp.SizeLaw | None]:
+    """The slack set of a vertex whose neighbors hold lists, and the seeding
+    size law of least expected size there.
 
     A seeding prediction holds exactly as many colors as its drawn size, so
-    the law's expected_size is the coupling's expected new list size at
-    vertex 0. The law is the least-expected-size vertex of
+    the law's expected_size is the coupling's expected new list size at the
+    vertex. The law is the least-expected-size vertex of
     relaxed_lp_vertices, not seeding_size_law: the worst case can need sizes
     above 3, where the sampler's law raises. It is None when the relaxed
     program has no vertex or its optimum breaks a row of the full LP.
     """
-    s_mask = cp.disjoint_pair_scan([inst.lists[u] for u in inst.graph.adjacency[0]])[0]
+    s_mask = cp.disjoint_pair_scan(lists)[0]
     try:
-        inst_lp = cp.LPInstance(s_mask.bit_count(), inst.delta, inst.q)
+        inst_lp = cp.LPInstance(s_mask.bit_count(), delta, q)
         law = min(cp.relaxed_lp_vertices(inst_lp), key=lambda v: v.expected_size, default=None)
         if law is not None and cp.verify_full_lp(inst_lp, law):
             law = None
@@ -214,9 +171,10 @@ def worst_case_seeding_law(inst: LowerBoundInstance) -> tuple[ColorSet, cp.SizeL
     return s_mask, law
 
 
-def worst_case_disjoint_size(inst: LowerBoundInstance) -> Fraction | None:
-    """Vertex 0's exact expected new list size under the shipped disjoint
-    coupling, or None where its layout raises CouplingRegimeError.
+def worst_case_disjoint_size(lists: tuple[ColorSet, ...], delta: int, q: int) -> Fraction | None:
+    """The exact expected new list size, under the shipped disjoint coupling,
+    of a vertex whose neighbors hold lists, or None where its layout raises
+    CouplingRegimeError.
 
     A pair slot and a color slot each predict two colors and the leftover
     one, so the mean is 2 - leftover; a Fraction q keeps the layout exact.
@@ -225,9 +183,8 @@ def worst_case_disjoint_size(inst: LowerBoundInstance) -> Fraction | None:
     """
     from fractions import Fraction
 
-    nbr_lists = [inst.lists[u] for u in inst.graph.adjacency[0]]
     try:
-        params = cp.disjoint_params_from_lists(Fraction(inst.q), inst.delta, nbr_lists)
+        params = cp.disjoint_params_from_lists(Fraction(q), delta, lists)
     except CouplingRegimeError:
         return None
     return 2 - params.leftover

@@ -209,7 +209,7 @@ def test_criterion_08_lower_bound_obstruction():
                 bad.append((delta, q, val))
     # a seeding prediction holds exactly its drawn size of colors, so the
     # law's expected size is the coupling's expected new list size
-    law = oracle.worst_case_seeding_law(oracle.build_worst_case(4, 8))[1]
+    law = oracle.worst_case_seeding_law(oracle.worst_case_lists(4), 4, 8)[1]
     seeding = None if law is None else law.expected_size
     ok = not bad and seeding is not None and seeding > 2
     detail = (

@@ -10,6 +10,7 @@ import pytest
 from cftp_colorings import cli, engine
 from cftp_colorings import couplings as cp
 from cftp_colorings.errors import NoCoalescenceError
+from cftp_colorings.graphs import gen_complete_bipartite
 
 
 def run_cli(*args):
@@ -129,6 +130,28 @@ def test_lowerbound_table_matches_its_recorded_digest():
     assert meta.startswith("# {")
     assert body.count("\n") == 647 and body.endswith("\n")
     assert hashlib.sha256(body.encode()).hexdigest() == LOWERBOUND_4_40_SHA256
+
+
+def test_worstcase_gen_spec_builds_disjoint_bipartite_copies():
+    g = cli.parse_gen_spec("worstcase:4,8,2")
+    assert g.n == 16
+    assert all(g.degree(v) == 4 for v in range(16))
+    # copy c is K_{4,4} on vertices 8c..8c+3 and 8c+4..8c+7
+    assert g.edges == {(u + o, v + o) for o in (0, 8) for u in range(4) for v in range(4, 8)}
+    assert cli.parse_gen_spec("worstcase:4,8") == gen_complete_bipartite(4)
+
+
+@pytest.mark.parametrize(
+    "spec,needle",
+    [
+        ("worstcase:3,8", "even degree"),
+        ("worstcase:4,5", "need q >= 3"),
+        ("worstcase:4,8,0", "at least one copy"),
+    ],
+)
+def test_worstcase_gen_spec_bad_parameters_exit_64(spec, needle, capsys):
+    assert cli.main(["partition", "--gen", spec, "--seed", "1"]) == 64
+    assert needle in capsys.readouterr().err
 
 
 def test_lowerbound_exits_1_when_an_exact_size_falls_below_the_floor(monkeypatch):

@@ -3,14 +3,15 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from cftp_colorings import cli, oracle
 from cftp_colorings import couplings as cp
-from cftp_colorings import oracle
 from cftp_colorings.colorsets import mask_from, members
 from cftp_colorings.errors import CouplingRegimeError, EnumerationBudgetError
 from cftp_colorings.graphs import build_graph, gen_complete, gen_cycle
@@ -193,41 +194,63 @@ def test_lower_bound_crossing():
                 assert val < 2 + 1e-12, (delta, q, val)
 
 
+def pairing_faults(lists) -> list[str]:
+    """How lists break the worst case's pairing: each list holds 2 colors,
+    lists 2k and 2k+1 share exactly one, and lists of different pairs are
+    disjoint."""
+    faults = [f"list {i} holds {m.bit_count()} colors" for i, m in enumerate(lists)
+              if m.bit_count() != 2]
+    for i, a in enumerate(lists):
+        for j in range(i + 1, len(lists)):
+            shared = (a & lists[j]).bit_count()
+            if shared != (1 if j == i + 1 and i % 2 == 0 else 0):
+                faults.append(f"lists {i} and {j} share {shared} colors")
+    return faults
+
+
 def test_build_worst_case_lists():
-    inst = oracle.build_worst_case(4, 8)
-    per_side = [members(m) for m in inst.lists[:4]]
-    assert per_side == [[0, 1], [1, 2], [3, 4], [4, 5]]
-    assert all(m.bit_count() == 2 for m in inst.lists)
-    assert oracle.audit_worst_case(inst)
+    lists = oracle.worst_case_lists(4)
+    assert [members(m) for m in lists] == [[0, 1], [1, 2], [3, 4], [4, 5]]
+    for delta in range(2, 41, 2):
+        assert len(oracle.worst_case_lists(delta)) == delta
+        assert pairing_faults(oracle.worst_case_lists(delta)) == []
+    # the check itself: a third color, a shared color across pairs, two disjoint partners
+    assert pairing_faults((0b1011, 0b110)) == ["list 0 holds 3 colors"]
+    assert pairing_faults((0b11, 0b110, 0b1100, 0b11000)) == ["lists 1 and 2 share 1 colors"]
+    assert pairing_faults((0b11, 0b1100)) == ["lists 0 and 1 share 0 colors"]
+    for delta in (0, 3, 5):
+        with pytest.raises(ValueError, match="even"):
+            oracle.worst_case_lists(delta)
 
 
 def test_build_worst_case_rejects_too_few_colors():
-    with pytest.raises(ValueError):
-        oracle.build_worst_case(4, 5)
-    oracle.build_worst_case(4, 7)  # r = 1 is fine
+    with pytest.raises(click.UsageError, match="need q >= 3"):
+        cli.parse_gen_spec("worstcase:4,5")
+    assert cli.parse_gen_spec("worstcase:4,7").n == 8  # r = 1 is fine
 
 
 def test_build_worst_case_copies():
-    inst = oracle.build_worst_case(4, 8, copies=3)
-    assert inst.graph.n == 24
-    assert all(inst.graph.degree(v) == 4 for v in range(24))
-    assert oracle.audit_worst_case(inst)
+    # the worstcase generator's host, each vertex u holding list u % delta:
+    # every vertex's neighbor lists pair up
+    g = cli.parse_gen_spec("worstcase:4,8,3")
+    lists = oracle.worst_case_lists(4)
+    assert g.n == 24
+    assert all(g.degree(v) == 4 for v in range(24))
+    assert all(pairing_faults([lists[u % 4] for u in g.adjacency[v]]) == [] for v in range(24))
 
 
 def test_audit_coupling_seeding_exceeds_two():
     # a seeding prediction holds exactly its drawn size of colors, so the
     # law's expected size is the coupling's expected new list size
-    law = oracle.worst_case_seeding_law(oracle.build_worst_case(4, 8))[1]
+    law = oracle.worst_case_seeding_law(oracle.worst_case_lists(4), 4, 8)[1]
     assert law is not None
     assert law.expected_size == 2.625
     assert law.expected_size >= oracle.lower_bound_value(4, 8)
 
 
 def test_audit_coupling_disjoint_incompatible_below_threshold():
-    inst = oracle.build_worst_case(4, 8)
-    nbr_lists = [inst.lists[u] for u in inst.graph.adjacency[0]]
     with pytest.raises(CouplingRegimeError):
-        cp.disjoint_params_from_lists(inst.q, inst.delta, nbr_lists)
+        cp.disjoint_params_from_lists(8, 4, oracle.worst_case_lists(4))
 
 
 def test_expected_null_tv_scale():
@@ -279,14 +302,14 @@ def test_worst_case_law_meets_the_lower_bound():
     # exists, and neither expected size is below the analytic floor
     seeding, disjoint = [], []
     for delta in range(4, 41, 2):
+        lists = oracle.worst_case_lists(delta)
         for q in range(3 * delta // 2, 3 * delta + 1):
-            inst = oracle.build_worst_case(delta, q)
             bound = oracle.lower_bound_value(delta, q)
-            s_mask, law = oracle.worst_case_seeding_law(inst)
+            s_mask, law = oracle.worst_case_seeding_law(lists, delta, q)
             if law is not None:
                 assert not cp.verify_full_lp(cp.LPInstance(s_mask.bit_count(), delta, q), law)
                 seeding.append(law.expected_size - bound)
-            size = oracle.worst_case_disjoint_size(inst)
+            size = oracle.worst_case_disjoint_size(lists, delta, q)
             if size is not None:
                 disjoint.append(size - bound)
     assert (len(seeding), len(disjoint)) == (627, 228)
@@ -298,20 +321,14 @@ def test_worst_case_disjoint_size_is_two_at_the_threshold():
     # every slack color of the worst case is an E color, so the layout first
     # fits at q = 2.5 delta, where it fills its mass exactly
     for delta in range(4, 41, 2):
-        at = oracle.build_worst_case(delta, 5 * delta // 2)
-        below = oracle.build_worst_case(delta, 5 * delta // 2 - 1)
-        assert oracle.worst_case_disjoint_size(at) == 2
-        assert oracle.worst_case_disjoint_size(below) is None
+        lists = oracle.worst_case_lists(delta)
+        assert oracle.worst_case_disjoint_size(lists, delta, 5 * delta // 2) == 2
+        assert oracle.worst_case_disjoint_size(lists, delta, 5 * delta // 2 - 1) is None
 
 
 def test_worst_case_with_no_relaxed_vertex_is_incompatible():
     # (|S|, delta, q) = (4, 2, 5): every size's row-delta coefficient exceeds
     # the bound, so the relaxed program has no vertex
-    inst = oracle.LowerBoundInstance(
-        graph=build_graph(3, [(0, 1), (0, 2)]),
-        lists=(mask_from((4,)), mask_from((0, 1)), mask_from((2, 3))),
-        delta=2,
-        q=5,
-    )
+    lists = (mask_from((0, 1)), mask_from((2, 3)))
     assert cp.relaxed_lp_vertices(cp.LPInstance(4, 2, 5)) == []
-    assert oracle.worst_case_seeding_law(inst) == (0b1111, None)
+    assert oracle.worst_case_seeding_law(lists, 2, 5) == (0b1111, None)

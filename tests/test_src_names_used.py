@@ -21,8 +21,9 @@ appears outside its function for any reason, say a local variable elsewhere
 that happens to share it, gets through.
 
 Outside the methods of ``bounding.BoundingState``, nothing in
-``bounding.py`` names ``raw64``, so every word 0 or 2 that an update reads
-comes from the state, which reads its key batch when it has one. Nor does
+``bounding.py`` names ``raw64``, so every word 0 or 2 that a compress or
+disjoint update reads comes from the state, which reads its key batch when
+it has one (a seeding update hashes its own, inside ``couplings``). Nor does
 anything in ``bounding.py`` or ``engine.py`` outside that class name the
 batch's internals (BATCH_INTERNALS: its packed keys, its cache of rows
 and the methods that fill them), so the drift tail, too, reads its words
@@ -42,6 +43,11 @@ syntax tree, so a comment or a string does not count but an f-string does.
 ``__init__.py``, whose imports are the package's public re-exports, is
 exempt, and ``from __future__`` imports are skipped.
 
+Every annotation on a function, class or method of the package resolves
+under ``typing.get_type_hints``, with the names each module imports under
+``if TYPE_CHECKING:`` in scope, as a type checker sees them. So no
+annotation names a type that its module imports only inside a function.
+
 In ``bounding.py`` only ``apply_compress`` names the compress rules
 (COMPRESS_RULES: the reference set, the complement, the predict, the draw
 and the decode), each definition aside, and ``engine.py`` names none of
@@ -49,7 +55,10 @@ them, so a cleanup and a fallback run the one compress update.
 """
 
 import ast
+import importlib
+import inspect
 import tokenize
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -252,6 +261,84 @@ def test_every_sampler_default_is_set_outside_tests():
 def test_every_src_import_is_used():
     modules = [p for p in src_modules_and_callers()[0] if p.name != "__init__.py"]
     assert unused_imports(modules) == []
+
+
+def annotated_objects(module):
+    """(qualified name, object) of each function and class the module
+    defines, and of each function defined in one of its classes."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def type_checking_names(module) -> dict:
+    """The module's globals, plus what it imports under ``if TYPE_CHECKING:``."""
+    names = dict(vars(module))
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec"), names)
+    return names
+
+
+def unresolved_annotations(module) -> list[str]:
+    """Functions and classes of module whose annotations raise in get_type_hints."""
+    names = type_checking_names(module)
+    out = []
+    for qualname, obj in annotated_objects(module):
+        try:
+            typing.get_type_hints(obj, localns=names)
+        except Exception as exc:  # any failure to resolve is the finding
+            out.append(f"{module.__name__}.{qualname}: {type(exc).__name__}: {exc}")
+    return out
+
+
+def test_every_src_annotation_resolves():
+    modules = src_modules_and_callers()[0]
+    found, checked = [], 0
+    for path in modules:
+        module = importlib.import_module(f"cftp_colorings.{path.stem}")
+        checked += sum(1 for _ in annotated_objects(module))
+        found += unresolved_annotations(module)
+    assert checked > 100
+    assert found == []
+
+
+def test_annotations_imported_only_inside_a_function_are_flagged(tmp_path, monkeypatch):
+    (tmp_path / "annmod.py").write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "from typing import TYPE_CHECKING\n"
+        "\n"
+        "if TYPE_CHECKING:\n"
+        "    from decimal import Decimal\n"
+        "\n"
+        "\n"
+        "def exact(x) -> Fraction:\n"
+        "    from fractions import Fraction\n"
+        "\n"
+        "    return Fraction(x)\n"
+        "\n"
+        "\n"
+        "def checked(x) -> Decimal:\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    size: Decimal\n"
+        "    count: Missing\n"
+        "\n"
+        "    def grow(self) -> Box:\n"
+        "        return self\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    found = unresolved_annotations(importlib.import_module("annmod"))
+    assert [f.split(":")[0] for f in found] == ["annmod.exact", "annmod.Box"]
 
 
 def test_imports_named_only_in_comments_or_strings_are_flagged(tmp_path):
