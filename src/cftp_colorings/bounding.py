@@ -246,28 +246,21 @@ def neighborhood_slack(state: BoundingState, v: int) -> ColorSet:
 # ---------------------------------------------------------------------------
 
 
-def _member_order(lists: list[ColorSet]) -> list[ColorSet]:
-    """lists in the order sorted(lists, key=members) gives, without building
-    member lists when it can: when no two lists share a lowest color, that
-    color alone decides, and only otherwise are the members compared."""
-    if len(lists) < 2:
-        return lists
-    lows = [m & -m for m in lists]
-    if len(set(lows)) == len(lows):
-        return [m for _, m in sorted(zip(lows, lists))]
-    return sorted(lists, key=members)
-
-
-def _fill_atomic(a: ColorSet, cap: int, lists) -> ColorSet:
-    # whole lists first, smallest-sorted-members order
-    for m in _member_order(lists):
+def _fill(a: ColorSet, cap: int, lists: list[ColorSet]) -> ColorSet:
+    """a grown toward cap colors from lists: whole lists in the order
+    sorted(lists, key=members) gives, each while it fits, then the lists'
+    other colors ascending. Both steps only add colors while A has at most
+    cap of them, so when a and every list fit together, each list merges
+    whole and the answer is their union, found with no sort."""
+    pool = a
+    for m in lists:
+        pool |= m
+    if pool.bit_count() <= cap:
+        return pool
+    for m in sorted(lists, key=members):
         merged = a | m
         if merged.bit_count() <= cap:
             a = merged
-    return a
-
-
-def _fill_singles(a: ColorSet, cap: int, pool: ColorSet) -> ColorSet:
     for c in iter_colors(pool & ~a):
         if a.bit_count() >= cap:
             break
@@ -279,24 +272,18 @@ def greedy_reference_set(q: int, delta: int, kept: list[ColorSet]) -> ColorSet:
     """Reference set of exactly delta colors for compress updates.
 
     When the kept lists' union has at most delta colors, A is that union
-    plus the palette fill. The rule below only ever adds colors, and only
-    while |A| <= delta, so on such lists every whole-list merge succeeds:
-    it would take every list whole, reach the union, and leave the rest to
-    the palette fill. One OR loop and one popcount decide this case, with
-    no pair scan and no sort.
+    plus the palette fill: _fill's union check, made on all the lists at
+    once, so one OR loop and one popcount decide it, with no pair scan.
 
     Otherwise the rule runs, one rule for both phases, read from the kept
-    neighbor lists alone. Colors outside the disjoint pairs go in first:
-    whole non-pair lists when they fit, then their single colors ascending.
-    Pairs come next, whole then color by color. The same argument holds per
-    stage: when the non-pair colors fit, every non-pair list merges whole;
-    when they do not, their single colors fill A and no pair is reached.
-    Pairs are held back because the compressed neighbors' lists are A plus
-    one extra color each: a kept 2-list inside A meets every one of them,
-    so it stops being a disjoint pair for the update at v. The palette
-    fill is the lowest delta - |A| colors not in A, that is every color up
-    to the (delta - |A| - 1)-th one not in A (nth_outside); only a union
-    of fewer than delta colors leaves it any.
+    neighbor lists alone, in two _fill stages. The lists outside the
+    disjoint pairs go in first, then the pairs. Pairs are held back
+    because the compressed neighbors' lists are A plus one extra color
+    each: a kept 2-list inside A meets every one of them, so it stops
+    being a disjoint pair for the update at v. The palette fill is the
+    lowest delta - |A| colors not in A, that is every color up to the
+    (delta - |A| - 1)-th one not in A (nth_outside); only a union of fewer
+    than delta colors leaves it any.
     """
     if q < delta:
         raise ValueError(f"cannot build a reference set of {delta} colors from {q}")
@@ -304,17 +291,11 @@ def greedy_reference_set(q: int, delta: int, kept: list[ColorSet]) -> ColorSet:
     for m in kept:
         a |= m
     if a.bit_count() > delta:
-        sp_mask, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
-        non_pair = sp_mask & ~dp_mask
-        if non_pair.bit_count() > delta:
-            # pair colors live only in their own list, so non-pair lists
-            # are exactly the ones disjoint from dp_mask
-            a = _fill_atomic(0, delta, [m for m in kept if not (m & dp_mask)])
-            a = _fill_singles(a, delta, non_pair)
-        else:
-            # every non-pair list merges whole, and together they are non_pair
-            a = _fill_atomic(non_pair, delta, dp_pairs)
-            a = _fill_singles(a, delta, dp_mask)
+        _, _, dp_mask, dp_pairs = cp.disjoint_pair_scan(kept)
+        # pair colors live only in their own list, so non-pair lists
+        # are exactly the ones disjoint from dp_mask
+        a = _fill(0, delta, [m for m in kept if not m & dp_mask])
+        a = _fill(a, delta, dp_pairs)
     need = delta - a.bit_count()
     return a | ((2 << nth_outside(a, need - 1)) - 1) if need else a
 

@@ -46,16 +46,19 @@ EXIT_USAGE = 64
 
 
 def git_describe() -> str:
+    """git describe of the checkout this package is loaded from, not of the
+    caller's working directory; "unknown" when git fails or hangs."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -138,9 +141,11 @@ def csv_text(meta: dict, header, rows) -> str:
 
 def resolve_out(ctx, param, value):
     """Click callback: --out, under $CFTP_COLORINGS_OUTDIR when relative; refused
-    before any work if it names a directory or its directory is missing."""
+    before any work if it is empty, names a directory or its directory is missing."""
     if value is None:
         return None
+    if not value:
+        raise click.BadParameter("an empty path names no file")
     value = os.path.join(os.environ.get("CFTP_COLORINGS_OUTDIR", ""), value)
     if os.path.isdir(value):
         raise click.BadParameter(f"{value!r} is a directory")
@@ -244,6 +249,8 @@ def _unshuffled_seeding_predict(s_mask, law, q, key):
               help="deliberately corrupt the permutation draws (self-test)")
 def cmd_verify(full, lp_only, delta_range, inject_fault):
     """Run the marginal, containment, size-law, LP, and uniformity suites."""
+    if lp_only and inject_fault:
+        raise click.UsageError("'--inject-fault' tests the coupling suites, which '--lp' skips")
     lo, hi = delta_range
     results = []
     if lp_only:

@@ -18,9 +18,6 @@ from typing import Iterable, Iterator
 
 ColorSet = int
 
-# Size above which members reads the binary digits at C level; below it the
-# bit loop is faster (0.45 against 0.90 us at two members, CPython 3.11, x86_64).
-_LOOP_MEMBERS = 8
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -45,8 +42,6 @@ def iter_colors(mask: ColorSet) -> Iterator[int]:
 
 def members(mask: ColorSet) -> list[int]:
     """Members in ascending order, as a list."""
-    if mask.bit_count() <= _LOOP_MEMBERS:
-        return list(iter_colors(mask))
     # digit i of the reversed binary string is bit i
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
 

@@ -404,10 +404,10 @@ def seeding_decode(
 # from where the ones before it end, and sorts the pairs only when u falls
 # among them. A one-slot layout (every slack color held by a singleton
 # list, so no pairs and no D or E colors) has total 0: it is all leftover,
-# and its predicted set is {reserve} whatever draw 0 says. Its scan
-# (disjoint_pair_scan) skips the pair pass. When every neighbor list is a
-# singleton, bounding.apply_disjoint draws the reserve alone. Each draw is
-# addressed by its index, so a draw left untaken moves no other draw.
+# and its predicted set is {reserve} whatever draw 0 says. When every
+# neighbor list is a singleton, bounding.apply_disjoint draws the reserve
+# alone. Each draw is addressed by its index, so a draw left untaken
+# moves no other draw.
 
 class DisjointParams(NamedTuple):
     q: int
@@ -442,9 +442,8 @@ def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, ColorSet, list[ColorS
 
     One pass over lists, which may be any iterable: ``shared`` collects every
     color seen in two or more lists of two or more colors, so a 2-list is a
-    disjoint pair iff it misses ``shared`` and Q. When the union is Q, every
-    color of a 2-list is also in a 1-list, so there are no pairs and the
-    pair pass is skipped. Pairs come back in input order.
+    disjoint pair iff it misses ``shared`` and Q. Pairs come back in input
+    order.
     """
     seen = shared = pinned = 0
     twos = []
@@ -456,8 +455,6 @@ def disjoint_pair_scan(lists) -> tuple[ColorSet, ColorSet, ColorSet, list[ColorS
                 twos.append(m)
         else:
             pinned |= m
-    if not seen & ~pinned:
-        return seen | pinned, pinned, 0, []
     shared |= pinned
     pairs = [m for m in twos if not m & shared]
     pair_mask = 0

@@ -167,18 +167,33 @@ def kept_list_sets(n_sets=400, seed=29):
         yield lists
 
 
-def test_member_order_matches_sorting_by_members():
-    shared = distinct = 0
-    for lists in kept_list_sets():
-        assert bd._member_order(list(lists)) == sorted(lists, key=members), lists
-        lows = {m & -m for m in lists}
-        shared += len(lows) < len(lists)
-        distinct += len(lists) > 1 and len(lows) == len(lists)
-    assert shared >= 100 and distinct >= 50
-    # a list before the longer lists it begins, whichever comes first
-    for order in ([[3, 5], [3], [2, 9]], [[3], [3, 5], [2, 9]]):
-        lists = [mask_from(colors) for colors in order]
-        assert [members(m) for m in bd._member_order(lists)] == [[2, 9], [3], [3, 5]]
+def test_member_order_matches_sorting_by_members(monkeypatch):
+    """_fill merges whole lists in sorted(lists, key=members) order, so the
+    reference set does not depend on the order the kept lists come in."""
+
+    def reorders(lists):
+        yield lists[::-1]
+        for k in range(1, len(lists)):
+            yield lists[k:] + lists[:k]
+
+    def order_mismatches():
+        return [
+            (delta, lists, other)
+            for lists in kept_list_sets()
+            for delta in (1, 2, 3, 5, 8)
+            for other in reorders(lists)
+            if bd.greedy_reference_set(70, delta, other) != bd.greedy_reference_set(70, delta, lists)
+        ]
+
+    assert order_mismatches() == []
+    # member order puts [1, 2] and [1, 5] before [5, 6, 7], whichever comes first
+    kept = [mask_from(colors) for colors in ([5, 6, 7], [1, 2], [1, 5])]
+    for lists in (kept, kept[::-1]):
+        assert members(bd.greedy_reference_set(12, 3, lists)) == [1, 2, 5]
+    # negative control: a fill that takes the lists in input order
+    monkeypatch.setattr(bd, "members", lambda m: 0)
+    assert members(bd.greedy_reference_set(12, 3, kept)) == [5, 6, 7]
+    assert order_mismatches()
 
 
 def union_of(lists):
@@ -256,8 +271,11 @@ GREEDY_CASES += list(edge_kept_sets())
 
 
 def greedy_branch(q, delta, kept):
-    """The branch of greedy_reference_set an input takes: the union fits,
-    the non-pair colors overflow A, or they fit and the pairs fill it."""
+    """The path an input takes through greedy_reference_set: "union" when
+    the union fits and the short cut answers. Past it, the outcome of
+    _fill's union check at the first stage: "non-pair" when the non-pair
+    lists' colors overflow A, and "pairs" when they merge whole and the
+    pairs' stage goes on from their union."""
     union = union_of(kept)
     if union.bit_count() <= delta:
         return "union"

@@ -95,6 +95,35 @@ def test_verify_injected_fault_fails():
     assert "[FAIL]" in r.stdout
 
 
+def test_git_describe_names_the_package_checkout_not_the_working_directory(tmp_path):
+    env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "other repository")
+    other = git("describe", "--always", "--dirty")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "cftp_colorings.cli", *K4, "--n", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["meta"]["git_describe"] != other
+
+
+def test_git_describe_is_unknown_when_git_hangs(monkeypatch):
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(cli.subprocess, "run", hung)
+    assert cli.git_describe() == "unknown"
+
+
 def test_partition_audits_and_reports():
     r = run_cli("partition", "--gen", "bipartite:32", "--seed", "5")
     assert r.returncode == 0, r.stderr
@@ -295,6 +324,8 @@ K4 = ("sample", "--gen", "k4", "--q", "13", "--seed", "1")
           "--q", "12"), "'--n-list'"),
         (("bench", "--delta", "4", "--n-list", "10", "--runs", "1", "--seed", "1",
           "--workers", "0"), "'--workers'"),
+        # --lp skips the coupling suites that the fault's self-test runs
+        (("verify", "--lp", "--inject-fault", "biased-permutation"), "'--inject-fault'"),
     ],
 )
 def test_bench_bad_inputs_exit_64(args, needle):
@@ -337,6 +368,19 @@ OUT_COMMANDS = [
 def test_bad_out_path_exits_64(args, bad_out, tmp_path):
     # a missing directory or a directory is refused before the command's work
     r = run_cli(*args, "--out", str(tmp_path / bad_out))
+    assert r.returncode == 64
+    assert "'--out'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=[a[0] for a in OUT_COMMANDS])
+def test_empty_out_path_exits_64(args):
+    # passed as is: joined to a directory it would name that directory
+    env = {k: v for k, v in os.environ.items() if k != "CFTP_COLORINGS_OUTDIR"}
+    r = subprocess.run(
+        [sys.executable, "-m", "cftp_colorings.cli", *args, "--out", ""],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
     assert r.returncode == 64
     assert "'--out'" in r.stderr
     assert "Traceback" not in r.stderr

@@ -40,8 +40,8 @@ def test_members_sorted_and_nth():
 
 @pytest.mark.parametrize("q", [13, 18, 64, 65, 105, 130])
 def test_members_matches_iter_colors_at_every_size(q):
-    # members reads masks of more than 8 colors from their binary digits;
-    # iter_colors, the bit loop, is the independent reference
+    # members reads every mask from its binary digits; iter_colors, the
+    # bit loop, is the independent reference
     rng = random.Random(q)
     for k in range(q + 1):
         masks = [cs.mask_from(rng.sample(range(q), k)) for _ in range(3)]
